@@ -36,7 +36,6 @@ from .errors import (
     BracketError,
     GapClosedError,
     PtwalkError,
-    ResolutionError,
     TrackingError,
 )
 from .operators import (
@@ -48,8 +47,6 @@ from .operators import (
     WalkSpec,
     build_walk_operator,
     disorder_offset,
-    export_matrix,
-    read_matrix,
     sublattice_reorder,
     symmetric_frame,
     verify_symmetries,

@@ -8,26 +8,52 @@ non-unitary).  Everything here derives from those four functions:
 eigenvalues ``lambda_pm = d0 +- i sqrt(1 - d0^2)``, the quasienergy
 ``eps = i log lambda``, the gap, and the winding of ``(d2, d3)``.
 
-The winding number of the symmetric-frame walk is an odd integer; the
-count of protected interface modes against a reference phase is read
-off from the shifted value ``nu_prime / 2 + 3 / 2`` which takes values
-0..3 on the gapped part of the phase diagram.
+The gap and the winding number come in closed form from two cubics:
+
+* ``d0 = A cos k + B cos 3k`` is an odd cubic in ``u = cos k``, so
+  ``max |d0|`` over the zone is taken at ``u = 1`` or at a stationary
+  point of that cubic.  The bands reach the real-axis points
+  ``eps in {0, pi}`` exactly when it reaches 1.
+* ``2 z^3 (d2 + i d3)`` at ``z = e^{ik}`` is the cubic
+  ``p(w) = (Q + c2^2) w^3 + (P - s2^2) w^2 + (P + s2^2) w + (Q - c2^2)``
+  in ``w = z^2``.  The curve therefore winds ``nu' = 2 n_in - 3`` times,
+  where ``n_in`` is the number of roots of ``p`` inside the unit disk;
+  in particular ``nu'`` is always odd.  While the gap is open,
+  ``d2^2 + d3^2 = 1 - d0^2 + d1^2 > 0``, so no root sits on the circle.
+
+The count of protected interface modes against a reference phase is
+read off from the shifted value ``nu' / 2 + 3 / 2 = n_in``, which takes
+values 0..3 on the gapped part of the phase diagram.
 """
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GapClosedError, ResolutionError
+from .errors import GapClosedError
 from .ioutil import write_csv
 
-DEFAULT_K_RES = 8192
 GAP_TOL = 1e-9
-INT_TOL = 1e-6  # how far the accumulated winding may sit from an integer
+
+
+def _cubic_coefficients(theta1: float, theta2: float, gamma: float):
+    """``(A, B, P, Q, c2^2, s2^2, d1 amplitude)`` of the walk's d-vector.
+
+    ``d0 = A cos k + B cos 3k``, ``d1 = d1_amp cos k``,
+    ``d2 = P cos k + Q cos 3k`` and ``d3 = -s2^2 sin k + c2^2 sin 3k``.
+    """
+    c1, s1 = np.cos(theta1), np.sin(theta1)
+    c2sq, s2sq = np.cos(theta2) ** 2, np.sin(theta2) ** 2
+    s22 = np.sin(2 * theta2)
+    ch, sh = np.cosh(2 * gamma), np.sinh(2 * gamma)
+    a = -(c1 * s2sq + s1 * s22 * ch)
+    b = c1 * c2sq
+    p = s1 * s2sq - c1 * s22 * ch
+    q = -s1 * c2sq
+    return a, b, p, q, c2sq, s2sq, s22 * sh
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,15 +74,12 @@ def bloch_coefficients(theta1: float, theta2: float, gamma: float,
                        k: np.ndarray) -> BlochCoefficients:
     """Coefficients of the symmetric-frame three-step walk at momenta ``k``."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    c1, s1 = np.cos(theta1), np.sin(theta1)
-    c2sq, s2sq = np.cos(theta2) ** 2, np.sin(theta2) ** 2
-    s22 = np.sin(2 * theta2)
-    ch, sh = np.cosh(2 * gamma), np.sinh(2 * gamma)
+    a, b, p, q, c2sq, s2sq, d1_amp = _cubic_coefficients(theta1, theta2, gamma)
     cosk, sink = np.cos(k), np.sin(k)
     cos3k, sin3k = np.cos(3 * k), np.sin(3 * k)
-    d0 = -(c1 * s2sq + s1 * s22 * ch) * cosk + c1 * c2sq * cos3k
-    d1 = s22 * sh * cosk
-    d2 = (s1 * s2sq - c1 * s22 * ch) * cosk - s1 * c2sq * cos3k
+    d0 = a * cosk + b * cos3k
+    d1 = d1_amp * cosk
+    d2 = p * cosk + q * cos3k
     d3 = -s2sq * sink + c2sq * sin3k
     return BlochCoefficients(k=k, d0=d0, d1=d1, d2=d2, d3=d3)
 
@@ -110,40 +133,32 @@ class GapStatus:
     max_abs_d0: float
     gap_zero: float  # min distance of Re eps from 0, radians
     gap_pi: float    # min distance of Re eps from pi
-    marginal: bool
 
 
-def bulk_gap_status(theta1: float, theta2: float, gamma: float,
-                    k_res: int = DEFAULT_K_RES,
-                    tol_gap: float = GAP_TOL) -> GapStatus:
+def bulk_gap_status(theta1: float, theta2: float, gamma: float) -> GapStatus:
     """Whether the quasienergy gaps at 0 and pi are both open.
 
     The bands touch the real-axis points eps in {0, pi} exactly when
-    ``|d0|`` reaches 1 somewhere in the zone, so one scan of d0
-    settles it.  A result within ``10 * tol_gap`` of the threshold is
-    flagged marginal and a warning is emitted: at that distance the
-    verdict deserves a finer k grid.
+    ``|d0|`` reaches 1 somewhere in the zone.  With ``u = cos k``,
+    ``d0 = 4B u^3 + (A - 3B) u`` is odd in u, so its maximum modulus is
+    taken at ``u = 1`` or at the stationary point
+    ``u^2 = (3B - A) / (12B)`` when that lies in [0, 1]; and the two
+    gaps are equal.
     """
-    k = np.linspace(-np.pi, np.pi, k_res + 1)
-    co = bloch_coefficients(theta1, theta2, gamma, k)
-    dmax = float(np.max(co.d0))
-    dmin = float(np.min(co.d0))
-    max_abs = max(abs(dmax), abs(dmin))
-    gap_zero = float(np.arccos(np.clip(dmax, -1.0, 1.0)))
-    gap_pi = float(np.pi - np.arccos(np.clip(dmin, -1.0, 1.0)))
-    marginal = abs(max_abs - 1.0) < 10 * tol_gap
-    if marginal:
-        warnings.warn(
-            f"max |d0| = {max_abs:.12g} is within {10 * tol_gap:g} of 1; "
-            "gap verdict is marginal, consider a finer k grid",
-            stacklevel=2,
-        )
+    a, b, *_ = _cubic_coefficients(theta1, theta2, gamma)
+    max_abs = float(abs(a + b))
+    if b != 0.0:
+        u2 = (3.0 * b - a) / (12.0 * b)
+        if 0.0 <= u2 <= 1.0:
+            u = np.sqrt(u2)
+            stationary = 4.0 * b * u**3 + (a - 3.0 * b) * u
+            max_abs = max(max_abs, float(abs(stationary)))
+    gap = float(np.arccos(min(max_abs, 1.0)))
     return GapStatus(
-        gap_open=max_abs < 1.0 - tol_gap,
+        gap_open=max_abs < 1.0 - GAP_TOL,
         max_abs_d0=max_abs,
-        gap_zero=gap_zero,
-        gap_pi=gap_pi,
-        marginal=marginal,
+        gap_zero=gap,
+        gap_pi=gap,
     )
 
 
@@ -159,41 +174,28 @@ class TopologicalNumber:
 
 
 def winding_number(theta1: float, theta2: float, gamma: float,
-                   k_res: int = DEFAULT_K_RES,
-                   tol_gap: float = GAP_TOL) -> TopologicalNumber:
+                   k_res: int | None = None) -> TopologicalNumber:
     """Winding of (d2, d3) around the origin over one Brillouin zone.
 
-    Requires both bulk gaps open (GapClosedError otherwise).  The
-    winding is accumulated from wrapped phase increments; any single
-    increment beyond pi/2 means the k grid cannot be trusted to have
-    caught every turn and raises ResolutionError, as does a total that
-    lands away from an integer.  The gain parameter drops out of the
-    result as long as the gap stays open.
+    Requires both bulk gaps open (GapClosedError otherwise).  The result
+    is exact: ``nu' = 2 n_in - 3`` from the roots of the cubic ``p(w)``
+    inside the unit disk (see the module docstring), with no k grid.
+    ``k_res`` is accepted for compatibility and ignored.  The gain
+    parameter drops out of the result as long as the gap stays open.
     """
-    status = bulk_gap_status(theta1, theta2, gamma, k_res=k_res, tol_gap=tol_gap)
+    status = bulk_gap_status(theta1, theta2, gamma)
     if not status.gap_open:
         raise GapClosedError(
             f"bulk gap closed at theta1={theta1:.6g}, theta2={theta2:.6g}, "
             f"gamma={gamma:.6g} (max |d0| = {status.max_abs_d0:.6g})")
-    k = np.linspace(-np.pi, np.pi, k_res + 1)
-    co = bloch_coefficients(theta1, theta2, gamma, k)
-    angles = np.arctan2(co.d3, co.d2)
-    steps = np.diff(angles)
-    steps = (steps + np.pi) % (2 * np.pi) - np.pi
-    max_step = float(np.max(np.abs(steps)))
-    if max_step >= np.pi / 2:
-        raise ResolutionError(
-            f"phase step of {max_step:.3g} rad at k_res={k_res}; "
-            "increase the momentum resolution")
-    total = float(np.sum(steps)) / (2 * np.pi)
-    nu = round(total)
-    if abs(total - nu) > INT_TOL:
-        raise ResolutionError(
-            f"winding sum {total:.3e} is not an integer at k_res={k_res}")
+    _, _, p, q, c2sq, s2sq, _ = _cubic_coefficients(theta1, theta2, gamma)
+    roots = np.roots([q + c2sq, p - s2sq, p + s2sq, q - c2sq])
+    n_in = int(np.count_nonzero(np.abs(roots) < 1.0))
+    nu = 2 * n_in - 3
     return TopologicalNumber(
         theta1=theta1, theta2=theta2, gamma=gamma,
         nu_prime=nu, nu_zero=nu / 2.0, nu_pi=nu / 2.0,
-        nu_shifted=int(round(nu / 2.0 + 1.5)),
+        nu_shifted=n_in,
     )
 
 
@@ -207,7 +209,7 @@ class PhaseDiagram:
 
 
 def phase_diagram(theta1_values, theta2_values, gamma: float,
-                  k_res: int = DEFAULT_K_RES, threads: int = 1) -> PhaseDiagram:
+                  threads: int = 1) -> PhaseDiagram:
     """Shifted winding number on a (theta1, theta2) grid."""
     t1s = np.asarray(theta1_values, dtype=float)
     t2s = np.asarray(theta2_values, dtype=float)
@@ -217,9 +219,7 @@ def phase_diagram(theta1_values, theta2_values, gamma: float,
     def fill_row(i: int):
         for j, t2 in enumerate(t2s):
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    res = winding_number(t1s[i], t2, gamma, k_res=k_res)
+                res = winding_number(t1s[i], t2, gamma)
             except GapClosedError:
                 continue
             nu[i, j] = res.nu_shifted

@@ -36,9 +36,7 @@ from . import dynamics as _dynamics
 from . import perturbation as _perturbation
 from . import spectrum as _spectrum
 from .bulk import (
-    DEFAULT_K_RES,
     GAP_TOL,
-    INT_TOL,
     dispersion,
     phase_diagram,
     write_dispersion_csv,
@@ -146,7 +144,11 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     if path is not None:
-        if not cp.read(path):
+        try:
+            found = cp.read(path)
+        except configparser.Error as exc:
+            raise CliError(f"bad config file: {exc}")
+        if not found:
             raise CliError(f"config file not found: {path}")
     return cp
 
@@ -268,12 +270,10 @@ def _cmd_phase_diagram(args, cp) -> int:
     t1s = _angle_grid(sec, "theta1", 101)
     t2s = _angle_grid(sec, "theta2", 101)
     gamma = sec.take("gamma", float, 0.0)
-    k_res = sec.take("k_res", int, DEFAULT_K_RES, override=args.k_res)
     params = sec.finish()
     params["gap_tol"] = GAP_TOL
-    params["winding_integer_tol"] = INT_TOL
 
-    pd = phase_diagram(t1s, t2s, gamma, k_res=k_res, threads=args.threads)
+    pd = phase_diagram(t1s, t2s, gamma, threads=args.threads)
     em = Emitter(args.out)
     write_phase_diagram_csv(pd, em.path("phase_diagram.csv"))
     result = {
@@ -333,7 +333,6 @@ def _cmd_edge_map(args, cp) -> int:
     half_width = sec.take("half_width", int, 50)
     num_sites = sec.take("num_sites", int, 801, override=args.sites)
     window = sec.take("window", int, DEFAULT_WINDOW)
-    k_res = sec.take("k_res", int, 1024, override=args.k_res)
     kind = sec.take("kind", str, "three_step")
     t1s = _angle_grid(sec, "theta1", 21)
     t2s = _angle_grid(sec, "theta2", 21)
@@ -342,7 +341,7 @@ def _cmd_edge_map(args, cp) -> int:
     params["gap_tol"] = GAP_TOL
 
     emap = edge_count_map(inner, t1s, t2s, gamma, half_width=half_width,
-                          num_sites=num_sites, window=window, k_res=k_res,
+                          num_sites=num_sites, window=window,
                           threads=args.threads, kind=kind)
     em = Emitter(args.out)
     write_edge_map_csv(emap, em.path("edge_map.csv"))
@@ -587,7 +586,6 @@ def _phase_panel(em: Emitter, threads: int, name: str, gamma: float):
         "theta_points": 101,
         "theta_min_over_pi": -1.0,
         "theta_max_over_pi": 1.0,
-        "k_res": DEFAULT_K_RES,
     }
 
 
@@ -653,7 +651,6 @@ def _fig_edge_map(em: Emitter, threads: int):
         "num_sites": 301,
         "theta_points": 9,
         "window": DEFAULT_WINDOW,
-        "k_res": 1024,
     }
     result = {"counted_cells": int(np.count_nonzero(emap.counted))}
     return params, result
@@ -851,7 +848,7 @@ options:
   --out <prefix>   output path prefix for artifacts (default: ./)
   --threads <n>    worker threads where supported (never changes results)
   --seed <n>       disorder seed (seed0 for the disorder ensemble)
-  --k-res <n>      momentum grid resolution
+  --k-res <n>      momentum grid resolution (dispersion only)
   --sites <n>      lattice sites
   --steps <n>      time steps
 """

@@ -9,10 +9,6 @@ class GapClosedError(PtwalkError):
     """The bulk quasienergy gap is closed, so the requested quantity is undefined."""
 
 
-class ResolutionError(PtwalkError):
-    """A discretization is too coarse for the result to be trusted."""
-
-
 class BracketError(PtwalkError):
     """An interval handed to a root bracket does not actually bracket the transition."""
 

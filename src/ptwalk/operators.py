@@ -168,12 +168,6 @@ class CoinProfile:
             t2 = np.where(left, self.theta2_a, self.theta2_b)
         return t1, t2
 
-    def parity_even(self) -> bool:
-        """Whether the base angle profile satisfies theta(-x) = theta(x)."""
-        if self.layout == "left_right":
-            return (self.theta1_a, self.theta2_a) == (self.theta1_b, self.theta2_b)
-        return True
-
     def interfaces(self, lattice: Lattice) -> list[float]:
         """Bond-center coordinates where the base angles change."""
         x = lattice.positions()
@@ -248,44 +242,6 @@ class WalkSpec:
                 t2_second[i] += disorder_offset(seed, xi, SLOT_THETA2_SECOND, amp)
         return t1, t2_first, t2_second
 
-    def to_config_text(self) -> str:
-        """Serialize to the flat key-value grammar (angles in units of pi)."""
-        p = self.profile
-        lines = [
-            f"kind = {self.kind}",
-            f"num_sites = {self.lattice.num_sites}",
-            f"boundary = {self.lattice.boundary}",
-            f"x_min = {self.lattice.x_min}",
-            f"gamma = {self.gamma:.17g}",
-            f"layout = {p.layout}",
-            f"theta1_a_over_pi = {p.theta1_a / math.pi:.17g}",
-            f"theta2_a_over_pi = {p.theta2_a / math.pi:.17g}",
-        ]
-        if p.layout != "homogeneous":
-            lines.append(f"theta1_b_over_pi = {p.theta1_b / math.pi:.17g}")
-            lines.append(f"theta2_b_over_pi = {p.theta2_b / math.pi:.17g}")
-        if p.layout == "inner_outer":
-            lines.append(f"half_width = {p.half_width}")
-        lines.append(f"delta = {p.delta:.17g}")
-        lines.append(f"disorder_amplitude = {p.disorder_amplitude:.17g}")
-        lines.append(f"disorder_seed = {p.disorder_seed}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_config_text(cls, text: str) -> "WalkSpec":
-        items: dict[str, str] = {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in items:
-                raise ValueError(f"line {lineno}: duplicate key {key!r}")
-            items[key] = value
-        return cls.from_config_items(items)
-
     @classmethod
     def from_config_items(cls, items: dict[str, str]) -> "WalkSpec":
         """Build from an already parsed key-value mapping (strings)."""
@@ -345,11 +301,6 @@ class WalkOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def bandwidth(self) -> int:
-        return self.spec.bandwidth
-
-
 def _coin_blocks(theta: np.ndarray, reflective: bool = False) -> sp.csr_matrix:
     """Block-diagonal coin, one 2x2 block per site."""
     n = theta.size
@@ -403,18 +354,15 @@ def build_walk_operator(spec: WalkSpec) -> WalkOperator:
     x = spec.lattice.positions()
     t1, t2_first, t2_second = spec.effective_angles(x)
     S = _shift(spec.lattice)
+    G = _gain(spec.lattice, spec.gamma)
+    Ginv = _gain(spec.lattice, -spec.gamma)
+    frame = "stepwise"
     if spec.kind == "two_step":
-        G = _gain(spec.lattice, spec.gamma)
-        Ginv = _gain(spec.lattice, -spec.gamma)
         m = (G @ S @ _coin_blocks(t2_first, reflective=True) @ Ginv @ S
              @ _coin_blocks(t1, reflective=True))
-        frame = "stepwise"
     else:
-        G = _gain(spec.lattice, spec.gamma)
-        Ginv = _gain(spec.lattice, -spec.gamma)
         m = (Ginv @ S @ _coin_blocks(t2_second) @ S
              @ _coin_blocks(t2_first) @ G @ S @ _coin_blocks(t1))
-        frame = "stepwise"
         if spec.kind == "three_step_symmetric":
             half = _coin_blocks(t1 / 2.0)
             m = half @ m @ half.T
@@ -589,38 +537,3 @@ def sublattice_reorder(op: WalkOperator) -> SublatticeForm:
     return SublatticeForm(matrix=m, permutation=perm, form=form,
                           tau3_residual=tau3_res)
 
-
-def export_matrix(op: WalkOperator, path) -> None:
-    """Write nonzero entries as ``row col re im`` lines.
-
-    The header records the dimension and the bandwidth so a reader can
-    preallocate banded storage.  Entries are row major.
-    """
-    m = op.matrix
-    rows, cols = np.nonzero(m)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# dim={m.shape[0]} band={op.bandwidth}\n")
-        for r, c in zip(rows, cols):
-            v = complex(m[r, c])
-            fh.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")
-
-
-def read_matrix(path):
-    """Read a matrix written by :func:`export_matrix`.
-
-    Returns ``(matrix, bandwidth)`` with a complex dense matrix.
-    """
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError("missing header line")
-        fields = dict(item.split("=") for item in header[1:].split())
-        dim = int(fields["dim"])
-        band = int(fields["band"])
-        m = np.zeros((dim, dim), dtype=complex)
-        for line in fh:
-            if not line.strip():
-                continue
-            r, c, re, im = line.split()
-            m[int(r), int(c)] = float(re) + 1j * float(im)
-    return m, band

@@ -266,7 +266,7 @@ class EdgeCountMap:
 def edge_count_map(inner: tuple[float, float], theta1_values, theta2_values,
                    gamma: float, half_width: int = 50,
                    num_sites: int = 801, window: int = DEFAULT_WINDOW,
-                   k_res: int = 1024, threads: int = 1,
+                   threads: int = 1,
                    kind: str = "three_step") -> EdgeCountMap:
     """Count protected interface modes against a grid of outer phases.
 
@@ -274,7 +274,7 @@ def edge_count_map(inner: tuple[float, float], theta1_values, theta2_values,
     whose outer bulk gap is closed are skipped rather than counted,
     since an interface into a gapless bulk pins nothing.
     """
-    if not bulk_gap_status(inner[0], inner[1], gamma, k_res=k_res).gap_open:
+    if not bulk_gap_status(inner[0], inner[1], gamma).gap_open:
         raise GapClosedError("inner bulk phase is gapless")
     t1s = np.asarray(theta1_values, dtype=float)
     t2s = np.asarray(theta2_values, dtype=float)
@@ -287,7 +287,7 @@ def edge_count_map(inner: tuple[float, float], theta1_values, theta2_values,
 
     def fill(cell):
         i, j = cell
-        status = bulk_gap_status(t1s[i], t2s[j], gamma, k_res=k_res)
+        status = bulk_gap_status(t1s[i], t2s[j], gamma)
         if not status.gap_open:
             return
         profile = CoinProfile.inner_outer(inner, (t1s[i], t2s[j]), half_width)

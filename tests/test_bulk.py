@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptwalk.bulk import (
+    GAP_TOL,
     bloch_coefficients,
     bulk_gap_status,
     dispersion,
@@ -15,7 +16,7 @@ from ptwalk.bulk import (
     write_dispersion_csv,
     write_phase_diagram_csv,
 )
-from ptwalk.errors import GapClosedError, ResolutionError
+from ptwalk.errors import GapClosedError
 
 PI = math.pi
 
@@ -31,6 +32,51 @@ WINDING_POINTS = {
 
 angles = st.floats(-PI, PI, allow_nan=False)
 gammas = st.floats(-0.3, 0.3, allow_nan=False)
+
+
+# The k-grid routines the closed forms replaced, kept as slow oracles.
+
+def grid_max_abs_d0(t1, t2, gamma, k_res=8192):
+    k = np.linspace(-PI, PI, k_res + 1)
+    return float(np.max(np.abs(bloch_coefficients(t1, t2, gamma, k).d0)))
+
+
+def grid_nu_shifted(t1, t2, gamma, k_res=8192):
+    """Shifted winding from wrapped phase increments on a k grid.
+
+    None where the grid cannot be trusted: a single increment beyond
+    pi/2, or a total away from an integer.
+    """
+    co = bloch_coefficients(t1, t2, gamma, np.linspace(-PI, PI, k_res + 1))
+    steps = np.diff(np.arctan2(co.d3, co.d2))
+    steps = (steps + PI) % (2 * PI) - PI
+    if np.max(np.abs(steps)) >= PI / 2:
+        return None
+    total = float(np.sum(steps)) / (2 * PI)
+    nu = round(total)
+    if abs(total - nu) > 1e-6:
+        return None
+    return int(round(nu / 2 + 1.5))
+
+
+def assert_matches_grid(t1, t2, gamma):
+    """Closed-form gap and winding agree with the grid wherever it resolves.
+
+    Returns whether the grid resolved the point.
+    """
+    status = bulk_gap_status(t1, t2, gamma)
+    grid_max = grid_max_abs_d0(t1, t2, gamma)
+    # the grid samples d0, so it can only under-estimate the maximum
+    assert grid_max <= status.max_abs_d0 + 1e-15
+    if grid_max >= 1.0 - GAP_TOL:
+        assert not status.gap_open
+        return True
+    grid_nu = grid_nu_shifted(t1, t2, gamma)
+    if grid_nu is None:
+        return False
+    assert status.gap_open
+    assert winding_number(t1, t2, gamma).nu_shifted == grid_nu
+    return True
 
 
 class TestBlochCoefficients:
@@ -92,21 +138,28 @@ class TestDispersion:
 class TestGapStatus:
     def test_open_point(self):
         s = bulk_gap_status(0.4 * PI, 0.1 * PI, 0.1)
-        assert s.gap_open and not s.marginal
-        assert s.max_abs_d0 == pytest.approx(0.6278857373731173, rel=1e-12)
-        assert s.gap_zero == pytest.approx(s.gap_pi)
+        assert s.gap_open
+        assert s.max_abs_d0 == pytest.approx(0.6278857508880469, rel=1e-12)
+        assert s.gap_zero == s.gap_pi
 
     def test_broken_point(self):
         s = bulk_gap_status(0.25 * PI, 0.25 * PI, 0.1)
         assert not s.gap_open
-        assert s.max_abs_d0 == pytest.approx(1.0100500229317402, rel=1e-12)
+        assert s.max_abs_d0 == pytest.approx(1.0100501372634403, rel=1e-12)
         assert s.gap_zero == 0 and s.gap_pi == 0
 
-    def test_marginal_touch_warns(self):
+    @pytest.mark.parametrize("point", [(0.4, 0.1), (0.25, 0.25)])
+    def test_fine_grid_approaches_exact_maximum_from_below(self, point):
+        t1, t2 = point[0] * PI, point[1] * PI
+        exact = bulk_gap_status(t1, t2, 0.1).max_abs_d0
+        grid = grid_max_abs_d0(t1, t2, 0.1, k_res=2**16)
+        assert exact - 1e-8 <= grid <= exact
+
+    def test_touch_point_is_gapless(self):
         # at theta1 = theta2 = 0 the bands touch |d0| = 1 exactly
-        with pytest.warns(UserWarning, match="marginal"):
-            s = bulk_gap_status(0.0, 0.0, 0.0)
+        s = bulk_gap_status(0.0, 0.0, 0.0)
         assert not s.gap_open
+        assert s.max_abs_d0 == 1.0
 
 
 class TestWindingNumber:
@@ -119,18 +172,9 @@ class TestWindingNumber:
         assert res.nu_zero == res.nu_prime / 2
         assert res.nu_pi == res.nu_prime / 2
 
-    def test_grid_refinement_stable(self):
-        for k_res in (2048, 4096, 16384):
-            res = winding_number(-0.6 * PI, 0.2 * PI, 0.1, k_res=k_res)
-            assert res.nu_prime == 3
-
     def test_gap_closed_raises(self):
         with pytest.raises(GapClosedError):
             winding_number(0.25 * PI, 0.25 * PI, 0.1)
-
-    def test_coarse_grid_raises_resolution(self):
-        with pytest.raises(ResolutionError):
-            winding_number(-0.6 * PI, 0.2 * PI, 0.1, k_res=8)
 
     @given(st.sampled_from(sorted(WINDING_POINTS)), gammas)
     @settings(max_examples=25, deadline=None)
@@ -143,11 +187,29 @@ class TestWindingNumber:
         assert res.nu_prime == WINDING_POINTS[point][0]
 
 
+class TestGridOracle:
+    def test_random_points(self):
+        rng = np.random.default_rng(20190527)
+        points = zip(rng.uniform(-PI, PI, 300), rng.uniform(-PI, PI, 300),
+                     rng.uniform(-0.3, 0.3, 300))
+        assert all(assert_matches_grid(*p) for p in points)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    def test_subsampled_fig3_grid(self, gamma):
+        grid = np.linspace(-PI, PI, 101)[::4]
+        for t1 in grid:
+            for t2 in grid:
+                if not assert_matches_grid(t1, t2, gamma):
+                    # the cells the grid cannot resolve are gapless cells
+                    # whose touching point falls between grid momenta
+                    assert not bulk_gap_status(t1, t2, gamma).gap_open
+
+
 class TestPhaseDiagram:
     def test_small_grid(self):
         t1s = np.array([0.4, 0.25, -0.6]) * PI
         t2s = np.array([0.1, 0.25]) * PI
-        pd = phase_diagram(t1s, t2s, 0.1, k_res=2048)
+        pd = phase_diagram(t1s, t2s, 0.1)
         assert pd.nu_shifted[0, 0] == 0
         assert pd.nu_shifted[2, 0] == 3
         # (pi/4, pi/4) is PT broken at gamma = 0.1
@@ -156,8 +218,8 @@ class TestPhaseDiagram:
 
     def test_thread_count_does_not_change_results(self):
         grid = np.linspace(-PI, PI, 7)
-        a = phase_diagram(grid, grid, 0.1, k_res=1024, threads=1)
-        b = phase_diagram(grid, grid, 0.1, k_res=1024, threads=4)
+        a = phase_diagram(grid, grid, 0.1, threads=1)
+        b = phase_diagram(grid, grid, 0.1, threads=4)
         assert np.array_equal(a.gap_open, b.gap_open)
         assert np.array_equal(a.nu_shifted, b.nu_shifted, equal_nan=True)
 
@@ -175,7 +237,7 @@ class TestCsv:
 
     def test_phase_diagram_empty_cell(self, tmp_path):
         pd = phase_diagram(np.array([0.25 * PI]), np.array([0.1, 0.25]) * PI,
-                           0.1, k_res=2048)
+                           0.1)
         path = tmp_path / "pd.csv"
         write_phase_diagram_csv(pd, path)
         lines = path.read_text().splitlines()

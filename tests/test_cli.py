@@ -83,6 +83,19 @@ class TestUsageAndErrors:
         payload = error_of(capsys, "dispersion", "--config", cfg)
         assert "[dispersion] theta1_over_pi" in payload["message"]
 
+    def test_duplicate_walk_key(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, WALK + "gamma = 0.2\n")
+        payload = error_of(capsys, "spectrum", "--config", cfg)
+        assert payload["error"] == "CliError"
+        assert "'gamma'" in payload["message"]
+        assert "already exists" in payload["message"]
+
+    def test_missing_section_header(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "kind = three_step\n" + WALK)
+        payload = error_of(capsys, "spectrum", "--config", cfg)
+        assert payload["error"] == "CliError"
+        assert "no section headers" in payload["message"]
+
     def test_walk_section_required(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "[spectrum]\nwindow = 5\n")
         payload = error_of(capsys, "spectrum", "--config", cfg)
@@ -148,6 +161,27 @@ class TestDispersionCommand:
         csv = (tmp_path / "o" / "dispersion.csv").read_text().splitlines()
         # header plus k_res + 1 samples, both zone edges included
         assert len(csv) == 1 + 65
+
+
+class TestPhaseDiagramCommand:
+    CFG = ("[phase-diagram]\ntheta1_points = 4\ntheta2_points = 4\n"
+           "gamma = 0.0\n")
+
+    def test_gamma_zero_runs(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, self.CFG)
+        rc, _, _ = run(capsys, "phase-diagram", "--config", cfg,
+                       "--out", f"{tmp_path}/p/")
+        assert rc == 0
+        manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
+        assert manifest["result"] == {"cells": 16, "gapless_cells": 6}
+        assert "k_res" not in manifest["parameters"]
+
+    def test_k_res_key_rejected(self, capsys, tmp_path):
+        # the gap and the winding are exact, so there is no grid to size
+        cfg = write_config(tmp_path, self.CFG + "k_res = 2048\n")
+        payload = error_of(capsys, "phase-diagram", "--config", cfg)
+        assert "unknown keys" in payload["message"]
+        assert "k_res" in payload["message"]
 
 
 class TestSpectrumCommand:
@@ -248,3 +282,13 @@ class TestReproduce:
         assert manifest["figure"] == "fig2"
         assert manifest["command"] == "reproduce"
         assert set(manifest["parameters"]["panels"]) == set("abcd")
+
+    def test_phase_diagrams(self, capsys, tmp_path):
+        # at gamma = 0, 128 of the gapless cells touch |d0| = 1 between
+        # the momenta of an 8192-point grid; all 335 must come out gapless
+        rc, _, _ = run(capsys, "reproduce", "fig3", "--out", f"{tmp_path}/")
+        assert rc == 0
+        for name, gapless in (("fig3a.csv", 335), ("fig3b.csv", 1303)):
+            rows = (tmp_path / name).read_text().splitlines()[1:]
+            assert len(rows) == 101 * 101
+            assert sum(r.endswith(",false") for r in rows) == gapless

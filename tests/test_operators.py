@@ -11,8 +11,6 @@ from ptwalk.operators import (
     WalkSpec,
     build_walk_operator,
     disorder_offset,
-    export_matrix,
-    read_matrix,
     sublattice_reorder,
     symmetric_frame,
     verify_symmetries,
@@ -117,26 +115,13 @@ class TestWalkSpec:
             homogeneous_spec(kind="three_step_perturbed",
                              disorder_amplitude=0.1)
 
-    def test_config_round_trip(self):
-        spec = WalkSpec(
-            kind="three_step_perturbed",
-            lattice=Lattice(31, boundary="open"),
-            profile=CoinProfile.inner_outer(
-                (0.4 * PI, 0.1 * PI), (-0.2 * PI, 0.3 * PI),
-                half_width=5, delta=0.05),
-            gamma=0.1,
-        )
-        assert WalkSpec.from_config_text(spec.to_config_text()) == spec
-
     def test_config_rejects_unknown_key(self):
-        text = homogeneous_spec().to_config_text() + "bogus = 1\n"
+        items = {"kind": "three_step", "num_sites": "40",
+                 "theta1_a_over_pi": "0.25", "theta2_a_over_pi": "0.5"}
+        assert WalkSpec.from_config_items(items) == homogeneous_spec(
+            theta1=0.25 * PI, theta2=0.5 * PI)
         with pytest.raises(ValueError, match="bogus"):
-            WalkSpec.from_config_text(text)
-
-    def test_config_rejects_duplicate_key(self):
-        text = homogeneous_spec().to_config_text()
-        with pytest.raises(ValueError, match="duplicate"):
-            WalkSpec.from_config_text(text + "gamma = 0.2\n")
+            WalkSpec.from_config_items({**items, "bogus": "1"})
 
     def test_effective_angles_delta_only_on_first_slot(self):
         spec = homogeneous_spec(kind="three_step_perturbed", delta=0.05)
@@ -261,13 +246,3 @@ class TestSublattice:
         with pytest.raises(ValueError):
             sublattice_reorder(build_walk_operator(homogeneous_spec(n=31)))
 
-
-class TestExport:
-    def test_round_trip(self, tmp_path):
-        op = build_walk_operator(homogeneous_spec(gamma=0.1))
-        path = tmp_path / "walk.txt"
-        export_matrix(op, path)
-        matrix, band = read_matrix(path)
-        assert band == 3
-        assert np.array_equal(matrix.real, op.matrix)
-        assert not matrix.imag.any()
