@@ -162,9 +162,9 @@ def _walk_spec(cp: configparser.ConfigParser, args) -> WalkSpec:
     if not cp.has_section("walk"):
         raise CliError("this subcommand needs a [walk] section in the config")
     items = dict(cp["walk"])
-    if getattr(args, "sites", None) is not None:
+    if args.sites is not None:
         items["num_sites"] = str(args.sites)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         items["disorder_seed"] = str(args.seed)
     try:
         return WalkSpec.from_config_items(items)
@@ -844,27 +844,39 @@ subcommands:
   reproduce      canned figure configurations (use `reproduce list`)
 
 options:
-  --config <path>  INI config: [walk] section plus one per subcommand
   --out <prefix>   output path prefix for artifacts (default: ./)
   --threads <n>    worker threads where supported (never changes results)
-  --seed <n>       disorder seed (seed0 for the disorder ensemble)
-  --k-res <n>      momentum grid resolution (dispersion only)
-  --sites <n>      lattice sites
-  --steps <n>      time steps
+  --config <path>  INI config: [walk] section plus one per subcommand
+                   (every subcommand but reproduce)
+  --seed <n>       disorder seed; seed0 for disorder (spectrum, delta-sweep,
+                   ep-find, disorder, evolve, infer-edges)
+  --sites <n>      lattice sites (the same six, and edge-map)
+  --steps <n>      time steps (evolve, infer-edges)
+  --k-res <n>      momentum grid resolution (dispersion)
+A flag given to a subcommand that does not read it is an error.
 """
+
+WALK_COMMANDS = ("spectrum", "delta-sweep", "ep-find", "disorder", "evolve",
+                 "infer-edges")
+# (flag, argparse options, subcommands that read it)
+FLAGS = (
+    ("--config", {}, tuple(c for c in HANDLERS if c != "reproduce")),
+    ("--seed", {"type": int}, WALK_COMMANDS),
+    ("--sites", {"type": int}, WALK_COMMANDS + ("edge-map",)),
+    ("--steps", {"type": int}, ("evolve", "infer-edges")),
+    ("--k-res", {"dest": "k_res", "type": int}, ("dispersion",)),
+)
 
 
 def _build_parser(subcommand: str) -> _Parser:
     parser = _Parser(prog=f"ptwalk {subcommand}", add_help=False)
     if subcommand == "reproduce":
         parser.add_argument("figure")
-    parser.add_argument("--config")
     parser.add_argument("--out", default="")
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--k-res", dest="k_res", type=int)
-    parser.add_argument("--sites", type=int)
-    parser.add_argument("--steps", type=int)
+    for flag, options, commands in FLAGS:
+        if subcommand in commands:
+            parser.add_argument(flag, **options)
     return parser
 
 
@@ -880,7 +892,7 @@ def _dispatch(argv: list[str]) -> int:
     args = _build_parser(subcommand).parse_args(rest)
     if args.threads < 1:
         raise CliError("--threads must be positive")
-    cp = _load_config(args.config)
+    cp = _load_config(getattr(args, "config", None))
     return handler(args, cp)
 
 

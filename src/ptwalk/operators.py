@@ -24,13 +24,16 @@ rightmost factor acts first, e.g. ``three_step`` is
 and the perturbed variants add ``delta`` to the first of the two
 ``theta2`` coins (the one applied right after ``G``).
 
-All factors are real, so walk matrices are stored as real float64
-arrays; eigenvalues still come out complex where they must.
+All factors are real, so walk matrices are real float64; eigenvalues
+still come out complex where they must.  An operator keeps the sparse
+factor product (four to eight nonzeros per row) and densifies it only
+when its ``matrix`` is first read.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -288,10 +291,14 @@ class WalkSpec:
 
 @dataclass(frozen=True, eq=False)
 class WalkOperator:
-    """A built walk operator plus the data needed to reason about it."""
+    """A built walk operator plus the data needed to reason about it.
+
+    ``sparse`` is the operator itself; ``matrix`` is its dense copy,
+    built on first access and kept.
+    """
 
     spec: WalkSpec
-    matrix: np.ndarray
+    sparse: sp.csr_matrix
     frame: str  # "stepwise" or "symmetric"
     theta1_eff: np.ndarray
     theta2_first_eff: np.ndarray
@@ -299,7 +306,12 @@ class WalkOperator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.sparse.shape[0]
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return self.sparse.toarray()
+
 
 def _coin_blocks(theta: np.ndarray, reflective: bool = False) -> sp.csr_matrix:
     """Block-diagonal coin, one 2x2 block per site."""
@@ -345,7 +357,7 @@ def _gain(lattice: Lattice, gamma: float) -> sp.dia_matrix:
 
 
 def build_walk_operator(spec: WalkSpec) -> WalkOperator:
-    """Build the dense matrix for ``spec``.
+    """Build the sparse walk operator for ``spec``.
 
     ``three_step_symmetric`` is returned in the symmetric frame; every
     other kind comes out in the stepwise frame (see
@@ -369,7 +381,7 @@ def build_walk_operator(spec: WalkSpec) -> WalkOperator:
             frame = "symmetric"
     return WalkOperator(
         spec=spec,
-        matrix=m.toarray(),
+        sparse=m.tocsr(),
         frame=frame,
         theta1_eff=t1,
         theta2_first_eff=t2_first,
@@ -392,7 +404,7 @@ def symmetric_frame(op: WalkOperator) -> WalkOperator:
         return op
     half = _coin_blocks(op.theta1_eff / 2.0)
     return dataclasses.replace(
-        op, matrix=half @ op.matrix @ half.T.toarray(), frame="symmetric")
+        op, sparse=(half @ op.sparse @ half.T).tocsr(), frame="symmetric")
 
 
 @dataclass(frozen=True)

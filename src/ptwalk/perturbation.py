@@ -53,8 +53,8 @@ def _edge_eigensystem(spec: WalkSpec, delta: float, window: int,
     profile = dataclasses.replace(spec.profile, delta=delta)
     probed = dataclasses.replace(spec, kind=kind, profile=profile)
     result = eigendecompose(build_walk_operator(probed),
-                            compute_condition=False, window=window,
-                            edge_band=edge_band)
+                            compute_condition=False, interface_only=True,
+                            window=window, edge_band=edge_band)
     selected = result.select(*EDGE_LIKE)
     lams = np.array([p.lam for p in selected], dtype=complex)
     if selected:

@@ -19,15 +19,25 @@ Localization means at least half of the state's probability within
 suits tightly bound interface modes; weakly confined ones (decay
 lengths of tens of sites near a small bulk gap) need a wider window,
 which is why it is a parameter and not a constant.
+
+:func:`eigendecompose` has two solver paths.  The default is a dense
+``scipy.linalg.eig`` of the whole matrix.  ``interface_only=True``
+asks ARPACK in shift-invert mode for the eigenvalues nearest +1 and
+-1 instead, enough of them to cover every state the taxonomy could
+call ``edge_zero``, ``edge_pi`` or ``defective_pair_member`` (see
+:func:`_completeness_radius`); the rest of the spectrum is never
+computed.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .bulk import bulk_gap_status, quasienergy
 from .errors import GapClosedError
@@ -40,6 +50,7 @@ TOL_REAL = 1e-8       # relative, |Im lambda| / |lambda|
 EDGE_BAND = 0.3       # rad, how far off the axis a defective pair may sit
 PAIR_TOL = 1e-8       # relative, conjugate partner matching
 COND_THRESHOLD = 1e12  # eigenvalue condition number flagged as near defective
+WINDOW_K0 = 16        # first ARPACK request of the interface path, per side
 
 CLASSES = ("bulk", "edge_zero", "edge_pi", "defective_pair_member", "impurity")
 
@@ -67,6 +78,7 @@ class SpectrumResult:
     eps_m: float | None
     window: int
     interfaces: list[float] = field(default_factory=list)
+    solver: str = "dense"  # "dense", "interface" or "dense-fallback"
 
     def select(self, *classes: str) -> list[Eigenpair]:
         return [p for p in self.pairs if p.classification in classes]
@@ -222,17 +234,92 @@ def classify_states(evals: np.ndarray, vectors: np.ndarray, spec: WalkSpec,
                           window=window, interfaces=interfaces)
 
 
-def eigendecompose(op: WalkOperator, compute_condition: bool = True,
-                   **classify_kw) -> SpectrumResult:
-    """Dense eigendecomposition plus classification.
+def _completeness_radius(gamma: float, edge_band: float = EDGE_BAND) -> float:
+    """Distance from +1 (or -1) that holds every edge-like eigenvalue.
 
-    Eigenvalue condition numbers (1 over the cosine of the angle
-    between matching left and right eigenvectors) are computed from
-    the inverse of the eigenvector matrix; values beyond 1e12 flag the
-    pair as near defective.  Exactly defective matrices leave the
-    eigenvector matrix singular, in which case every condition number
-    is reported infinite.
+    On a periodic ring each of G and G^-1 enters a step once with norm
+    e^|gamma| and every coin and shift has norm 1, so the spectrum lies
+    in the annulus e^-2|gamma| <= |lambda| <= e^2|gamma|.  An edge-like
+    state (real, or a defective pair member) has its argument within
+    ``edge_band`` of 0 or pi, and the farthest such point from +-1 is a
+    corner r e^(i edge_band) of that sector with r at either radius.
     """
+    return max(abs(r * complex(math.cos(edge_band), math.sin(edge_band)) - 1)
+               for r in (math.exp(-2 * abs(gamma)), math.exp(2 * abs(gamma))))
+
+
+def _interface_window(op: WalkOperator, edge_band: float):
+    """Eigenpairs near +1 and -1 from shift-invert ARPACK, or None.
+
+    Each side starts at ``WINDOW_K0`` eigenvalues and doubles the count
+    until the farthest one lies beyond the completeness radius, so
+    nothing inside the radius is missed.  The start vector and the
+    restart draws are seeded, which makes the result a function of the
+    operator alone.  None means the window cannot be trusted (open
+    lattice, k beyond a quarter of the dimension, or no convergence)
+    and the caller should solve densely.
+    """
+    if op.spec.lattice.boundary == "open":
+        return None  # S is not invertible, so |lambda| has no lower bound
+    radius = _completeness_radius(op.spec.gamma, edge_band)
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, op.dim)
+    evals, vectors = [], []
+    for sigma in (1.0, -1.0):
+        k = WINDOW_K0
+        while True:
+            if k > op.dim / 4:
+                return None
+            try:
+                lam, vec = scipy.sparse.linalg.eigs(op.sparse, k, sigma=sigma,
+                                                    v0=v0, rng=0)
+            except RuntimeError:
+                # ArpackNoConvergence and ArpackError are RuntimeErrors,
+                # and so is an exactly singular factor of A - sigma
+                return None
+            if np.abs(lam - sigma).max() > radius:
+                break
+            k *= 2
+        evals.append(lam)
+        vectors.append(vec)
+    return np.concatenate(evals), np.concatenate(vectors, axis=1)
+
+
+def eigendecompose(op: WalkOperator, compute_condition: bool = True, *,
+                   interface_only: bool = False,
+                   **classify_kw) -> SpectrumResult:
+    """Eigendecomposition plus classification.
+
+    By default the whole spectrum comes from a dense solve.  Eigenvalue
+    condition numbers (1 over the cosine of the angle between matching
+    left and right eigenvectors) are computed from the inverse of the
+    eigenvector matrix; values beyond 1e12 flag the pair as near
+    defective.  Exactly defective matrices leave the eigenvector matrix
+    singular, in which case every condition number is reported
+    infinite.
+
+    ``interface_only=True`` computes only the window around +1 and -1
+    that holds every ``edge_zero``, ``edge_pi`` and
+    ``defective_pair_member`` state (with its conjugate partner).  Its
+    ``counts["bulk"]`` and ``counts["impurity"]`` then cover that
+    window alone, and ``eps_m`` is None since the band edge may lie
+    outside it.  It needs ``compute_condition=False``.  Where the window
+    cannot be trusted the dense path runs instead; ``solver`` on the
+    result says which path answered.
+    """
+    if interface_only and compute_condition:
+        raise ValueError("condition numbers need the full eigenvector "
+                         "matrix; pass compute_condition=False")
+    if interface_only:
+        band = max(classify_kw.get("edge_band", EDGE_BAND),
+                   classify_kw.get("tol_edge", TOL_EDGE))
+        window = _interface_window(op, band)
+        if window is not None:
+            evals, vectors = window
+            vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
+            result = classify_states(evals, vectors, op.spec, **classify_kw)
+            result.eps_m = None
+            result.solver = "interface"
+            return result
     evals, vectors = scipy.linalg.eig(op.matrix)
     vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
     conditions = None
@@ -242,8 +329,11 @@ def eigendecompose(op: WalkOperator, compute_condition: bool = True,
             conditions = np.linalg.norm(vinv, axis=1)
         except np.linalg.LinAlgError:
             conditions = np.full(evals.shape, np.inf)
-    return classify_states(evals, vectors, op.spec,
-                           eig_conditions=conditions, **classify_kw)
+    result = classify_states(evals, vectors, op.spec,
+                             eig_conditions=conditions, **classify_kw)
+    if interface_only:
+        result.solver = "dense-fallback"
+    return result
 
 
 def minimum_bulk_quasienergy(result: SpectrumResult) -> float:
@@ -294,7 +384,8 @@ def edge_count_map(inner: tuple[float, float], theta1_values, theta2_values,
         spec = WalkSpec(kind=kind, lattice=lattice, profile=profile,
                         gamma=gamma)
         result = eigendecompose(build_walk_operator(spec),
-                                compute_condition=False, window=window)
+                                compute_condition=False, interface_only=True,
+                                window=window)
         n_zero[i, j] = result.counts["edge_zero"]
         n_pi[i, j] = result.counts["edge_pi"]
         counted[i, j] = True

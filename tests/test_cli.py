@@ -112,6 +112,18 @@ class TestUsageAndErrors:
         assert "unknown figure id" in payload["message"]
         assert "fig2" in payload["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ("phase-diagram", "--k-res", "8"),
+        ("reproduce", "fig3", "--steps", "5"),
+        ("reproduce", "fig2", "--config", "run.ini"),
+        ("dispersion", "--sites", "51"),
+        ("edge-map", "--seed", "3"),
+    ], ids="_".join)
+    def test_inapplicable_flag_rejected(self, capsys, argv):
+        payload = error_of(capsys, *argv)
+        assert payload["error"] == "CliError"
+        assert "unrecognized arguments" in payload["message"]
+
     def test_bad_states_option(self, capsys, tmp_path):
         cfg = write_config(tmp_path, WALK + "[spectrum]\nstates = some\n")
         payload = error_of(capsys, "spectrum", "--config", cfg)
@@ -292,3 +304,16 @@ class TestReproduce:
             rows = (tmp_path / name).read_text().splitlines()[1:]
             assert len(rows) == 101 * 101
             assert sum(r.endswith(",false") for r in rows) == gapless
+
+    def test_edge_map(self, capsys, tmp_path):
+        rc, _, _ = run(capsys, "reproduce", "fig5", "--out", f"{tmp_path}/")
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["result"]["counted_cells"] == 50
+
+    def test_delta_sweep(self, capsys, tmp_path):
+        rc, _, _ = run(capsys, "reproduce", "fig6", "--out", f"{tmp_path}/")
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["result"]["ep_bracket"] == [0.065, 0.07]
+        assert manifest["result"]["n_branches"] == 8

@@ -149,9 +149,9 @@ class TestDisorderEnsemble:
 
     def test_thread_invariance(self, base_spec):
         a = disorder_ensemble(base_spec, 0.1, n_seeds=6, threads=1)
-        b = disorder_ensemble(base_spec, 0.1, n_seeds=6, threads=4)
-        assert [r.max_im_lambda_edge for r in a.records] == \
-               [r.max_im_lambda_edge for r in b.records]
+        for threads in (2, 4):
+            b = disorder_ensemble(base_spec, 0.1, n_seeds=6, threads=threads)
+            assert b.records == a.records
 
     def test_seed0_offsets_range(self, base_spec):
         ens = disorder_ensemble(base_spec, 0.01, n_seeds=3, seed0=7)

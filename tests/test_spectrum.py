@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from ptwalk.bulk import dispersion
+from ptwalk.bulk import bulk_gap_status, dispersion
 from ptwalk.errors import GapClosedError
 from ptwalk.operators import CoinProfile, Lattice, WalkSpec, build_walk_operator
+from ptwalk.perturbation import EDGE_LIKE
 from ptwalk.spectrum import (
+    _completeness_radius,
     edge_count_map,
     eigendecompose,
     localization_length,
@@ -28,9 +30,10 @@ OUTER_COUNTS = {
 }
 
 
-def interface_spec(outer, gamma=0.1, num_sites=301, half_width=50):
-    profile = CoinProfile.inner_outer(INNER, outer, half_width)
-    return WalkSpec(kind="three_step", lattice=Lattice(num_sites),
+def interface_spec(outer, gamma=0.1, num_sites=301, half_width=50,
+                   kind="three_step", boundary="periodic", **profile_kw):
+    profile = CoinProfile.inner_outer(INNER, outer, half_width, **profile_kw)
+    return WalkSpec(kind=kind, lattice=Lattice(num_sites, boundary),
                     profile=profile, gamma=gamma)
 
 
@@ -134,11 +137,109 @@ class TestEdgeCountMap:
         grid2 = [0.2 * PI, 0.3 * PI]
         a = edge_count_map(INNER, grid1, grid2, gamma=0.1, num_sites=201,
                            half_width=30, threads=1)
-        b = edge_count_map(INNER, grid1, grid2, gamma=0.1, num_sites=201,
-                           half_width=30, threads=4)
-        assert np.array_equal(a.n_zero, b.n_zero)
-        assert np.array_equal(a.n_pi, b.n_pi)
-        assert np.array_equal(a.counted, b.counted)
+        for threads in (2, 4):
+            b = edge_count_map(INNER, grid1, grid2, gamma=0.1, num_sites=201,
+                               half_width=30, threads=threads)
+            assert np.array_equal(a.n_zero, b.n_zero)
+            assert np.array_equal(a.n_pi, b.n_pi)
+            assert np.array_equal(a.counted, b.counted)
+
+
+def _fig5_row_cells():
+    """The gapped cells of fig5 row theta1 = -3pi/4 (301 sites)."""
+    t1 = np.linspace(-PI, PI, 9)[1]
+    return [(f"fig5-row1-{j}", interface_spec((t1, t2)))
+            for j, t2 in enumerate(np.linspace(-PI, PI, 9))
+            if bulk_gap_status(t1, t2, 0.1).gap_open]
+
+
+def _c06(delta):
+    return interface_spec((-0.2 * PI, 0.3 * PI), kind="three_step_perturbed",
+                          delta=delta)
+
+
+ORACLE_CASES = [
+    *_fig5_row_cells(),
+    ("c04-801", interface_spec((-0.6 * PI, 0.2 * PI), num_sites=801)),
+    *[(f"c06-{d}", _c06(d)) for d in (0.05, 0.0696, 0.07, 0.08)],
+    ("c07-seed5", interface_spec(
+        (-0.2 * PI, 0.3 * PI), kind="three_step_perturbed_disordered",
+        delta=0.05, disorder_amplitude=0.1, disorder_seed=5)),
+    ("split-gamma0", WalkSpec(
+        kind="three_step_perturbed", lattice=Lattice(301), gamma=0.0,
+        profile=CoinProfile.left_right((0.125 * PI, 0.1 * PI),
+                                       (-0.2 * PI, -PI / 12), delta=0.05))),
+]
+
+
+def edge_like(result):
+    counts = [result.counts[c] for c in EDGE_LIKE]
+    lams = np.array([p.lam for p in result.select(*EDGE_LIKE)])
+    return counts, lams
+
+
+class TestInterfaceSolver:
+    """The shift-invert window against the dense oracle."""
+
+    @pytest.mark.parametrize("name,spec", ORACLE_CASES,
+                             ids=[name for name, _ in ORACLE_CASES])
+    def test_matches_dense(self, name, spec):
+        dense = eigendecompose(build_walk_operator(spec),
+                               compute_condition=False)
+        window = eigendecompose(build_walk_operator(spec),
+                                compute_condition=False, interface_only=True)
+        assert dense.solver == "dense"
+        assert window.solver == "interface"
+        assert window.eps_m is None
+        assert len(window.pairs) < len(dense.pairs)
+        counts_d, lams_d = edge_like(dense)
+        counts_w, lams_w = edge_like(window)
+        assert counts_w == counts_d
+        assert sum(counts_d) > 0
+        assert multiset_distance(lams_w, lams_d) < 1e-10
+        # every returned eigenvalue is a distinct dense one, and none
+        # within the completeness radius of +-1 is missing
+        all_d = np.array([p.lam for p in dense.pairs])
+        all_w = np.array([p.lam for p in window.pairs])
+        assert multiset_distance(all_w, all_d) < 1e-10
+        radius = _completeness_radius(spec.gamma)
+
+        def inside(lams):
+            return lams[np.minimum(abs(lams - 1), abs(lams + 1)) < radius]
+
+        assert inside(all_w).size == inside(all_d).size
+
+    def test_condition_numbers_refused(self):
+        op = build_walk_operator(interface_spec((-0.6 * PI, 0.2 * PI)))
+        with pytest.raises(ValueError):
+            eigendecompose(op, interface_only=True)
+
+    @pytest.mark.parametrize("spec", [
+        interface_spec((-0.6 * PI, 0.2 * PI), num_sites=201, half_width=30,
+                       boundary="open"),
+        interface_spec((-0.6 * PI, 0.2 * PI), num_sites=31, half_width=5),
+    ], ids=["open-lattice", "k-above-quarter-dim"])
+    def test_fallback_is_reported(self, spec):
+        dense = eigendecompose(build_walk_operator(spec),
+                               compute_condition=False)
+        fallback = eigendecompose(build_walk_operator(spec),
+                                  compute_condition=False, interface_only=True)
+        assert fallback.solver == "dense-fallback"
+        assert fallback.counts == dense.counts
+
+    def test_radius(self):
+        assert _completeness_radius(0.1) == pytest.approx(0.3977, abs=1e-4)
+        assert _completeness_radius(0.0) == pytest.approx(2 * math.sin(0.15))
+        assert _completeness_radius(-0.1) == _completeness_radius(0.1)
+
+    def test_repeat_calls_identical(self):
+        spec = _c06(0.07)
+        a, b = (eigendecompose(build_walk_operator(spec),
+                               compute_condition=False, interface_only=True)
+                for _ in range(2))
+        assert a.solver == b.solver == "interface"
+        lam = [np.array([p.lam for p in r.pairs]).tobytes() for r in (a, b)]
+        assert lam[0] == lam[1]
 
 
 class TestCsv:
