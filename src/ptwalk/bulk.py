@@ -28,6 +28,7 @@ values 0..3 on the gapped part of the phase diagram.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -85,11 +86,17 @@ def bloch_coefficients(theta1: float, theta2: float, gamma: float,
 
 
 def quasienergy(lam):
-    """eps = i log lambda with Re eps folded to (-pi, pi]."""
+    """eps = i log lambda with Re eps folded to (-pi, pi].
+
+    lambda = 0, a state the walk annihilates, maps to exactly 0 - inf i.
+    """
     lam = np.asarray(lam)
     re = -np.angle(lam)
     re = np.where(re == -np.pi, np.pi, re)
-    return re + 1j * np.log(np.abs(lam))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eps = re + 1j * np.log(np.abs(lam))
+    # 1j * -inf has a nan real part
+    return np.where(lam == 0, complex(0.0, -math.inf), eps)[()]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,11 +1,28 @@
 """Time evolution and return-probability spectroscopy.
 
-The walker starts from a single site and evolves under the stepwise
-protocol of a walk spec on an effectively infinite line: the active
-window simply grows with the light cone (``bandwidth`` sites per side
-per step), so the ``lattice`` entry of the spec is not consulted here.
-A window cap can force truncation, in which case the probability that
-leaks past the cap is tracked and reported instead of silently lost.
+The walker starts from a single site and evolves on an effectively
+infinite line: the stored window holds the whole light cone
+(``bandwidth`` sites per side per step), so the ``lattice`` entry of
+the spec is not consulted here.  A step runs the spec's protocol, the
+factor table ``operators.PROTOCOLS`` that ``build_walk_operator``
+folds into the walk matrix, so the stepper and the matrix cannot
+disagree about the walk.
+
+The stepper uses the sublattice structure of the walk.  A shift moves
+left movers one site down and right movers one site up, so after ``k``
+shifts only the sites of one parity are occupied.  Left movers are
+stored by ``(i + k) / 2`` and right movers by ``(i - k) / 2``, so a
+shift moves no amplitude in memory, and the coins and gains run over
+half the sites.  The walk matrix is real, so the real and imaginary
+parts are updated in place as separate float64 rows.  Edge sites whose
+amplitudes have all fallen below the smallest normal float64 are
+zeroed and dropped: their squares are zero anyway, and arithmetic on
+subnormal numbers is slow.
+
+A window cap can force truncation.  The cap is the open boundary of
+``build_walk_operator``: amplitude that leaves the window is
+annihilated, and the probability so lost is tracked and reported,
+with a warning, instead of silently dropped.
 
 The observable is the return probability ``p0(t) = |<x=0|psi(t)>|^2``,
 both raw and normalized by the instantaneous total probability (the
@@ -59,6 +76,148 @@ class EvolutionTrace:
     log_scale: float = 0.0
 
 
+class _SublatticeState:
+    """Amplitudes of a point-source walk on a window of ``width`` sites.
+
+    After ``k`` shifts only the sites ``i = ix0 + k (mod 2)`` can hold
+    amplitude.  The left mover of such a site is stored in lane
+    ``(i - ix0 + k) / 2`` of ``left`` and the right mover in lane
+    ``(i - ix0 - k) / 2 + shifts`` of ``right``: a shift carries every
+    mover one site along its own lane, so it changes only ``k``.  Each
+    array is float64 of shape ``(2, shifts + 1)``, real part over
+    imaginary part; the walk matrix is real, so the two rows evolve
+    independently.
+
+    Only the support, the occupied sites ``lo, lo + 2, ...`` (``n`` of
+    them), is updated; ``a`` and ``b`` are its views.  It grows by a
+    site per side and shift, and :meth:`trim` drops edge sites whose
+    amplitudes have all fallen below the smallest normal float64, where
+    arithmetic turns slow and every square is zero.
+    """
+
+    def __init__(self, width: int, ix0: int, shifts: int, coin):
+        self.width, self.ix0, self.shifts = width, ix0, shifts
+        self.left = np.zeros((2, shifts + 1))
+        self.right = np.zeros((2, shifts + 1))
+        self.left[:, 0] = complex(coin[0]).real, complex(coin[0]).imag
+        self.right[:, shifts] = complex(coin[1]).real, complex(coin[1]).imag
+        n_max = (width + 1) // 2
+        self._tmp = (np.empty((2, n_max)), np.empty((2, n_max)))
+        self.k = 0
+        self.lo, self.n = ix0, 1
+        self._locate()
+
+    @property
+    def span(self) -> tuple[int, int]:
+        """First and last site of the light cone clipped to the window."""
+        return max(self.ix0 - self.k, 0), min(self.ix0 + self.k, self.width - 1)
+
+    def _locate(self):
+        ua = (self.lo - self.ix0 + self.k) // 2
+        vb = (self.lo - self.ix0 - self.k) // 2 + self.shifts
+        self.a = self.left[:, ua:ua + self.n]
+        self.b = self.right[:, vb:vb + self.n]
+        self.sites = slice(self.lo // 2, self.lo // 2 + self.n)
+
+    def coin(self, cos_t, sin_t, reflect: bool):
+        """C(theta) or R(theta) on every occupied site.
+
+        ``cos_t`` and ``sin_t`` are pairs of (even-site, odd-site)
+        arrays over the window.
+        """
+        a, b = self.a, self.b
+        c = cos_t[self.lo & 1][self.sites]
+        s = sin_t[self.lo & 1][self.sites]
+        sa, sb = (t[:, :self.n] for t in self._tmp)
+        np.multiply(a, s, out=sa)
+        np.multiply(a, c, out=a)
+        np.multiply(b, s, out=sb)
+        np.multiply(b, c, out=b)
+        if reflect:
+            a += sb
+            np.subtract(sa, b, out=b)
+        else:
+            a -= sb
+            b += sa
+
+    def gain(self, ga: float, gb: float):
+        self.a *= ga
+        self.b *= gb
+
+    def shift(self) -> float:
+        """Advance every mover one site; return the probability lost.
+
+        The cap on the window is an open boundary: a left mover on the
+        first site or a right mover on the last one is annihilated.
+        """
+        lost = 0.0
+        hi = self.lo + 2 * (self.n - 1)
+        if self.lo == 0:
+            lost += float(self.a[0, 0] ** 2 + self.a[1, 0] ** 2)
+            self.a[:, 0] = 0.0
+        if hi == self.width - 1:
+            lost += float(self.b[0, -1] ** 2 + self.b[1, -1] ** 2)
+            self.b[:, -1] = 0.0
+        self.k += 1
+        self.lo = self.lo - 1 if self.lo > 0 else 1
+        hi = hi + 1 if hi < self.width - 1 else self.width - 2
+        self.n = (hi - self.lo) // 2 + 1
+        self._locate()
+        return lost
+
+    def trim(self):
+        """Zero and drop edge sites whose amplitudes are all subnormal."""
+        tiny = np.finfo(float).tiny
+        a, b = self.a, self.b
+        first, last = 0, self.n - 1
+        while first < last and max(abs(a[0, first]), abs(a[1, first]),
+                                   abs(b[0, first]), abs(b[1, first])) < tiny:
+            first += 1
+        while last > first and max(abs(a[0, last]), abs(a[1, last]),
+                                   abs(b[0, last]), abs(b[1, last])) < tiny:
+            last -= 1
+        if first == 0 and last == self.n - 1:
+            return
+        a[:, :first] = b[:, :first] = 0.0
+        a[:, last + 1:] = b[:, last + 1:] = 0.0
+        self.lo += 2 * first
+        self.n = last - first + 1
+        self._locate()
+
+    def probabilities(self):
+        """Squared moduli of the occupied amplitudes, left and right."""
+        pa, pb = (t[:, :self.n] for t in self._tmp)
+        np.multiply(self.a, self.a, out=pa)
+        np.multiply(self.b, self.b, out=pb)
+        return pa, pb
+
+    def norm2(self) -> float:
+        pa, pb = self.probabilities()
+        return float(pa.sum() + pb.sum())
+
+    def site_probability(self, i: int) -> float:
+        """Probability on site ``i``; zero off the support."""
+        j, odd = divmod(i - self.lo, 2)
+        if odd or not 0 <= j < self.n:
+            return 0.0
+        a, b = self.a[:, j], self.b[:, j]
+        return float(a[0] ** 2 + a[1] ** 2 + (b[0] ** 2 + b[1] ** 2))
+
+    def max_modulus(self) -> float:
+        return float(max(np.hypot(*self.a).max(), np.hypot(*self.b).max()))
+
+    def rescale(self, m: float):
+        self.a /= m
+        self.b /= m
+
+    def span_probabilities(self) -> np.ndarray:
+        """Site probabilities over the whole span, zero off the parity."""
+        pa, pb = self.probabilities()
+        p = np.zeros(self.span[1] - self.span[0] + 1)
+        p[self.lo - self.span[0]::2] = (pa[0] + pa[1]) + (pb[0] + pb[1])
+        return p
+
+
 def evolve(spec: WalkSpec, steps: int, x0: int = 0, coin=DEFAULT_COIN,
            window_cap: int | None = None, snapshot_times=()) -> EvolutionTrace:
     """Run ``steps`` applications of the walk from a point source at ``x0``.
@@ -79,77 +238,18 @@ def evolve(spec: WalkSpec, steps: int, x0: int = 0, coin=DEFAULT_COIN,
 
     x = np.arange(width) - width // 2 + x0
     ix0 = x0 - x[0]
-    t1, t2f, t2s = spec.effective_angles(x)
-    c1, s1 = np.cos(t1), np.sin(t1)
-    c2f, s2f = np.cos(t2f), np.sin(t2f)
-    c2s, s2s = np.cos(t2s), np.sin(t2s)
-    eg, emg = math.exp(spec.gamma), math.exp(-spec.gamma)
-
-    a = np.zeros(width, dtype=complex)
-    b = np.zeros(width, dtype=complex)
-    a[ix0], b[ix0] = coin
     i_origin = -x[0] if x[0] <= 0 <= x[-1] else None
     if i_origin is None:
         raise ValueError("x = 0 fell outside the window; p0 would be empty")
 
-    lo = hi = ix0
-    leak_raw_step = 0.0
-    log_scale = 0.0
-
-    def coin_op(cos_t, sin_t, reflect=False):
-        aa, bb = a[lo:hi + 1], b[lo:hi + 1]
-        c, s = cos_t[lo:hi + 1], sin_t[lo:hi + 1]
-        if reflect:
-            na = c * aa + s * bb
-            nb = s * aa - c * bb
-        else:
-            na = c * aa - s * bb
-            nb = s * aa + c * bb
-        a[lo:hi + 1] = na
-        b[lo:hi + 1] = nb
-
-    def gain_op(forward: bool):
-        if spec.gamma == 0.0:
-            return
-        ga, gb = (eg, emg) if forward else (emg, eg)
-        a[lo:hi + 1] *= ga
-        b[lo:hi + 1] *= gb
-
-    def shift_op():
-        nonlocal lo, hi, leak_raw_step
-        if lo > 0:
-            a[lo - 1:hi] = a[lo:hi + 1]
-        else:
-            leak_raw_step += abs(a[0]) ** 2
-            a[0:hi] = a[1:hi + 1]
-        a[hi] = 0.0
-        if hi < width - 1:
-            b[lo + 1:hi + 2] = b[lo:hi + 1]
-        else:
-            leak_raw_step += abs(b[width - 1]) ** 2
-            b[lo + 1:width] = b[lo:width - 1]
-        b[lo] = 0.0
-        lo = max(lo - 1, 0)
-        hi = min(hi + 1, width - 1)
-
-    if spec.kind == "two_step":
-        def step():
-            coin_op(c1, s1, reflect=True)
-            shift_op()
-            gain_op(forward=False)
-            coin_op(c2f, s2f, reflect=True)
-            shift_op()
-            gain_op(forward=True)
-    else:
-        def step():
-            coin_op(c1, s1)
-            shift_op()
-            gain_op(forward=True)
-            coin_op(c2f, s2f)
-            shift_op()
-            coin_op(c2s, s2s)
-            shift_op()
-            gain_op(forward=False)
+    trig = []
+    for theta in spec.effective_angles(x):
+        c, s = np.cos(theta), np.sin(theta)
+        trig.append(((c[0::2].copy(), c[1::2].copy()),
+                     (s[0::2].copy(), s[1::2].copy())))
+    eg, emg = math.exp(spec.gamma), math.exp(-spec.gamma)
+    gains = {1: (eg, emg), -1: (emg, eg)}
+    state = _SublatticeState(width, ix0, band * steps, coin)
 
     snaps_wanted = set(int(t) for t in snapshot_times)
     bad = [t for t in snaps_wanted if not 0 <= t <= steps]
@@ -160,14 +260,33 @@ def evolve(spec: WalkSpec, steps: int, x0: int = 0, coin=DEFAULT_COIN,
     p0_norm = np.zeros(steps + 1)
     snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     leaked = 0.0
+    leak_raw_step = 0.0
+    log_scale = 0.0
     warned = False
 
-    def record(t: int):
-        nonlocal leaked, warned, leak_raw_step
-        norm2 = float(np.sum(np.abs(a[lo:hi + 1]) ** 2)
-                      + np.sum(np.abs(b[lo:hi + 1]) ** 2))
-        site = (abs(a[i_origin]) ** 2 + abs(b[i_origin]) ** 2
-                if lo <= i_origin <= hi else 0.0)
+    for t in range(steps + 1):
+        if t > 0:
+            for op, arg in spec.protocol:
+                if op == "shift":
+                    leak_raw_step += state.shift()
+                elif op == "gain":
+                    if spec.gamma != 0.0:
+                        state.gain(*gains[arg])
+                else:
+                    state.coin(*trig[arg], reflect=op == "reflect")
+            state.trim()
+        norm2 = state.norm2()
+        # no amplitude exceeds sqrt(norm2); the margin covers rounding
+        if spec.gamma != 0.0 and norm2 > 0.5 * RESCALE_LIMIT ** 2:
+            m = state.max_modulus()
+            if m > RESCALE_LIMIT:
+                state.rescale(m)
+                log_scale += math.log(m)
+                norm2 = state.norm2()
+                # this step's loss was measured before the rescale
+                leak_raw_step = leak_raw_step / m / m
+
+        site = state.site_probability(i_origin)
         if log_scale == 0.0:
             p0_raw[t] = site
         elif site == 0.0:
@@ -183,22 +302,12 @@ def evolve(spec: WalkSpec, steps: int, x0: int = 0, coin=DEFAULT_COIN,
             leak_raw_step = 0.0
             if not warned:
                 warnings.warn("window cap reached; probability is leaking "
-                              "past the stored region", stacklevel=3)
+                              "past the stored region", stacklevel=2)
                 warned = True
         if t in snaps_wanted:
-            p = np.abs(a[lo:hi + 1]) ** 2 + np.abs(b[lo:hi + 1]) ** 2
-            snapshots[t] = (x[lo:hi + 1].copy(), p / norm2)
-
-    record(0)
-    for t in range(1, steps + 1):
-        step()
-        if spec.gamma != 0.0:
-            m = max(np.max(np.abs(a[lo:hi + 1])), np.max(np.abs(b[lo:hi + 1])))
-            if m > RESCALE_LIMIT:
-                a[lo:hi + 1] /= m
-                b[lo:hi + 1] /= m
-                log_scale += math.log(m)
-        record(t)
+            lo, hi = state.span
+            snapshots[t] = (x[lo:hi + 1].copy(),
+                            state.span_probabilities() / norm2)
 
     return EvolutionTrace(spec=spec, steps=steps, x0=x0, p0_raw=p0_raw,
                           p0_normalized=p0_norm, leaked_probability=leaked,

@@ -16,8 +16,11 @@ Conventions used throughout the package:
 * ``G = diag(e^gamma, e^-gamma)`` amplifies left movers and damps
   right movers on every site.
 
-Operator products are written left to right in factor order, so the
-rightmost factor acts first, e.g. ``three_step`` is
+Each walk kind is defined once, in ``PROTOCOLS``, as the factors of
+one step in the order they act on the state.  ``build_walk_operator``
+folds that table into a sparse product and ``dynamics.evolve`` runs it
+factor by factor.  Written as an operator product (rightmost factor first),
+``three_step`` is
 
     G^-1 . S . C(theta2) . S . C(theta2) . G . S . C(theta1)
 
@@ -35,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +60,22 @@ WALK_KINDS = (
 SLOT_THETA1 = 0
 SLOT_THETA2_FIRST = 1
 SLOT_THETA2_SECOND = 2
+
+# One step of each walk family, factor by factor in the order they act.
+# ("coin", slot) is C(theta) and ("reflect", slot) is R(theta), with theta
+# the slot's entry of WalkSpec.effective_angles; ("gain", +1) is G and
+# ("gain", -1) is G^-1.  Every three_step kind runs the three_step table.
+PROTOCOLS = {
+    "two_step": (
+        ("reflect", SLOT_THETA1), ("shift", None), ("gain", -1),
+        ("reflect", SLOT_THETA2_FIRST), ("shift", None), ("gain", +1),
+    ),
+    "three_step": (
+        ("coin", SLOT_THETA1), ("shift", None), ("gain", +1),
+        ("coin", SLOT_THETA2_FIRST), ("shift", None),
+        ("coin", SLOT_THETA2_SECOND), ("shift", None), ("gain", -1),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -221,9 +241,14 @@ class WalkSpec:
             raise ValueError(f"{self.kind} does not take disorder")
 
     @property
+    def protocol(self) -> tuple:
+        """The factors of one step, in the order they act (``PROTOCOLS``)."""
+        return PROTOCOLS["two_step" if self.kind == "two_step" else "three_step"]
+
+    @property
     def bandwidth(self) -> int:
         """Lattice distance reached by one application."""
-        return 2 if self.kind == "two_step" else 3
+        return sum(op == "shift" for op, _ in self.protocol)
 
     def effective_angles(self, x: np.ndarray):
         """(theta1, theta2_first, theta2_second) arrays, disorder included.
@@ -363,22 +388,28 @@ def build_walk_operator(spec: WalkSpec) -> WalkOperator:
     other kind comes out in the stepwise frame (see
     :func:`symmetric_frame`).
     """
-    x = spec.lattice.positions()
-    t1, t2_first, t2_second = spec.effective_angles(x)
-    S = _shift(spec.lattice)
-    G = _gain(spec.lattice, spec.gamma)
-    Ginv = _gain(spec.lattice, -spec.gamma)
+    lattice = spec.lattice
+    angles = spec.effective_angles(lattice.positions())
+    t1, t2_first, t2_second = angles
+    shift = _shift(lattice)
+    gains = {sign: _gain(lattice, sign * spec.gamma) for sign in (1, -1)}
+
+    def factor(op, arg):
+        if op == "shift":
+            return shift
+        if op == "gain":
+            return gains[arg]
+        return _coin_blocks(angles[arg], reflective=op == "reflect")
+
+    # fold left to right from the last-acting factor: the written product
+    # G^-1 . S . ... . C(theta1) associates, and so rounds, this way
+    factors = [factor(op, arg) for op, arg in reversed(spec.protocol)]
+    m = functools.reduce(operator.matmul, factors)
     frame = "stepwise"
-    if spec.kind == "two_step":
-        m = (G @ S @ _coin_blocks(t2_first, reflective=True) @ Ginv @ S
-             @ _coin_blocks(t1, reflective=True))
-    else:
-        m = (Ginv @ S @ _coin_blocks(t2_second) @ S
-             @ _coin_blocks(t2_first) @ G @ S @ _coin_blocks(t1))
-        if spec.kind == "three_step_symmetric":
-            half = _coin_blocks(t1 / 2.0)
-            m = half @ m @ half.T
-            frame = "symmetric"
+    if spec.kind == "three_step_symmetric":
+        half = _coin_blocks(t1 / 2.0)
+        m = half @ m @ half.T
+        frame = "symmetric"
     return WalkOperator(
         spec=spec,
         sparse=m.tocsr(),

@@ -192,13 +192,17 @@ def classify_states(evals: np.ndarray, vectors: np.ndarray, spec: WalkSpec,
 
         dist0 = abs(eps[i].real)
         distpi = np.pi - dist0
-        im_rel = abs(lam.imag) / abs_lam[i]
+        annihilated = abs_lam[i] == 0.0
+        im_rel = 0.0 if annihilated else abs(lam.imag) / abs_lam[i]
         real_eig = im_rel <= tol_real
         if tol_real / 2 <= im_rel <= 2 * tol_real:
             pair.ambiguous = True
 
         if localized:
-            if real_eig or min(dist0, distpi) <= tol_edge:
+            if annihilated:
+                # lambda = 0 is no mode of the walk, whatever its Re eps
+                pair.classification = "impurity"
+            elif real_eig or min(dist0, distpi) <= tol_edge:
                 pair.classification = ("edge_zero" if dist0 <= distpi
                                        else "edge_pi")
             elif (min(dist0, distpi) <= edge_band

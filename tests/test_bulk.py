@@ -105,6 +105,14 @@ class TestQuasienergy:
         assert eps[2].real == pytest.approx(-PI / 2)
         assert eps[3].imag == pytest.approx(math.log(0.5))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_is_exactly_minus_infinite(self):
+        eps = quasienergy(np.array([0.0, 1.0]))
+        assert eps[0].real == 0.0
+        assert eps[0].imag == -math.inf
+        assert eps[1] == 0
+        assert quasienergy(0j) == complex(0.0, -math.inf)
+
     def test_inverts_exponential(self):
         lam = np.exp(1j * np.linspace(-3, 3, 11)) * 1.1
         eps = quasienergy(lam)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -317,3 +318,23 @@ class TestReproduce:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["result"]["ep_bracket"] == [0.065, 0.07]
         assert manifest["result"]["n_branches"] == 8
+
+    def test_snapshots(self, capsys, tmp_path):
+        rc, _, _ = run(capsys, "reproduce", "fig9", "--out", f"{tmp_path}/")
+        assert rc == 0
+        for name in ("fig9a.csv", "fig9b.csv"):
+            rows = (tmp_path / name).read_text().splitlines()
+            assert rows[0] == "x,prob"
+            total = math.fsum(float(r.split(",")[1]) for r in rows[1:])
+            assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_defective_profiles(self, capsys, tmp_path):
+        rc, _, _ = run(capsys, "reproduce", "fig13", "--out", f"{tmp_path}/")
+        assert rc == 0
+        assert (tmp_path / "fig13_edge.csv").is_file()
+        assert (tmp_path / "fig13_defective.csv").is_file()
+        result = json.loads((tmp_path / "manifest.json").read_text())["result"]
+        assert result["edge_re_eps"] == pytest.approx(-5.939536940613796e-07,
+                                                      abs=1e-12)
+        assert result["defective_re_eps"] == pytest.approx(
+            -0.040402747271619195, abs=1e-12)

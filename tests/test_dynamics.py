@@ -1,9 +1,13 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from ptwalk import dynamics
 from ptwalk.dynamics import (
+    DEFAULT_COIN,
     EvolutionTrace,
     FourierSpectrum,
     detect_modes,
@@ -16,10 +20,11 @@ from ptwalk.dynamics import (
     write_snapshot_csv,
     write_trace_csv,
 )
-from ptwalk.operators import CoinProfile, Lattice, WalkSpec
+from ptwalk.operators import CoinProfile, Lattice, WalkSpec, build_walk_operator
 
 PI = math.pi
 INNER = (0.4 * PI, 0.1 * PI)
+OUTER = (-0.6 * PI, 0.2 * PI)
 
 
 def homogeneous_spec(kind="three_step", theta=INNER, gamma=0.0):
@@ -60,11 +65,18 @@ class TestEvolve:
         assert trace.p0_raw[0] == 0.0
 
     def test_snapshots(self):
-        trace = evolve(homogeneous_spec(), steps=12, snapshot_times=(0, 8))
-        assert sorted(trace.snapshots) == [0, 8]
-        x, prob = trace.snapshots[8]
-        assert x.shape == prob.shape
-        assert np.sum(prob) == pytest.approx(1.0, abs=1e-12)
+        trace = evolve(homogeneous_spec(), steps=12, snapshot_times=(0, 5, 8))
+        assert sorted(trace.snapshots) == [0, 5, 8]
+        for t in (5, 8):
+            x, prob = trace.snapshots[t]
+            assert x.shape == prob.shape
+            assert x[0] == -3 * t and x[-1] == 3 * t
+            assert np.sum(prob) == pytest.approx(1.0, abs=1e-12)
+            # three shifts a step: after t steps only x = 3t (mod 2) is
+            # occupied
+            occupied = (x - 3 * t) % 2 == 0
+            assert np.all(prob[~occupied] == 0.0)
+            assert np.all(prob[occupied] > 0.0)
         x0_grid, prob0 = trace.snapshots[0]
         assert prob0[list(x0_grid).index(0)] == pytest.approx(1.0)
 
@@ -85,7 +97,22 @@ class TestEvolve:
     def test_window_cap_leaks_with_warning(self):
         with pytest.warns(UserWarning, match="leaking"):
             trace = evolve(homogeneous_spec(), steps=30, window_cap=21)
-        assert trace.leaked_probability > 0.0
+        assert trace.leaked_probability == pytest.approx(0.4934664625706514,
+                                                         rel=1e-12)
+
+    def test_leak_does_not_depend_on_rescaling(self, monkeypatch):
+        # the probability lost in a step is measured before that step's
+        # rescale and must be divided down with the state
+        spec = homogeneous_spec(theta=(0.25 * PI, 0.25 * PI), gamma=1.0)
+        with pytest.warns(UserWarning, match="leaking"):
+            base = evolve(spec, steps=300, window_cap=31)
+        monkeypatch.setattr(dynamics, "RESCALE_LIMIT", 1e30)
+        with pytest.warns(UserWarning, match="leaking"):
+            early = evolve(spec, steps=300, window_cap=31)
+        assert base.log_scale > 0.0
+        assert early.log_scale > base.log_scale
+        assert early.leaked_probability == pytest.approx(
+            base.leaked_probability, rel=1e-12)
 
     def test_rescale_survives_float_range(self):
         # broken-phase gain amplifies the state past 1e120 well before
@@ -96,6 +123,80 @@ class TestEvolve:
         assert math.isinf(trace.p0_raw[-1])
         assert np.all(np.isfinite(trace.p0_normalized))
         assert trace.p0_normalized.max() <= 1.0 + 1e-12
+
+
+def oracle_p0(spec, steps, x0=0, window_cap=None, coin=DEFAULT_COIN):
+    """p0 raw and normalized, and the final site distribution, from
+    explicit powers of the walk matrix.
+
+    The matrix is built on the open lattice that ``evolve`` stores: its
+    window, whose cap annihilates what leaves it.
+    """
+    full = 2 * spec.bandwidth * steps + 1
+    width = min(full, window_cap if window_cap is not None else full + 127)
+    lattice = Lattice(width, "open", x_min=x0 - width // 2)
+    u = build_walk_operator(dataclasses.replace(spec, lattice=lattice)).sparse
+    psi = np.zeros(lattice.dim, dtype=complex)
+    psi[lattice.index(x0, 0)], psi[lattice.index(x0, 1)] = coin
+    at0 = [lattice.index(0, 0), lattice.index(0, 1)]
+    raw, norm = [], []
+    for t in range(steps + 1):
+        if t:
+            psi = u @ psi
+        p = np.abs(psi) ** 2
+        raw.append(p[at0].sum())
+        norm.append(p[at0].sum() / p.sum())
+    sites = p[0::2] + p[1::2]
+    return np.array(raw), np.array(norm), (lattice.positions(), sites / p.sum())
+
+
+def oracle_specs():
+    io = CoinProfile.inner_outer(INNER, OUTER, half_width=4)
+    split = CoinProfile.left_right((0.75 * PI, 0.05 * PI), (-PI / 3, 0.0),
+                                   delta=0.05)
+    seeded = CoinProfile.left_right((0.75 * PI, 0.05 * PI), (-PI / 3, 0.0),
+                                    delta=0.05, disorder_amplitude=0.3,
+                                    disorder_seed=7)
+    lat = Lattice(11)
+    return {
+        "two_step": (WalkSpec("two_step", lat, io, gamma=0.2), {}),
+        "two_step-real-coin": (WalkSpec("two_step", lat, io, gamma=0.2),
+                               {"coin": (0.6, 0.8)}),
+        "three_step": (WalkSpec("three_step", lat, io, gamma=0.1), {}),
+        "perturbed_split": (
+            WalkSpec("three_step_perturbed", lat, split, gamma=0.0), {}),
+        "disordered": (
+            WalkSpec("three_step_perturbed_disordered", lat, seeded,
+                     gamma=0.1), {}),
+        "x0=2": (WalkSpec("three_step", lat, io, gamma=0.1), {"x0": 2}),
+        "cap21-gamma0": (WalkSpec("three_step", lat, io, gamma=0.0),
+                         {"window_cap": 21}),
+        "cap21-gamma0.1": (WalkSpec("three_step", lat, io, gamma=0.1),
+                           {"window_cap": 21}),
+    }
+
+
+class TestMatrixPowerOracle:
+    """``evolve`` against explicit powers of ``build_walk_operator``."""
+
+    @pytest.mark.parametrize("name", list(oracle_specs()))
+    def test_return_probability(self, name):
+        spec, kw = oracle_specs()[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # capped leak
+            trace = evolve(spec, steps=60, snapshot_times=(60,), **kw)
+        raw, norm, (x, prob) = oracle_p0(spec, 60, **kw)
+        assert np.array_equal(trace.p0_raw == 0.0, raw == 0.0)
+        assert np.count_nonzero(raw) > 20
+        assert trace.p0_raw == pytest.approx(raw, rel=1e-12, abs=0.0)
+        assert trace.p0_normalized == pytest.approx(norm, rel=1e-12, abs=0.0)
+        snap_x, snap_prob = trace.snapshots[60]
+        on_span = np.isin(x, snap_x)
+        assert np.array_equal(x[on_span], snap_x)
+        assert np.all(prob[~on_span] == 0.0)
+        assert snap_prob == pytest.approx(prob[on_span], rel=1e-12, abs=1e-300)
+        if "window_cap" in kw:
+            assert trace.leaked_probability > 0.0
 
 
 @pytest.fixture(scope="module")

@@ -101,6 +101,22 @@ class TestClassification:
         assert not any(p.near_defective for p in result_d.pairs)
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_annihilated_states_are_never_edge_like(self):
+        # on a short open ring the two lambda = 0 states sit inside a
+        # 40-site window, so they count as localized
+        spec = interface_spec((-0.6 * PI, 0.2 * PI), num_sites=61,
+                              half_width=10, boundary="open")
+        res = eigendecompose(build_walk_operator(spec),
+                             compute_condition=False, window=40)
+        zero = [p for p in res.pairs if p.lam == 0]
+        assert len(zero) == 2
+        for p in zero:
+            assert p.classification == "impurity"
+            assert p.eps == complex(0.0, -math.inf)
+        assert (res.counts["edge_zero"], res.counts["edge_pi"]) == (8, 8)
+
+
 class TestLocalization:
     def test_edge_state_is_tight(self, result_d):
         p = result_d.select("edge_zero")[0]
@@ -214,18 +230,25 @@ class TestInterfaceSolver:
         with pytest.raises(ValueError):
             eigendecompose(op, interface_only=True)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("spec", [
         interface_spec((-0.6 * PI, 0.2 * PI), num_sites=201, half_width=30,
                        boundary="open"),
         interface_spec((-0.6 * PI, 0.2 * PI), num_sites=31, half_width=5),
     ], ids=["open-lattice", "k-above-quarter-dim"])
     def test_fallback_is_reported(self, spec):
+        # the open lattice annihilates two states (lambda = 0); they must
+        # pass through the taxonomy without a warning or an edge class
         dense = eigendecompose(build_walk_operator(spec),
                                compute_condition=False)
         fallback = eigendecompose(build_walk_operator(spec),
                                   compute_condition=False, interface_only=True)
         assert fallback.solver == "dense-fallback"
         assert fallback.counts == dense.counts
+        assert (dense.counts["edge_zero"], dense.counts["edge_pi"]) == (6, 6)
+        for p in dense.pairs:
+            if p.lam == 0:
+                assert p.classification not in EDGE_LIKE
 
     def test_radius(self):
         assert _completeness_radius(0.1) == pytest.approx(0.3977, abs=1e-4)
