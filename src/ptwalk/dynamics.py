@@ -211,10 +211,12 @@ class _SublatticeState:
         self.b /= m
 
     def span_probabilities(self) -> np.ndarray:
-        """Site probabilities over the whole span, zero off the parity."""
+        """Site probabilities over the whole span, zero off the parity
+        and on trimmed edge sites."""
         pa, pb = self.probabilities()
         p = np.zeros(self.span[1] - self.span[0] + 1)
-        p[self.lo - self.span[0]::2] = (pa[0] + pa[1]) + (pb[0] + pb[1])
+        start = self.lo - self.span[0]
+        p[start:start + 2 * self.n:2] = (pa[0] + pa[1]) + (pb[0] + pb[1])
         return p
 
 

@@ -179,24 +179,79 @@ def oracle_specs():
 class TestMatrixPowerOracle:
     """``evolve`` against explicit powers of ``build_walk_operator``."""
 
-    @pytest.mark.parametrize("name", list(oracle_specs()))
-    def test_return_probability(self, name):
-        spec, kw = oracle_specs()[name]
+    @staticmethod
+    def check(spec, steps, snap_abs=1e-300, **kw):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # capped leak
-            trace = evolve(spec, steps=60, snapshot_times=(60,), **kw)
-        raw, norm, (x, prob) = oracle_p0(spec, 60, **kw)
+            trace = evolve(spec, steps=steps, snapshot_times=(steps,), **kw)
+        raw, norm, (x, prob) = oracle_p0(spec, steps, **kw)
         assert np.array_equal(trace.p0_raw == 0.0, raw == 0.0)
         assert np.count_nonzero(raw) > 20
         assert trace.p0_raw == pytest.approx(raw, rel=1e-12, abs=0.0)
         assert trace.p0_normalized == pytest.approx(norm, rel=1e-12, abs=0.0)
-        snap_x, snap_prob = trace.snapshots[60]
+        snap_x, snap_prob = trace.snapshots[steps]
         on_span = np.isin(x, snap_x)
         assert np.array_equal(x[on_span], snap_x)
         assert np.all(prob[~on_span] == 0.0)
-        assert snap_prob == pytest.approx(prob[on_span], rel=1e-12, abs=1e-300)
+        assert np.array_equal(snap_prob == 0.0, prob[on_span] == 0.0)
+        assert snap_prob == pytest.approx(prob[on_span], rel=1e-12,
+                                          abs=snap_abs)
+        return trace
+
+    @pytest.mark.parametrize("name", list(oracle_specs()))
+    def test_return_probability(self, name):
+        spec, kw = oracle_specs()[name]
+        trace = self.check(spec, 60, **kw)
         if "window_cap" in kw:
             assert trace.leaked_probability > 0.0
+
+    @pytest.mark.parametrize("name", ["two_step", "three_step", "x0=2"])
+    def test_trimmed_fronts(self, name, monkeypatch):
+        # from t ~ 450-520 on the light-cone fronts of these walks fall
+        # below the smallest normal float64 and the stepper drops them
+        spec, kw = oracle_specs()[name]
+        trim = dynamics._SublatticeState.trim
+        dropped = []
+
+        def counting_trim(state):
+            n = state.n
+            trim(state)
+            dropped.append(n - state.n)
+
+        monkeypatch.setattr(dynamics._SublatticeState, "trim", counting_trim)
+        # over 600 steps, rounding leaves the small, cancelling
+        # probabilities of the oracle only absolutely accurate
+        trace = self.check(spec, 600, snap_abs=1e-15, **kw)
+        assert sum(dropped) > 0
+        x, prob = trace.snapshots[600]
+        reach = spec.bandwidth * 600
+        x0 = kw.get("x0", 0)
+        assert x[0] == x0 - reach and x[-1] == x0 + reach
+        assert np.sum(prob) == pytest.approx(1.0, abs=1e-12)
+        occupied = (x - x0 - reach) % 2 == 0
+        assert np.all(prob[~occupied] == 0.0)
+        assert prob[occupied][0] == 0.0 and prob[occupied][-1] == 0.0
+
+        # the dropped amplitudes were subnormal: without the trim p0 is
+        # the same, and the norm differs only in its summation order
+        monkeypatch.setattr(dynamics._SublatticeState, "trim",
+                            lambda state: None)
+        full = evolve(spec, steps=600, snapshot_times=(600,), **kw)
+        assert np.array_equal(full.p0_raw, trace.p0_raw)
+        assert full.p0_normalized == pytest.approx(trace.p0_normalized,
+                                                   rel=1e-14, abs=0.0)
+        assert full.snapshots[600][1] == pytest.approx(prob, rel=1e-12,
+                                                       abs=1e-300)
+
+    def test_snapshot_after_trim(self):
+        # the default inner walk's fronts shrink by cos(theta1) cos^2(theta2)
+        # a step and are trimmed from t ~ 557 on
+        trace = evolve(homogeneous_spec(), steps=700, snapshot_times=(600, 700))
+        for t in (600, 700):
+            x, prob = trace.snapshots[t]
+            assert x[0] == -3 * t and x[-1] == 3 * t
+            assert np.sum(prob) == pytest.approx(1.0, abs=1e-12)
+            assert np.all(prob[(x - 3 * t) % 2 != 0] == 0.0)
 
 
 @pytest.fixture(scope="module")
