@@ -29,7 +29,6 @@ values 0..3 on the gapped part of the phase diagram.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,29 +214,20 @@ class PhaseDiagram:
     gap_open: np.ndarray    # bool grid
 
 
-def phase_diagram(theta1_values, theta2_values, gamma: float,
-                  threads: int = 1) -> PhaseDiagram:
+def phase_diagram(theta1_values, theta2_values, gamma: float) -> PhaseDiagram:
     """Shifted winding number on a (theta1, theta2) grid."""
     t1s = np.asarray(theta1_values, dtype=float)
     t2s = np.asarray(theta2_values, dtype=float)
     nu = np.full((t1s.size, t2s.size), np.nan)
     gap = np.zeros((t1s.size, t2s.size), dtype=bool)
-
-    def fill_row(i: int):
+    for i, t1 in enumerate(t1s):
         for j, t2 in enumerate(t2s):
             try:
-                res = winding_number(t1s[i], t2, gamma)
+                res = winding_number(t1, t2, gamma)
             except GapClosedError:
                 continue
             nu[i, j] = res.nu_shifted
             gap[i, j] = True
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_row, range(t1s.size)))
-    else:
-        for i in range(t1s.size):
-            fill_row(i)
     return PhaseDiagram(theta1_values=t1s, theta2_values=t2s, gamma=gamma,
                         nu_shifted=nu, gap_open=gap)
 

@@ -15,9 +15,10 @@ Angles in config files are given in units of pi (``theta1_over_pi =
 exact.  All errors are reported as one JSON object on stderr with exit
 status 1.
 
-``reproduce`` runs a canned configuration per published figure panel
-and names the artifacts after it; ``ptwalk reproduce list`` shows what
-is available.
+``reproduce`` runs the canned configurations of a published figure:
+each panel is one subcommand run on config items written in the same
+grammar, with its artifacts renamed after the panel.  ``ptwalk
+reproduce list`` shows what is available.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,7 +56,7 @@ from .dynamics import (
 )
 from .errors import PtwalkError
 from .ioutil import sha256_of, write_csv
-from .operators import CoinProfile, Lattice, WalkSpec, build_walk_operator
+from .operators import WalkSpec, build_walk_operator
 from .perturbation import (
     delta_sweep,
     disorder_ensemble,
@@ -140,7 +142,8 @@ class Section:
         return self.resolved
 
 
-def _load_config(path: str | None) -> configparser.ConfigParser:
+def _load_config(path: str | None) -> dict[str, dict[str, str]]:
+    """The sections of an INI file as ``{section: {key: raw string}}``."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     if path is not None:
@@ -150,18 +153,17 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
             raise CliError(f"bad config file: {exc}")
         if not found:
             raise CliError(f"config file not found: {path}")
-    return cp
+    return {name: dict(cp[name]) for name in cp.sections()}
 
 
-def _section(cp: configparser.ConfigParser, name: str) -> Section:
-    items = dict(cp[name]) if cp.has_section(name) else {}
-    return Section(name, items)
+def _section(cfg: dict, name: str) -> Section:
+    return Section(name, cfg.get(name, {}))
 
 
-def _walk_spec(cp: configparser.ConfigParser, args) -> WalkSpec:
-    if not cp.has_section("walk"):
+def _walk_spec(cfg: dict, args) -> WalkSpec:
+    if "walk" not in cfg:
         raise CliError("this subcommand needs a [walk] section in the config")
-    items = dict(cp["walk"])
+    items = dict(cfg["walk"])
     if args.sites is not None:
         items["num_sites"] = str(args.sites)
     if args.seed is not None:
@@ -196,44 +198,61 @@ def _walk_params(spec: WalkSpec) -> dict:
 
 
 class Emitter:
-    """Artifact writer rooted at the output prefix."""
+    """Artifact writer rooted at the output prefix.
 
-    def __init__(self, prefix: str):
+    ``names`` maps a subcommand's artifact names to the file names a
+    figure panel writes them under; artifacts it leaves out are not
+    written.  Without it every artifact keeps its own name.
+    """
+
+    def __init__(self, prefix: str, names: dict | None = None,
+                 paths: dict | None = None):
         self.prefix = prefix
-        self.paths: dict[str, str] = {}
-        parent = os.path.dirname(prefix)
+        self.names = names
+        self.paths: dict[str, str] = {} if paths is None else paths
+
+    def renamed(self, names: dict) -> "Emitter":
+        """A writer into the same prefix and manifest, under ``names``."""
+        return Emitter(self.prefix, names, self.paths)
+
+    def _full(self, name: str) -> str:
+        full = self.prefix + name
+        parent = os.path.dirname(full)
         if parent:
             os.makedirs(parent, exist_ok=True)
-
-    def path(self, name: str) -> str:
-        full = self.prefix + name
-        self.paths[name] = full
         return full
 
-    def write_json(self, name: str, payload: dict) -> None:
-        with open(self.path(name), "w", newline="") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    def write(self, name: str, writer, *data) -> None:
+        """Call ``writer(*data, path)`` for artifact ``name`` if wanted."""
+        if self.names is not None:
+            if name not in self.names:
+                return
+            name = self.names[name]
+        self.paths[name] = self._full(name)
+        writer(*data, self.paths[name])
 
-    def manifest(self, command: str, parameters: dict, result=None,
-                 figure=None) -> str:
+    def manifest(self, command: str, parameters: dict, result: dict,
+                 **extra) -> None:
         data = {
             "command": command,
             "version": __version__,
             "parameters": parameters,
             "artifacts": {name: sha256_of(path)
                           for name, path in sorted(self.paths.items())},
+            "result": result,
+            **extra,
         }
-        if figure is not None:
-            data["figure"] = figure
-        if result is not None:
-            data["result"] = result
-        full = self.prefix + "manifest.json"
+        full = self._full("manifest.json")
         with open(full, "w", newline="") as fh:
             fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
         for name in sorted(self.paths):
             print(f"wrote {self.paths[name]}")
         print(f"wrote {full}")
-        return full
+
+
+def _write_json(payload: dict, path) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _angle_grid(sec: Section, prefix: str, default_points: int):
@@ -246,11 +265,18 @@ def _angle_grid(sec: Section, prefix: str, default_points: int):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each parses its sections, runs the analysis and
+# writes its artifacts through the emitter, then returns a Run
 
 
-def _cmd_dispersion(args, cp) -> int:
-    sec = _section(cp, "dispersion")
+class Run(NamedTuple):
+    params: dict   # resolved parameters for the manifest
+    result: dict   # summary for the manifest
+    data: object   # the analysis result itself
+
+
+def _cmd_dispersion(args, cfg, em) -> Run:
+    sec = _section(cfg, "dispersion")
     t1 = sec.take("theta1_over_pi", float)
     t2 = sec.take("theta2_over_pi", float)
     gamma = sec.take("gamma", float, 0.0)
@@ -258,30 +284,26 @@ def _cmd_dispersion(args, cp) -> int:
     params = sec.finish()
 
     disp = dispersion(t1 * math.pi, t2 * math.pi, gamma, k_res=k_res)
-    em = Emitter(args.out)
-    write_dispersion_csv(disp, em.path("dispersion.csv"))
-    result = {"pt_broken_fraction": float(np.mean(disp.pt_broken))}
-    em.manifest("dispersion", params, result)
-    return 0
+    em.write("dispersion.csv", write_dispersion_csv, disp)
+    return Run(params, {"pt_broken_fraction": float(np.mean(disp.pt_broken))},
+               disp)
 
 
-def _cmd_phase_diagram(args, cp) -> int:
-    sec = _section(cp, "phase-diagram")
+def _cmd_phase_diagram(args, cfg, em) -> Run:
+    sec = _section(cfg, "phase-diagram")
     t1s = _angle_grid(sec, "theta1", 101)
     t2s = _angle_grid(sec, "theta2", 101)
     gamma = sec.take("gamma", float, 0.0)
     params = sec.finish()
     params["gap_tol"] = GAP_TOL
 
-    pd = phase_diagram(t1s, t2s, gamma, threads=args.threads)
-    em = Emitter(args.out)
-    write_phase_diagram_csv(pd, em.path("phase_diagram.csv"))
+    pd = phase_diagram(t1s, t2s, gamma)
+    em.write("phase_diagram.csv", write_phase_diagram_csv, pd)
     result = {
         "cells": int(pd.gap_open.size),
         "gapless_cells": int(np.count_nonzero(~pd.gap_open)),
     }
-    em.manifest("phase-diagram", params, result)
-    return 0
+    return Run(params, result, pd)
 
 
 def _spectrum_tolerances() -> dict:
@@ -294,9 +316,9 @@ def _spectrum_tolerances() -> dict:
     }
 
 
-def _cmd_spectrum(args, cp) -> int:
-    spec = _walk_spec(cp, args)
-    sec = _section(cp, "spectrum")
+def _cmd_spectrum(args, cfg, em) -> Run:
+    spec = _walk_spec(cfg, args)
+    sec = _section(cfg, "spectrum")
     window = sec.take("window", int, DEFAULT_WINDOW)
     states = sec.take("states", str, "none")
     compute_condition = sec.take("compute_condition", _parse_bool, True)
@@ -310,23 +332,21 @@ def _cmd_spectrum(args, cp) -> int:
     result = eigendecompose(build_walk_operator(spec),
                             compute_condition=compute_condition,
                             window=window)
-    em = Emitter(args.out)
-    write_spectrum_csv(result, em.path("spectrum.csv"))
+    em.write("spectrum.csv", write_spectrum_csv, result)
     if states != "none":
         for i, pair in enumerate(result.pairs):
             if states == "nonbulk" and pair.classification == "bulk":
                 continue
-            write_state_csv(result, i, em.path(f"state_{i:04d}.csv"))
+            em.write(f"state_{i:04d}.csv", write_state_csv, result, i)
     summary = {
         "counts": dict(result.counts),
         "eps_m": result.eps_m,
     }
-    em.manifest("spectrum", params, summary)
-    return 0
+    return Run(params, summary, result)
 
 
-def _cmd_edge_map(args, cp) -> int:
-    sec = _section(cp, "edge-map")
+def _cmd_edge_map(args, cfg, em) -> Run:
+    sec = _section(cfg, "edge-map")
     inner = (sec.take("inner_theta1_over_pi", float) * math.pi,
              sec.take("inner_theta2_over_pi", float) * math.pi)
     gamma = sec.take("gamma", float, 0.0)
@@ -343,14 +363,12 @@ def _cmd_edge_map(args, cp) -> int:
     emap = edge_count_map(inner, t1s, t2s, gamma, half_width=half_width,
                           num_sites=num_sites, window=window,
                           threads=args.threads, kind=kind)
-    em = Emitter(args.out)
-    write_edge_map_csv(emap, em.path("edge_map.csv"))
+    em.write("edge_map.csv", write_edge_map_csv, emap)
     result = {
         "counted_cells": int(np.count_nonzero(emap.counted)),
         "skipped_cells": int(np.count_nonzero(~emap.counted)),
     }
-    em.manifest("edge-map", params, result)
-    return 0
+    return Run(params, result, emap)
 
 
 def _sweep_tolerances() -> dict:
@@ -362,9 +380,9 @@ def _sweep_tolerances() -> dict:
     }
 
 
-def _cmd_delta_sweep(args, cp) -> int:
-    spec = _walk_spec(cp, args)
-    sec = _section(cp, "delta-sweep")
+def _cmd_delta_sweep(args, cfg, em) -> Run:
+    spec = _walk_spec(cfg, args)
+    sec = _section(cfg, "delta-sweep")
     deltas = sec.take("deltas", _parse_floats, None)
     if deltas is None:
         lo = sec.take("delta_min", float, 0.0)
@@ -379,20 +397,25 @@ def _cmd_delta_sweep(args, cp) -> int:
     params.update(_sweep_tolerances())
 
     sweep = delta_sweep(spec, deltas, window=window)
-    em = Emitter(args.out)
-    write_delta_sweep_csv(sweep, em.path("delta_sweep.csv"))
+    em.write("delta_sweep.csv", write_delta_sweep_csv, sweep)
     result = {
         "n_branches": sweep.n_branches,
         "n_points": len(sweep.points),
         "ep_bracket": list(sweep.ep_bracket) if sweep.ep_bracket else None,
     }
-    em.manifest("delta-sweep", params, result)
-    return 0
+    return Run(params, result, sweep)
 
 
-def _cmd_ep_find(args, cp) -> int:
-    spec = _walk_spec(cp, args)
-    sec = _section(cp, "ep-find")
+def _write_ep_csv(ep, path) -> None:
+    write_csv(path, ["delta_ep", "delta_lower", "delta_upper",
+                     "coalescence_overlap", "n_solves"],
+              [[ep.delta, ep.lower, ep.upper, ep.coalescence_overlap,
+                ep.n_solves]])
+
+
+def _cmd_ep_find(args, cfg, em) -> Run:
+    spec = _walk_spec(cfg, args)
+    sec = _section(cfg, "ep-find")
     delta_lo = sec.take("delta_lo", float)
     delta_hi = sec.take("delta_hi", float)
     tol_delta = sec.take("tol_delta", float, 5e-4)
@@ -403,12 +426,7 @@ def _cmd_ep_find(args, cp) -> int:
 
     ep = find_exceptional_point(spec, delta_lo, delta_hi,
                                 tol_delta=tol_delta, window=window)
-    em = Emitter(args.out)
-    write_csv(em.path("exceptional_point.csv"),
-              ["delta_ep", "delta_lower", "delta_upper",
-               "coalescence_overlap", "n_solves"],
-              [[ep.delta, ep.lower, ep.upper, ep.coalescence_overlap,
-                ep.n_solves]])
+    em.write("exceptional_point.csv", _write_ep_csv, ep)
     result = {
         "delta_ep": ep.delta,
         "delta_lower": ep.lower,
@@ -416,13 +434,12 @@ def _cmd_ep_find(args, cp) -> int:
         "coalescence_overlap": ep.coalescence_overlap,
         "n_solves": ep.n_solves,
     }
-    em.manifest("ep-find", params, result)
-    return 0
+    return Run(params, result, ep)
 
 
-def _cmd_disorder(args, cp) -> int:
-    spec = _walk_spec(cp, args)
-    sec = _section(cp, "disorder")
+def _cmd_disorder(args, cfg, em) -> Run:
+    spec = _walk_spec(cfg, args)
+    sec = _section(cfg, "disorder")
     theta_r = sec.take("theta_r", float)
     n_seeds = sec.take("n_seeds", int, 32)
     seed0 = sec.take("seed0", int, 0, override=args.seed)
@@ -433,14 +450,12 @@ def _cmd_disorder(args, cp) -> int:
 
     ens = disorder_ensemble(spec, theta_r, n_seeds=n_seeds, seed0=seed0,
                             threads=args.threads, window=window)
-    em = Emitter(args.out)
-    write_disorder_csv(ens, em.path("disorder.csv"))
+    em.write("disorder.csv", write_disorder_csv, ens)
     result = {
         "fraction_all_real": ens.fraction_all_real,
         "majority_regime": ens.majority_regime,
     }
-    em.manifest("disorder", params, result)
-    return 0
+    return Run(params, result, ens)
 
 
 def _take_coin(sec: Section):
@@ -452,9 +467,9 @@ def _take_coin(sec: Section):
     return complex(re_l, im_l), complex(re_r, im_r)
 
 
-def _cmd_evolve(args, cp) -> int:
-    spec = _walk_spec(cp, args)
-    sec = _section(cp, "evolve")
+def _cmd_evolve(args, cfg, em) -> Run:
+    spec = _walk_spec(cfg, args)
+    sec = _section(cfg, "evolve")
     steps = sec.take("steps", int, override=args.steps)
     x0 = sec.take("x0", int, 0)
     window_cap = sec.take("window_cap", int, 0)
@@ -467,17 +482,15 @@ def _cmd_evolve(args, cp) -> int:
     trace = evolve(spec, steps=steps, x0=x0, coin=coin,
                    window_cap=window_cap if window_cap > 0 else None,
                    snapshot_times=snapshot_times)
-    em = Emitter(args.out)
-    write_trace_csv(trace, em.path("trace.csv"))
-    write_fourier_csv(dft(trace), em.path("fourier.csv"))
+    em.write("trace.csv", write_trace_csv, trace)
+    em.write("fourier.csv", write_fourier_csv, dft(trace))
     for t in snapshot_times:
-        write_snapshot_csv(trace, t, em.path(f"snapshot_t{t}.csv"))
+        em.write(f"snapshot_t{t}.csv", write_snapshot_csv, trace, t)
     result = {
         "leaked_probability": trace.leaked_probability,
         "log_scale": trace.log_scale,
     }
-    em.manifest("evolve", params, result)
-    return 0
+    return Run(params, result, trace)
 
 
 def _inference_payload(report) -> dict:
@@ -502,9 +515,9 @@ def _write_modes_csv(modes, path) -> None:
                for m in modes))
 
 
-def _cmd_infer_edges(args, cp) -> int:
-    spec = _walk_spec(cp, args)
-    sec = _section(cp, "infer-edges")
+def _cmd_infer_edges(args, cfg, em) -> Run:
+    spec = _walk_spec(cfg, args)
+    sec = _section(cfg, "infer-edges")
     steps = sec.take("steps", int, 10000, override=args.steps)
     spectrum_sites = sec.take("spectrum_sites", int, 801, override=args.sites)
     spectrum_window = sec.take("spectrum_window", int, 50)
@@ -519,302 +532,13 @@ def _cmd_infer_edges(args, cp) -> int:
                               spectrum_sites=spectrum_sites,
                               spectrum_window=spectrum_window,
                               threshold=threshold, kappa=kappa)
-    em = Emitter(args.out)
-    write_trace_csv(report.trace, em.path("trace.csv"))
-    write_fourier_csv(report.fourier, em.path("fourier.csv"))
-    _write_modes_csv(report.modes, em.path("modes.csv"))
+    em.write("trace.csv", write_trace_csv, report.trace)
+    em.write("fourier.csv", write_fourier_csv, report.fourier)
+    em.write("modes.csv", _write_modes_csv, report.modes)
     payload = _inference_payload(report)
-    em.write_json("inference.json", payload)
-    em.manifest("infer-edges", params, payload)
-    return 0
+    em.write("inference.json", _write_json, payload)
+    return Run(params, payload, report)
 
-
-# ---------------------------------------------------------------------------
-# canned figure configurations
-
-INNER = (0.4 * math.pi, 0.1 * math.pi)
-OUTER = {
-    "a": (0.7 * math.pi, 0.05 * math.pi),   # nu_shifted 0
-    "b": (0.9 * math.pi, 0.2 * math.pi),    # nu_shifted 1
-    "c": (-0.2 * math.pi, 0.3 * math.pi),   # nu_shifted 2
-    "d": (-0.6 * math.pi, 0.2 * math.pi),   # nu_shifted 3
-}
-LEFT_LARGE_GAP = (0.75 * math.pi, 0.05 * math.pi)
-LEFT_SMALL_GAP = (0.125 * math.pi, 0.1 * math.pi)
-
-
-def _interface_spec(outer, gamma, delta=0.0, num_sites=801, half_width=50,
-                    **profile_kw) -> WalkSpec:
-    kind = "three_step_perturbed" if (
-        delta != 0.0 or profile_kw.get("disorder_amplitude")) else "three_step"
-    if profile_kw.pop("disordered", False):
-        kind = "three_step_perturbed_disordered"
-    profile = CoinProfile.inner_outer(INNER, outer, half_width, delta=delta,
-                                      **profile_kw)
-    return WalkSpec(kind=kind, lattice=Lattice(num_sites), profile=profile,
-                    gamma=gamma)
-
-
-def _split_spec(left, right, delta, num_sites=801, gamma=0.0) -> WalkSpec:
-    profile = CoinProfile.left_right(left, right, delta=delta)
-    return WalkSpec(kind="three_step_perturbed", lattice=Lattice(num_sites),
-                    profile=profile, gamma=gamma)
-
-
-def _fig_dispersion_panels(em: Emitter, threads: int):
-    panels = {
-        "a": (math.pi / 3, math.pi / 5),
-        "b": (-math.pi / 10, math.pi / 8),
-        "c": (math.pi / 10, math.pi / 7),
-        "d": (math.pi / 4, math.pi / 4),
-    }
-    params: dict = {"gamma": 0.1, "k_res": 1024, "panels": {}}
-    for name, (t1, t2) in panels.items():
-        disp = dispersion(t1, t2, 0.1, k_res=1024)
-        write_dispersion_csv(disp, em.path(f"fig2{name}.csv"))
-        params["panels"][name] = {"theta1_over_pi": t1 / math.pi,
-                                  "theta2_over_pi": t2 / math.pi}
-    return params, None
-
-
-def _phase_panel(em: Emitter, threads: int, name: str, gamma: float):
-    grid = np.linspace(-math.pi, math.pi, 101)
-    pd = phase_diagram(grid, grid, gamma, threads=threads)
-    write_phase_diagram_csv(pd, em.path(f"{name}.csv"))
-    return {
-        "gamma": gamma,
-        "theta_points": 101,
-        "theta_min_over_pi": -1.0,
-        "theta_max_over_pi": 1.0,
-    }
-
-
-def _fig_phase_a(em, threads):
-    return _phase_panel(em, threads, "fig3a", 0.0), None
-
-
-def _fig_phase_b(em, threads):
-    return _phase_panel(em, threads, "fig3b", 0.1), None
-
-
-def _fig_phase_both(em, threads):
-    pa = _phase_panel(em, threads, "fig3a", 0.0)
-    pb = _phase_panel(em, threads, "fig3b", 0.1)
-    return {"panels": {"a": pa, "b": pb}}, None
-
-
-def _fig_eigenvalue_panels(em: Emitter, threads: int):
-    params: dict = {"window": DEFAULT_WINDOW, "panels": {}}
-    counts = {}
-    panel_d = None
-    for name, outer in OUTER.items():
-        spec = _interface_spec(outer, gamma=0.1)
-        res = eigendecompose(build_walk_operator(spec),
-                             compute_condition=False)
-        write_spectrum_csv(res, em.path(f"fig4{name}.csv"))
-        params["panels"][name] = _walk_params(spec)
-        counts[name] = dict(res.counts)
-        if name == "d":
-            panel_d = res
-    spec_e = _interface_spec(OUTER["d"], gamma=0.0)
-    res_e = eigendecompose(build_walk_operator(spec_e),
-                           compute_condition=False)
-    write_spectrum_csv(res_e, em.path("fig4e.csv"))
-    params["panels"]["e"] = _walk_params(spec_e)
-    counts["e"] = dict(res_e.counts)
-
-    # panel f: the edge state of panel d whose eigenvalue has the
-    # smallest real part (the most amplified pi mode)
-    nonbulk = [i for i, p in enumerate(panel_d.pairs)
-               if p.classification != "bulk"]
-    if not nonbulk:
-        raise CliError("panel d produced no interface states")
-    pick = min(nonbulk, key=lambda i: (panel_d.pairs[i].lam.real, i))
-    write_state_csv(panel_d, pick, em.path("fig4f.csv"))
-    params["panels"]["f"] = {"source_panel": "d", "pair_index": pick}
-    return params, {"counts": counts}
-
-
-def _fig_edge_map(em: Emitter, threads: int):
-    # trimmed from the published 101x101 sweep of 1602-dim solves:
-    # a 9x9 grid on a 301-site ring keeps the runtime in seconds
-    # while exercising the identical counting path
-    grid = np.linspace(-math.pi, math.pi, 9)
-    emap = edge_count_map(INNER, grid, grid, gamma=0.1, half_width=50,
-                          num_sites=301, threads=threads)
-    write_edge_map_csv(emap, em.path("fig5.csv"))
-    params = {
-        "inner_theta1_over_pi": INNER[0] / math.pi,
-        "inner_theta2_over_pi": INNER[1] / math.pi,
-        "gamma": 0.1,
-        "half_width": 50,
-        "num_sites": 301,
-        "theta_points": 9,
-        "window": DEFAULT_WINDOW,
-    }
-    result = {"counted_cells": int(np.count_nonzero(emap.counted))}
-    return params, result
-
-
-def _fig_delta_sweep(em: Emitter, threads: int):
-    spec = _interface_spec(OUTER["c"], gamma=0.1, delta=0.0)
-    spec = WalkSpec(kind="three_step_perturbed", lattice=spec.lattice,
-                    profile=spec.profile, gamma=spec.gamma)
-    deltas = np.linspace(0.0, 0.1, 21)
-    sweep = delta_sweep(spec, deltas)
-    write_delta_sweep_csv(sweep, em.path("fig6.csv"))
-    params = {"walk": _walk_params(spec),
-              "deltas": [float(d) for d in deltas],
-              "window": DEFAULT_WINDOW}
-    result = {
-        "n_branches": sweep.n_branches,
-        "ep_bracket": list(sweep.ep_bracket) if sweep.ep_bracket else None,
-    }
-    return params, result
-
-
-def _fig_perturbed_spectra(em: Emitter, threads: int):
-    rows = {"dnu1": OUTER["b"], "dnu2": OUTER["c"]}
-    cols = {"a": (0.05, 0.0), "b": (0.05, 0.1), "c": (0.0696, 0.1),
-            "d": (0.08, 0.1)}
-    params: dict = {"window": DEFAULT_WINDOW, "panels": {}}
-    for rname, outer in rows.items():
-        for cname, (delta, gamma) in cols.items():
-            spec = _interface_spec(outer, gamma=gamma, delta=delta)
-            res = eigendecompose(build_walk_operator(spec),
-                                 compute_condition=False)
-            name = f"fig7{cname}_{rname}"
-            write_spectrum_csv(res, em.path(f"{name}.csv"))
-            params["panels"][name] = _walk_params(spec)
-    return params, None
-
-
-def _fig_disordered_spectra(em: Emitter, threads: int):
-    panels = {"a": (OUTER["b"], 0.1), "b": (OUTER["c"], 0.001),
-              "c": (OUTER["c"], 0.1)}
-    params: dict = {"window": DEFAULT_WINDOW, "panels": {}}
-    for name, (outer, theta_r) in panels.items():
-        for gname, gamma in (("gamma0", 0.0), ("gamma01", 0.1)):
-            spec = _interface_spec(outer, gamma=gamma, delta=0.05,
-                                   disordered=True,
-                                   disorder_amplitude=theta_r,
-                                   disorder_seed=0)
-            res = eigendecompose(build_walk_operator(spec),
-                                 compute_condition=False)
-            full = f"fig8{name}_{gname}"
-            write_spectrum_csv(res, em.path(f"{full}.csv"))
-            params["panels"][full] = _walk_params(spec)
-    return params, None
-
-
-def _fig_snapshots(em: Emitter, threads: int):
-    panels = {"a": OUTER["c"], "b": (-0.6 * math.pi, 0.15 * math.pi)}
-    params: dict = {"steps": 246, "panels": {}}
-    for name, outer in panels.items():
-        spec = _interface_spec(outer, gamma=0.1)
-        trace = evolve(spec, steps=246, snapshot_times=(246,))
-        write_snapshot_csv(trace, 246, em.path(f"fig9{name}.csv"))
-        params["panels"][name] = _walk_params(spec)
-    return params, None
-
-
-def _trace_bundle(em: Emitter, name: str, spec: WalkSpec, steps=10000):
-    trace = evolve(spec, steps=steps)
-    write_trace_csv(trace, em.path(f"{name}_trace.csv"))
-    write_fourier_csv(dft(trace), em.path(f"{name}_fourier.csv"))
-
-
-def _fig_large_gap_dnu3(em: Emitter, threads: int):
-    params: dict = {"steps": 10000, "panels": {}}
-    for name, delta in (("a", 0.0), ("b", 0.02), ("c", 0.05)):
-        spec = _split_spec(LEFT_LARGE_GAP, (-math.pi / 3, 0.0), delta)
-        _trace_bundle(em, f"fig10{name}", spec)
-        params["panels"][name] = _walk_params(spec)
-    return params, None
-
-
-def _fig_large_gap_dnu21(em: Emitter, threads: int):
-    rights = {"a": (-0.1 * math.pi, 0.4 * math.pi),
-              "b": (-math.pi / 15, 2 * math.pi / 3)}
-    params: dict = {"steps": 10000, "panels": {}}
-    for name, right in rights.items():
-        spec = _split_spec(LEFT_LARGE_GAP, right, delta=0.05)
-        _trace_bundle(em, f"fig11{name}", spec)
-        params["panels"][name] = _walk_params(spec)
-    return params, None
-
-
-def _fig_small_gap(em: Emitter, threads: int):
-    rights = {"a": (-0.2 * math.pi, -math.pi / 12),
-              "b": (-0.1 * math.pi, 0.4 * math.pi),
-              "c": (-0.05 * math.pi, -math.pi / 7)}
-    params: dict = {"steps": 10000, "panels": {}}
-    for name, right in rights.items():
-        spec = _split_spec(LEFT_SMALL_GAP, right, delta=0.05)
-        _trace_bundle(em, f"fig12{name}", spec)
-        params["panels"][name] = _walk_params(spec)
-    return params, None
-
-
-def _fig_defective_profiles(em: Emitter, threads: int):
-    spec = _split_spec(LEFT_SMALL_GAP, (-0.2 * math.pi, -math.pi / 12),
-                       delta=0.05, num_sites=601)
-    res = eigendecompose(build_walk_operator(spec), compute_condition=False,
-                         window=50)
-    edges = [i for i, p in enumerate(res.pairs)
-             if p.classification == "edge_zero"]
-    defect = [i for i, p in enumerate(res.pairs)
-              if p.classification == "defective_pair_member"
-              and abs(p.eps.real) < math.pi / 2 and p.eps.real < 0]
-    if not edges or not defect:
-        raise CliError("expected both a protected edge state and a "
-                       "defective pair near eps = 0")
-    i_edge = min(edges, key=lambda i: (abs(res.pairs[i].eps.real), i))
-    i_def = min(defect, key=lambda i: (abs(res.pairs[i].eps.real), i))
-    write_state_csv(res, i_edge, em.path("fig13_edge.csv"))
-    write_state_csv(res, i_def, em.path("fig13_defective.csv"))
-    params = {"walk": _walk_params(spec), "window": 50,
-              "edge_pair_index": i_edge, "defective_pair_index": i_def}
-    result = {"edge_re_eps": res.pairs[i_edge].eps.real,
-              "defective_re_eps": res.pairs[i_def].eps.real}
-    return params, result
-
-
-FIGURES = {
-    "fig2": _fig_dispersion_panels,
-    "fig3": _fig_phase_both,
-    "fig3a": _fig_phase_a,
-    "fig3b": _fig_phase_b,
-    "fig4": _fig_eigenvalue_panels,
-    "fig5": _fig_edge_map,
-    "fig6": _fig_delta_sweep,
-    "fig7": _fig_perturbed_spectra,
-    "fig8": _fig_disordered_spectra,
-    "fig9": _fig_snapshots,
-    "fig10": _fig_large_gap_dnu3,
-    "fig11": _fig_large_gap_dnu21,
-    "fig12": _fig_small_gap,
-    "fig13": _fig_defective_profiles,
-}
-
-
-def _cmd_reproduce(args, cp) -> int:
-    if args.figure == "list":
-        for fid in sorted(FIGURES, key=lambda s: (len(s), s)):
-            print(fid)
-        return 0
-    builder = FIGURES.get(args.figure)
-    if builder is None:
-        known = ", ".join(sorted(FIGURES, key=lambda s: (len(s), s)))
-        raise CliError(f"unknown figure id {args.figure!r}; known: {known}")
-    em = Emitter(args.out)
-    params, result = builder(em, args.threads)
-    em.manifest("reproduce", params, result, figure=args.figure)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# dispatch
 
 HANDLERS = {
     "dispersion": _cmd_dispersion,
@@ -826,8 +550,210 @@ HANDLERS = {
     "disorder": _cmd_disorder,
     "evolve": _cmd_evolve,
     "infer-edges": _cmd_infer_edges,
-    "reproduce": _cmd_reproduce,
 }
+
+
+# ---------------------------------------------------------------------------
+# canned figure configurations
+#
+# A figure is one subcommand run once per panel.  A panel holds the
+# config sections that run reads (values in the config grammar, angles
+# in units of pi) and the file name of each artifact it keeps.
+
+
+class Panel(NamedTuple):
+    config: dict      # section -> {key: value}
+    artifacts: dict   # subcommand artifact name -> file name
+
+
+class Figure(NamedTuple):
+    command: str
+    panels: dict      # panel name -> Panel
+    # reads the panels' Runs, writes extra artifacts, returns result items
+    pick: Callable | None = None
+
+
+INNER = (0.4, 0.1)
+OUTER = {
+    "a": (0.7, 0.05),    # nu_shifted 0
+    "b": (0.9, 0.2),     # nu_shifted 1
+    "c": (-0.2, 0.3),    # nu_shifted 2
+    "d": (-0.6, 0.2),    # nu_shifted 3
+}
+LEFT_LARGE_GAP = (0.75, 0.05)
+LEFT_SMALL_GAP = (0.125, 0.1)
+
+
+def _interface_walk(outer, gamma, kind="three_step", **profile) -> dict:
+    return {"kind": kind, "num_sites": 801, "layout": "inner_outer",
+            "theta1_a_over_pi": INNER[0], "theta2_a_over_pi": INNER[1],
+            "theta1_b_over_pi": outer[0], "theta2_b_over_pi": outer[1],
+            "half_width": 50, "gamma": gamma, **profile}
+
+
+def _split_walk(left, right, delta, num_sites=801) -> dict:
+    return {"kind": "three_step_perturbed", "num_sites": num_sites,
+            "layout": "left_right",
+            "theta1_a_over_pi": left[0], "theta2_a_over_pi": left[1],
+            "theta1_b_over_pi": right[0], "theta2_b_over_pi": right[1],
+            "delta": delta}
+
+
+def _spectrum_panels(fig: str, walks: dict) -> dict:
+    return {name: Panel({"walk": walk,
+                         "spectrum": {"compute_condition": False}},
+                        {"spectrum.csv": f"{fig}{name}.csv"})
+            for name, walk in walks.items()}
+
+
+def _trace_panels(fig: str, walks: dict) -> dict:
+    return {name: Panel({"walk": walk, "evolve": {"steps": 10000}},
+                        {"trace.csv": f"{fig}{name}_trace.csv",
+                         "fourier.csv": f"{fig}{name}_fourier.csv"})
+            for name, walk in walks.items()}
+
+
+def _pick_fig4f(em: Emitter, runs: dict) -> dict:
+    """Panel f: the interface state of panel d whose eigenvalue has the
+    smallest real part (the most amplified pi mode)."""
+    res = runs["d"].data
+    nonbulk = [i for i, p in enumerate(res.pairs)
+               if p.classification != "bulk"]
+    if not nonbulk:
+        raise CliError("panel d produced no interface states")
+    pick = min(nonbulk, key=lambda i: (res.pairs[i].lam.real, i))
+    em.write("fig4f.csv", write_state_csv, res, pick)
+    return {"f": {"source_panel": "d", "pair_index": pick}}
+
+
+def _pick_fig13(em: Emitter, runs: dict) -> dict:
+    """The protected edge state and the member of the defective pair
+    closest to eps = 0 from below."""
+    res = runs["fig13"].data
+    edges = [i for i, p in enumerate(res.pairs)
+             if p.classification == "edge_zero"]
+    defect = [i for i, p in enumerate(res.pairs)
+              if p.classification == "defective_pair_member"
+              and abs(p.eps.real) < math.pi / 2 and p.eps.real < 0]
+    if not edges or not defect:
+        raise CliError("expected both a protected edge state and a "
+                       "defective pair near eps = 0")
+    i_edge = min(edges, key=lambda i: (abs(res.pairs[i].eps.real), i))
+    i_def = min(defect, key=lambda i: (abs(res.pairs[i].eps.real), i))
+    em.write("fig13_edge.csv", write_state_csv, res, i_edge)
+    em.write("fig13_defective.csv", write_state_csv, res, i_def)
+    return {"edge_pair_index": i_edge, "defective_pair_index": i_def,
+            "edge_re_eps": res.pairs[i_edge].eps.real,
+            "defective_re_eps": res.pairs[i_def].eps.real}
+
+
+_FIG3 = {name: Panel({"phase-diagram": {"gamma": gamma}},
+                     {"phase_diagram.csv": f"fig3{name}.csv"})
+         for name, gamma in (("a", 0.0), ("b", 0.1))}
+
+FIGURES = {
+    "fig2": Figure("dispersion", {
+        name: Panel({"dispersion": {"theta1_over_pi": t1,
+                                    "theta2_over_pi": t2, "gamma": 0.1}},
+                    {"dispersion.csv": f"fig2{name}.csv"})
+        for name, (t1, t2) in (("a", (1 / 3, 1 / 5)),
+                               ("b", (-1 / 10, 1 / 8)),
+                               ("c", (1 / 10, 1 / 7)),
+                               ("d", (1 / 4, 1 / 4)))}),
+    "fig3": Figure("phase-diagram", _FIG3),
+    "fig3a": Figure("phase-diagram", {"a": _FIG3["a"]}),
+    "fig3b": Figure("phase-diagram", {"b": _FIG3["b"]}),
+    "fig4": Figure("spectrum", _spectrum_panels("fig4", {
+        **{name: _interface_walk(outer, 0.1) for name, outer in OUTER.items()},
+        "e": _interface_walk(OUTER["d"], 0.0),
+    }), pick=_pick_fig4f),
+    # trimmed from the published 101x101 sweep of 1602-dim solves: a
+    # 9x9 grid on a 301-site ring runs in seconds through the same path
+    "fig5": Figure("edge-map", {"fig5": Panel(
+        {"edge-map": {"inner_theta1_over_pi": INNER[0],
+                      "inner_theta2_over_pi": INNER[1], "gamma": 0.1,
+                      "half_width": 50, "num_sites": 301,
+                      "theta1_points": 9, "theta2_points": 9}},
+        {"edge_map.csv": "fig5.csv"})}),
+    "fig6": Figure("delta-sweep", {"fig6": Panel(
+        {"walk": _interface_walk(OUTER["c"], 0.1, "three_step_perturbed"),
+         "delta-sweep": {"delta_min": 0.0, "delta_max": 0.1,
+                         "delta_points": 21}},
+        {"delta_sweep.csv": "fig6.csv"})}),
+    "fig7": Figure("spectrum", _spectrum_panels("fig7", {
+        f"{col}_{row}": _interface_walk(outer, gamma, "three_step_perturbed",
+                                        delta=delta)
+        for row, outer in (("dnu1", OUTER["b"]), ("dnu2", OUTER["c"]))
+        for col, (delta, gamma) in (("a", (0.05, 0.0)), ("b", (0.05, 0.1)),
+                                    ("c", (0.0696, 0.1)), ("d", (0.08, 0.1)))
+    })),
+    "fig8": Figure("spectrum", _spectrum_panels("fig8", {
+        f"{name}_{gname}": _interface_walk(
+            outer, gamma, "three_step_perturbed_disordered", delta=0.05,
+            disorder_amplitude=theta_r, disorder_seed=0)
+        for name, (outer, theta_r) in (("a", (OUTER["b"], 0.1)),
+                                       ("b", (OUTER["c"], 0.001)),
+                                       ("c", (OUTER["c"], 0.1)))
+        for gname, gamma in (("gamma0", 0.0), ("gamma01", 0.1))
+    })),
+    "fig9": Figure("evolve", {
+        name: Panel({"walk": _interface_walk(outer, 0.1),
+                     "evolve": {"steps": 246, "snapshot_times": 246}},
+                    {"snapshot_t246.csv": f"fig9{name}.csv"})
+        for name, outer in (("a", OUTER["c"]), ("b", (-0.6, 0.15)))}),
+    "fig10": Figure("evolve", _trace_panels("fig10", {
+        name: _split_walk(LEFT_LARGE_GAP, (-1 / 3, 0.0), delta)
+        for name, delta in (("a", 0.0), ("b", 0.02), ("c", 0.05))})),
+    "fig11": Figure("evolve", _trace_panels("fig11", {
+        name: _split_walk(LEFT_LARGE_GAP, right, 0.05)
+        for name, right in (("a", (-0.1, 0.4)), ("b", (-1 / 15, 2 / 3)))})),
+    "fig12": Figure("evolve", _trace_panels("fig12", {
+        name: _split_walk(LEFT_SMALL_GAP, right, 0.05)
+        for name, right in (("a", (-0.2, -1 / 12)), ("b", (-0.1, 0.4)),
+                            ("c", (-0.05, -1 / 7)))})),
+    "fig13": Figure("spectrum", {"fig13": Panel(
+        {"walk": _split_walk(LEFT_SMALL_GAP, (-0.2, -1 / 12), 0.05,
+                             num_sites=601),
+         "spectrum": {"window": 50, "compute_condition": False}},
+        {})}, pick=_pick_fig13),
+}
+
+
+def _figure_ids() -> list[str]:
+    return sorted(FIGURES, key=lambda s: (len(s), s))
+
+
+def _cmd_reproduce(args) -> int:
+    if args.figure == "list":
+        for fid in _figure_ids():
+            print(fid)
+        return 0
+    fig = FIGURES.get(args.figure)
+    if fig is None:
+        known = ", ".join(_figure_ids())
+        raise CliError(f"unknown figure id {args.figure!r}; known: {known}")
+    em = Emitter(args.out)
+    runs = {}
+    for name, panel in fig.panels.items():
+        cfg = {section: {key: str(value) for key, value in items.items()}
+               for section, items in panel.config.items()}
+        runs[name] = HANDLERS[fig.command](args, cfg,
+                                           em.renamed(panel.artifacts))
+    if len(runs) == 1:
+        (run,) = runs.values()
+        params, result = run.params, dict(run.result)
+    else:
+        params = {"panels": {name: run.params for name, run in runs.items()}}
+        result = {"panels": {name: run.result for name, run in runs.items()}}
+    if fig.pick is not None:
+        result.update(fig.pick(em, runs))
+    em.manifest("reproduce", params, result, figure=args.figure,
+                subcommand=fig.command)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# dispatch
 
 USAGE = """usage: ptwalk <subcommand> [options]
 
@@ -860,7 +786,7 @@ WALK_COMMANDS = ("spectrum", "delta-sweep", "ep-find", "disorder", "evolve",
                  "infer-edges")
 # (flag, argparse options, subcommands that read it)
 FLAGS = (
-    ("--config", {}, tuple(c for c in HANDLERS if c != "reproduce")),
+    ("--config", {}, tuple(HANDLERS)),
     ("--seed", {"type": int}, WALK_COMMANDS),
     ("--sites", {"type": int}, WALK_COMMANDS + ("edge-map",)),
     ("--steps", {"type": int}, ("evolve", "infer-edges")),
@@ -877,6 +803,9 @@ def _build_parser(subcommand: str) -> _Parser:
     for flag, options, commands in FLAGS:
         if subcommand in commands:
             parser.add_argument(flag, **options)
+        else:
+            # handlers read every flag; figure panels run with none set
+            parser.set_defaults(**{options.get("dest", flag[2:]): None})
     return parser
 
 
@@ -885,15 +814,18 @@ def _dispatch(argv: list[str]) -> int:
         print(USAGE, end="")
         return 0
     subcommand, rest = argv[0], argv[1:]
-    handler = HANDLERS.get(subcommand)
-    if handler is None:
-        known = ", ".join(sorted(HANDLERS))
+    if subcommand not in HANDLERS and subcommand != "reproduce":
+        known = ", ".join(sorted([*HANDLERS, "reproduce"]))
         raise CliError(f"unknown subcommand {subcommand!r}; known: {known}")
     args = _build_parser(subcommand).parse_args(rest)
     if args.threads < 1:
         raise CliError("--threads must be positive")
-    cp = _load_config(getattr(args, "config", None))
-    return handler(args, cp)
+    if subcommand == "reproduce":
+        return _cmd_reproduce(args)
+    em = Emitter(args.out)
+    run = HANDLERS[subcommand](args, _load_config(args.config), em)
+    em.manifest(subcommand, run.params, run.result)
+    return 0
 
 
 def main(argv=None) -> int:

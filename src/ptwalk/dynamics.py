@@ -261,7 +261,7 @@ def evolve(spec: WalkSpec, steps: int, x0: int = 0, coin=DEFAULT_COIN,
     p0_raw = np.zeros(steps + 1)
     p0_norm = np.zeros(steps + 1)
     snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    leaked = 0.0
+    kept = 1.0  # share of the norm that survived the cap so far
     leak_raw_step = 0.0
     log_scale = 0.0
     warned = False
@@ -300,7 +300,7 @@ def evolve(spec: WalkSpec, steps: int, x0: int = 0, coin=DEFAULT_COIN,
             p0_raw[t] = math.exp(ls) if ls <= 709.0 else math.inf
         p0_norm[t] = site / norm2
         if leak_raw_step > 0.0:
-            leaked += leak_raw_step / norm2
+            kept *= norm2 / (norm2 + leak_raw_step)
             leak_raw_step = 0.0
             if not warned:
                 warnings.warn("window cap reached; probability is leaking "
@@ -312,7 +312,7 @@ def evolve(spec: WalkSpec, steps: int, x0: int = 0, coin=DEFAULT_COIN,
                             state.span_probabilities() / norm2)
 
     return EvolutionTrace(spec=spec, steps=steps, x0=x0, p0_raw=p0_raw,
-                          p0_normalized=p0_norm, leaked_probability=leaked,
+                          p0_normalized=p0_norm, leaked_probability=1.0 - kept,
                           snapshots=snapshots, log_scale=log_scale)
 
 

@@ -224,13 +224,6 @@ class TestPhaseDiagram:
         assert not pd.gap_open[1, 1]
         assert np.isnan(pd.nu_shifted[1, 1])
 
-    def test_thread_count_does_not_change_results(self):
-        grid = np.linspace(-PI, PI, 7)
-        a = phase_diagram(grid, grid, 0.1, threads=1)
-        b = phase_diagram(grid, grid, 0.1, threads=4)
-        assert np.array_equal(a.gap_open, b.gap_open)
-        assert np.array_equal(a.nu_shifted, b.nu_shifted, equal_nan=True)
-
 
 class TestCsv:
     def test_dispersion_rows(self, tmp_path):

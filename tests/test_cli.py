@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from ptwalk import cli
 from ptwalk.cli import main
 
 WALK = """\
@@ -338,3 +339,75 @@ class TestReproduce:
                                                       abs=1e-12)
         assert result["defective_re_eps"] == pytest.approx(
             -0.040402747271619195, abs=1e-12)
+
+
+FIGURE_ARTIFACTS = {
+    "fig2": ["fig2a.csv", "fig2b.csv", "fig2c.csv", "fig2d.csv"],
+    "fig3": ["fig3a.csv", "fig3b.csv"],
+    "fig3a": ["fig3a.csv"],
+    "fig3b": ["fig3b.csv"],
+    "fig4": [f"fig4{p}.csv" for p in "abcdef"],
+    "fig5": ["fig5.csv"],
+    "fig6": ["fig6.csv"],
+    "fig7": [f"fig7{c}_{r}.csv" for c in "abcd" for r in ("dnu1", "dnu2")],
+    "fig8": [f"fig8{p}_{g}.csv" for p in "abc"
+             for g in ("gamma0", "gamma01")],
+    "fig9": ["fig9a.csv", "fig9b.csv"],
+    "fig10": [f"fig10{p}_{k}.csv" for p in "abc"
+              for k in ("fourier", "trace")],
+    "fig11": [f"fig11{p}_{k}.csv" for p in "ab" for k in ("fourier", "trace")],
+    "fig12": [f"fig12{p}_{k}.csv" for p in "abc"
+              for k in ("fourier", "trace")],
+    "fig13": ["fig13_defective.csv", "fig13_edge.csv"],
+}
+
+# test sizes: fewer sites, a matching half_width, a few hundred steps
+# and coarse grids; keys a panel does not set stay unset.  fig13 keeps
+# its 601-site ring, on which alone its defective pair forms.
+SMALL = {"num_sites": 101, "half_width": 20, "steps": 300,
+         "theta1_points": 3, "theta2_points": 3, "delta_points": 6}
+
+
+def small_panel(panel):
+    config = {}
+    for section, items in panel.config.items():
+        items = {key: SMALL.get(key, value) for key, value in items.items()}
+        if section == "phase-diagram":
+            items.update(theta1_points=5, theta2_points=5)
+        config[section] = items
+    return panel._replace(config=config)
+
+
+class TestEveryFigure:
+    @pytest.mark.parametrize("fid", list(cli.FIGURES))
+    def test_runs_and_writes_its_artifacts(self, capsys, tmp_path,
+                                           monkeypatch, fid):
+        fig = cli.FIGURES[fid]
+        panels = {name: p if fid == "fig13" else small_panel(p)
+                  for name, p in fig.panels.items()}
+        monkeypatch.setitem(cli.FIGURES, fid, fig._replace(panels=panels))
+        rc, _, _ = run(capsys, "reproduce", fid, "--out", f"{tmp_path}/f/")
+        assert rc == 0
+        manifest = json.loads((tmp_path / "f" / "manifest.json").read_text())
+        assert manifest["figure"] == fid
+        assert manifest["subcommand"] == fig.command
+        written = sorted(p.name for p in (tmp_path / "f").iterdir())
+        assert written == sorted(manifest["artifacts"]) + ["manifest.json"]
+        assert sorted(manifest["artifacts"]) == sorted(FIGURE_ARTIFACTS[fid])
+
+        # the first panel, run as its own subcommand from an INI file
+        # holding the same items, writes the same bytes
+        name, panel = next(iter(panels.items()))
+        ini = "".join(f"[{section}]\n" + "".join(
+            f"{key} = {value}\n" for key, value in items.items())
+            for section, items in panel.config.items())
+        rc, _, _ = run(capsys, fig.command, "--config",
+                       write_config(tmp_path, ini), "--out", f"{tmp_path}/s/")
+        assert rc == 0
+        for artifact, file_name in panel.artifacts.items():
+            assert (tmp_path / "s" / artifact).read_bytes() == \
+                (tmp_path / "f" / file_name).read_bytes()
+        sub = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        own = (manifest["parameters"] if len(panels) == 1
+               else manifest["parameters"]["panels"][name])
+        assert sub["parameters"] == own

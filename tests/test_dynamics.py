@@ -97,7 +97,7 @@ class TestEvolve:
     def test_window_cap_leaks_with_warning(self):
         with pytest.warns(UserWarning, match="leaking"):
             trace = evolve(homogeneous_spec(), steps=30, window_cap=21)
-        assert trace.leaked_probability == pytest.approx(0.4934664625706514,
+        assert trace.leaked_probability == pytest.approx(0.38322520245745595,
                                                          rel=1e-12)
 
     def test_leak_does_not_depend_on_rescaling(self, monkeypatch):
@@ -113,6 +113,7 @@ class TestEvolve:
         assert early.log_scale > base.log_scale
         assert early.leaked_probability == pytest.approx(
             base.leaked_probability, rel=1e-12)
+        assert 0.0 < base.leaked_probability <= 1.0
 
     def test_rescale_survives_float_range(self):
         # broken-phase gain amplifies the state past 1e120 well before
@@ -126,8 +127,8 @@ class TestEvolve:
 
 
 def oracle_p0(spec, steps, x0=0, window_cap=None, coin=DEFAULT_COIN):
-    """p0 raw and normalized, and the final site distribution, from
-    explicit powers of the walk matrix.
+    """p0 raw and normalized, the final site distribution and the final
+    total probability, from explicit powers of the walk matrix.
 
     The matrix is built on the open lattice that ``evolve`` stores: its
     window, whose cap annihilates what leaves it.
@@ -147,7 +148,8 @@ def oracle_p0(spec, steps, x0=0, window_cap=None, coin=DEFAULT_COIN):
         raw.append(p[at0].sum())
         norm.append(p[at0].sum() / p.sum())
     sites = p[0::2] + p[1::2]
-    return np.array(raw), np.array(norm), (lattice.positions(), sites / p.sum())
+    return (np.array(raw), np.array(norm),
+            (lattice.positions(), sites / p.sum()), p.sum())
 
 
 def oracle_specs():
@@ -184,7 +186,7 @@ class TestMatrixPowerOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # capped leak
             trace = evolve(spec, steps=steps, snapshot_times=(steps,), **kw)
-        raw, norm, (x, prob) = oracle_p0(spec, steps, **kw)
+        raw, norm, (x, prob), _ = oracle_p0(spec, steps, **kw)
         assert np.array_equal(trace.p0_raw == 0.0, raw == 0.0)
         assert np.count_nonzero(raw) > 20
         assert trace.p0_raw == pytest.approx(raw, rel=1e-12, abs=0.0)
@@ -203,7 +205,20 @@ class TestMatrixPowerOracle:
         spec, kw = oracle_specs()[name]
         trace = self.check(spec, 60, **kw)
         if "window_cap" in kw:
-            assert trace.leaked_probability > 0.0
+            assert 0.0 < trace.leaked_probability <= 1.0
+
+    @pytest.mark.parametrize("spec, steps, cap", [
+        (oracle_specs()["cap21-gamma0"][0], 60, 21),
+        (homogeneous_spec(), 30, 21),
+    ], ids=["cap21-gamma0", "homogeneous-cap21"])
+    def test_leak_is_lost_norm_of_unitary_walk(self, spec, steps, cap):
+        # at gamma = 0 only the cap removes probability, so the leak is
+        # the share of the initial unit norm missing at the end
+        with pytest.warns(UserWarning, match="leaking"):
+            trace = evolve(spec, steps=steps, window_cap=cap)
+        *_, total = oracle_p0(spec, steps, window_cap=cap)
+        assert trace.leaked_probability == pytest.approx(1.0 - total,
+                                                         rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("name", ["two_step", "three_step", "x0=2"])
     def test_trimmed_fronts(self, name, monkeypatch):
