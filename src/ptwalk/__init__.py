@@ -41,13 +41,11 @@ from .errors import (
 from .operators import (
     CoinProfile,
     Lattice,
-    SublatticeForm,
     SymmetryReport,
     WalkOperator,
     WalkSpec,
     build_walk_operator,
     disorder_offset,
-    sublattice_reorder,
     symmetric_frame,
     verify_symmetries,
 )
@@ -66,7 +64,6 @@ from .spectrum import (
     classify_states,
     edge_count_map,
     eigendecompose,
-    localization_length,
     minimum_bulk_quasienergy,
 )
 

@@ -7,8 +7,7 @@ the requested analysis, and writes CSV artifacts next to a
 ``manifest.json`` recording the fully resolved parameters and a sha256
 per artifact.  Identical configurations produce byte-identical
 artifacts: floats are printed with 17 significant digits, lines end in
-LF, thread counts never change results, and manifests contain no
-timestamps.
+LF, and manifests contain no timestamps.
 
 Angles in config files are given in units of pi (``theta1_over_pi =
 0.4`` means 0.4*pi) to keep transcription of fractional-pi parameters
@@ -361,8 +360,7 @@ def _cmd_edge_map(args, cfg, em) -> Run:
     params["gap_tol"] = GAP_TOL
 
     emap = edge_count_map(inner, t1s, t2s, gamma, half_width=half_width,
-                          num_sites=num_sites, window=window,
-                          threads=args.threads, kind=kind)
+                          num_sites=num_sites, window=window, kind=kind)
     em.write("edge_map.csv", write_edge_map_csv, emap)
     result = {
         "counted_cells": int(np.count_nonzero(emap.counted)),
@@ -374,7 +372,7 @@ def _cmd_edge_map(args, cfg, em) -> Run:
 def _sweep_tolerances() -> dict:
     return {
         "tol_im": _perturbation.TOL_IM,
-        "edge_band": _perturbation.EDGE_BAND,
+        "edge_band": _spectrum.EDGE_BAND,
         "collision_tol": _perturbation.COLLISION_TOL,
         "overlap_coalesced": _perturbation.OVERLAP_COALESCED,
     }
@@ -449,7 +447,7 @@ def _cmd_disorder(args, cfg, em) -> Run:
     params.update(_sweep_tolerances())
 
     ens = disorder_ensemble(spec, theta_r, n_seeds=n_seeds, seed0=seed0,
-                            threads=args.threads, window=window)
+                            window=window)
     em.write("disorder.csv", write_disorder_csv, ens)
     result = {
         "fraction_all_real": ens.fraction_all_real,
@@ -771,7 +769,6 @@ subcommands:
 
 options:
   --out <prefix>   output path prefix for artifacts (default: ./)
-  --threads <n>    worker threads where supported (never changes results)
   --config <path>  INI config: [walk] section plus one per subcommand
                    (every subcommand but reproduce)
   --seed <n>       disorder seed; seed0 for disorder (spectrum, delta-sweep,
@@ -799,7 +796,6 @@ def _build_parser(subcommand: str) -> _Parser:
     if subcommand == "reproduce":
         parser.add_argument("figure")
     parser.add_argument("--out", default="")
-    parser.add_argument("--threads", type=int, default=1)
     for flag, options, commands in FLAGS:
         if subcommand in commands:
             parser.add_argument(flag, **options)
@@ -818,8 +814,6 @@ def _dispatch(argv: list[str]) -> int:
         known = ", ".join(sorted([*HANDLERS, "reproduce"]))
         raise CliError(f"unknown subcommand {subcommand!r}; known: {known}")
     args = _build_parser(subcommand).parse_args(rest)
-    if args.threads < 1:
-        raise CliError("--threads must be positive")
     if subcommand == "reproduce":
         return _cmd_reproduce(args)
     em = Emitter(args.out)

@@ -58,6 +58,9 @@ DEFAULT_COIN = (1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
 RESCALE_LIMIT = 1e120
 PERSISTENCE_THRESHOLD = 0.05
 PERSISTENCE_RANGE = (12, 24)
+BACKGROUND_BINS = 64   # bins around a candidate peak that set its background
+MERGE_BINS = 3         # peaks this close collapse to the strongest
+MATCH_BINS = 2.0       # peak-to-family distance that still names the peak
 GAP_REGIME_SPLIT = 0.07 * math.pi  # eps_m below this counts as a small gap
 
 FAMILY_NAMES = ("omega_delta", "2omega_delta", "pi-2omega_delta",
@@ -354,21 +357,20 @@ class Mode:
 
 
 def detect_modes(fspec: FourierSpectrum, omega_delta_hint: float | None = None,
-                 kappa: float = 6.0, background_bins: int = 64,
-                 merge_bins: int = 3, match_bins: float = 2.0) -> list[Mode]:
+                 kappa: float = 6.0) -> list[Mode]:
     """Find and name the peaks of ``|c(omega)|`` over ``0 < omega <= pi``.
 
     A bin is a peak when it is a local maximum exceeding the local
     background by ``kappa`` interquartile ranges above the median,
-    measured over ``background_bins`` surrounding bins with the
+    measured over ``BACKGROUND_BINS`` surrounding bins with the
     omega = 0 and omega = pi bins left out of the statistics (they
     carry the mean and the ever-present alternating component and
     would poison the quartiles).  Neighboring survivors within
-    ``merge_bins`` collapse to the strongest one.
+    ``MERGE_BINS`` collapse to the strongest one.
 
     Naming needs the expected splitting: with no
     ``omega_delta_hint`` only ``pi`` and ``other`` can be assigned.  A
-    peak within ``match_bins`` bins of a target gets its name, with pi
+    peak within ``MATCH_BINS`` bins of a target gets its name, with pi
     checked first; everything else is ``other``, which is where
     unprotected impurity beats land by design rather than stretching
     them onto the nearest named family.
@@ -377,7 +379,7 @@ def detect_modes(fspec: FourierSpectrum, omega_delta_hint: float | None = None,
     m = absc.size
     half = m // 2
     excluded = {0, half}
-    spread = background_bins // 2
+    spread = BACKGROUND_BINS // 2
 
     candidates = [i for i in range(1, half + 1)
                   if absc[i] >= absc[i - 1] and absc[i] >= absc[i + 1]]
@@ -392,13 +394,13 @@ def detect_modes(fspec: FourierSpectrum, omega_delta_hint: float | None = None,
 
     merged: list[int] = []
     for i in peaks:
-        if merged and i - merged[-1] <= merge_bins:
+        if merged and i - merged[-1] <= MERGE_BINS:
             if absc[i] > absc[merged[-1]]:
                 merged[-1] = i
         else:
             merged.append(i)
 
-    slack = match_bins * fspec.bin_width
+    slack = MATCH_BINS * fspec.bin_width
     targets = {}
     if omega_delta_hint is not None:
         wd = float(omega_delta_hint)
@@ -449,18 +451,18 @@ def predict_mode_families(delta_nu: int, gap_regime: str) -> frozenset:
 
 
 def persistence_parity(trace: EvolutionTrace,
-                       threshold: float = PERSISTENCE_THRESHOLD,
-                       t_range: tuple[int, int] = PERSISTENCE_RANGE):
+                       threshold: float = PERSISTENCE_THRESHOLD):
     """Early-time persistence of the normalized return probability.
 
     An odd number of interface mode pairs leaves a stationary
     component in p0, so its short-time average stays above the
     threshold; an even number lets p0 decay like the bulk background.
-    Returns ("odd" or "even", the measured average).
+    The average runs over the steps in ``PERSISTENCE_RANGE``.  Returns
+    ("odd" or "even", the measured average).
     """
-    t0, t1 = t_range
+    t0, t1 = PERSISTENCE_RANGE
     if trace.steps < t1:
-        raise ValueError(f"trace too short for the {t_range} window")
+        raise ValueError(f"trace too short for the {PERSISTENCE_RANGE} window")
     mean = float(np.mean(trace.p0_normalized[t0:t1 + 1]))
     return ("odd" if mean >= threshold else "even"), mean
 

@@ -404,20 +404,17 @@ def build_walk_operator(spec: WalkSpec) -> WalkOperator:
     # fold left to right from the last-acting factor: the written product
     # G^-1 . S . ... . C(theta1) associates, and so rounds, this way
     factors = [factor(op, arg) for op, arg in reversed(spec.protocol)]
-    m = functools.reduce(operator.matmul, factors)
-    frame = "stepwise"
-    if spec.kind == "three_step_symmetric":
-        half = _coin_blocks(t1 / 2.0)
-        m = half @ m @ half.T
-        frame = "symmetric"
-    return WalkOperator(
+    op = WalkOperator(
         spec=spec,
-        sparse=m.tocsr(),
-        frame=frame,
+        sparse=functools.reduce(operator.matmul, factors).tocsr(),
+        frame="stepwise",
         theta1_eff=t1,
         theta2_first_eff=t2_first,
         theta2_second_eff=t2_second,
     )
+    if spec.kind == "three_step_symmetric":
+        return symmetric_frame(op)
+    return op
 
 
 def symmetric_frame(op: WalkOperator) -> WalkOperator:
@@ -530,53 +527,3 @@ def verify_symmetries(op: WalkOperator, tol: float = 1e-10) -> SymmetryReport:
     checks["chiral"] = SymmetryCheck(res, res < scale)
 
     return SymmetryReport(checks=checks, matrix_norm=norm, tol=tol)
-
-
-@dataclass(frozen=True, eq=False)
-class SublatticeForm:
-    """Walk matrix reordered into even-site and odd-site blocks."""
-
-    matrix: np.ndarray
-    permutation: np.ndarray
-    form: str  # "block_diagonal", "block_off_diagonal" or "none"
-    tau3_residual: float
-
-
-def sublattice_reorder(op: WalkOperator) -> SublatticeForm:
-    """Reorder basis states so even sites come first.
-
-    On a periodic lattice this needs an even number of sites, else the
-    ring frustrates the even/odd split.  ``tau3_residual`` is the
-    relative Frobenius norm of ``tau3 U tau3 + U`` where ``tau3`` is
-    +1 on even and -1 on odd sites; it vanishes exactly when U
-    anticommutes with the sublattice grading, which forces the
-    eigenvalues to close under lambda -> -lambda.
-    """
-    lattice = op.spec.lattice
-    if lattice.boundary == "periodic" and lattice.num_sites % 2:
-        raise ValueError("periodic lattice needs an even number of sites "
-                         "for a consistent even/odd split")
-    x = lattice.positions()
-    even = (x % 2) == 0
-    site_order = np.concatenate([np.where(even)[0], np.where(~even)[0]])
-    perm = np.empty(lattice.dim, dtype=int)
-    perm[0::2] = 2 * site_order
-    perm[1::2] = 2 * site_order + 1
-    m = op.matrix[np.ix_(perm, perm)]
-
-    cut = 2 * int(even.sum())
-    diag_weight = np.count_nonzero(m[:cut, :cut]) + np.count_nonzero(m[cut:, cut:])
-    off_weight = np.count_nonzero(m[:cut, cut:]) + np.count_nonzero(m[cut:, :cut])
-    if off_weight == 0:
-        form = "block_diagonal"
-    elif diag_weight == 0:
-        form = "block_off_diagonal"
-    else:
-        form = "none"
-
-    signs = np.where(even, 1.0, -1.0).repeat(2)
-    res = np.linalg.norm(signs[:, None] * op.matrix * signs[None, :] + op.matrix)
-    tau3_res = float(res / np.linalg.norm(op.matrix))
-    return SublatticeForm(matrix=m, permutation=perm, form=form,
-                          tau3_residual=tau3_res)
-

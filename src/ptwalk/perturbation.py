@@ -11,7 +11,7 @@ uniform jitter.
 
 A sweep point is labelled by a regime:
 
-* ``all_real``: every tracked eigenvalue within ``tol_im`` of the axis.
+* ``all_real``: every tracked eigenvalue within ``TOL_IM`` of the axis.
 * ``at_exceptional``: still real, but two tracked eigenvalues have
   collided and their eigenvectors have coalesced (overlap above 0.9),
   i.e. the grid point sits on the transition itself.  Plain
@@ -23,7 +23,6 @@ A sweep point is labelled by a regime:
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,18 +31,19 @@ from scipy.optimize import linear_sum_assignment
 from .errors import BracketError, TrackingError
 from .ioutil import write_csv
 from .operators import WalkSpec, build_walk_operator
-from .spectrum import DEFAULT_WINDOW, EDGE_BAND, eigendecompose
+from .spectrum import DEFAULT_WINDOW, eigendecompose
 
 TOL_IM = 1e-8          # absolute, |Im lambda| regarded as off the real axis
 JUMP_FACTOR = 10.0     # tracked step may exceed its secant estimate this much
+MAX_INSERTED = 64      # bisection points a sweep may add
+MIN_STEP = 1e-6        # narrowest delta step bisection may create
 COLLISION_TOL = 1e-6   # real-axis eigenvalue collision distance
 OVERLAP_COALESCED = 0.9
 
 EDGE_LIKE = ("edge_zero", "edge_pi", "defective_pair_member")
 
 
-def _edge_eigensystem(spec: WalkSpec, delta: float, window: int,
-                      edge_band: float):
+def _edge_eigensystem(spec: WalkSpec, delta: float, window: int):
     """Eigenvalues and vectors of the interface-localized states at delta."""
     if spec.kind == "two_step":
         raise ValueError("two_step has no delta slot to perturb")
@@ -54,7 +54,7 @@ def _edge_eigensystem(spec: WalkSpec, delta: float, window: int,
     probed = dataclasses.replace(spec, kind=kind, profile=profile)
     result = eigendecompose(build_walk_operator(probed),
                             compute_condition=False, interface_only=True,
-                            window=window, edge_band=edge_band)
+                            window=window)
     selected = result.select(*EDGE_LIKE)
     lams = np.array([p.lam for p in selected], dtype=complex)
     if selected:
@@ -64,8 +64,8 @@ def _edge_eigensystem(spec: WalkSpec, delta: float, window: int,
     return lams, vecs
 
 
-def _regime(lams: np.ndarray, vecs: np.ndarray, tol_im: float) -> str:
-    if lams.size and np.max(np.abs(lams.imag)) > tol_im:
+def _regime(lams: np.ndarray, vecs: np.ndarray) -> str:
+    if lams.size and np.max(np.abs(lams.imag)) > TOL_IM:
         return "conjugate_pairs"
     for i in range(lams.size):
         for j in range(i + 1, lams.size):
@@ -99,48 +99,47 @@ class DeltaSweepResult:
         return np.array([p.lams[branch_id] for p in self.points])
 
 
-def delta_sweep(spec: WalkSpec, deltas, window: int = DEFAULT_WINDOW,
-                edge_band: float = EDGE_BAND, tol_im: float = TOL_IM,
-                jump_factor: float = JUMP_FACTOR,
-                max_inserted: int = 64, min_step: float = 1e-6) -> DeltaSweepResult:
+def delta_sweep(spec: WalkSpec, deltas,
+                window: int = DEFAULT_WINDOW) -> DeltaSweepResult:
     """Track interface eigenvalues along a grid of delta values.
 
     Branches are continued by minimum-cost assignment between
     consecutive grid points.  A branch moving more than
-    ``jump_factor`` times its secant estimate, while the regime stays
+    ``JUMP_FACTOR`` times its secant estimate, while the regime stays
     the same, signals a possible identity mixup, and the step is
     bisected (the regime-change step across the exceptional point is
     exempt: eigenvalue motion has a square-root singularity there, so
     a large step is expected, and the conjugate pairing keeps the
     assignment honest).  If bisection cannot resolve a jump above
-    ``min_step`` the sweep raises TrackingError rather than return a
-    possibly scrambled branch history.
+    ``MIN_STEP``, or needs more than ``MAX_INSERTED`` points, the sweep
+    raises TrackingError rather than return a possibly scrambled branch
+    history.
     """
     grid = np.unique(np.asarray(deltas, dtype=float))
     if grid.size < 2:
         raise ValueError("need at least two delta values")
 
-    lams0, vecs0 = _edge_eigensystem(spec, grid[0], window, edge_band)
+    lams0, vecs0 = _edge_eigensystem(spec, grid[0], window)
     if lams0.size == 0:
         raise TrackingError("no interface-localized states at the first delta")
     order = np.lexsort((lams0.imag, lams0.real))
     points = [SweepPoint(delta=float(grid[0]), lams=lams0[order],
-                         regime=_regime(lams0, vecs0, tol_im), inserted=False)]
+                         regime=_regime(lams0, vecs0), inserted=False)]
     n_branches = lams0.size
 
     prev = points[0].lams
     prev_delta = grid[0]
     prev_step: np.ndarray | None = None  # per-branch |move| of last step
     prev_width = None
-    inserted_budget = max_inserted
+    inserted_budget = MAX_INSERTED
 
     pending = list(grid[1:][::-1])  # stack, next target on top
     requested = set(float(d) for d in grid)
     while pending:
         target = pending[-1]
-        lams_new, vecs_new = _edge_eigensystem(spec, target, window, edge_band)
+        lams_new, vecs_new = _edge_eigensystem(spec, target, window)
         if lams_new.size != n_branches:
-            if inserted_budget > 0 and target - prev_delta > min_step:
+            if inserted_budget > 0 and target - prev_delta > MIN_STEP:
                 pending.append((prev_delta + target) / 2.0)
                 inserted_budget -= 1
                 continue
@@ -153,13 +152,13 @@ def delta_sweep(spec: WalkSpec, deltas, window: int = DEFAULT_WINDOW,
         aligned[rows] = lams_new[cols]
         moves = np.abs(aligned - prev)
 
-        regime = _regime(lams_new, vecs_new, tol_im)
+        regime = _regime(lams_new, vecs_new)
         width = target - prev_delta
         if prev_step is not None and regime == points[-1].regime:
             est = prev_step * (width / prev_width) + 1e-12
-            bound = np.maximum(jump_factor * est, 1e-4)
+            bound = np.maximum(JUMP_FACTOR * est, 1e-4)
             if np.any(moves > bound):
-                if inserted_budget > 0 and width > min_step:
+                if inserted_budget > 0 and width > MIN_STEP:
                     pending.append((prev_delta + target) / 2.0)
                     inserted_budget -= 1
                     continue
@@ -193,9 +192,8 @@ class ExceptionalPoint:
 
 
 def find_exceptional_point(spec: WalkSpec, delta_lo: float, delta_hi: float,
-                           tol_delta: float = 5e-4, tol_im: float = TOL_IM,
-                           window: int = DEFAULT_WINDOW,
-                           edge_band: float = EDGE_BAND) -> ExceptionalPoint:
+                           tol_delta: float = 5e-4,
+                           window: int = DEFAULT_WINDOW) -> ExceptionalPoint:
     """Bisect for the delta where interface eigenvalues leave the axis.
 
     The bracket must straddle the transition: all tracked eigenvalues
@@ -206,38 +204,43 @@ def find_exceptional_point(spec: WalkSpec, delta_lo: float, delta_hi: float,
     is assumed; the reported ``coalescence_overlap`` is the overlap of
     the newly paired eigenvectors at the upper end, which approaches 1
     at the exceptional point and certifies a genuine coalescence
-    rather than an ordinary crossing.
+    rather than an ordinary crossing.  Bisection stops once the bracket
+    is narrower than ``tol_delta``, which must be positive, or once its
+    midpoint can no longer be told apart from an end in float64.
     """
     if not delta_lo < delta_hi:
         raise ValueError("need delta_lo < delta_hi")
+    if not tol_delta > 0:
+        raise ValueError(f"tol_delta must be positive, got {tol_delta!r}")
     n_solves = 0
 
     def probe(delta: float):
         nonlocal n_solves
         n_solves += 1
-        lams, vecs = _edge_eigensystem(spec, delta, window, edge_band)
+        lams, vecs = _edge_eigensystem(spec, delta, window)
         max_im = float(np.max(np.abs(lams.imag))) if lams.size else 0.0
         return max_im, lams, vecs
 
     max_im, _, _ = probe(delta_lo)
-    if max_im > tol_im:
+    if max_im > TOL_IM:
         raise BracketError(
             f"interface eigenvalues already complex at delta={delta_lo:.6g} "
             f"(max |Im lambda| = {max_im:.3e}); move the lower end down")
     max_im, lams_hi, vecs_hi = probe(delta_hi)
-    if max_im <= tol_im:
+    if max_im <= TOL_IM:
         raise BracketError(
             f"interface eigenvalues still real at delta={delta_hi:.6g}; "
             "move the upper end up")
 
     lo, hi = delta_lo, delta_hi
-    while hi - lo > tol_delta:
-        mid = (lo + hi) / 2.0
+    mid = (lo + hi) / 2.0
+    while hi - lo > tol_delta and lo < mid < hi:
         max_im, lams, vecs = probe(mid)
-        if max_im > tol_im:
+        if max_im > TOL_IM:
             hi, lams_hi, vecs_hi = mid, lams, vecs
         else:
             lo = mid
+        mid = (lo + hi) / 2.0
 
     # the newborn pair: largest |Im| eigenvalue and its conjugate partner
     i = int(np.argmax(np.abs(lams_hi.imag)))
@@ -276,41 +279,34 @@ class DisorderEnsemble:
 
 def disorder_ensemble(spec: WalkSpec, theta_r: float, n_seeds: int = 32,
                       seed0: int = 0, seeds=None, threads: int = 1,
-                      window: int = DEFAULT_WINDOW,
-                      edge_band: float = EDGE_BAND,
-                      tol_im: float = TOL_IM) -> DisorderEnsemble:
+                      window: int = DEFAULT_WINDOW) -> DisorderEnsemble:
     """Interface eigenvalue reality across disorder realizations.
 
     Every realization is keyed by its seed alone, so ensembles are
-    reproducible elementwise and threading cannot change any draw.
-    ``spec`` should carry the wanted ``delta``; its kind is switched
-    to the disordered protocol here.
+    reproducible elementwise.  ``seeds`` defaults to ``n_seeds``
+    consecutive seeds from ``seed0`` and must not be empty.
+    Realizations run one after another.  ``threads`` is accepted and
+    ignored: ARPACK and SuperLU hold the GIL, so threads cannot overlap
+    the solves.  ``spec`` should carry the wanted ``delta``; its kind is
+    switched to the disordered protocol here.
     """
     if seeds is None:
         seeds = range(seed0, seed0 + n_seeds)
     seeds = list(seeds)
-    records: list[DisorderRecord | None] = [None] * len(seeds)
-
-    def run(item):
-        pos, seed = item
+    if not seeds:
+        raise ValueError("a disorder ensemble needs at least one seed")
+    records = []
+    for seed in seeds:
         profile = dataclasses.replace(spec.profile,
                                       disorder_amplitude=theta_r,
                                       disorder_seed=int(seed))
         probed = dataclasses.replace(
             spec, kind="three_step_perturbed_disordered", profile=profile)
-        lams, vecs = _edge_eigensystem(probed, profile.delta, window, edge_band)
+        lams, vecs = _edge_eigensystem(probed, profile.delta, window)
         max_im = float(np.max(np.abs(lams.imag))) if lams.size else 0.0
-        records[pos] = DisorderRecord(
+        records.append(DisorderRecord(
             seed=int(seed), theta_r=theta_r, max_im_lambda_edge=max_im,
-            regime=_regime(lams, vecs, tol_im))
-
-    items = list(enumerate(seeds))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, items))
-    else:
-        for item in items:
-            run(item)
+            regime=_regime(lams, vecs)))
     return DisorderEnsemble(spec=spec, theta_r=theta_r, records=records)
 
 

@@ -18,7 +18,11 @@ Localization means at least half of the state's probability within
 ``window`` sites of an interface.  The default window of 10 sites
 suits tightly bound interface modes; weakly confined ones (decay
 lengths of tens of sites near a small bulk gap) need a wider window,
-which is why it is a parameter and not a constant.
+which is why it is a parameter.  The other classification thresholds
+(``TOL_EDGE``, ``TOL_REAL``, ``EDGE_BAND``, ``PAIR_TOL`` and
+``COND_THRESHOLD``) are module constants, which the manifests of
+the command line record.  ``EDGE_BAND`` also sizes the interface
+window below, so the window and the classification cannot disagree.
 
 :func:`eigendecompose` has two solver paths.  The default is a dense
 ``scipy.linalg.eig`` of the whole matrix.  ``interface_only=True``
@@ -32,7 +36,6 @@ computed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,24 +137,9 @@ def _fit_localization(prob: np.ndarray, lattice: Lattice,
                            reliable=r2 >= 0.9)
 
 
-def localization_length(pair: Eigenpair, lattice: Lattice) -> LocalizationFit:
-    """Standalone localization fit for a non-bulk eigenpair."""
-    if pair.classification == "bulk":
-        raise ValueError("localization length of a bulk state is meaningless")
-    prob = _site_probability(pair.vector)
-    fit = _fit_localization(prob, lattice, int(np.argmax(prob)))
-    if fit is None:
-        raise ValueError("too few sites above a tenth of the peak to fit")
-    return fit
-
-
 def classify_states(evals: np.ndarray, vectors: np.ndarray, spec: WalkSpec,
                     eig_conditions: np.ndarray | None = None,
-                    window: int = DEFAULT_WINDOW,
-                    tol_edge: float = TOL_EDGE,
-                    tol_real: float = TOL_REAL,
-                    edge_band: float = EDGE_BAND,
-                    pair_tol: float = PAIR_TOL) -> SpectrumResult:
+                    window: int = DEFAULT_WINDOW) -> SpectrumResult:
     """Sort raw eigenpairs into the five state classes.
 
     ``vectors`` holds one unit-norm eigenvector per column.  Pairs come
@@ -194,19 +182,19 @@ def classify_states(evals: np.ndarray, vectors: np.ndarray, spec: WalkSpec,
         distpi = np.pi - dist0
         annihilated = abs_lam[i] == 0.0
         im_rel = 0.0 if annihilated else abs(lam.imag) / abs_lam[i]
-        real_eig = im_rel <= tol_real
-        if tol_real / 2 <= im_rel <= 2 * tol_real:
+        real_eig = im_rel <= TOL_REAL
+        if TOL_REAL / 2 <= im_rel <= 2 * TOL_REAL:
             pair.ambiguous = True
 
         if localized:
             if annihilated:
                 # lambda = 0 is no mode of the walk, whatever its Re eps
                 pair.classification = "impurity"
-            elif real_eig or min(dist0, distpi) <= tol_edge:
+            elif real_eig or min(dist0, distpi) <= TOL_EDGE:
                 pair.classification = ("edge_zero" if dist0 <= distpi
                                        else "edge_pi")
-            elif (min(dist0, distpi) <= edge_band
-                  and conj_gap[i] <= pair_tol * max(abs_lam[i], 1.0)):
+            elif (min(dist0, distpi) <= EDGE_BAND
+                  and conj_gap[i] <= PAIR_TOL * max(abs_lam[i], 1.0)):
                 pair.classification = "defective_pair_member"
             else:
                 pair.classification = "impurity"
@@ -238,21 +226,21 @@ def classify_states(evals: np.ndarray, vectors: np.ndarray, spec: WalkSpec,
                           window=window, interfaces=interfaces)
 
 
-def _completeness_radius(gamma: float, edge_band: float = EDGE_BAND) -> float:
+def _completeness_radius(gamma: float) -> float:
     """Distance from +1 (or -1) that holds every edge-like eigenvalue.
 
     On a periodic ring each of G and G^-1 enters a step once with norm
     e^|gamma| and every coin and shift has norm 1, so the spectrum lies
     in the annulus e^-2|gamma| <= |lambda| <= e^2|gamma|.  An edge-like
     state (real, or a defective pair member) has its argument within
-    ``edge_band`` of 0 or pi, and the farthest such point from +-1 is a
-    corner r e^(i edge_band) of that sector with r at either radius.
+    ``EDGE_BAND`` of 0 or pi, and the farthest such point from +-1 is a
+    corner r e^(i EDGE_BAND) of that sector with r at either radius.
     """
-    return max(abs(r * complex(math.cos(edge_band), math.sin(edge_band)) - 1)
+    return max(abs(r * complex(math.cos(EDGE_BAND), math.sin(EDGE_BAND)) - 1)
                for r in (math.exp(-2 * abs(gamma)), math.exp(2 * abs(gamma))))
 
 
-def _interface_window(op: WalkOperator, edge_band: float):
+def _interface_window(op: WalkOperator):
     """Eigenpairs near +1 and -1 from shift-invert ARPACK, or None.
 
     Each side starts at ``WINDOW_K0`` eigenvalues and doubles the count
@@ -265,7 +253,7 @@ def _interface_window(op: WalkOperator, edge_band: float):
     """
     if op.spec.lattice.boundary == "open":
         return None  # S is not invertible, so |lambda| has no lower bound
-    radius = _completeness_radius(op.spec.gamma, edge_band)
+    radius = _completeness_radius(op.spec.gamma)
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, op.dim)
     evals, vectors = [], []
     for sigma in (1.0, -1.0):
@@ -290,7 +278,7 @@ def _interface_window(op: WalkOperator, edge_band: float):
 
 def eigendecompose(op: WalkOperator, compute_condition: bool = True, *,
                    interface_only: bool = False,
-                   **classify_kw) -> SpectrumResult:
+                   window: int = DEFAULT_WINDOW) -> SpectrumResult:
     """Eigendecomposition plus classification.
 
     By default the whole spectrum comes from a dense solve.  Eigenvalue
@@ -308,19 +296,18 @@ def eigendecompose(op: WalkOperator, compute_condition: bool = True, *,
     window alone, and ``eps_m`` is None since the band edge may lie
     outside it.  It needs ``compute_condition=False``.  Where the window
     cannot be trusted the dense path runs instead; ``solver`` on the
-    result says which path answered.
+    result says which path answered.  ``window`` is the localization
+    window of :func:`classify_states`.
     """
     if interface_only and compute_condition:
         raise ValueError("condition numbers need the full eigenvector "
                          "matrix; pass compute_condition=False")
     if interface_only:
-        band = max(classify_kw.get("edge_band", EDGE_BAND),
-                   classify_kw.get("tol_edge", TOL_EDGE))
-        window = _interface_window(op, band)
-        if window is not None:
-            evals, vectors = window
+        found = _interface_window(op)
+        if found is not None:
+            evals, vectors = found
             vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-            result = classify_states(evals, vectors, op.spec, **classify_kw)
+            result = classify_states(evals, vectors, op.spec, window=window)
             result.eps_m = None
             result.solver = "interface"
             return result
@@ -334,7 +321,7 @@ def eigendecompose(op: WalkOperator, compute_condition: bool = True, *,
         except np.linalg.LinAlgError:
             conditions = np.full(evals.shape, np.inf)
     result = classify_states(evals, vectors, op.spec,
-                             eig_conditions=conditions, **classify_kw)
+                             eig_conditions=conditions, window=window)
     if interface_only:
         result.solver = "dense-fallback"
     return result
@@ -366,7 +353,9 @@ def edge_count_map(inner: tuple[float, float], theta1_values, theta2_values,
 
     The inner phase must be gapped (GapClosedError otherwise).  Cells
     whose outer bulk gap is closed are skipped rather than counted,
-    since an interface into a gapless bulk pins nothing.
+    since an interface into a gapless bulk pins nothing.  Cells run
+    one after another.  ``threads`` is accepted and ignored: ARPACK and
+    SuperLU hold the GIL, so threads cannot overlap the solves.
     """
     if not bulk_gap_status(inner[0], inner[1], gamma).gap_open:
         raise GapClosedError("inner bulk phase is gapless")
@@ -377,29 +366,20 @@ def edge_count_map(inner: tuple[float, float], theta1_values, theta2_values,
     counted = np.zeros(n_zero.shape, dtype=bool)
     lattice = Lattice(num_sites=num_sites)
 
-    cells = [(i, j) for i in range(t1s.size) for j in range(t2s.size)]
-
-    def fill(cell):
-        i, j = cell
-        status = bulk_gap_status(t1s[i], t2s[j], gamma)
-        if not status.gap_open:
-            return
-        profile = CoinProfile.inner_outer(inner, (t1s[i], t2s[j]), half_width)
-        spec = WalkSpec(kind=kind, lattice=lattice, profile=profile,
-                        gamma=gamma)
-        result = eigendecompose(build_walk_operator(spec),
-                                compute_condition=False, interface_only=True,
-                                window=window)
-        n_zero[i, j] = result.counts["edge_zero"]
-        n_pi[i, j] = result.counts["edge_pi"]
-        counted[i, j] = True
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, cells))
-    else:
-        for cell in cells:
-            fill(cell)
+    for i in range(t1s.size):
+        for j in range(t2s.size):
+            if not bulk_gap_status(t1s[i], t2s[j], gamma).gap_open:
+                continue
+            profile = CoinProfile.inner_outer(inner, (t1s[i], t2s[j]),
+                                              half_width)
+            spec = WalkSpec(kind=kind, lattice=lattice, profile=profile,
+                            gamma=gamma)
+            result = eigendecompose(build_walk_operator(spec),
+                                    compute_condition=False,
+                                    interface_only=True, window=window)
+            n_zero[i, j] = result.counts["edge_zero"]
+            n_pi[i, j] = result.counts["edge_pi"]
+            counted[i, j] = True
     return EdgeCountMap(theta1_values=t1s, theta2_values=t2s, gamma=gamma,
                         n_zero=n_zero, n_pi=n_pi, counted=counted)
 

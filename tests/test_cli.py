@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from ptwalk import cli
+from ptwalk import cli, perturbation
 from ptwalk.cli import main
 
 WALK = """\
@@ -103,12 +103,6 @@ class TestUsageAndErrors:
         payload = error_of(capsys, "spectrum", "--config", cfg)
         assert "[walk] section" in payload["message"]
 
-    def test_threads_must_be_positive(self, capsys, tmp_path):
-        cfg = write_config(tmp_path, WALK)
-        payload = error_of(capsys, "spectrum", "--config", cfg,
-                           "--threads", "0")
-        assert "--threads" in payload["message"]
-
     def test_unknown_figure(self, capsys):
         payload = error_of(capsys, "reproduce", "fig99")
         assert "unknown figure id" in payload["message"]
@@ -120,6 +114,7 @@ class TestUsageAndErrors:
         ("reproduce", "fig2", "--config", "run.ini"),
         ("dispersion", "--sites", "51"),
         ("edge-map", "--seed", "3"),
+        ("spectrum", "--threads", "2"),
     ], ids="_".join)
     def test_inapplicable_flag_rejected(self, capsys, argv):
         payload = error_of(capsys, *argv)
@@ -158,8 +153,7 @@ class TestDispersionCommand:
         cfg = write_config(tmp_path, self.CFG)
         for sub in ("x", "y"):
             run(capsys, "dispersion", "--config", cfg,
-                "--out", f"{tmp_path}/{sub}/", "--threads",
-                "1" if sub == "x" else "3")
+                "--out", f"{tmp_path}/{sub}/")
         for name in ("dispersion.csv", "manifest.json"):
             assert (tmp_path / "x" / name).read_bytes() == \
                 (tmp_path / "y" / name).read_bytes()
@@ -274,6 +268,29 @@ class TestDisorderCommand:
         assert manifest["parameters"]["seed0"] == 7
         rows = (tmp_path / "d" / "disorder.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["7", "8"]
+
+    def test_no_seeds_is_an_error(self, capsys, tmp_path):
+        # an empty ensemble has no fraction to report
+        cfg = write_config(tmp_path, WALK + "[disorder]\ntheta_r = 0.01\n"
+                                            "n_seeds = 0\n")
+        payload = error_of(capsys, "disorder", "--config", cfg,
+                           "--out", f"{tmp_path}/d/")
+        assert payload["error"] == "ValueError"
+        assert "seed" in payload["message"]
+
+
+class TestEpFindCommand:
+    def test_zero_tol_delta_is_an_error(self, capsys, tmp_path, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("probed before checking tol_delta")
+        monkeypatch.setattr(perturbation, "_edge_eigensystem", no_solve)
+        cfg = write_config(tmp_path, WALK + "[ep-find]\ndelta_lo = 0.05\n"
+                                            "delta_hi = 0.08\n"
+                                            "tol_delta = 0\n")
+        payload = error_of(capsys, "ep-find", "--config", cfg,
+                           "--out", f"{tmp_path}/e/")
+        assert payload["error"] == "ValueError"
+        assert "tol_delta" in payload["message"]
 
 
 class TestReproduce:

@@ -11,7 +11,6 @@ from ptwalk.operators import (
     WalkSpec,
     build_walk_operator,
     disorder_offset,
-    sublattice_reorder,
     symmetric_frame,
     verify_symmetries,
 )
@@ -224,25 +223,10 @@ class TestSymmetries:
 
 
 class TestSublattice:
-    def test_three_step_is_off_diagonal(self):
-        form = sublattice_reorder(build_walk_operator(homogeneous_spec()))
-        assert form.form == "block_off_diagonal"
-        assert form.tau3_residual < 1e-15
-
-    def test_two_step_is_diagonal(self):
-        form = sublattice_reorder(
-            build_walk_operator(homogeneous_spec(kind="two_step")))
-        assert form.form == "block_diagonal"
-        assert form.tau3_residual > 0.5
-
     def test_spectrum_closes_under_negation(self):
         op = build_walk_operator(homogeneous_spec(gamma=0.1))
         evals = np.linalg.eigvals(op.matrix)
         # every eigenvalue's negative is also an eigenvalue
         for lam in evals:
             assert np.min(np.abs(evals + lam)) < 1e-10
-
-    def test_periodic_odd_rejected(self):
-        with pytest.raises(ValueError):
-            sublattice_reorder(build_walk_operator(homogeneous_spec(n=31)))
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ptwalk import perturbation
 from ptwalk.errors import BracketError, TrackingError
 from ptwalk.operators import CoinProfile, Lattice, WalkSpec
 from ptwalk.perturbation import (
@@ -137,6 +138,30 @@ class TestExceptionalPoint:
         with pytest.raises(ValueError):
             find_exceptional_point(interface_spec(), 0.08, 0.05)
 
+    @pytest.mark.parametrize("tol_delta", [0.0, -1e-3])
+    def test_rejects_nonpositive_tolerance(self, tol_delta, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("probed before checking tol_delta")
+        monkeypatch.setattr(perturbation, "_edge_eigensystem", no_solve)
+        with pytest.raises(ValueError, match="tol_delta"):
+            find_exceptional_point(interface_spec(), 0.05, 0.08,
+                                   tol_delta=tol_delta)
+
+    def test_bisection_stops_at_float_resolution(self, monkeypatch):
+        # a tolerance below the float spacing must not spin forever
+        # once lo and hi are adjacent floats
+        d_ep = 0.0695
+
+        def fake(spec, delta, window):
+            im = 0.1 if delta > d_ep else 0.0
+            return np.array([1 + im * 1j, 1 - im * 1j]), np.eye(2)
+        monkeypatch.setattr(perturbation, "_edge_eigensystem", fake)
+        ep = find_exceptional_point(interface_spec(), 0.05, 0.08,
+                                    tol_delta=1e-300)
+        assert ep.lower <= d_ep < ep.upper
+        assert ep.upper == np.nextafter(ep.lower, 1.0)
+        assert ep.n_solves < 70
+
 
 class TestDisorderEnsemble:
     def test_seed_keyed_reproducibility(self, base_spec):
@@ -152,6 +177,12 @@ class TestDisorderEnsemble:
         for threads in (2, 4):
             b = disorder_ensemble(base_spec, 0.1, n_seeds=6, threads=threads)
             assert b.records == a.records
+
+    def test_empty_seed_list_rejected(self, base_spec):
+        with pytest.raises(ValueError, match="seed"):
+            disorder_ensemble(base_spec, 0.1, seeds=[])
+        with pytest.raises(ValueError, match="seed"):
+            disorder_ensemble(base_spec, 0.1, n_seeds=0)
 
     def test_seed0_offsets_range(self, base_spec):
         ens = disorder_ensemble(base_spec, 0.01, n_seeds=3, seed0=7)

@@ -12,7 +12,6 @@ from ptwalk.spectrum import (
     _completeness_radius,
     edge_count_map,
     eigendecompose,
-    localization_length,
     minimum_bulk_quasienergy,
     write_spectrum_csv,
     write_state_csv,
@@ -120,14 +119,8 @@ class TestClassification:
 class TestLocalization:
     def test_edge_state_is_tight(self, result_d):
         p = result_d.select("edge_zero")[0]
-        fit = localization_length(p, result_d.spec.lattice)
-        assert 0 < fit.length < 20
-        assert fit.reliable
-
-    def test_bulk_state_rejected(self, result_d):
-        p = result_d.select("bulk")[0]
-        with pytest.raises(ValueError):
-            localization_length(p, result_d.spec.lattice)
+        assert 0 < p.loc_length < 20
+        assert p.loc_reliable
 
 
 class TestEdgeCountMap:
