@@ -64,7 +64,6 @@ from .spectrum import (
     classify_states,
     edge_count_map,
     eigendecompose,
-    minimum_bulk_quasienergy,
 )
 
 __version__ = "0.1.0"

@@ -44,8 +44,6 @@ from .bulk import (
     write_phase_diagram_csv,
 )
 from .dynamics import (
-    PERSISTENCE_RANGE,
-    PERSISTENCE_THRESHOLD,
     dft,
     evolve,
     infer_edge_count,
@@ -352,15 +350,15 @@ def _cmd_edge_map(args, cfg, em) -> Run:
     half_width = sec.take("half_width", int, 50)
     num_sites = sec.take("num_sites", int, 801, override=args.sites)
     window = sec.take("window", int, DEFAULT_WINDOW)
-    kind = sec.take("kind", str, "three_step")
     t1s = _angle_grid(sec, "theta1", 21)
     t2s = _angle_grid(sec, "theta2", 21)
     params = sec.finish()
+    params["kind"] = "three_step"  # the kind the bulk-gap gating fits
     params.update(_spectrum_tolerances())
     params["gap_tol"] = GAP_TOL
 
     emap = edge_count_map(inner, t1s, t2s, gamma, half_width=half_width,
-                          num_sites=num_sites, window=window, kind=kind)
+                          num_sites=num_sites, window=window)
     em.write("edge_map.csv", write_edge_map_csv, emap)
     result = {
         "counted_cells": int(np.count_nonzero(emap.counted)),
@@ -518,18 +516,16 @@ def _cmd_infer_edges(args, cfg, em) -> Run:
     sec = _section(cfg, "infer-edges")
     steps = sec.take("steps", int, 10000, override=args.steps)
     spectrum_sites = sec.take("spectrum_sites", int, 801, override=args.sites)
-    spectrum_window = sec.take("spectrum_window", int, 50)
-    threshold = sec.take("threshold", float, PERSISTENCE_THRESHOLD)
-    kappa = sec.take("kappa", float, 6.0)
     params = sec.finish()
     params["walk"] = _walk_params(spec)
-    params["persistence_t_range"] = list(PERSISTENCE_RANGE)
+    params["spectrum_window"] = _dynamics.COMPANION_WINDOW
+    params["threshold"] = _dynamics.PERSISTENCE_THRESHOLD
+    params["kappa"] = _dynamics.PEAK_KAPPA
+    params["persistence_t_range"] = list(_dynamics.PERSISTENCE_RANGE)
     params["gap_regime_split_over_pi"] = _dynamics.GAP_REGIME_SPLIT / math.pi
 
     report = infer_edge_count(spec, steps=steps,
-                              spectrum_sites=spectrum_sites,
-                              spectrum_window=spectrum_window,
-                              threshold=threshold, kappa=kappa)
+                              spectrum_sites=spectrum_sites)
     em.write("trace.csv", write_trace_csv, report.trace)
     em.write("fourier.csv", write_fourier_csv, report.fourier)
     em.write("modes.csv", _write_modes_csv, report.modes)

@@ -29,12 +29,15 @@ both raw and normalized by the instantaneous total probability (the
 natural choice when gain and loss make the evolution non-unitary).
 Its discrete Fourier transform over ``t = 0..T`` exposes beat
 frequencies between long-lived interface modes; peaks are matched to
-the families ``omega_delta``, ``2omega_delta``, ``pi-2omega_delta``,
-``pi-omega_delta`` and ``pi``, where ``omega_delta`` is the small
+the families of ``MODE_FAMILIES``, where ``omega_delta`` is the small
 quasienergy splitting a perturbation ``delta`` gives the interface
-modes.  Counting which families show up, together with whether p0
-persists at early times, pins down the number of interface mode pairs
-without ever diagonalizing the big system.
+modes.  That one table, a harmonic ``m`` of ``omega_delta`` per family,
+mirrored to ``pi - m omega_delta`` or not, names the detected peaks,
+predicts the families of each edge count and reads the splitting back.
+Counting which harmonics show up, together with whether p0 persists
+at early times, pins down the number of interface mode pairs without
+ever diagonalizing the big system (``DECISIONS``).  The thresholds of
+the inference are module constants.
 
 Site probabilities are frame independent (the symmetric frame differs
 only by a site-local orthogonal rotation), so ``three_step_symmetric``
@@ -61,10 +64,48 @@ PERSISTENCE_RANGE = (12, 24)
 BACKGROUND_BINS = 64   # bins around a candidate peak that set its background
 MERGE_BINS = 3         # peaks this close collapse to the strongest
 MATCH_BINS = 2.0       # peak-to-family distance that still names the peak
+PEAK_KAPPA = 6.0       # IQRs above the background median that make a peak
 GAP_REGIME_SPLIT = 0.07 * math.pi  # eps_m below this counts as a small gap
+COMPANION_WINDOW = 50  # wide: the interface modes can be weakly confined
 
-FAMILY_NAMES = ("omega_delta", "2omega_delta", "pi-2omega_delta",
-                "pi-omega_delta", "pi", "other")
+# family -> (harmonic m, mirrored): the beat sits at m * omega_delta,
+# or at pi - m * omega_delta when mirrored.  Ties between targets go to
+# the earlier family.
+MODE_FAMILIES = {
+    "omega_delta": (1, False),
+    "2omega_delta": (2, False),
+    "pi-2omega_delta": (2, True),
+    "pi-omega_delta": (1, True),
+    "pi": (0, True),
+}
+UNMATCHED = "other"  # a peak that no family target claims
+
+# the harmonics each (delta_nu, gap regime) shows: three pairs beat at
+# both harmonics of the splitting, but a small gap suppresses the
+# second; two pairs beat only at twice it; one pair has nothing to beat
+# against but the alternating pi line
+PREDICTED_HARMONICS = {
+    (1, "large"): {0}, (1, "small"): {0},
+    (2, "large"): {0, 2}, (2, "small"): {0, 2},
+    (3, "large"): {0, 1, 2}, (3, "small"): {0, 1},
+}
+
+# (parity, lowest splitting harmonic seen) -> (candidates, note)
+DECISIONS = {
+    ("odd", 1): ((3,), None),
+    ("odd", 2): ((1, 3), "persistent p0 says odd, but only the doubled "
+                         "splitting family showed up"),
+    ("odd", None): ((1,), None),
+    ("even", 1): ((2, 3), "base splitting family present although p0 decays"),
+    ("even", 2): ((2,), None),
+    ("even", None): ((0, 2), "no splitting families detected"),
+}
+
+
+def _family_target(family: str, omega_delta: float) -> float:
+    """Where ``family`` beats for a splitting of ``omega_delta``."""
+    m, mirrored = MODE_FAMILIES[family]
+    return np.pi - m * omega_delta if mirrored else m * omega_delta
 
 
 @dataclass(eq=False)
@@ -325,27 +366,20 @@ class FourierSpectrum:
     c: np.ndarray
     bin_width: float
     steps: int
-    source: str
 
 
-def dft(trace: EvolutionTrace, source: str = "normalized") -> FourierSpectrum:
-    """Discrete Fourier transform of the return probability.
+def dft(trace: EvolutionTrace) -> FourierSpectrum:
+    """Discrete Fourier transform of the normalized return probability.
 
     Uses all ``T + 1`` samples ``t = 0..T`` on the grid
     ``omega_n = 2 pi n / (T + 1)``.  ``c[0]`` is the (real,
     nonnegative) time average times ``T + 1``.
     """
-    if source == "normalized":
-        p0 = trace.p0_normalized
-    elif source == "raw":
-        p0 = trace.p0_raw
-    else:
-        raise ValueError("source must be 'normalized' or 'raw'")
+    p0 = trace.p0_normalized
     c = np.fft.fft(p0)
     m = p0.size
     return FourierSpectrum(omega=2.0 * np.pi * np.arange(m) / m, c=c,
-                           bin_width=2.0 * np.pi / m, steps=trace.steps,
-                           source=source)
+                           bin_width=2.0 * np.pi / m, steps=trace.steps)
 
 
 @dataclass(frozen=True)
@@ -356,12 +390,12 @@ class Mode:
     index: int
 
 
-def detect_modes(fspec: FourierSpectrum, omega_delta_hint: float | None = None,
-                 kappa: float = 6.0) -> list[Mode]:
+def detect_modes(fspec: FourierSpectrum,
+                 omega_delta_hint: float | None = None) -> list[Mode]:
     """Find and name the peaks of ``|c(omega)|`` over ``0 < omega <= pi``.
 
     A bin is a peak when it is a local maximum exceeding the local
-    background by ``kappa`` interquartile ranges above the median,
+    background by ``PEAK_KAPPA`` interquartile ranges above the median,
     measured over ``BACKGROUND_BINS`` surrounding bins with the
     omega = 0 and omega = pi bins left out of the statistics (they
     carry the mean and the ever-present alternating component and
@@ -369,11 +403,12 @@ def detect_modes(fspec: FourierSpectrum, omega_delta_hint: float | None = None,
     ``MERGE_BINS`` collapse to the strongest one.
 
     Naming needs the expected splitting: with no
-    ``omega_delta_hint`` only ``pi`` and ``other`` can be assigned.  A
-    peak within ``MATCH_BINS`` bins of a target gets its name, with pi
-    checked first; everything else is ``other``, which is where
-    unprotected impurity beats land by design rather than stretching
-    them onto the nearest named family.
+    ``omega_delta_hint`` only the harmonic-0 family ``pi`` and ``other``
+    can be assigned.  A peak within ``MATCH_BINS`` bins of a target gets
+    its family's name, with ``pi`` checked first; everything else is
+    ``other`` (``UNMATCHED``), which is where unprotected impurity beats
+    land by design rather than stretching them onto the nearest named
+    family.
     """
     absc = np.abs(fspec.c)
     m = absc.size
@@ -389,7 +424,7 @@ def detect_modes(fspec: FourierSpectrum, omega_delta_hint: float | None = None,
                   if j not in excluded]
         vals = absc[window]
         q25, q50, q75 = np.percentile(vals, [25, 50, 75])
-        if absc[i] > q50 + kappa * (q75 - q25):
+        if absc[i] > q50 + PEAK_KAPPA * (q75 - q25):
             peaks.append(i)
 
     merged: list[int] = []
@@ -401,62 +436,49 @@ def detect_modes(fspec: FourierSpectrum, omega_delta_hint: float | None = None,
             merged.append(i)
 
     slack = MATCH_BINS * fspec.bin_width
-    targets = {}
+    # the hint-free families are checked first, then the beats
+    fixed = {name: _family_target(name, 0.0)
+             for name, (m, _) in MODE_FAMILIES.items() if m == 0}
+    beats = {}
     if omega_delta_hint is not None:
         wd = float(omega_delta_hint)
-        targets = {
-            "omega_delta": wd,
-            "2omega_delta": 2.0 * wd,
-            "pi-2omega_delta": np.pi - 2.0 * wd,
-            "pi-omega_delta": np.pi - wd,
-        }
+        beats = {name: _family_target(name, wd)
+                 for name, (m, _) in MODE_FAMILIES.items() if m > 0}
 
     modes = []
     for i in merged:
         omega = float(fspec.omega[i])
-        family = "other"
-        if abs(omega - np.pi) <= slack:
-            family = "pi"
-        elif targets:
-            name = min(targets, key=lambda n: abs(omega - targets[n]))
-            if abs(omega - targets[name]) <= slack:
-                family = name
+        family = UNMATCHED
+        for targets in (fixed, beats):
+            if targets:
+                name = min(targets, key=lambda n: abs(omega - targets[n]))
+                if abs(omega - targets[name]) <= slack:
+                    family = name
+                    break
         modes.append(Mode(omega=omega, magnitude=float(absc[i]),
                           family=family, index=i))
     return modes
 
 
 def predict_mode_families(delta_nu: int, gap_regime: str) -> frozenset:
-    """Families expected in the return-probability spectrum.
-
-    With three mode pairs and a large bulk gap all four splitting
-    combinations beat against each other and the alternating pi line
-    is present too.  A small bulk gap suppresses the second harmonic
-    of the splitting, leaving the base family plus pi.  Two pairs
-    beat only at twice the splitting; a single pair has nothing to
-    beat against except the alternating line.
-    """
+    """Families expected in the return-probability spectrum: those of
+    ``MODE_FAMILIES`` whose harmonic ``PREDICTED_HARMONICS`` lists."""
     if delta_nu not in (1, 2, 3):
         raise ValueError("delta_nu must be 1, 2 or 3")
     if gap_regime not in ("large", "small"):
         raise ValueError("gap_regime must be 'large' or 'small'")
-    if delta_nu == 1:
-        return frozenset({"pi"})
-    if delta_nu == 2:
-        return frozenset({"2omega_delta", "pi-2omega_delta", "pi"})
-    if gap_regime == "large":
-        return frozenset({"omega_delta", "2omega_delta", "pi-2omega_delta",
-                          "pi-omega_delta", "pi"})
-    return frozenset({"omega_delta", "pi-omega_delta", "pi"})
+    harmonics = PREDICTED_HARMONICS[delta_nu, gap_regime]
+    return frozenset(name for name, (m, _) in MODE_FAMILIES.items()
+                     if m in harmonics)
 
 
-def persistence_parity(trace: EvolutionTrace,
-                       threshold: float = PERSISTENCE_THRESHOLD):
+def persistence_parity(trace: EvolutionTrace):
     """Early-time persistence of the normalized return probability.
 
     An odd number of interface mode pairs leaves a stationary
-    component in p0, so its short-time average stays above the
-    threshold; an even number lets p0 decay like the bulk background.
+    component in p0, so its short-time average stays above
+    ``PERSISTENCE_THRESHOLD``; an even number lets p0 decay like the
+    bulk background.
     The average runs over the steps in ``PERSISTENCE_RANGE``.  Returns
     ("odd" or "even", the measured average).
     """
@@ -464,7 +486,7 @@ def persistence_parity(trace: EvolutionTrace,
     if trace.steps < t1:
         raise ValueError(f"trace too short for the {PERSISTENCE_RANGE} window")
     mean = float(np.mean(trace.p0_normalized[t0:t1 + 1]))
-    return ("odd" if mean >= threshold else "even"), mean
+    return ("odd" if mean >= PERSISTENCE_THRESHOLD else "even"), mean
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,11 +507,18 @@ class EdgeInference:
     fourier: FourierSpectrum | None = None
 
 
+def _measured_splitting(modes) -> float | None:
+    """The splitting read off the first harmonic-1 mode, an unmirrored
+    one preferred; a mirrored one sits at pi minus the splitting."""
+    for mirrored in (False, True):
+        for m in modes:
+            if MODE_FAMILIES.get(m.family) == (1, mirrored):
+                return float(np.pi - m.omega) if mirrored else m.omega
+    return None
+
+
 def infer_edge_count(spec: WalkSpec, steps: int = 10000,
-                     spectrum_sites: int = 801,
-                     spectrum_window: int = 50,
-                     threshold: float = PERSISTENCE_THRESHOLD,
-                     kappa: float = 6.0) -> EdgeInference:
+                     spectrum_sites: int = 801) -> EdgeInference:
     """Infer the interface mode count difference from dynamics alone.
 
     Runs the long evolution, Fourier-analyzes the normalized return
@@ -497,21 +526,22 @@ def infer_edge_count(spec: WalkSpec, steps: int = 10000,
     the early-time parity.  A companion diagonalization of a modest
     finite system (``spectrum_sites`` sites) supplies the expected
     splitting ``omega_delta`` for naming the families and the bulk
-    gap for the regime; its window is wide by default because the
-    relevant interface modes can be weakly confined.
+    gap for the regime; its window is ``COMPANION_WINDOW`` sites.
 
-    The two signals can disagree when a spectrum is atypical; the
-    result is then flagged ambiguous, with every count consistent
-    with the evidence listed, rather than forced to a single number.
+    ``DECISIONS`` maps the parity and the lowest splitting harmonic
+    among the detected families to the candidate counts.  The two
+    signals can disagree when a spectrum is atypical; the result is
+    then flagged ambiguous, with every count consistent with the
+    evidence listed, rather than forced to a single number.
     """
     trace = evolve(spec, steps=steps)
-    parity, persistence = persistence_parity(trace, threshold=threshold)
+    parity, persistence = persistence_parity(trace)
     fspec = dft(trace)
 
     lattice = Lattice(num_sites=spectrum_sites)
     companion = dataclasses.replace(spec, lattice=lattice)
     result = eigendecompose(build_walk_operator(companion),
-                            compute_condition=False, window=spectrum_window)
+                            compute_condition=False, window=COMPANION_WINDOW)
     eps_m = result.eps_m
     gap_regime = None
     if eps_m is not None:
@@ -520,47 +550,21 @@ def infer_edge_count(spec: WalkSpec, steps: int = 10000,
                   if 1e-4 < abs(p.eps.real) < np.pi / 2]
     hint = min(splittings) if splittings else None
 
-    modes = detect_modes(fspec, omega_delta_hint=hint, kappa=kappa)
+    modes = detect_modes(fspec, omega_delta_hint=hint)
     families = tuple(sorted(set(m.family for m in modes)))
-    wd_like = any(m.family in ("omega_delta", "pi-omega_delta") for m in modes)
-    wd2_like = any(m.family in ("2omega_delta", "pi-2omega_delta")
-                   for m in modes)
-
-    measured = None
-    for m in modes:
-        if m.family == "omega_delta":
-            measured = m.omega
-            break
-        if m.family == "pi-omega_delta" and measured is None:
-            measured = float(np.pi - m.omega)
-
-    notes: list[str] = []
-    if parity == "odd":
-        if wd_like:
-            candidates = (3,)
-        elif wd2_like:
-            candidates = (1, 3)
-            notes.append("persistent p0 says odd, but only the doubled "
-                         "splitting family showed up")
-        else:
-            candidates = (1,)
-    else:
-        if wd2_like and not wd_like:
-            candidates = (2,)
-        elif wd_like:
-            candidates = (2, 3)
-            notes.append("base splitting family present although p0 decays")
-        else:
-            candidates = (0, 2)
-            notes.append("no splitting families detected")
+    harmonics = [MODE_FAMILIES[f][0] for f in families if f in MODE_FAMILIES]
+    lowest = min((h for h in harmonics if h > 0), default=None)
+    candidates, note = DECISIONS[parity, lowest]
+    notes = (note,) if note else ()
 
     ambiguous = len(candidates) != 1
     return EdgeInference(
         delta_nu=candidates[0] if not ambiguous else None,
         candidates=candidates, ambiguous=ambiguous, parity=parity,
         persistence=persistence, families=families, modes=modes,
-        omega_delta_measured=measured, omega_delta_hint=hint, eps_m=eps_m,
-        gap_regime=gap_regime, notes=tuple(notes), trace=trace, fourier=fspec)
+        omega_delta_measured=_measured_splitting(modes), omega_delta_hint=hint,
+        eps_m=eps_m, gap_regime=gap_regime, notes=notes, trace=trace,
+        fourier=fspec)
 
 
 def write_trace_csv(trace: EvolutionTrace, path) -> None:

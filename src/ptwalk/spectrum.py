@@ -327,13 +327,6 @@ def eigendecompose(op: WalkOperator, compute_condition: bool = True, *,
     return result
 
 
-def minimum_bulk_quasienergy(result: SpectrumResult) -> float:
-    """Smallest positive Re eps among bulk states (the upper band floor)."""
-    if result.eps_m is None:
-        raise ValueError("no bulk states with positive quasienergy")
-    return result.eps_m
-
-
 @dataclass(frozen=True, eq=False)
 class EdgeCountMap:
     theta1_values: np.ndarray
@@ -347,15 +340,16 @@ class EdgeCountMap:
 def edge_count_map(inner: tuple[float, float], theta1_values, theta2_values,
                    gamma: float, half_width: int = 50,
                    num_sites: int = 801, window: int = DEFAULT_WINDOW,
-                   threads: int = 1,
-                   kind: str = "three_step") -> EdgeCountMap:
+                   threads: int = 1) -> EdgeCountMap:
     """Count protected interface modes against a grid of outer phases.
 
     The inner phase must be gapped (GapClosedError otherwise).  Cells
     whose outer bulk gap is closed are skipped rather than counted,
-    since an interface into a gapless bulk pins nothing.  Cells run
-    one after another.  ``threads`` is accepted and ignored: ARPACK and
-    SuperLU hold the GIL, so threads cannot overlap the solves.
+    since an interface into a gapless bulk pins nothing.  Every cell is
+    a ``three_step`` walk, the kind whose closed-form bulk gap does the
+    gating.  Cells run one after another.  ``threads`` is accepted and
+    ignored: ARPACK and SuperLU hold the GIL, so threads cannot overlap
+    the solves.
     """
     if not bulk_gap_status(inner[0], inner[1], gamma).gap_open:
         raise GapClosedError("inner bulk phase is gapless")
@@ -372,7 +366,7 @@ def edge_count_map(inner: tuple[float, float], theta1_values, theta2_values,
                 continue
             profile = CoinProfile.inner_outer(inner, (t1s[i], t2s[j]),
                                               half_width)
-            spec = WalkSpec(kind=kind, lattice=lattice, profile=profile,
+            spec = WalkSpec(kind="three_step", lattice=lattice, profile=profile,
                             gamma=gamma)
             result = eigendecompose(build_walk_operator(spec),
                                     compute_condition=False,

@@ -293,6 +293,74 @@ class TestEpFindCommand:
         assert "tol_delta" in payload["message"]
 
 
+class TestEdgeMapCommand:
+    def test_kind_key_rejected(self, capsys, tmp_path):
+        # cells are gated by the three_step bulk gap, so no other kind
+        cfg = write_config(tmp_path, "[edge-map]\n"
+                                     "inner_theta1_over_pi = 0.4\n"
+                                     "inner_theta2_over_pi = 0.1\n"
+                                     "kind = two_step\n")
+        payload = error_of(capsys, "edge-map", "--config", cfg,
+                           "--out", f"{tmp_path}/m/")
+        assert payload["error"] == "CliError"
+        assert "unknown keys in [edge-map]: ['kind']" in payload["message"]
+
+
+INFER = """\
+[walk]
+kind = three_step_perturbed
+num_sites = 801
+layout = left_right
+theta1_a_over_pi = 0.75
+theta2_a_over_pi = 0.05
+theta1_b_over_pi = -0.3333333333333333
+theta2_b_over_pi = 0.0
+delta = 0.05
+[infer-edges]
+steps = 400
+spectrum_sites = 101
+"""
+
+
+@pytest.fixture(scope="module")
+def infer_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("infer")
+    assert main(["infer-edges", "--config", write_config(tmp, INFER),
+                 "--out", f"{tmp}/i/"]) == 0
+    return tmp / "i"
+
+
+class TestInferEdgesCommand:
+    def test_artifact_set(self, infer_dir):
+        names = sorted(p.name for p in infer_dir.iterdir())
+        assert names == ["fourier.csv", "inference.json", "manifest.json",
+                         "modes.csv", "trace.csv"]
+        trace = (infer_dir / "trace.csv").read_text().splitlines()
+        assert len(trace) == 1 + 401
+
+    def test_manifest_records_the_constants(self, infer_dir):
+        manifest = json.loads((infer_dir / "manifest.json").read_text())
+        params = manifest["parameters"]
+        assert params["kappa"] == 6.0
+        assert params["threshold"] == 0.05
+        assert params["spectrum_window"] == 50
+        assert type(params["spectrum_window"]) is int
+        assert params["spectrum_sites"] == 101
+        inference = json.loads((infer_dir / "inference.json").read_text())
+        assert manifest["result"] == inference
+        assert inference["parity"] == "odd"
+
+    @pytest.mark.parametrize("key,value", [
+        ("threshold", "0.05"), ("kappa", "6.0"), ("spectrum_window", "50")])
+    def test_removed_key_rejected(self, capsys, tmp_path, key, value):
+        cfg = write_config(tmp_path, INFER + f"{key} = {value}\n")
+        payload = error_of(capsys, "infer-edges", "--config", cfg,
+                           "--out", f"{tmp_path}/i/")
+        assert payload["error"] == "CliError"
+        assert f"unknown keys in [infer-edges]: ['{key}']" \
+            in payload["message"]
+
+
 class TestReproduce:
     def test_list(self, capsys):
         rc, out, _ = run(capsys, "reproduce", "list")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -10,6 +11,7 @@ from ptwalk.dynamics import (
     DEFAULT_COIN,
     EvolutionTrace,
     FourierSpectrum,
+    Mode,
     detect_modes,
     dft,
     evolve,
@@ -295,19 +297,12 @@ class TestDft:
         assert fspec.c[0].imag == 0.0
         assert fspec.c[0].real == pytest.approx(trace64.p0_normalized.sum())
 
-    def test_sources(self, trace64):
-        raw = dft(trace64, source="raw")
-        assert raw.source == "raw"
-        assert raw.c[0].real == pytest.approx(trace64.p0_raw.sum())
-        with pytest.raises(ValueError):
-            dft(trace64, source="rescaled")
-
 
 def synthetic_fspec(signal):
     m = signal.size
     return FourierSpectrum(omega=2.0 * PI * np.arange(m) / m,
                            c=np.fft.fft(signal), bin_width=2.0 * PI / m,
-                           steps=m - 1, source="normalized")
+                           steps=m - 1)
 
 
 class TestDetectModes:
@@ -415,8 +410,7 @@ class TestInference:
 
     def infer(self, left, right):
         spec = split_spec(left, right, delta=0.05)
-        return infer_edge_count(spec, steps=2000, spectrum_sites=301,
-                                spectrum_window=50)
+        return infer_edge_count(spec, steps=2000, spectrum_sites=301)
 
     def test_three_pairs_large_gap(self):
         inf = self.infer(self.LEFT_LG, (-PI / 3, 0.0))
@@ -455,6 +449,74 @@ class TestInference:
         assert inf.delta_nu is None
         assert inf.candidates == (1, 3)
         assert inf.notes
+
+
+def ladder(parity, families):
+    """The decision as an if/else ladder over the detected families."""
+    wd_like = bool(families & {"omega_delta", "pi-omega_delta"})
+    wd2_like = bool(families & {"2omega_delta", "pi-2omega_delta"})
+    notes = []
+    if parity == "odd":
+        if wd_like:
+            candidates = (3,)
+        elif wd2_like:
+            candidates = (1, 3)
+            notes.append("persistent p0 says odd, but only the doubled "
+                         "splitting family showed up")
+        else:
+            candidates = (1,)
+    else:
+        if wd2_like and not wd_like:
+            candidates = (2,)
+        elif wd_like:
+            candidates = (2, 3)
+            notes.append("base splitting family present although p0 decays")
+        else:
+            candidates = (0, 2)
+            notes.append("no splitting families detected")
+    return candidates, tuple(notes)
+
+
+FAMILIES = ("omega_delta", "2omega_delta", "pi-2omega_delta",
+            "pi-omega_delta", "pi", "other")
+DETECTED = [set(subset) for r in range(len(FAMILIES) + 1)
+            for subset in itertools.combinations(FAMILIES, r)]
+
+
+class TestDecision:
+    """The parity and the detected families alone set the candidates;
+    the evolution and the peak search are replaced by fakes."""
+
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    @pytest.mark.parametrize("detected", DETECTED,
+                             ids=["+".join(sorted(d)) or "none"
+                                  for d in DETECTED])
+    def test_matches_ladder(self, monkeypatch, parity, detected):
+        modes = [Mode(omega=0.1 * (i + 1), magnitude=1.0, family=f, index=i)
+                 for i, f in enumerate(sorted(detected))]
+        monkeypatch.setattr(dynamics, "evolve",
+                            lambda spec, steps: fake_trace(np.zeros(31)))
+        monkeypatch.setattr(dynamics, "persistence_parity",
+                            lambda trace: (parity, 0.0))
+        monkeypatch.setattr(dynamics, "detect_modes",
+                            lambda fspec, omega_delta_hint: modes)
+        spec = split_spec((0.75 * PI, 0.05 * PI), (-PI / 3, 0.0), 0.05)
+        inf = infer_edge_count(spec, steps=30, spectrum_sites=21)
+        candidates, notes = ladder(parity, detected)
+        assert inf.candidates == candidates
+        assert inf.notes == notes
+        assert inf.ambiguous == (len(candidates) > 1)
+        assert inf.delta_nu == (None if inf.ambiguous else candidates[0])
+        assert set(inf.families) == detected
+
+    def test_measured_splitting_prefers_the_base_family(self):
+        modes = [Mode(0.9 * PI, 1.0, "pi-omega_delta", 1),
+                 Mode(0.2, 1.0, "omega_delta", 2),
+                 Mode(0.3, 1.0, "omega_delta", 3)]
+        assert dynamics._measured_splitting(modes) == 0.2
+        assert dynamics._measured_splitting(modes[:1]) == \
+            pytest.approx(0.1 * PI)
+        assert dynamics._measured_splitting([]) is None
 
 
 class TestCsv:

@@ -12,7 +12,6 @@ from ptwalk.spectrum import (
     _completeness_radius,
     edge_count_map,
     eigendecompose,
-    minimum_bulk_quasienergy,
     write_spectrum_csv,
     write_state_csv,
 )
@@ -90,8 +89,7 @@ class TestClassification:
         assert len(zeros) == 6
         assert all(p.classification == "edge_zero" for p in zeros)
 
-    def test_eps_m_matches_helper(self, result_d):
-        assert minimum_bulk_quasienergy(result_d) == result_d.eps_m
+    def test_eps_m_is_the_upper_band_floor(self, result_d):
         assert result_d.eps_m == pytest.approx(0.1469 * PI, abs=5e-4 * PI)
 
     def test_condition_numbers_present(self, result_d):
@@ -123,13 +121,17 @@ class TestLocalization:
         assert p.loc_reliable
 
 
+@pytest.fixture(scope="module")
+def single_cell():
+    return edge_count_map(INNER, [-0.6 * PI], [0.2 * PI], gamma=0.1,
+                          num_sites=301)
+
+
 class TestEdgeCountMap:
-    def test_single_cell_matches_direct_count(self):
-        emap = edge_count_map(INNER, [-0.6 * PI], [0.2 * PI], gamma=0.1,
-                              num_sites=301)
-        assert emap.counted[0, 0]
-        assert emap.n_zero[0, 0] == 6
-        assert emap.n_pi[0, 0] == 6
+    def test_single_cell_matches_direct_count(self, single_cell):
+        assert single_cell.counted[0, 0]
+        assert single_cell.n_zero[0, 0] == 6
+        assert single_cell.n_pi[0, 0] == 6
 
     def test_gapless_outer_cell_skipped(self):
         emap = edge_count_map(INNER, [0.25 * PI], [0.25 * PI], gamma=0.1,
@@ -141,17 +143,13 @@ class TestEdgeCountMap:
             edge_count_map((0.25 * PI, 0.25 * PI), [0.4 * PI], [0.1 * PI],
                            gamma=0.1, num_sites=301)
 
-    def test_thread_invariance(self):
-        grid1 = [0.9 * PI, -0.2 * PI]
-        grid2 = [0.2 * PI, 0.3 * PI]
-        a = edge_count_map(INNER, grid1, grid2, gamma=0.1, num_sites=201,
-                           half_width=30, threads=1)
-        for threads in (2, 4):
-            b = edge_count_map(INNER, grid1, grid2, gamma=0.1, num_sites=201,
-                               half_width=30, threads=threads)
-            assert np.array_equal(a.n_zero, b.n_zero)
-            assert np.array_equal(a.n_pi, b.n_pi)
-            assert np.array_equal(a.counted, b.counted)
+    def test_thread_invariance(self, single_cell):
+        # threads is accepted and ignored
+        b = edge_count_map(INNER, [-0.6 * PI], [0.2 * PI], gamma=0.1,
+                           num_sites=301, threads=4)
+        assert np.array_equal(single_cell.n_zero, b.n_zero)
+        assert np.array_equal(single_cell.n_pi, b.n_pi)
+        assert np.array_equal(single_cell.counted, b.counted)
 
 
 def _fig5_row_cells():
