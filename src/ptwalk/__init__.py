@@ -14,6 +14,7 @@ from .bulk import (
     PhaseDiagram,
     TopologicalNumber,
     bloch_coefficients,
+    bloch_fold,
     bulk_gap_status,
     dispersion,
     phase_diagram,

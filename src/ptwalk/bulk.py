@@ -1,10 +1,15 @@
-"""Momentum-space analysis of the homogeneous three-step walk.
+"""Momentum-space analysis of translation invariant walks.
 
-For a translation invariant walk the one-step matrix at momentum k can
-be written ``U(k) = d0 - i (d1 sigma1 + d2 sigma2 + d3 sigma3)`` with
-real coefficients ``d0..d3`` satisfying ``d0^2 - d1^2 + d2^2 + d3^2 = 1``
-(the minus sign comes from the gain factor making the walk
-non-unitary).  Everything here derives from those four functions:
+:func:`bloch_fold` takes any walk kind to momentum space: it folds the
+factor table ``operators.PROTOCOLS`` into a 2x2 Bloch matrix per
+momentum and bulk phase and returns its eigenvalues.  The rest of the
+module treats the homogeneous three-step walk in closed form.
+
+For a homogeneous three-step walk the one-step matrix at momentum k
+can be written ``U(k) = d0 - i (d1 sigma1 + d2 sigma2 + d3 sigma3)``
+with real coefficients ``d0..d3`` satisfying
+``d0^2 - d1^2 + d2^2 + d3^2 = 1`` (the minus sign comes from the gain
+factor making the walk non-unitary).  Everything here derives from those four functions:
 eigenvalues ``lambda_pm = d0 +- i sqrt(1 - d0^2)``, the quasienergy
 ``eps = i log lambda``, the gap, and the winding of ``(d2, d3)``.
 
@@ -35,8 +40,10 @@ import numpy as np
 
 from .errors import GapClosedError
 from .ioutil import write_csv
+from .operators import WalkSpec
 
 GAP_TOL = 1e-9
+FOLD_K_POINTS = 10001  # momenta of the default bloch_fold grid over [0, pi]
 
 
 def _cubic_coefficients(theta1: float, theta2: float, gamma: float):
@@ -131,6 +138,53 @@ def dispersion(theta1: float, theta2: float, gamma: float,
         eps_minus=quasienergy(lam_m),
         pt_broken=np.abs(co.d0) > 1.0,
     )
+
+
+def bloch_fold(spec: WalkSpec, k: np.ndarray | None = None) -> np.ndarray:
+    """Eigenvalues of the Bloch matrix ``U(k)`` of each bulk phase of ``spec``.
+
+    Any walk kind: the factors of ``spec.protocol`` act on a 2x2 matrix
+    in turn, the shift as ``diag(e^ik, e^-ik)`` and the coins,
+    reflections and gains as they are.  The phases are the profile's
+    ``_a`` angles and, unless it is homogeneous, its ``_b`` angles, each
+    with the slot angles ``(theta1, theta2 + delta, theta2)``; disorder
+    is left out.  The two eigenvalues come from the trace and the
+    determinant of the product.  Every factor but the shift is real, so
+    ``U(-k)`` is the complex conjugate of ``U(k)``; the default ``k``,
+    ``FOLD_K_POINTS`` momenta over ``[0, pi]``, therefore meets every
+    ``|Re eps|`` of the zone.  Returns shape ``(phases, 2, k.size)``.
+    """
+    if k is None:
+        k = np.linspace(0.0, np.pi, FOLD_K_POINTS)
+    phase = np.exp(1j * np.asarray(k, dtype=float))
+    eg, emg = math.exp(spec.gamma), math.exp(-spec.gamma)
+    diagonals = {("shift", None): (phase, phase.conj()),
+                 ("gain", 1): (eg, emg), ("gain", -1): (emg, eg)}
+    prof = spec.profile
+    phases = [(prof.theta1_a, prof.theta2_a)]
+    if prof.layout != "homogeneous":
+        phases.append((prof.theta1_b, prof.theta2_b))
+    out = []
+    for theta1, theta2 in phases:
+        angles = (theta1, theta2 + prof.delta, theta2)
+        # rows (a, b) and (c, d) of the product so far
+        a, b, c, d = 1.0, 0.0, 0.0, 1.0
+        for op, arg in spec.protocol:
+            if op in ("shift", "gain"):
+                p, q = diagonals[op, arg]
+                a, b, c, d = p * a, p * b, q * c, q * d
+                continue
+            co, si = math.cos(angles[arg]), math.sin(angles[arg])
+            if op == "coin":
+                a, b, c, d = (co * a - si * c, co * b - si * d,
+                              si * a + co * c, si * b + co * d)
+            else:
+                a, b, c, d = (co * a + si * c, co * b + si * d,
+                              si * a - co * c, si * b - co * d)
+        half = 0.5 * (a + d)
+        root = np.sqrt(half * half - (a * d - b * c))
+        out.append((half + root, half - root))
+    return np.array(out)
 
 
 @dataclass(frozen=True)

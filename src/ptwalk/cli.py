@@ -501,6 +501,7 @@ def _inference_payload(report) -> dict:
         "omega_delta_hint": report.omega_delta_hint,
         "eps_m": report.eps_m,
         "gap_regime": report.gap_regime,
+        "companion_solver": report.companion_solver,
         "notes": list(report.notes),
     }
 

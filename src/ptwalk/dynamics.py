@@ -36,8 +36,12 @@ mirrored to ``pi - m omega_delta`` or not, names the detected peaks,
 predicts the families of each edge count and reads the splitting back.
 Counting which harmonics show up, together with whether p0 persists
 at early times, pins down the number of interface mode pairs without
-ever diagonalizing the big system (``DECISIONS``).  The thresholds of
-the inference are module constants.
+ever diagonalizing the big system (``DECISIONS``).  Two cheap reads
+supply the rest: the gap regime comes from the bulk bands of both
+phases (``bulk.bloch_fold``), and the expected splitting from the
+interface window of a small companion ring, the shift-invert solve of
+``spectrum.eigendecompose``.  The thresholds of the inference are
+module constants.
 
 Site probabilities are frame independent (the symmetric frame differs
 only by a site-local orthogonal rotation), so ``three_step_symmetric``
@@ -53,6 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bulk import bloch_fold, quasienergy
 from .ioutil import write_csv
 from .operators import Lattice, WalkSpec, build_walk_operator
 from .spectrum import eigendecompose
@@ -500,8 +505,9 @@ class EdgeInference:
     modes: list
     omega_delta_measured: float | None
     omega_delta_hint: float | None
-    eps_m: float | None
-    gap_regime: str | None
+    eps_m: float
+    gap_regime: str
+    companion_solver: str
     notes: tuple
     trace: EvolutionTrace | None = None
     fourier: FourierSpectrum | None = None
@@ -523,10 +529,17 @@ def infer_edge_count(spec: WalkSpec, steps: int = 10000,
 
     Runs the long evolution, Fourier-analyzes the normalized return
     probability, and reads the count off the detected families plus
-    the early-time parity.  A companion diagonalization of a modest
-    finite system (``spectrum_sites`` sites) supplies the expected
-    splitting ``omega_delta`` for naming the families and the bulk
-    gap for the regime; its window is ``COMPANION_WINDOW`` sites.
+    the early-time parity.  The expected splitting ``omega_delta`` that
+    names the families is the smallest defective-pair splitting of a
+    companion ring of ``spectrum_sites`` sites, read from its interface
+    window (``interface_only=True``, localization window
+    ``COMPANION_WINDOW`` sites); defective pairs lie inside that window
+    by construction.  ``companion_solver`` records the path that
+    answered, ``"interface"`` or ``"dense-fallback"``.  ``eps_m`` is
+    the bulk band floor, the smallest ``|Re eps|`` of either phase over
+    the ``bulk.bloch_fold`` momentum grid; below ``GAP_REGIME_SPLIT``
+    the gap regime is ``"small"``.  It does not depend on the size of
+    the companion ring.
 
     ``DECISIONS`` maps the parity and the lowest splitting harmonic
     among the detected families to the candidate counts.  The two
@@ -538,14 +551,14 @@ def infer_edge_count(spec: WalkSpec, steps: int = 10000,
     parity, persistence = persistence_parity(trace)
     fspec = dft(trace)
 
+    eps_m = float(np.abs(quasienergy(bloch_fold(spec)).real).min())
+    gap_regime = "small" if eps_m < GAP_REGIME_SPLIT else "large"
+
     lattice = Lattice(num_sites=spectrum_sites)
     companion = dataclasses.replace(spec, lattice=lattice)
     result = eigendecompose(build_walk_operator(companion),
-                            compute_condition=False, window=COMPANION_WINDOW)
-    eps_m = result.eps_m
-    gap_regime = None
-    if eps_m is not None:
-        gap_regime = "small" if eps_m < GAP_REGIME_SPLIT else "large"
+                            compute_condition=False, interface_only=True,
+                            window=COMPANION_WINDOW)
     splittings = [abs(p.eps.real) for p in result.select("defective_pair_member")
                   if 1e-4 < abs(p.eps.real) < np.pi / 2]
     hint = min(splittings) if splittings else None
@@ -563,8 +576,8 @@ def infer_edge_count(spec: WalkSpec, steps: int = 10000,
         candidates=candidates, ambiguous=ambiguous, parity=parity,
         persistence=persistence, families=families, modes=modes,
         omega_delta_measured=_measured_splitting(modes), omega_delta_hint=hint,
-        eps_m=eps_m, gap_regime=gap_regime, notes=notes, trace=trace,
-        fourier=fspec)
+        eps_m=eps_m, gap_regime=gap_regime, companion_solver=result.solver,
+        notes=notes, trace=trace, fourier=fspec)
 
 
 def write_trace_csv(trace: EvolutionTrace, path) -> None:

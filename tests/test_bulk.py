@@ -1,13 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from ptwalk.bulk import (
     GAP_TOL,
     bloch_coefficients,
+    bloch_fold,
     bulk_gap_status,
     dispersion,
     phase_diagram,
@@ -17,6 +21,7 @@ from ptwalk.bulk import (
     write_phase_diagram_csv,
 )
 from ptwalk.errors import GapClosedError
+from ptwalk.operators import CoinProfile, Lattice, WalkSpec, build_walk_operator
 
 PI = math.pi
 
@@ -211,6 +216,64 @@ class TestGridOracle:
                     # the cells the grid cannot resolve are gapless cells
                     # whose touching point falls between grid momenta
                     assert not bulk_gap_status(t1, t2, gamma).gap_open
+
+
+def fold_floor(spec):
+    """Smallest |Re eps| over the phases, both bands and the default k."""
+    return float(np.abs(quasienergy(bloch_fold(spec)).real).min())
+
+
+class TestBlochFold:
+    @pytest.mark.parametrize("num_sites", [31, 40])
+    @pytest.mark.parametrize("kind,delta", [("two_step", 0.0),
+                                            ("three_step", 0.0),
+                                            ("three_step_perturbed", 0.05)])
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    def test_matches_periodic_ring(self, num_sites, kind, delta, gamma):
+        # a homogeneous ring of N sites holds exactly the momenta 2 pi n / N
+        profile = CoinProfile.homogeneous(0.3 * PI, -0.15 * PI, delta=delta)
+        spec = WalkSpec(kind=kind, lattice=Lattice(num_sites),
+                        profile=profile, gamma=gamma)
+        dense = scipy.linalg.eigvals(build_walk_operator(spec).matrix)
+        k = 2 * PI * np.arange(num_sites) / num_sites
+        folded = bloch_fold(spec, k).ravel()
+        cost = np.abs(dense[:, None] - folded[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        assert cost[rows, cols].max() < 1e-12
+
+    def test_two_phases(self):
+        profile = CoinProfile.left_right((0.75 * PI, 0.05 * PI), (-PI / 3, 0.0))
+        spec = WalkSpec(kind="three_step", lattice=Lattice(11), profile=profile)
+        k = np.linspace(0.0, PI, 7)
+        assert bloch_fold(spec, k).shape == (2, 2, 7)
+        for side, angles in enumerate([(0.75 * PI, 0.05 * PI), (-PI / 3, 0.0)]):
+            alone = dataclasses.replace(spec,
+                                        profile=CoinProfile.homogeneous(*angles))
+            np.testing.assert_array_equal(bloch_fold(alone, k)[0],
+                                          bloch_fold(spec, k)[side])
+
+    def test_floor_matches_closed_form_gap(self):
+        rng = np.random.default_rng(20241018)
+        checked = 0
+        while checked < 200:
+            t1, t2 = rng.uniform(-PI, PI, 2)
+            gamma = rng.uniform(0.0, 0.3)
+            status = bulk_gap_status(t1, t2, gamma)
+            if not status.gap_open:
+                continue
+            spec = WalkSpec(kind="three_step", lattice=Lattice(11),
+                            profile=CoinProfile.homogeneous(t1, t2), gamma=gamma)
+            assert fold_floor(spec) == pytest.approx(status.gap_zero, abs=1e-5)
+            checked += 1
+
+    @pytest.mark.parametrize("delta,want", [(0.0, 0.150), (0.02, 0.144),
+                                            (0.05, 0.134)])
+    def test_c08_large_gap_floor(self, delta, want):
+        profile = CoinProfile.left_right((0.75 * PI, 0.05 * PI), (-PI / 3, 0.0),
+                                         delta=delta)
+        kind = "three_step_perturbed" if delta else "three_step"
+        spec = WalkSpec(kind=kind, lattice=Lattice(801), profile=profile)
+        assert fold_floor(spec) / PI == pytest.approx(want, abs=0.002)
 
 
 class TestPhaseDiagram:

@@ -350,6 +350,14 @@ class TestInferEdgesCommand:
         assert manifest["result"] == inference
         assert inference["parity"] == "odd"
 
+    def test_gap_regime_on_a_short_companion(self, infer_dir):
+        # every state of the 101-site companion lies within the 50-site
+        # window of an interface; the regime comes from the bulk bands
+        inference = json.loads((infer_dir / "inference.json").read_text())
+        assert inference["gap_regime"] == "large"
+        assert inference["eps_m"] is not None
+        assert inference["companion_solver"] == "interface"
+
     @pytest.mark.parametrize("key,value", [
         ("threshold", "0.05"), ("kappa", "6.0"), ("spectrum_window", "50")])
     def test_removed_key_rejected(self, capsys, tmp_path, key, value):

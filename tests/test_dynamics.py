@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ptwalk import dynamics
+from ptwalk.bulk import bloch_fold, quasienergy
 from ptwalk.dynamics import (
     DEFAULT_COIN,
     EvolutionTrace,
@@ -23,6 +24,7 @@ from ptwalk.dynamics import (
     write_trace_csv,
 )
 from ptwalk.operators import CoinProfile, Lattice, WalkSpec, build_walk_operator
+from ptwalk.spectrum import eigendecompose
 
 PI = math.pi
 INNER = (0.4 * PI, 0.1 * PI)
@@ -449,6 +451,61 @@ class TestInference:
         assert inf.delta_nu is None
         assert inf.candidates == (1, 3)
         assert inf.notes
+
+
+# the c09 / fig12 walks, (gap regime, delta_nu) -> (left, right) angles
+SPLIT_WALKS = {
+    ("large", 3): ((0.75 * PI, 0.05 * PI), (-PI / 3, 0.0)),
+    ("large", 2): ((0.75 * PI, 0.05 * PI), (-PI / 10, 2 * PI / 5)),
+    ("large", 1): ((0.75 * PI, 0.05 * PI), (-PI / 15, 2 * PI / 3)),
+    ("small", 3): ((0.125 * PI, 0.1 * PI), (-PI / 5, -PI / 12)),
+    ("small", 2): ((0.125 * PI, 0.1 * PI), (-PI / 10, 2 * PI / 5)),
+    ("small", 1): ((0.125 * PI, 0.1 * PI), (-PI / 20, -PI / 7)),
+}
+WALK_IDS = [f"{gap}-dnu{nu}" for gap, nu in SPLIT_WALKS]
+
+
+class TestCompanion:
+    """The gap regime comes from the bulk fold and the splitting hint
+    from the interface window of the companion ring."""
+
+    @pytest.mark.parametrize("sites", [101, 301])
+    @pytest.mark.parametrize("walk", SPLIT_WALKS, ids=WALK_IDS)
+    def test_gap_regime_at_any_ring_size(self, walk, sites):
+        # a 101-site ring has no state beyond the 50-site window, and
+        # the lowest bulk state of a 301-site ring sits far above the
+        # band floor of a small-gap walk
+        spec = split_spec(*SPLIT_WALKS[walk], delta=0.05)
+        inf = infer_edge_count(spec, steps=30, spectrum_sites=sites)
+        assert inf.gap_regime == walk[0]
+        floor = np.abs(quasienergy(bloch_fold(spec)).real).min()
+        assert inf.eps_m == floor
+
+    @pytest.mark.parametrize("walk", SPLIT_WALKS, ids=WALK_IDS)
+    def test_window_hint_matches_dense(self, walk):
+        def hint(result):
+            splittings = [abs(p.eps.real)
+                          for p in result.select("defective_pair_member")
+                          if 1e-4 < abs(p.eps.real) < PI / 2]
+            return min(splittings) if splittings else None
+
+        spec = split_spec(*SPLIT_WALKS[walk], delta=0.05)
+        companion = build_walk_operator(
+            dataclasses.replace(spec, lattice=Lattice(201)))
+        dense = eigendecompose(companion, compute_condition=False,
+                               window=dynamics.COMPANION_WINDOW)
+        window = eigendecompose(companion, compute_condition=False,
+                                interface_only=True,
+                                window=dynamics.COMPANION_WINDOW)
+        assert window.solver == "interface"
+        assert window.counts["defective_pair_member"] == \
+            dense.counts["defective_pair_member"]
+        inf = infer_edge_count(spec, steps=30, spectrum_sites=201)
+        assert inf.companion_solver == "interface"
+        if hint(dense) is None:
+            assert inf.omega_delta_hint is None
+        else:
+            assert inf.omega_delta_hint == pytest.approx(hint(dense), rel=1e-9)
 
 
 def ladder(parity, families):
