@@ -2,10 +2,10 @@
 
 Every run reads an optional INI-style config file with a ``[walk]``
 section for the operator recipe plus one section named after the
-subcommand for its numeric controls, applies any flag overrides, runs
-the requested analysis, and writes CSV artifacts next to a
-``manifest.json`` recording the fully resolved parameters and a sha256
-per artifact.  Identical configurations produce byte-identical
+subcommand for its numeric controls (any other section is an error),
+applies any flag overrides, runs the requested analysis, and writes
+CSV artifacts next to a ``manifest.json`` recording the fully resolved
+parameters and a sha256 per artifact.  Identical configurations produce byte-identical
 artifacts: floats are printed with 17 significant digits, lines end in
 LF, and manifests contain no timestamps.
 
@@ -53,7 +53,7 @@ from .dynamics import (
 )
 from .errors import PtwalkError
 from .ioutil import sha256_of, write_csv
-from .operators import WalkSpec, build_walk_operator
+from .operators import CoinProfile, Lattice, WalkSpec, build_walk_operator
 from .perturbation import (
     delta_sweep,
     disorder_ensemble,
@@ -107,7 +107,8 @@ class Section:
 
     ``take`` resolves a key with precedence override > file > default
     and records the resolved value; ``finish`` rejects unknown keys so
-    a typo cannot silently fall back to a default.
+    a typo cannot silently fall back to a default.  ``angle`` is the
+    one place a config value in units of pi becomes radians.
     """
 
     def __init__(self, name: str, items: dict[str, str]):
@@ -132,6 +133,11 @@ class Section:
         self.resolved[key] = value
         return value
 
+    def angle(self, key: str, default=_REQUIRED) -> float:
+        """``take`` for a value in units of pi: records it as given and
+        returns it in radians."""
+        return self.take(key, float, default) * math.pi
+
     def finish(self) -> dict:
         if self.items:
             raise CliError(
@@ -141,7 +147,9 @@ class Section:
 
 def _load_config(path: str | None) -> dict[str, dict[str, str]]:
     """The sections of an INI file as ``{section: {key: raw string}}``."""
-    cp = configparser.ConfigParser(interpolation=None)
+    # no header can name the empty section, so [DEFAULT] is an ordinary
+    # section, rejected as unknown, instead of a source of every key
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     cp.optionxform = str
     if path is not None:
         try:
@@ -157,41 +165,38 @@ def _section(cfg: dict, name: str) -> Section:
     return Section(name, cfg.get(name, {}))
 
 
-def _walk_spec(cfg: dict, args) -> WalkSpec:
+def _walk_spec(cfg: dict, args) -> tuple[WalkSpec, dict]:
+    """The walk of the ``[walk]`` section and its resolved parameters."""
     if "walk" not in cfg:
         raise CliError("this subcommand needs a [walk] section in the config")
-    items = dict(cfg["walk"])
-    if args.sites is not None:
-        items["num_sites"] = str(args.sites)
-    if args.seed is not None:
-        items["disorder_seed"] = str(args.seed)
+    sec = _section(cfg, "walk")
+    kind = sec.take("kind", str)
+    lattice = dict(num_sites=sec.take("num_sites", int, override=args.sites),
+                   boundary=sec.take("boundary", str, "periodic"),
+                   x_min=sec.take("x_min", int, None))
+    layout = sec.take("layout", str, "homogeneous")
+    profile = dict(
+        layout=layout,
+        theta1_a=sec.angle("theta1_a_over_pi"),
+        theta2_a=sec.angle("theta2_a_over_pi"),
+        delta=sec.take("delta", float, 0.0),
+        disorder_amplitude=sec.take("disorder_amplitude", float, 0.0),
+        disorder_seed=sec.take("disorder_seed", int, 0, override=args.seed),
+    )
+    if layout != "homogeneous":
+        profile["theta1_b"] = sec.angle("theta1_b_over_pi")
+        profile["theta2_b"] = sec.angle("theta2_b_over_pi")
+    if layout == "inner_outer":
+        profile["half_width"] = sec.take("half_width", int)
+    gamma = sec.take("gamma", float, 0.0)
+    params = sec.finish()
     try:
-        return WalkSpec.from_config_items(items)
+        spec = WalkSpec(kind=kind, lattice=Lattice(**lattice),
+                        profile=CoinProfile(**profile), gamma=gamma)
     except ValueError as exc:
         raise CliError(f"[walk] {exc}")
-
-
-def _walk_params(spec: WalkSpec) -> dict:
-    p = spec.profile
-    out = {
-        "kind": spec.kind,
-        "num_sites": spec.lattice.num_sites,
-        "boundary": spec.lattice.boundary,
-        "x_min": spec.lattice.x_min,
-        "gamma": spec.gamma,
-        "layout": p.layout,
-        "theta1_a_over_pi": p.theta1_a / math.pi,
-        "theta2_a_over_pi": p.theta2_a / math.pi,
-        "delta": p.delta,
-        "disorder_amplitude": p.disorder_amplitude,
-        "disorder_seed": p.disorder_seed,
-    }
-    if p.layout != "homogeneous":
-        out["theta1_b_over_pi"] = p.theta1_b / math.pi
-        out["theta2_b_over_pi"] = p.theta2_b / math.pi
-    if p.layout == "inner_outer":
-        out["half_width"] = p.half_width
-    return out
+    params["x_min"] = spec.lattice.x_min
+    return spec, params
 
 
 class Emitter:
@@ -253,12 +258,12 @@ def _write_json(payload: dict, path) -> None:
 
 
 def _angle_grid(sec: Section, prefix: str, default_points: int):
-    lo = sec.take(f"{prefix}_min_over_pi", float, -1.0)
-    hi = sec.take(f"{prefix}_max_over_pi", float, 1.0)
+    lo = sec.angle(f"{prefix}_min_over_pi", -1.0)
+    hi = sec.angle(f"{prefix}_max_over_pi", 1.0)
     n = sec.take(f"{prefix}_points", int, default_points)
     if n < 2:
         raise CliError(f"[{sec.name}] {prefix}_points must be at least 2")
-    return np.linspace(lo * math.pi, hi * math.pi, n)
+    return np.linspace(lo, hi, n)
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +279,13 @@ class Run(NamedTuple):
 
 def _cmd_dispersion(args, cfg, em) -> Run:
     sec = _section(cfg, "dispersion")
-    t1 = sec.take("theta1_over_pi", float)
-    t2 = sec.take("theta2_over_pi", float)
+    t1 = sec.angle("theta1_over_pi")
+    t2 = sec.angle("theta2_over_pi")
     gamma = sec.take("gamma", float, 0.0)
     k_res = sec.take("k_res", int, 1024, override=args.k_res)
     params = sec.finish()
 
-    disp = dispersion(t1 * math.pi, t2 * math.pi, gamma, k_res=k_res)
+    disp = dispersion(t1, t2, gamma, k_res=k_res)
     em.write("dispersion.csv", write_dispersion_csv, disp)
     return Run(params, {"pt_broken_fraction": float(np.mean(disp.pt_broken))},
                disp)
@@ -314,7 +319,7 @@ def _spectrum_tolerances() -> dict:
 
 
 def _cmd_spectrum(args, cfg, em) -> Run:
-    spec = _walk_spec(cfg, args)
+    spec, walk = _walk_spec(cfg, args)
     sec = _section(cfg, "spectrum")
     window = sec.take("window", int, DEFAULT_WINDOW)
     states = sec.take("states", str, "none")
@@ -323,7 +328,7 @@ def _cmd_spectrum(args, cfg, em) -> Run:
     if states not in ("none", "nonbulk", "all"):
         raise CliError(f"[spectrum] states must be none, nonbulk or all, "
                        f"got {states!r}")
-    params["walk"] = _walk_params(spec)
+    params["walk"] = walk
     params.update(_spectrum_tolerances())
 
     result = eigendecompose(build_walk_operator(spec),
@@ -338,14 +343,17 @@ def _cmd_spectrum(args, cfg, em) -> Run:
     summary = {
         "counts": dict(result.counts),
         "eps_m": result.eps_m,
+        "near_defective": (sum(p.near_defective for p in result.pairs)
+                           if compute_condition else None),
+        "ambiguous": sum(p.ambiguous for p in result.pairs),
     }
     return Run(params, summary, result)
 
 
 def _cmd_edge_map(args, cfg, em) -> Run:
     sec = _section(cfg, "edge-map")
-    inner = (sec.take("inner_theta1_over_pi", float) * math.pi,
-             sec.take("inner_theta2_over_pi", float) * math.pi)
+    inner = (sec.angle("inner_theta1_over_pi"),
+             sec.angle("inner_theta2_over_pi"))
     gamma = sec.take("gamma", float, 0.0)
     half_width = sec.take("half_width", int, 50)
     num_sites = sec.take("num_sites", int, 801, override=args.sites)
@@ -377,7 +385,7 @@ def _sweep_tolerances() -> dict:
 
 
 def _cmd_delta_sweep(args, cfg, em) -> Run:
-    spec = _walk_spec(cfg, args)
+    spec, walk = _walk_spec(cfg, args)
     sec = _section(cfg, "delta-sweep")
     deltas = sec.take("deltas", _parse_floats, None)
     if deltas is None:
@@ -388,7 +396,7 @@ def _cmd_delta_sweep(args, cfg, em) -> Run:
     window = sec.take("window", int, DEFAULT_WINDOW)
     params = sec.finish()
     params["deltas"] = [float(d) for d in deltas]
-    params["walk"] = _walk_params(spec)
+    params["walk"] = walk
     params["jump_factor"] = _perturbation.JUMP_FACTOR
     params.update(_sweep_tolerances())
 
@@ -410,14 +418,14 @@ def _write_ep_csv(ep, path) -> None:
 
 
 def _cmd_ep_find(args, cfg, em) -> Run:
-    spec = _walk_spec(cfg, args)
+    spec, walk = _walk_spec(cfg, args)
     sec = _section(cfg, "ep-find")
     delta_lo = sec.take("delta_lo", float)
     delta_hi = sec.take("delta_hi", float)
     tol_delta = sec.take("tol_delta", float, 5e-4)
     window = sec.take("window", int, DEFAULT_WINDOW)
     params = sec.finish()
-    params["walk"] = _walk_params(spec)
+    params["walk"] = walk
     params.update(_sweep_tolerances())
 
     ep = find_exceptional_point(spec, delta_lo, delta_hi,
@@ -434,14 +442,14 @@ def _cmd_ep_find(args, cfg, em) -> Run:
 
 
 def _cmd_disorder(args, cfg, em) -> Run:
-    spec = _walk_spec(cfg, args)
+    spec, walk = _walk_spec(cfg, args)
     sec = _section(cfg, "disorder")
     theta_r = sec.take("theta_r", float)
     n_seeds = sec.take("n_seeds", int, 32)
     seed0 = sec.take("seed0", int, 0, override=args.seed)
     window = sec.take("window", int, DEFAULT_WINDOW)
     params = sec.finish()
-    params["walk"] = _walk_params(spec)
+    params["walk"] = walk
     params.update(_sweep_tolerances())
 
     ens = disorder_ensemble(spec, theta_r, n_seeds=n_seeds, seed0=seed0,
@@ -464,7 +472,7 @@ def _take_coin(sec: Section):
 
 
 def _cmd_evolve(args, cfg, em) -> Run:
-    spec = _walk_spec(cfg, args)
+    spec, walk = _walk_spec(cfg, args)
     sec = _section(cfg, "evolve")
     steps = sec.take("steps", int, override=args.steps)
     x0 = sec.take("x0", int, 0)
@@ -472,7 +480,7 @@ def _cmd_evolve(args, cfg, em) -> Run:
     snapshot_times = sec.take("snapshot_times", _parse_ints, [])
     coin = _take_coin(sec)
     params = sec.finish()
-    params["walk"] = _walk_params(spec)
+    params["walk"] = walk
     params["rescale_limit"] = _dynamics.RESCALE_LIMIT
 
     trace = evolve(spec, steps=steps, x0=x0, coin=coin,
@@ -513,12 +521,12 @@ def _write_modes_csv(modes, path) -> None:
 
 
 def _cmd_infer_edges(args, cfg, em) -> Run:
-    spec = _walk_spec(cfg, args)
+    spec, walk = _walk_spec(cfg, args)
     sec = _section(cfg, "infer-edges")
     steps = sec.take("steps", int, 10000, override=args.steps)
     spectrum_sites = sec.take("spectrum_sites", int, 801, override=args.sites)
     params = sec.finish()
-    params["walk"] = _walk_params(spec)
+    params["walk"] = walk
     params["spectrum_window"] = _dynamics.COMPANION_WINDOW
     params["threshold"] = _dynamics.PERSISTENCE_THRESHOLD
     params["kappa"] = _dynamics.PEAK_KAPPA
@@ -813,8 +821,14 @@ def _dispatch(argv: list[str]) -> int:
     args = _build_parser(subcommand).parse_args(rest)
     if subcommand == "reproduce":
         return _cmd_reproduce(args)
+    cfg = _load_config(args.config)
+    unread = set(cfg) - {subcommand}
+    if subcommand in WALK_COMMANDS:
+        unread.discard("walk")
+    if unread:
+        raise CliError(f"unknown sections for {subcommand}: {sorted(unread)}")
     em = Emitter(args.out)
-    run = HANDLERS[subcommand](args, _load_config(args.config), em)
+    run = HANDLERS[subcommand](args, cfg, em)
     em.manifest(subcommand, run.params, run.result)
     return 0
 

@@ -270,49 +270,6 @@ class WalkSpec:
                 t2_second[i] += disorder_offset(seed, xi, SLOT_THETA2_SECOND, amp)
         return t1, t2_first, t2_second
 
-    @classmethod
-    def from_config_items(cls, items: dict[str, str]) -> "WalkSpec":
-        """Build from an already parsed key-value mapping (strings)."""
-        items = dict(items)
-
-        def take(key, conv, default=None):
-            if key in items:
-                return conv(items.pop(key))
-            if default is None:
-                raise ValueError(f"missing key {key!r}")
-            return default
-
-        def angle(key, default=None):
-            val = take(key, float, default)
-            return None if val is None else val * math.pi
-
-        kind = take("kind", str)
-        x_min = int(items.pop("x_min")) if "x_min" in items else None
-        lattice = Lattice(
-            num_sites=take("num_sites", int),
-            boundary=take("boundary", str, "periodic"),
-            x_min=x_min,
-        )
-        layout = take("layout", str, "homogeneous")
-        kwargs = dict(
-            layout=layout,
-            theta1_a=angle("theta1_a_over_pi"),
-            theta2_a=angle("theta2_a_over_pi"),
-            delta=take("delta", float, 0.0),
-            disorder_amplitude=take("disorder_amplitude", float, 0.0),
-            disorder_seed=take("disorder_seed", int, 0),
-        )
-        if layout != "homogeneous":
-            kwargs["theta1_b"] = angle("theta1_b_over_pi")
-            kwargs["theta2_b"] = angle("theta2_b_over_pi")
-        if layout == "inner_outer":
-            kwargs["half_width"] = take("half_width", int)
-        gamma = take("gamma", float, 0.0)
-        if items:
-            raise ValueError(f"unknown keys: {sorted(items)}")
-        return cls(kind=kind, lattice=lattice, profile=CoinProfile(**kwargs),
-                   gamma=gamma)
-
 
 @dataclass(frozen=True, eq=False)
 class WalkOperator:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,6 +6,7 @@ import pytest
 
 from ptwalk import cli, perturbation
 from ptwalk.cli import main
+from ptwalk.operators import CoinProfile, Lattice, WalkSpec
 
 WALK = """\
 [walk]
@@ -97,6 +99,24 @@ class TestUsageAndErrors:
         payload = error_of(capsys, "spectrum", "--config", cfg)
         assert payload["error"] == "CliError"
         assert "no section headers" in payload["message"]
+
+    @pytest.mark.parametrize("command,text,section", [
+        ("spectrum", WALK + "[spectrun]\nwindow = 3\n"
+                            "compute_condition = false\n", "spectrun"),
+        ("dispersion", "[DEFAULT]\ngamma = 0.3\n[dispersion]\n"
+                       "theta1_over_pi = 0.4\ntheta2_over_pi = 0.1\n",
+         "DEFAULT"),
+        ("dispersion", WALK + "[dispersion]\ntheta1_over_pi = 0.4\n"
+                              "theta2_over_pi = 0.1\n", "walk"),
+    ], ids=["misspelled", "default", "walk_for_dispersion"])
+    def test_unknown_section_rejected(self, capsys, tmp_path, command, text,
+                                      section):
+        cfg = write_config(tmp_path, text)
+        payload = error_of(capsys, command, "--config", cfg,
+                           "--out", f"{tmp_path}/o/")
+        assert payload["error"] == "CliError"
+        assert payload["message"] == \
+            f"unknown sections for {command}: ['{section}']"
 
     def test_walk_section_required(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "[spectrum]\nwindow = 5\n")
@@ -222,6 +242,93 @@ class TestSpectrumCommand:
         assert manifest["parameters"]["walk"]["num_sites"] == 51
         rows = (tmp_path / "s" / "spectrum.csv").read_text().splitlines()
         assert len(rows) == 1 + 102
+
+
+    @pytest.mark.parametrize("condition,near_defective",
+                             [("true", 22), ("false", None)])
+    def test_health_counts(self, capsys, tmp_path, condition,
+                           near_defective):
+        # zero coin angles on an open lattice give a nilpotent walk whose
+        # eigenvector matrix is singular: every pair is near defective
+        cfg = write_config(tmp_path, "[walk]\nkind = three_step\n"
+                                     "num_sites = 11\nboundary = open\n"
+                                     "theta1_a_over_pi = 0\n"
+                                     "theta2_a_over_pi = 0\n"
+                                     "[spectrum]\ncompute_condition = "
+                                     f"{condition}\n")
+        rc, _, _ = run(capsys, "spectrum", "--config", cfg,
+                       "--out", f"{tmp_path}/s/")
+        assert rc == 0
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        assert manifest["result"]["near_defective"] == near_defective
+        assert manifest["result"]["ambiguous"] == 0
+
+
+SMALL_WALK = """\
+[walk]
+kind = three_step
+num_sites = 11
+theta1_a_over_pi = 0.671530208
+theta2_a_over_pi = 0.1
+"""
+
+
+class TestWalkSection:
+    def walk_params(self, capsys, tmp_path, text, *flags):
+        cfg = write_config(tmp_path, text + "[spectrum]\n"
+                                            "compute_condition = false\n")
+        rc, _, _ = run(capsys, "spectrum", "--config", cfg,
+                       "--out", f"{tmp_path}/w/", *flags)
+        assert rc == 0
+        manifest = json.loads((tmp_path / "w" / "manifest.json").read_text())
+        return manifest["parameters"]["walk"]
+
+    def test_angle_recorded_as_given(self, capsys, tmp_path):
+        # radians and back would not give the same float
+        assert 0.671530208 * math.pi / math.pi != 0.671530208
+        walk = self.walk_params(capsys, tmp_path, SMALL_WALK)
+        assert walk["theta1_a_over_pi"] == 0.671530208
+        assert walk["theta2_a_over_pi"] == 0.1
+
+    def test_resolved_x_min_recorded(self, capsys, tmp_path):
+        walk = self.walk_params(capsys, tmp_path, SMALL_WALK)
+        assert walk["x_min"] == -5
+        walk = self.walk_params(capsys, tmp_path, SMALL_WALK + "x_min = -2\n")
+        assert walk["x_min"] == -2
+
+    def test_flag_overrides_recorded(self, capsys, tmp_path):
+        walk = self.walk_params(capsys, tmp_path,
+                                SMALL_WALK + "disorder_seed = 1\n",
+                                "--sites", "13", "--seed", "4")
+        assert walk["num_sites"] == 13
+        assert walk["disorder_seed"] == 4
+        assert walk["x_min"] == -6
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("kind = three_step\n", "", "missing key 'kind' in section [walk]"),
+        ("num_sites = 11\n", "num_sites = 11\nbogus = 1\n",
+         "unknown keys in [walk]: ['bogus']"),
+        ("num_sites = 11\n", "num_sites = eleven\n", "[walk] num_sites: "),
+        ("num_sites = 11\n", "num_sites = 1\n",
+         "[walk] need at least two sites"),
+    ], ids=["missing", "unknown", "unparseable", "invalid"])
+    def test_error_wording(self, capsys, tmp_path, old, new, message):
+        cfg = write_config(tmp_path, SMALL_WALK.replace(old, new))
+        payload = error_of(capsys, "spectrum", "--config", cfg,
+                           "--out", f"{tmp_path}/w/")
+        assert payload["error"] == "CliError"
+        assert payload["message"].startswith(message)
+
+    def test_config_rejects_unknown_key(self):
+        items = {"kind": "three_step", "num_sites": "40",
+                 "theta1_a_over_pi": "0.25", "theta2_a_over_pi": "0.5"}
+        no_flags = argparse.Namespace(sites=None, seed=None)
+        spec, _ = cli._walk_spec({"walk": items}, no_flags)
+        assert spec == WalkSpec(
+            kind="three_step", lattice=Lattice(40),
+            profile=CoinProfile.homogeneous(0.25 * math.pi, 0.5 * math.pi))
+        with pytest.raises(cli.CliError, match="bogus"):
+            cli._walk_spec({"walk": {**items, "bogus": "1"}}, no_flags)
 
 
 class TestEvolveCommand:

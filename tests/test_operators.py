@@ -114,14 +114,6 @@ class TestWalkSpec:
             homogeneous_spec(kind="three_step_perturbed",
                              disorder_amplitude=0.1)
 
-    def test_config_rejects_unknown_key(self):
-        items = {"kind": "three_step", "num_sites": "40",
-                 "theta1_a_over_pi": "0.25", "theta2_a_over_pi": "0.5"}
-        assert WalkSpec.from_config_items(items) == homogeneous_spec(
-            theta1=0.25 * PI, theta2=0.5 * PI)
-        with pytest.raises(ValueError, match="bogus"):
-            WalkSpec.from_config_items({**items, "bogus": "1"})
-
     def test_effective_angles_delta_only_on_first_slot(self):
         spec = homogeneous_spec(kind="three_step_perturbed", delta=0.05)
         x = spec.lattice.positions()
