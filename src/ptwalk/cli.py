@@ -3,11 +3,13 @@
 Every run reads an optional INI-style config file with a ``[walk]``
 section for the operator recipe plus one section named after the
 subcommand for its numeric controls (any other section is an error),
-applies any flag overrides, runs the requested analysis, and writes
-CSV artifacts next to a ``manifest.json`` recording the fully resolved
-parameters and a sha256 per artifact.  Identical configurations produce byte-identical
-artifacts: floats are printed with 17 significant digits, lines end in
-LF, and manifests contain no timestamps.
+runs the requested analysis, and writes CSV artifacts next to a
+``manifest.json`` recording the fully resolved parameters and a sha256
+per artifact.  The config file is the only source of a run's settings:
+the command line names the file and the output prefix, nothing else.
+Identical configurations produce byte-identical artifacts: floats are
+printed with 17 significant digits, lines end in LF, and manifests
+contain no timestamps.
 
 Angles in config files are given in units of pi (``theta1_over_pi =
 0.4`` means 0.4*pi) to keep transcription of fractional-pi parameters
@@ -103,10 +105,10 @@ def _parse_ints(raw: str) -> list[int]:
 
 
 class Section:
-    """One config section plus flag overrides, tracked for the manifest.
+    """One config section, tracked for the manifest.
 
-    ``take`` resolves a key with precedence override > file > default
-    and records the resolved value; ``finish`` rejects unknown keys so
+    ``take`` resolves a key from the file or else its default and
+    records the resolved value; ``finish`` rejects unknown keys so
     a typo cannot silently fall back to a default.  ``angle`` is the
     one place a config value in units of pi becomes radians.
     """
@@ -116,11 +118,8 @@ class Section:
         self.items = dict(items)
         self.resolved: dict = {}
 
-    def take(self, key: str, conv, default=_REQUIRED, override=None):
-        if override is not None:
-            self.items.pop(key, None)
-            value = override
-        elif key in self.items:
+    def take(self, key: str, conv, default=_REQUIRED):
+        if key in self.items:
             raw = self.items.pop(key)
             try:
                 value = conv(raw)
@@ -165,13 +164,13 @@ def _section(cfg: dict, name: str) -> Section:
     return Section(name, cfg.get(name, {}))
 
 
-def _walk_spec(cfg: dict, args) -> tuple[WalkSpec, dict]:
+def _walk_spec(cfg: dict) -> tuple[WalkSpec, dict]:
     """The walk of the ``[walk]`` section and its resolved parameters."""
     if "walk" not in cfg:
         raise CliError("this subcommand needs a [walk] section in the config")
     sec = _section(cfg, "walk")
     kind = sec.take("kind", str)
-    lattice = dict(num_sites=sec.take("num_sites", int, override=args.sites),
+    lattice = dict(num_sites=sec.take("num_sites", int),
                    boundary=sec.take("boundary", str, "periodic"),
                    x_min=sec.take("x_min", int, None))
     layout = sec.take("layout", str, "homogeneous")
@@ -181,7 +180,7 @@ def _walk_spec(cfg: dict, args) -> tuple[WalkSpec, dict]:
         theta2_a=sec.angle("theta2_a_over_pi"),
         delta=sec.take("delta", float, 0.0),
         disorder_amplitude=sec.take("disorder_amplitude", float, 0.0),
-        disorder_seed=sec.take("disorder_seed", int, 0, override=args.seed),
+        disorder_seed=sec.take("disorder_seed", int, 0),
     )
     if layout != "homogeneous":
         profile["theta1_b"] = sec.angle("theta1_b_over_pi")
@@ -277,12 +276,12 @@ class Run(NamedTuple):
     data: object   # the analysis result itself
 
 
-def _cmd_dispersion(args, cfg, em) -> Run:
+def _cmd_dispersion(cfg, em) -> Run:
     sec = _section(cfg, "dispersion")
     t1 = sec.angle("theta1_over_pi")
     t2 = sec.angle("theta2_over_pi")
     gamma = sec.take("gamma", float, 0.0)
-    k_res = sec.take("k_res", int, 1024, override=args.k_res)
+    k_res = sec.take("k_res", int, 1024)
     params = sec.finish()
 
     disp = dispersion(t1, t2, gamma, k_res=k_res)
@@ -291,7 +290,7 @@ def _cmd_dispersion(args, cfg, em) -> Run:
                disp)
 
 
-def _cmd_phase_diagram(args, cfg, em) -> Run:
+def _cmd_phase_diagram(cfg, em) -> Run:
     sec = _section(cfg, "phase-diagram")
     t1s = _angle_grid(sec, "theta1", 101)
     t2s = _angle_grid(sec, "theta2", 101)
@@ -318,8 +317,8 @@ def _spectrum_tolerances() -> dict:
     }
 
 
-def _cmd_spectrum(args, cfg, em) -> Run:
-    spec, walk = _walk_spec(cfg, args)
+def _cmd_spectrum(cfg, em) -> Run:
+    spec, walk = _walk_spec(cfg)
     sec = _section(cfg, "spectrum")
     window = sec.take("window", int, DEFAULT_WINDOW)
     states = sec.take("states", str, "none")
@@ -350,23 +349,23 @@ def _cmd_spectrum(args, cfg, em) -> Run:
     return Run(params, summary, result)
 
 
-def _cmd_edge_map(args, cfg, em) -> Run:
+def _cmd_edge_map(cfg, em) -> Run:
     sec = _section(cfg, "edge-map")
     inner = (sec.angle("inner_theta1_over_pi"),
              sec.angle("inner_theta2_over_pi"))
     gamma = sec.take("gamma", float, 0.0)
     half_width = sec.take("half_width", int, 50)
-    num_sites = sec.take("num_sites", int, 801, override=args.sites)
-    window = sec.take("window", int, DEFAULT_WINDOW)
+    num_sites = sec.take("num_sites", int, 801)
     t1s = _angle_grid(sec, "theta1", 21)
     t2s = _angle_grid(sec, "theta2", 21)
     params = sec.finish()
     params["kind"] = "three_step"  # the kind the bulk-gap gating fits
+    params["window"] = DEFAULT_WINDOW
     params.update(_spectrum_tolerances())
     params["gap_tol"] = GAP_TOL
 
     emap = edge_count_map(inner, t1s, t2s, gamma, half_width=half_width,
-                          num_sites=num_sites, window=window)
+                          num_sites=num_sites)
     em.write("edge_map.csv", write_edge_map_csv, emap)
     result = {
         "counted_cells": int(np.count_nonzero(emap.counted)),
@@ -377,6 +376,7 @@ def _cmd_edge_map(args, cfg, em) -> Run:
 
 def _sweep_tolerances() -> dict:
     return {
+        "window": DEFAULT_WINDOW,
         "tol_im": _perturbation.TOL_IM,
         "edge_band": _spectrum.EDGE_BAND,
         "collision_tol": _perturbation.COLLISION_TOL,
@@ -384,8 +384,8 @@ def _sweep_tolerances() -> dict:
     }
 
 
-def _cmd_delta_sweep(args, cfg, em) -> Run:
-    spec, walk = _walk_spec(cfg, args)
+def _cmd_delta_sweep(cfg, em) -> Run:
+    spec, walk = _walk_spec(cfg)
     sec = _section(cfg, "delta-sweep")
     deltas = sec.take("deltas", _parse_floats, None)
     if deltas is None:
@@ -393,14 +393,13 @@ def _cmd_delta_sweep(args, cfg, em) -> Run:
         hi = sec.take("delta_max", float)
         n = sec.take("delta_points", int, 21)
         deltas = np.linspace(lo, hi, n).tolist()
-    window = sec.take("window", int, DEFAULT_WINDOW)
     params = sec.finish()
     params["deltas"] = [float(d) for d in deltas]
     params["walk"] = walk
     params["jump_factor"] = _perturbation.JUMP_FACTOR
     params.update(_sweep_tolerances())
 
-    sweep = delta_sweep(spec, deltas, window=window)
+    sweep = delta_sweep(spec, deltas)
     em.write("delta_sweep.csv", write_delta_sweep_csv, sweep)
     result = {
         "n_branches": sweep.n_branches,
@@ -417,19 +416,17 @@ def _write_ep_csv(ep, path) -> None:
                 ep.n_solves]])
 
 
-def _cmd_ep_find(args, cfg, em) -> Run:
-    spec, walk = _walk_spec(cfg, args)
+def _cmd_ep_find(cfg, em) -> Run:
+    spec, walk = _walk_spec(cfg)
     sec = _section(cfg, "ep-find")
     delta_lo = sec.take("delta_lo", float)
     delta_hi = sec.take("delta_hi", float)
-    tol_delta = sec.take("tol_delta", float, 5e-4)
-    window = sec.take("window", int, DEFAULT_WINDOW)
     params = sec.finish()
     params["walk"] = walk
+    params["tol_delta"] = _perturbation.TOL_DELTA
     params.update(_sweep_tolerances())
 
-    ep = find_exceptional_point(spec, delta_lo, delta_hi,
-                                tol_delta=tol_delta, window=window)
+    ep = find_exceptional_point(spec, delta_lo, delta_hi)
     em.write("exceptional_point.csv", _write_ep_csv, ep)
     result = {
         "delta_ep": ep.delta,
@@ -441,19 +438,23 @@ def _cmd_ep_find(args, cfg, em) -> Run:
     return Run(params, result, ep)
 
 
-def _cmd_disorder(args, cfg, em) -> Run:
-    spec, walk = _walk_spec(cfg, args)
+def _cmd_disorder(cfg, em) -> Run:
+    # every realization draws its own jitter, so the walk's would go unused
+    for key, instead in (("disorder_amplitude", "theta_r"),
+                         ("disorder_seed", "seed0")):
+        if key in cfg.get("walk", {}):
+            raise CliError(f"[walk] {key} is not read by disorder; "
+                           f"set [disorder] {instead} instead")
+    spec, walk = _walk_spec(cfg)
     sec = _section(cfg, "disorder")
     theta_r = sec.take("theta_r", float)
     n_seeds = sec.take("n_seeds", int, 32)
-    seed0 = sec.take("seed0", int, 0, override=args.seed)
-    window = sec.take("window", int, DEFAULT_WINDOW)
+    seed0 = sec.take("seed0", int, 0)
     params = sec.finish()
     params["walk"] = walk
     params.update(_sweep_tolerances())
 
-    ens = disorder_ensemble(spec, theta_r, n_seeds=n_seeds, seed0=seed0,
-                            window=window)
+    ens = disorder_ensemble(spec, theta_r, n_seeds=n_seeds, seed0=seed0)
     em.write("disorder.csv", write_disorder_csv, ens)
     result = {
         "fraction_all_real": ens.fraction_all_real,
@@ -471,12 +472,15 @@ def _take_coin(sec: Section):
     return complex(re_l, im_l), complex(re_r, im_r)
 
 
-def _cmd_evolve(args, cfg, em) -> Run:
-    spec, walk = _walk_spec(cfg, args)
+def _cmd_evolve(cfg, em) -> Run:
+    spec, walk = _walk_spec(cfg)
     sec = _section(cfg, "evolve")
-    steps = sec.take("steps", int, override=args.steps)
+    steps = sec.take("steps", int)
     x0 = sec.take("x0", int, 0)
     window_cap = sec.take("window_cap", int, 0)
+    if window_cap < 0:
+        raise CliError(f"[evolve] window_cap must be 0 (no cap) or "
+                       f"positive, got {window_cap}")
     snapshot_times = sec.take("snapshot_times", _parse_ints, [])
     coin = _take_coin(sec)
     params = sec.finish()
@@ -484,7 +488,7 @@ def _cmd_evolve(args, cfg, em) -> Run:
     params["rescale_limit"] = _dynamics.RESCALE_LIMIT
 
     trace = evolve(spec, steps=steps, x0=x0, coin=coin,
-                   window_cap=window_cap if window_cap > 0 else None,
+                   window_cap=window_cap or None,
                    snapshot_times=snapshot_times)
     em.write("trace.csv", write_trace_csv, trace)
     em.write("fourier.csv", write_fourier_csv, dft(trace))
@@ -520,11 +524,11 @@ def _write_modes_csv(modes, path) -> None:
                for m in modes))
 
 
-def _cmd_infer_edges(args, cfg, em) -> Run:
-    spec, walk = _walk_spec(cfg, args)
+def _cmd_infer_edges(cfg, em) -> Run:
+    spec, walk = _walk_spec(cfg)
     sec = _section(cfg, "infer-edges")
-    steps = sec.take("steps", int, 10000, override=args.steps)
-    spectrum_sites = sec.take("spectrum_sites", int, 801, override=args.sites)
+    steps = sec.take("steps", int, 10000)
+    spectrum_sites = sec.take("spectrum_sites", int, 801)
     params = sec.finish()
     params["walk"] = walk
     params["spectrum_window"] = _dynamics.COMPANION_WINDOW
@@ -740,8 +744,7 @@ def _cmd_reproduce(args) -> int:
     for name, panel in fig.panels.items():
         cfg = {section: {key: str(value) for key, value in items.items()}
                for section, items in panel.config.items()}
-        runs[name] = HANDLERS[fig.command](args, cfg,
-                                           em.renamed(panel.artifacts))
+        runs[name] = HANDLERS[fig.command](cfg, em.renamed(panel.artifacts))
     if len(runs) == 1:
         (run,) = runs.values()
         params, result = run.params, dict(run.result)
@@ -776,37 +779,20 @@ options:
   --out <prefix>   output path prefix for artifacts (default: ./)
   --config <path>  INI config: [walk] section plus one per subcommand
                    (every subcommand but reproduce)
-  --seed <n>       disorder seed; seed0 for disorder (spectrum, delta-sweep,
-                   ep-find, disorder, evolve, infer-edges)
-  --sites <n>      lattice sites (the same six, and edge-map)
-  --steps <n>      time steps (evolve, infer-edges)
-  --k-res <n>      momentum grid resolution (dispersion)
-A flag given to a subcommand that does not read it is an error.
+Every other setting is a config key; any other flag is an error.
 """
 
 WALK_COMMANDS = ("spectrum", "delta-sweep", "ep-find", "disorder", "evolve",
                  "infer-edges")
-# (flag, argparse options, subcommands that read it)
-FLAGS = (
-    ("--config", {}, tuple(HANDLERS)),
-    ("--seed", {"type": int}, WALK_COMMANDS),
-    ("--sites", {"type": int}, WALK_COMMANDS + ("edge-map",)),
-    ("--steps", {"type": int}, ("evolve", "infer-edges")),
-    ("--k-res", {"dest": "k_res", "type": int}, ("dispersion",)),
-)
 
 
 def _build_parser(subcommand: str) -> _Parser:
     parser = _Parser(prog=f"ptwalk {subcommand}", add_help=False)
     if subcommand == "reproduce":
         parser.add_argument("figure")
+    else:
+        parser.add_argument("--config")
     parser.add_argument("--out", default="")
-    for flag, options, commands in FLAGS:
-        if subcommand in commands:
-            parser.add_argument(flag, **options)
-        else:
-            # handlers read every flag; figure panels run with none set
-            parser.set_defaults(**{options.get("dest", flag[2:]): None})
     return parser
 
 
@@ -828,7 +814,7 @@ def _dispatch(argv: list[str]) -> int:
     if unread:
         raise CliError(f"unknown sections for {subcommand}: {sorted(unread)}")
     em = Emitter(args.out)
-    run = HANDLERS[subcommand](args, cfg, em)
+    run = HANDLERS[subcommand](cfg, em)
     em.manifest(subcommand, run.params, run.result)
     return 0
 

@@ -44,9 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-SIGMA0 = np.eye(2)
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 WALK_KINDS = (
     "two_step",

@@ -31,19 +31,20 @@ from scipy.optimize import linear_sum_assignment
 from .errors import BracketError, TrackingError
 from .ioutil import write_csv
 from .operators import WalkSpec, build_walk_operator
-from .spectrum import DEFAULT_WINDOW, eigendecompose
+from .spectrum import eigendecompose
 
 TOL_IM = 1e-8          # absolute, |Im lambda| regarded as off the real axis
 JUMP_FACTOR = 10.0     # tracked step may exceed its secant estimate this much
 MAX_INSERTED = 64      # bisection points a sweep may add
 MIN_STEP = 1e-6        # narrowest delta step bisection may create
+TOL_DELTA = 5e-4       # bracket width at which the EP bisection stops
 COLLISION_TOL = 1e-6   # real-axis eigenvalue collision distance
 OVERLAP_COALESCED = 0.9
 
 EDGE_LIKE = ("edge_zero", "edge_pi", "defective_pair_member")
 
 
-def _edge_eigensystem(spec: WalkSpec, delta: float, window: int):
+def _edge_eigensystem(spec: WalkSpec, delta: float):
     """Eigenvalues and vectors of the interface-localized states at delta."""
     if spec.kind == "two_step":
         raise ValueError("two_step has no delta slot to perturb")
@@ -53,8 +54,7 @@ def _edge_eigensystem(spec: WalkSpec, delta: float, window: int):
     profile = dataclasses.replace(spec.profile, delta=delta)
     probed = dataclasses.replace(spec, kind=kind, profile=profile)
     result = eigendecompose(build_walk_operator(probed),
-                            compute_condition=False, interface_only=True,
-                            window=window)
+                            compute_condition=False, interface_only=True)
     selected = result.select(*EDGE_LIKE)
     lams = np.array([p.lam for p in selected], dtype=complex)
     if selected:
@@ -99,8 +99,7 @@ class DeltaSweepResult:
         return np.array([p.lams[branch_id] for p in self.points])
 
 
-def delta_sweep(spec: WalkSpec, deltas,
-                window: int = DEFAULT_WINDOW) -> DeltaSweepResult:
+def delta_sweep(spec: WalkSpec, deltas) -> DeltaSweepResult:
     """Track interface eigenvalues along a grid of delta values.
 
     Branches are continued by minimum-cost assignment between
@@ -119,7 +118,7 @@ def delta_sweep(spec: WalkSpec, deltas,
     if grid.size < 2:
         raise ValueError("need at least two delta values")
 
-    lams0, vecs0 = _edge_eigensystem(spec, grid[0], window)
+    lams0, vecs0 = _edge_eigensystem(spec, grid[0])
     if lams0.size == 0:
         raise TrackingError("no interface-localized states at the first delta")
     order = np.lexsort((lams0.imag, lams0.real))
@@ -137,7 +136,7 @@ def delta_sweep(spec: WalkSpec, deltas,
     requested = set(float(d) for d in grid)
     while pending:
         target = pending[-1]
-        lams_new, vecs_new = _edge_eigensystem(spec, target, window)
+        lams_new, vecs_new = _edge_eigensystem(spec, target)
         if lams_new.size != n_branches:
             if inserted_budget > 0 and target - prev_delta > MIN_STEP:
                 pending.append((prev_delta + target) / 2.0)
@@ -191,9 +190,8 @@ class ExceptionalPoint:
     n_solves: int
 
 
-def find_exceptional_point(spec: WalkSpec, delta_lo: float, delta_hi: float,
-                           tol_delta: float = 5e-4,
-                           window: int = DEFAULT_WINDOW) -> ExceptionalPoint:
+def find_exceptional_point(spec: WalkSpec, delta_lo: float,
+                           delta_hi: float) -> ExceptionalPoint:
     """Bisect for the delta where interface eigenvalues leave the axis.
 
     The bracket must straddle the transition: all tracked eigenvalues
@@ -205,19 +203,18 @@ def find_exceptional_point(spec: WalkSpec, delta_lo: float, delta_hi: float,
     the newly paired eigenvectors at the upper end, which approaches 1
     at the exceptional point and certifies a genuine coalescence
     rather than an ordinary crossing.  Bisection stops once the bracket
-    is narrower than ``tol_delta``, which must be positive, or once its
-    midpoint can no longer be told apart from an end in float64.
+    is narrower than ``TOL_DELTA``, or once its midpoint can no longer
+    be told apart from an end in float64 (far from zero, adjacent
+    floats lie farther apart than ``TOL_DELTA``).
     """
     if not delta_lo < delta_hi:
         raise ValueError("need delta_lo < delta_hi")
-    if not tol_delta > 0:
-        raise ValueError(f"tol_delta must be positive, got {tol_delta!r}")
     n_solves = 0
 
     def probe(delta: float):
         nonlocal n_solves
         n_solves += 1
-        lams, vecs = _edge_eigensystem(spec, delta, window)
+        lams, vecs = _edge_eigensystem(spec, delta)
         max_im = float(np.max(np.abs(lams.imag))) if lams.size else 0.0
         return max_im, lams, vecs
 
@@ -234,7 +231,7 @@ def find_exceptional_point(spec: WalkSpec, delta_lo: float, delta_hi: float,
 
     lo, hi = delta_lo, delta_hi
     mid = (lo + hi) / 2.0
-    while hi - lo > tol_delta and lo < mid < hi:
+    while hi - lo > TOL_DELTA and lo < mid < hi:
         max_im, lams, vecs = probe(mid)
         if max_im > TOL_IM:
             hi, lams_hi, vecs_hi = mid, lams, vecs
@@ -278,8 +275,8 @@ class DisorderEnsemble:
 
 
 def disorder_ensemble(spec: WalkSpec, theta_r: float, n_seeds: int = 32,
-                      seed0: int = 0, seeds=None, threads: int = 1,
-                      window: int = DEFAULT_WINDOW) -> DisorderEnsemble:
+                      seed0: int = 0, seeds=None,
+                      threads: int = 1) -> DisorderEnsemble:
     """Interface eigenvalue reality across disorder realizations.
 
     Every realization is keyed by its seed alone, so ensembles are
@@ -302,7 +299,7 @@ def disorder_ensemble(spec: WalkSpec, theta_r: float, n_seeds: int = 32,
                                       disorder_seed=int(seed))
         probed = dataclasses.replace(
             spec, kind="three_step_perturbed_disordered", profile=profile)
-        lams, vecs = _edge_eigensystem(probed, profile.delta, window)
+        lams, vecs = _edge_eigensystem(probed, profile.delta)
         max_im = float(np.max(np.abs(lams.imag))) if lams.size else 0.0
         records.append(DisorderRecord(
             seed=int(seed), theta_r=theta_r, max_im_lambda_edge=max_im,

@@ -18,7 +18,9 @@ Localization means at least half of the state's probability within
 ``window`` sites of an interface.  The default window of 10 sites
 suits tightly bound interface modes; weakly confined ones (decay
 lengths of tens of sites near a small bulk gap) need a wider window,
-which is why it is a parameter.  The other classification thresholds
+which is why :func:`eigendecompose` takes it.  The interface probes
+(:func:`edge_count_map` and those of ``ptwalk.perturbation``) always
+use ``DEFAULT_WINDOW``.  The other classification thresholds
 (``TOL_EDGE``, ``TOL_REAL``, ``EDGE_BAND``, ``PAIR_TOL`` and
 ``COND_THRESHOLD``) are module constants, which the manifests of
 the command line record.  ``EDGE_BAND`` also sizes the interface
@@ -66,7 +68,6 @@ class Eigenpair:
     classification: str = "bulk"
     loc_center: float | None = None
     loc_length: float | None = None
-    loc_fit_r2: float | None = None
     loc_reliable: bool | None = None
     eig_condition: float | None = None
     near_defective: bool = False
@@ -106,7 +107,6 @@ def _interface_distance(lattice: Lattice, interfaces) -> np.ndarray:
 @dataclass(frozen=True)
 class LocalizationFit:
     length: float
-    r2: float
     reliable: bool
 
 
@@ -127,14 +127,13 @@ def _fit_localization(prob: np.ndarray, lattice: Lattice,
         return None
     slope, intercept = np.polyfit(d[mask], np.log(prob[mask]), 1)
     if slope >= 0:
-        return LocalizationFit(length=np.inf, r2=0.0, reliable=False)
+        return LocalizationFit(length=np.inf, reliable=False)
     fitted = slope * d[mask] + intercept
     resid = np.log(prob[mask]) - fitted
     total = np.log(prob[mask]) - np.log(prob[mask]).mean()
     denom = float(total @ total)
     r2 = 1.0 - float(resid @ resid) / denom if denom > 0 else 0.0
-    return LocalizationFit(length=float(-1.0 / slope), r2=r2,
-                           reliable=r2 >= 0.9)
+    return LocalizationFit(length=float(-1.0 / slope), reliable=r2 >= 0.9)
 
 
 def classify_states(evals: np.ndarray, vectors: np.ndarray, spec: WalkSpec,
@@ -203,7 +202,6 @@ def classify_states(evals: np.ndarray, vectors: np.ndarray, spec: WalkSpec,
             fit = _fit_localization(prob, lattice, idx)
             if fit is not None:
                 pair.loc_length = fit.length
-                pair.loc_fit_r2 = fit.r2
                 pair.loc_reliable = fit.reliable
         pairs.append(pair)
 
@@ -339,8 +337,7 @@ class EdgeCountMap:
 
 def edge_count_map(inner: tuple[float, float], theta1_values, theta2_values,
                    gamma: float, half_width: int = 50,
-                   num_sites: int = 801, window: int = DEFAULT_WINDOW,
-                   threads: int = 1) -> EdgeCountMap:
+                   num_sites: int = 801, threads: int = 1) -> EdgeCountMap:
     """Count protected interface modes against a grid of outer phases.
 
     The inner phase must be gapped (GapClosedError otherwise).  Cells
@@ -370,7 +367,7 @@ def edge_count_map(inner: tuple[float, float], theta1_values, theta2_values,
                             gamma=gamma)
             result = eigendecompose(build_walk_operator(spec),
                                     compute_condition=False,
-                                    interface_only=True, window=window)
+                                    interface_only=True)
             n_zero[i, j] = result.counts["edge_zero"]
             n_pi[i, j] = result.counts["edge_pi"]
             counted[i, j] = True

@@ -1,10 +1,9 @@
-import argparse
 import json
 import math
 
 import pytest
 
-from ptwalk import cli, perturbation
+from ptwalk import cli
 from ptwalk.cli import main
 from ptwalk.operators import CoinProfile, Lattice, WalkSpec
 
@@ -135,6 +134,10 @@ class TestUsageAndErrors:
         ("dispersion", "--sites", "51"),
         ("edge-map", "--seed", "3"),
         ("spectrum", "--threads", "2"),
+        ("dispersion", "--k-res", "64"),
+        ("evolve", "--steps", "6"),
+        ("spectrum", "--sites", "51"),
+        ("disorder", "--seed", "7"),
     ], ids="_".join)
     def test_inapplicable_flag_rejected(self, capsys, argv):
         payload = error_of(capsys, *argv)
@@ -178,11 +181,10 @@ class TestDispersionCommand:
             assert (tmp_path / "x" / name).read_bytes() == \
                 (tmp_path / "y" / name).read_bytes()
 
-    def test_k_res_flag_overrides_config(self, capsys, tmp_path):
-        cfg = write_config(tmp_path, self.CFG + "k_res = 512\n")
+    def test_k_res_key(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, self.CFG + "k_res = 64\n")
         out = f"{tmp_path}/o/"
-        rc, _, _ = run(capsys, "dispersion", "--config", cfg, "--out", out,
-                       "--k-res", "64")
+        rc, _, _ = run(capsys, "dispersion", "--config", cfg, "--out", out)
         assert rc == 0
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["parameters"]["k_res"] == 64
@@ -231,18 +233,17 @@ class TestSpectrumCommand:
         assert walk["theta1_b_over_pi"] == -0.6
         assert walk["half_width"] == 20
 
-    def test_sites_flag_overrides_walk(self, capsys, tmp_path):
-        cfg = write_config(tmp_path, WALK + "[spectrum]\n"
-                                            "compute_condition = false\n")
+    def test_num_sites_key(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, WALK.replace("num_sites = 101",
+                                                  "num_sites = 51")
+                           + "[spectrum]\ncompute_condition = false\n")
         out = f"{tmp_path}/s/"
-        rc, _, _ = run(capsys, "spectrum", "--config", cfg, "--out", out,
-                       "--sites", "51")
+        rc, _, _ = run(capsys, "spectrum", "--config", cfg, "--out", out)
         assert rc == 0
         manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
         assert manifest["parameters"]["walk"]["num_sites"] == 51
         rows = (tmp_path / "s" / "spectrum.csv").read_text().splitlines()
         assert len(rows) == 1 + 102
-
 
     @pytest.mark.parametrize("condition,near_defective",
                              [("true", 22), ("false", None)])
@@ -274,11 +275,11 @@ theta2_a_over_pi = 0.1
 
 
 class TestWalkSection:
-    def walk_params(self, capsys, tmp_path, text, *flags):
+    def walk_params(self, capsys, tmp_path, text):
         cfg = write_config(tmp_path, text + "[spectrum]\n"
                                             "compute_condition = false\n")
         rc, _, _ = run(capsys, "spectrum", "--config", cfg,
-                       "--out", f"{tmp_path}/w/", *flags)
+                       "--out", f"{tmp_path}/w/")
         assert rc == 0
         manifest = json.loads((tmp_path / "w" / "manifest.json").read_text())
         return manifest["parameters"]["walk"]
@@ -295,14 +296,6 @@ class TestWalkSection:
         assert walk["x_min"] == -5
         walk = self.walk_params(capsys, tmp_path, SMALL_WALK + "x_min = -2\n")
         assert walk["x_min"] == -2
-
-    def test_flag_overrides_recorded(self, capsys, tmp_path):
-        walk = self.walk_params(capsys, tmp_path,
-                                SMALL_WALK + "disorder_seed = 1\n",
-                                "--sites", "13", "--seed", "4")
-        assert walk["num_sites"] == 13
-        assert walk["disorder_seed"] == 4
-        assert walk["x_min"] == -6
 
     @pytest.mark.parametrize("old,new,message", [
         ("kind = three_step\n", "", "missing key 'kind' in section [walk]"),
@@ -322,13 +315,12 @@ class TestWalkSection:
     def test_config_rejects_unknown_key(self):
         items = {"kind": "three_step", "num_sites": "40",
                  "theta1_a_over_pi": "0.25", "theta2_a_over_pi": "0.5"}
-        no_flags = argparse.Namespace(sites=None, seed=None)
-        spec, _ = cli._walk_spec({"walk": items}, no_flags)
+        spec, _ = cli._walk_spec({"walk": items})
         assert spec == WalkSpec(
             kind="three_step", lattice=Lattice(40),
             profile=CoinProfile.homogeneous(0.25 * math.pi, 0.5 * math.pi))
         with pytest.raises(cli.CliError, match="bogus"):
-            cli._walk_spec({"walk": {**items, "bogus": "1"}}, no_flags)
+            cli._walk_spec({"walk": {**items, "bogus": "1"}})
 
 
 class TestEvolveCommand:
@@ -352,24 +344,32 @@ class TestEvolveCommand:
         trace = (tmp_path / "e" / "trace.csv").read_text().splitlines()
         assert len(trace) == 1 + 13
 
-    def test_steps_flag_overrides_config(self, capsys, tmp_path):
+    def test_steps_key(self, capsys, tmp_path):
         cfg = write_config(tmp_path, self.CFG.replace(
-            "snapshot_times = 4,8\n", ""))
+            "steps = 12\nsnapshot_times = 4,8\n", "steps = 6\n"))
         out = f"{tmp_path}/e/"
-        rc, _, _ = run(capsys, "evolve", "--config", cfg, "--out", out,
-                       "--steps", "6")
+        rc, _, _ = run(capsys, "evolve", "--config", cfg, "--out", out)
         assert rc == 0
         trace = (tmp_path / "e" / "trace.csv").read_text().splitlines()
         assert len(trace) == 1 + 7
 
+    def test_negative_window_cap_rejected(self, capsys, tmp_path):
+        # 0 means no cap; a negative cap must not silently mean the same
+        cfg = write_config(tmp_path, self.CFG + "window_cap = -5\n")
+        payload = error_of(capsys, "evolve", "--config", cfg,
+                           "--out", f"{tmp_path}/e/")
+        assert payload["error"] == "CliError"
+        assert "[evolve] window_cap" in payload["message"]
+        assert not (tmp_path / "e").exists()
+
 
 class TestDisorderCommand:
-    def test_seed_flag_sets_seed0(self, capsys, tmp_path):
-        cfg = write_config(tmp_path, WALK + "[disorder]\ntheta_r = 0.01\n"
-                                            "n_seeds = 2\n")
+    def test_seed0_key(self, capsys, tmp_path):
+        walk = WALK.replace("num_sites = 101", "num_sites = 51")
+        cfg = write_config(tmp_path, walk + "[disorder]\ntheta_r = 0.01\n"
+                                            "n_seeds = 2\nseed0 = 7\n")
         out = f"{tmp_path}/d/"
-        rc, _, _ = run(capsys, "disorder", "--config", cfg, "--out", out,
-                       "--seed", "7", "--sites", "51")
+        rc, _, _ = run(capsys, "disorder", "--config", cfg, "--out", out)
         assert rc == 0
         manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
         assert manifest["parameters"]["seed0"] == 7
@@ -385,19 +385,50 @@ class TestDisorderCommand:
         assert payload["error"] == "ValueError"
         assert "seed" in payload["message"]
 
+    # each realization is drawn at theta_r from its own seed, so these
+    # walk keys would be recorded in the manifest but never used
+    DISORDERED = WALK.replace("kind = three_step\n",
+                              "kind = three_step_perturbed_disordered\n") + (
+        "delta = 0.05\ndisorder_amplitude = 0.2\ndisorder_seed = 99\n")
 
-class TestEpFindCommand:
-    def test_zero_tol_delta_is_an_error(self, capsys, tmp_path, monkeypatch):
-        def no_solve(*args):
-            raise AssertionError("probed before checking tol_delta")
-        monkeypatch.setattr(perturbation, "_edge_eigensystem", no_solve)
-        cfg = write_config(tmp_path, WALK + "[ep-find]\ndelta_lo = 0.05\n"
-                                            "delta_hi = 0.08\n"
-                                            "tol_delta = 0\n")
-        payload = error_of(capsys, "ep-find", "--config", cfg,
-                           "--out", f"{tmp_path}/e/")
-        assert payload["error"] == "ValueError"
-        assert "tol_delta" in payload["message"]
+    @pytest.mark.parametrize("walk,key,instead", [
+        (DISORDERED, "disorder_amplitude", "theta_r"),
+        (DISORDERED.replace("disorder_amplitude = 0.2\n", ""),
+         "disorder_seed", "seed0"),
+    ], ids=["amplitude", "seed"])
+    def test_walk_disorder_keys_rejected(self, capsys, tmp_path, walk, key,
+                                         instead):
+        cfg = write_config(tmp_path, walk + "[disorder]\ntheta_r = 0.01\n"
+                                            "n_seeds = 2\n")
+        payload = error_of(capsys, "disorder", "--config", cfg,
+                           "--out", f"{tmp_path}/d/")
+        assert payload["error"] == "CliError"
+        assert payload["message"] == (f"[walk] {key} is not read by "
+                                      f"disorder; set [disorder] {instead} "
+                                      "instead")
+        assert not (tmp_path / "d").exists()
+
+
+PROBE_SECTIONS = {
+    "edge-map": "[edge-map]\ninner_theta1_over_pi = 0.4\n"
+                "inner_theta2_over_pi = 0.1\n",
+    "delta-sweep": WALK + "[delta-sweep]\ndelta_max = 0.1\n",
+    "ep-find": WALK + "[ep-find]\ndelta_lo = 0.05\ndelta_hi = 0.08\n",
+    "disorder": WALK + "[disorder]\ntheta_r = 0.01\n",
+}
+
+
+@pytest.mark.parametrize("command,key,value", [
+    *((command, "window", "10") for command in PROBE_SECTIONS),
+    ("ep-find", "tol_delta", "5e-4"),
+])
+def test_fixed_probe_setting_rejected(capsys, tmp_path, command, key, value):
+    # the interface probes always use DEFAULT_WINDOW and TOL_DELTA
+    cfg = write_config(tmp_path, PROBE_SECTIONS[command] + f"{key} = {value}\n")
+    payload = error_of(capsys, command, "--config", cfg,
+                       "--out", f"{tmp_path}/p/")
+    assert payload["error"] == "CliError"
+    assert payload["message"] == f"unknown keys in [{command}]: ['{key}']"
 
 
 class TestEdgeMapCommand:

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from ptwalk.perturbation import (
     write_delta_sweep_csv,
     write_disorder_csv,
 )
+from ptwalk.spectrum import edge_count_map
 
 PI = math.pi
 INNER = (0.4 * PI, 0.1 * PI)
@@ -119,7 +121,7 @@ class TestExceptionalPoint:
 
     def test_bracket_shrunk_to_tolerance(self, ep):
         assert ep.lower < ep.delta < ep.upper
-        assert ep.upper - ep.lower <= 5e-4
+        assert ep.upper - ep.lower <= perturbation.TOL_DELTA
         assert ep.n_solves > 4
 
     def test_coalescence_certified(self, ep):
@@ -142,26 +144,18 @@ class TestExceptionalPoint:
         with pytest.raises(ValueError):
             find_exceptional_point(interface_spec(), 0.08, 0.05)
 
-    @pytest.mark.parametrize("tol_delta", [0.0, -1e-3])
-    def test_rejects_nonpositive_tolerance(self, tol_delta, monkeypatch):
-        def no_solve(*args):
-            raise AssertionError("probed before checking tol_delta")
-        monkeypatch.setattr(perturbation, "_edge_eigensystem", no_solve)
-        with pytest.raises(ValueError, match="tol_delta"):
-            find_exceptional_point(interface_spec(), 0.05, 0.08,
-                                   tol_delta=tol_delta)
-
     def test_bisection_stops_at_float_resolution(self, monkeypatch):
-        # a tolerance below the float spacing must not spin forever
-        # once lo and hi are adjacent floats
+        # a tolerance below the float spacing (as TOL_DELTA is for a
+        # bracket near 1e13) must not spin forever once lo and hi are
+        # adjacent floats
         d_ep = 0.0695
 
-        def fake(spec, delta, window):
+        def fake(spec, delta):
             im = 0.1 if delta > d_ep else 0.0
             return np.array([1 + im * 1j, 1 - im * 1j]), np.eye(2)
         monkeypatch.setattr(perturbation, "_edge_eigensystem", fake)
-        ep = find_exceptional_point(interface_spec(), 0.05, 0.08,
-                                    tol_delta=1e-300)
+        monkeypatch.setattr(perturbation, "TOL_DELTA", 1e-300)
+        ep = find_exceptional_point(interface_spec(), 0.05, 0.08)
         assert ep.lower <= d_ep < ep.upper
         assert ep.upper == np.nextafter(ep.lower, 1.0)
         assert ep.n_solves < 70
@@ -227,3 +221,13 @@ class TestCsv:
         assert lines[0] == "seed,theta_r,max_im_lambda_edge,regime"
         assert len(lines) == 1 + len(base_ensemble.records)
         assert lines[1].split(",")[0] == "0"
+
+
+@pytest.mark.parametrize("probe,setting", [
+    (edge_count_map, "window"), (delta_sweep, "window"),
+    (find_exceptional_point, "window"), (disorder_ensemble, "window"),
+    (find_exceptional_point, "tol_delta"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_probe_settings_are_constants(probe, setting):
+    # DEFAULT_WINDOW and TOL_DELTA are fixed, as the manifests record
+    assert setting not in inspect.signature(probe).parameters

@@ -1,16 +1,21 @@
 """Source hygiene of the package, checked with the standard ``ast`` module:
-no module imports a name it never uses, and every private module-level
-name is referenced somewhere in the package.  Both catch what a deletion
-leaves behind."""
+no module imports a name it never uses, every private module-level name
+is referenced somewhere in the package, and every public module constant,
+class field and property is read somewhere in the package, its tests or
+the benchmark.  All three catch what a deletion leaves behind."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ptwalk"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ptwalk"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
          for path in sorted(PACKAGE.glob("*.py"))}
+READERS = [ast.parse(path.read_text(encoding="utf-8"))
+           for folder in (PACKAGE, ROOT / "tests", ROOT / "perfbench")
+           for path in sorted(folder.glob("*.py"))]
 
 
 def used_names(tree: ast.AST) -> set[str]:
@@ -38,17 +43,52 @@ def imported_names(tree: ast.Module) -> list[str]:
     return bound
 
 
+def assigned_names(node: ast.stmt) -> list[str]:
+    """The plain names an assignment statement binds, if it is one."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def private_definitions(tree: ast.Module) -> list[str]:
     """Module-level ``_name`` functions, classes and assignments."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.append(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            names += [t.id for t in targets if isinstance(t, ast.Name)]
+        names += assigned_names(node)
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def is_property(node: ast.stmt) -> bool:
+    return isinstance(node, ast.FunctionDef) and any(
+        (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None))
+        in ("property", "cached_property") for d in node.decorator_list)
+
+
+def public_attributes(tree: ast.Module) -> list[str]:
+    """Module constants, and the fields and properties of public classes."""
+    names = []
+    for node in tree.body:
+        names += assigned_names(node)
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                names += assigned_names(item)
+                if is_property(item):
+                    names.append(item.name)
+    return [n for n in names if not n.startswith("_")]
+
+
+def loaded_names(tree: ast.AST) -> set[str]:
+    """Names and attributes read; storing into one is not a use."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
 
 
 @pytest.mark.parametrize("module", [m for m in TREES if m != "__init__.py"])
@@ -65,3 +105,10 @@ def test_every_private_name_is_referenced():
     unused = [f"{module}:{name}" for module, tree in TREES.items()
               for name in private_definitions(tree) if name not in used]
     assert unused == []
+
+
+def test_every_public_attribute_is_read():
+    read = set().union(*map(loaded_names, READERS))
+    unread = [f"{module}:{name}" for module, tree in TREES.items()
+              for name in public_attributes(tree) if name not in read]
+    assert unread == []
