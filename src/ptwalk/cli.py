@@ -96,10 +96,6 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_floats(raw: str) -> list[float]:
-    return [float(part) for part in raw.split(",") if part.strip()]
-
-
 def _parse_ints(raw: str) -> list[int]:
     return [int(part) for part in raw.split(",") if part.strip()]
 
@@ -387,14 +383,12 @@ def _sweep_tolerances() -> dict:
 def _cmd_delta_sweep(cfg, em) -> Run:
     spec, walk = _walk_spec(cfg)
     sec = _section(cfg, "delta-sweep")
-    deltas = sec.take("deltas", _parse_floats, None)
-    if deltas is None:
-        lo = sec.take("delta_min", float, 0.0)
-        hi = sec.take("delta_max", float)
-        n = sec.take("delta_points", int, 21)
-        deltas = np.linspace(lo, hi, n).tolist()
+    lo = sec.take("delta_min", float, 0.0)
+    hi = sec.take("delta_max", float)
+    n = sec.take("delta_points", int, 21)
+    deltas = np.linspace(lo, hi, n).tolist()
     params = sec.finish()
-    params["deltas"] = [float(d) for d in deltas]
+    params["deltas"] = deltas
     params["walk"] = walk
     params["jump_factor"] = _perturbation.JUMP_FACTOR
     params.update(_sweep_tolerances())
@@ -451,6 +445,9 @@ def _cmd_disorder(cfg, em) -> Run:
     n_seeds = sec.take("n_seeds", int, 32)
     seed0 = sec.take("seed0", int, 0)
     params = sec.finish()
+    # every realization runs as this kind, at theta_r from its own seed
+    walk["kind"] = "three_step_perturbed_disordered"
+    del walk["disorder_amplitude"], walk["disorder_seed"]
     params["walk"] = walk
     params.update(_sweep_tolerances())
 
@@ -463,33 +460,21 @@ def _cmd_disorder(cfg, em) -> Run:
     return Run(params, result, ens)
 
 
-def _take_coin(sec: Section):
-    root_half = 1.0 / math.sqrt(2.0)
-    re_l = sec.take("coin_l_re", float, root_half)
-    im_l = sec.take("coin_l_im", float, 0.0)
-    re_r = sec.take("coin_r_re", float, 0.0)
-    im_r = sec.take("coin_r_im", float, root_half)
-    return complex(re_l, im_l), complex(re_r, im_r)
-
-
 def _cmd_evolve(cfg, em) -> Run:
     spec, walk = _walk_spec(cfg)
     sec = _section(cfg, "evolve")
     steps = sec.take("steps", int)
-    x0 = sec.take("x0", int, 0)
-    window_cap = sec.take("window_cap", int, 0)
-    if window_cap < 0:
-        raise CliError(f"[evolve] window_cap must be 0 (no cap) or "
-                       f"positive, got {window_cap}")
     snapshot_times = sec.take("snapshot_times", _parse_ints, [])
-    coin = _take_coin(sec)
     params = sec.finish()
     params["walk"] = walk
     params["rescale_limit"] = _dynamics.RESCALE_LIMIT
+    # the initial state: the source site and its coin state
+    params["x0"] = 0
+    coin_l, coin_r = (complex(c) for c in _dynamics.DEFAULT_COIN)
+    params.update(coin_l_re=coin_l.real, coin_l_im=coin_l.imag,
+                  coin_r_re=coin_r.real, coin_r_im=coin_r.imag)
 
-    trace = evolve(spec, steps=steps, x0=x0, coin=coin,
-                   window_cap=window_cap or None,
-                   snapshot_times=snapshot_times)
+    trace = evolve(spec, steps=steps, snapshot_times=snapshot_times)
     em.write("trace.csv", write_trace_csv, trace)
     em.write("fourier.csv", write_fourier_csv, dft(trace))
     for t in snapshot_times:

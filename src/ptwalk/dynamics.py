@@ -1,9 +1,10 @@
 """Time evolution and return-probability spectroscopy.
 
-The walker starts from a single site and evolves on an effectively
-infinite line: the stored window holds the whole light cone
-(``bandwidth`` sites per side per step), so the ``lattice`` entry of
-the spec is not consulted here.  A step runs the spec's protocol, the
+The walker starts at ``x = 0`` in the coin state ``DEFAULT_COIN`` and
+evolves on an effectively infinite line: the stored window holds the
+whole light cone (``bandwidth`` sites per side per step), so no
+amplitude is ever lost off its edges and the ``lattice`` entry of the
+spec is not consulted here.  A step runs the spec's protocol, the
 factor table ``operators.PROTOCOLS`` that ``build_walk_operator``
 folds into the walk matrix, so the stepper and the matrix cannot
 disagree about the walk.
@@ -18,11 +19,6 @@ parts are updated in place as separate float64 rows.  Edge sites whose
 amplitudes have all fallen below the smallest normal float64 are
 zeroed and dropped: their squares are zero anyway, and arithmetic on
 subnormal numbers is slow.
-
-A window cap can force truncation.  The cap is the open boundary of
-``build_walk_operator``: amplitude that leaves the window is
-annihilated, and the probability so lost is tracked and reported,
-with a warning, instead of silently dropped.
 
 The observable is the return probability ``p0(t) = |<x=0|psi(t)>|^2``,
 both raw and normalized by the instantaneous total probability (the
@@ -52,7 +48,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +112,6 @@ def _family_target(family: str, omega_delta: float) -> float:
 class EvolutionTrace:
     spec: WalkSpec
     steps: int
-    x0: int
     p0_raw: np.ndarray
     p0_normalized: np.ndarray
     leaked_probability: float
@@ -126,16 +120,17 @@ class EvolutionTrace:
 
 
 class _SublatticeState:
-    """Amplitudes of a point-source walk on a window of ``width`` sites.
+    """Amplitudes of the point-source walk over its whole light cone.
 
-    After ``k`` shifts only the sites ``i = ix0 + k (mod 2)`` can hold
-    amplitude.  The left mover of such a site is stored in lane
-    ``(i - ix0 + k) / 2`` of ``left`` and the right mover in lane
-    ``(i - ix0 - k) / 2 + shifts`` of ``right``: a shift carries every
-    mover one site along its own lane, so it changes only ``k``.  Each
-    array is float64 of shape ``(2, shifts + 1)``, real part over
-    imaginary part; the walk matrix is real, so the two rows evolve
-    independently.
+    The window holds the sites ``i = 0 .. 2 shifts``, the source sitting
+    at ``i = shifts``.  After ``k`` shifts only the sites
+    ``i = shifts + k (mod 2)`` can hold amplitude.  The left mover of
+    such a site is stored in lane ``(i - shifts + k) / 2`` of ``left``
+    and the right mover in lane ``(i + shifts - k) / 2`` of ``right``:
+    a shift carries every mover one site along its own lane, so it
+    changes only ``k``.  Each array is float64 of shape
+    ``(2, shifts + 1)``, real part over imaginary part; the walk matrix
+    is real, so the two rows evolve independently.
 
     Only the support, the occupied sites ``lo, lo + 2, ...`` (``n`` of
     them), is updated; ``a`` and ``b`` are its views.  It grows by a
@@ -144,26 +139,26 @@ class _SublatticeState:
     arithmetic turns slow and every square is zero.
     """
 
-    def __init__(self, width: int, ix0: int, shifts: int, coin):
-        self.width, self.ix0, self.shifts = width, ix0, shifts
+    def __init__(self, shifts: int):
+        self.shifts = shifts
         self.left = np.zeros((2, shifts + 1))
         self.right = np.zeros((2, shifts + 1))
-        self.left[:, 0] = complex(coin[0]).real, complex(coin[0]).imag
-        self.right[:, shifts] = complex(coin[1]).real, complex(coin[1]).imag
-        n_max = (width + 1) // 2
-        self._tmp = (np.empty((2, n_max)), np.empty((2, n_max)))
+        a0, b0 = (complex(c) for c in DEFAULT_COIN)
+        self.left[:, 0] = a0.real, a0.imag
+        self.right[:, shifts] = b0.real, b0.imag
+        self._tmp = (np.empty((2, shifts + 1)), np.empty((2, shifts + 1)))
         self.k = 0
-        self.lo, self.n = ix0, 1
+        self.lo, self.n = shifts, 1
         self._locate()
 
     @property
     def span(self) -> tuple[int, int]:
-        """First and last site of the light cone clipped to the window."""
-        return max(self.ix0 - self.k, 0), min(self.ix0 + self.k, self.width - 1)
+        """First and last site of the light cone."""
+        return self.shifts - self.k, self.shifts + self.k
 
     def _locate(self):
-        ua = (self.lo - self.ix0 + self.k) // 2
-        vb = (self.lo - self.ix0 - self.k) // 2 + self.shifts
+        ua = (self.lo - self.shifts + self.k) // 2
+        vb = (self.lo + self.shifts - self.k) // 2
         self.a = self.left[:, ua:ua + self.n]
         self.b = self.right[:, vb:vb + self.n]
         self.sites = slice(self.lo // 2, self.lo // 2 + self.n)
@@ -193,26 +188,13 @@ class _SublatticeState:
         self.a *= ga
         self.b *= gb
 
-    def shift(self) -> float:
-        """Advance every mover one site; return the probability lost.
-
-        The cap on the window is an open boundary: a left mover on the
-        first site or a right mover on the last one is annihilated.
-        """
-        lost = 0.0
-        hi = self.lo + 2 * (self.n - 1)
-        if self.lo == 0:
-            lost += float(self.a[0, 0] ** 2 + self.a[1, 0] ** 2)
-            self.a[:, 0] = 0.0
-        if hi == self.width - 1:
-            lost += float(self.b[0, -1] ** 2 + self.b[1, -1] ** 2)
-            self.b[:, -1] = 0.0
+    def shift(self):
+        """Advance every mover one site: the support widens by one site
+        per side."""
         self.k += 1
-        self.lo = self.lo - 1 if self.lo > 0 else 1
-        hi = hi + 1 if hi < self.width - 1 else self.width - 2
-        self.n = (hi - self.lo) // 2 + 1
+        self.lo -= 1
+        self.n += 1
         self._locate()
-        return lost
 
     def trim(self):
         """Zero and drop edge sites whose amplitudes are all subnormal."""
@@ -269,29 +251,18 @@ class _SublatticeState:
         return p
 
 
-def evolve(spec: WalkSpec, steps: int, x0: int = 0, coin=DEFAULT_COIN,
-           window_cap: int | None = None, snapshot_times=()) -> EvolutionTrace:
-    """Run ``steps`` applications of the walk from a point source at ``x0``.
+def evolve(spec: WalkSpec, steps: int, snapshot_times=()) -> EvolutionTrace:
+    """Run ``steps`` applications of the walk from a point source at
+    ``x = 0`` in the coin state ``DEFAULT_COIN``.
 
-    ``window_cap`` bounds the number of stored sites; the default
-    leaves room for the full light cone plus slack, so nothing is ever
-    truncated unless the caller asks for it.  Snapshots are normalized
-    site distributions taken after the requested step counts.
+    The stored window is the whole light cone, so nothing is ever
+    truncated.  Snapshots are normalized site distributions taken after
+    the requested step counts.
     """
     if steps < 1:
         raise ValueError("need at least one step")
-    band = spec.bandwidth
-    full = 2 * band * steps + 1
-    cap = window_cap if window_cap is not None else full + 127
-    width = min(full, cap)
-    if width < 3:
-        raise ValueError("window cap too small")
-
-    x = np.arange(width) - width // 2 + x0
-    ix0 = x0 - x[0]
-    i_origin = -x[0] if x[0] <= 0 <= x[-1] else None
-    if i_origin is None:
-        raise ValueError("x = 0 fell outside the window; p0 would be empty")
+    shifts = spec.bandwidth * steps
+    x = np.arange(-shifts, shifts + 1)
 
     trig = []
     for theta in spec.effective_angles(x):
@@ -300,7 +271,7 @@ def evolve(spec: WalkSpec, steps: int, x0: int = 0, coin=DEFAULT_COIN,
                      (s[0::2].copy(), s[1::2].copy())))
     eg, emg = math.exp(spec.gamma), math.exp(-spec.gamma)
     gains = {1: (eg, emg), -1: (emg, eg)}
-    state = _SublatticeState(width, ix0, band * steps, coin)
+    state = _SublatticeState(shifts)
 
     snaps_wanted = set(int(t) for t in snapshot_times)
     bad = [t for t in snaps_wanted if not 0 <= t <= steps]
@@ -310,16 +281,13 @@ def evolve(spec: WalkSpec, steps: int, x0: int = 0, coin=DEFAULT_COIN,
     p0_raw = np.zeros(steps + 1)
     p0_norm = np.zeros(steps + 1)
     snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    kept = 1.0  # share of the norm that survived the cap so far
-    leak_raw_step = 0.0
     log_scale = 0.0
-    warned = False
 
     for t in range(steps + 1):
         if t > 0:
             for op, arg in spec.protocol:
                 if op == "shift":
-                    leak_raw_step += state.shift()
+                    state.shift()
                 elif op == "gain":
                     if spec.gamma != 0.0:
                         state.gain(*gains[arg])
@@ -334,10 +302,8 @@ def evolve(spec: WalkSpec, steps: int, x0: int = 0, coin=DEFAULT_COIN,
                 state.rescale(m)
                 log_scale += math.log(m)
                 norm2 = state.norm2()
-                # this step's loss was measured before the rescale
-                leak_raw_step = leak_raw_step / m / m
 
-        site = state.site_probability(i_origin)
+        site = state.site_probability(shifts)  # site i = shifts is x = 0
         if log_scale == 0.0:
             p0_raw[t] = site
         elif site == 0.0:
@@ -348,20 +314,14 @@ def evolve(spec: WalkSpec, steps: int, x0: int = 0, coin=DEFAULT_COIN,
             ls = math.log(site) + 2.0 * log_scale
             p0_raw[t] = math.exp(ls) if ls <= 709.0 else math.inf
         p0_norm[t] = site / norm2
-        if leak_raw_step > 0.0:
-            kept *= norm2 / (norm2 + leak_raw_step)
-            leak_raw_step = 0.0
-            if not warned:
-                warnings.warn("window cap reached; probability is leaking "
-                              "past the stored region", stacklevel=2)
-                warned = True
         if t in snaps_wanted:
             lo, hi = state.span
             snapshots[t] = (x[lo:hi + 1].copy(),
                             state.span_probabilities() / norm2)
 
-    return EvolutionTrace(spec=spec, steps=steps, x0=x0, p0_raw=p0_raw,
-                          p0_normalized=p0_norm, leaked_probability=1.0 - kept,
+    # the light cone never leaves the window: no probability is lost
+    return EvolutionTrace(spec=spec, steps=steps, p0_raw=p0_raw,
+                          p0_normalized=p0_norm, leaked_probability=0.0,
                           snapshots=snapshots, log_scale=log_scale)
 
 

@@ -285,8 +285,11 @@ def disorder_ensemble(spec: WalkSpec, theta_r: float, n_seeds: int = 32,
     Realizations run one after another.  ``threads`` is accepted and
     ignored: ARPACK and SuperLU hold the GIL, so threads cannot overlap
     the solves.  ``spec`` should carry the wanted ``delta``; its kind is
-    switched to the disordered protocol here.
+    switched to the disordered protocol here, so ``two_step``, which
+    has no disordered variant, is refused.
     """
+    if spec.kind == "two_step":
+        raise ValueError("two_step has no disordered variant")
     if seeds is None:
         seeds = range(seed0, seed0 + n_seeds)
     seeds = list(seeds)

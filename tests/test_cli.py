@@ -340,7 +340,14 @@ class TestEvolveCommand:
         manifest = json.loads((tmp_path / "e" / "manifest.json").read_text())
         assert manifest["result"]["leaked_probability"] == 0.0
         assert manifest["result"]["log_scale"] == 0.0
-        assert manifest["parameters"]["rescale_limit"] == 1e120
+        params = manifest["parameters"]
+        assert params["rescale_limit"] == 1e120
+        # the fixed initial state is recorded; the window is always the
+        # whole light cone, so there is no cap to record
+        assert params["x0"] == 0
+        assert params["coin_l_re"] == params["coin_r_im"] == 1 / math.sqrt(2)
+        assert params["coin_l_im"] == params["coin_r_re"] == 0.0
+        assert "window_cap" not in params
         trace = (tmp_path / "e" / "trace.csv").read_text().splitlines()
         assert len(trace) == 1 + 13
 
@@ -353,13 +360,18 @@ class TestEvolveCommand:
         trace = (tmp_path / "e" / "trace.csv").read_text().splitlines()
         assert len(trace) == 1 + 7
 
-    def test_negative_window_cap_rejected(self, capsys, tmp_path):
-        # 0 means no cap; a negative cap must not silently mean the same
-        cfg = write_config(tmp_path, self.CFG + "window_cap = -5\n")
+    @pytest.mark.parametrize("key,value", [
+        ("x0", "2"), ("window_cap", "21"), ("coin_l_re", "0.6"),
+        ("coin_l_im", "0.0"), ("coin_r_re", "0.8"), ("coin_r_im", "0.0"),
+    ])
+    def test_initial_state_keys_rejected(self, capsys, tmp_path, key, value):
+        # the walker always starts at x = 0 in DEFAULT_COIN, and the
+        # window is always the whole light cone
+        cfg = write_config(tmp_path, self.CFG + f"{key} = {value}\n")
         payload = error_of(capsys, "evolve", "--config", cfg,
                            "--out", f"{tmp_path}/e/")
         assert payload["error"] == "CliError"
-        assert "[evolve] window_cap" in payload["message"]
+        assert payload["message"] == f"unknown keys in [evolve]: ['{key}']"
         assert not (tmp_path / "e").exists()
 
 
@@ -373,6 +385,12 @@ class TestDisorderCommand:
         assert rc == 0
         manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
         assert manifest["parameters"]["seed0"] == 7
+        # the walk that ran: each realization's amplitude and seed are
+        # theta_r and its row's seed, not [walk] keys
+        walk = manifest["parameters"]["walk"]
+        assert walk["kind"] == "three_step_perturbed_disordered"
+        assert "disorder_amplitude" not in walk
+        assert "disorder_seed" not in walk
         rows = (tmp_path / "d" / "disorder.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["7", "8"]
 
@@ -421,9 +439,11 @@ PROBE_SECTIONS = {
 @pytest.mark.parametrize("command,key,value", [
     *((command, "window", "10") for command in PROBE_SECTIONS),
     ("ep-find", "tol_delta", "5e-4"),
+    ("delta-sweep", "deltas", "0.0,0.05,0.1"),
 ])
 def test_fixed_probe_setting_rejected(capsys, tmp_path, command, key, value):
-    # the interface probes always use DEFAULT_WINDOW and TOL_DELTA
+    # the interface probes always use DEFAULT_WINDOW and TOL_DELTA, and
+    # the sweep grid is always delta_min, delta_max and delta_points
     cfg = write_config(tmp_path, PROBE_SECTIONS[command] + f"{key} = {value}\n")
     payload = error_of(capsys, command, "--config", cfg,
                        "--out", f"{tmp_path}/p/")

@@ -1,7 +1,7 @@
 import dataclasses
+import inspect
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -64,10 +64,6 @@ class TestEvolve:
         assert trace.p0_raw == pytest.approx(trace.p0_normalized, abs=1e-12)
         assert trace.leaked_probability == 0.0
 
-    def test_origin_is_measured_not_source(self):
-        trace = evolve(homogeneous_spec(), steps=6, x0=2)
-        assert trace.p0_raw[0] == 0.0
-
     def test_snapshots(self):
         trace = evolve(homogeneous_spec(), steps=12, snapshot_times=(0, 5, 8))
         assert sorted(trace.snapshots) == [0, 5, 8]
@@ -88,6 +84,12 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(homogeneous_spec(), steps=4, snapshot_times=(5,))
 
+    def test_point_source_is_fixed(self):
+        # the walker always starts at x = 0 in DEFAULT_COIN, on a window
+        # holding the whole light cone
+        assert list(inspect.signature(evolve).parameters) == [
+            "spec", "steps", "snapshot_times"]
+
     def test_needs_a_step(self):
         with pytest.raises(ValueError):
             evolve(homogeneous_spec(), steps=0)
@@ -97,27 +99,6 @@ class TestEvolve:
         b = evolve(homogeneous_spec(gamma=0.1), steps=30)
         assert np.array_equal(a.p0_raw, b.p0_raw)
         assert np.array_equal(a.p0_normalized, b.p0_normalized)
-
-    def test_window_cap_leaks_with_warning(self):
-        with pytest.warns(UserWarning, match="leaking"):
-            trace = evolve(homogeneous_spec(), steps=30, window_cap=21)
-        assert trace.leaked_probability == pytest.approx(0.38322520245745595,
-                                                         rel=1e-12)
-
-    def test_leak_does_not_depend_on_rescaling(self, monkeypatch):
-        # the probability lost in a step is measured before that step's
-        # rescale and must be divided down with the state
-        spec = homogeneous_spec(theta=(0.25 * PI, 0.25 * PI), gamma=1.0)
-        with pytest.warns(UserWarning, match="leaking"):
-            base = evolve(spec, steps=300, window_cap=31)
-        monkeypatch.setattr(dynamics, "RESCALE_LIMIT", 1e30)
-        with pytest.warns(UserWarning, match="leaking"):
-            early = evolve(spec, steps=300, window_cap=31)
-        assert base.log_scale > 0.0
-        assert early.log_scale > base.log_scale
-        assert early.leaked_probability == pytest.approx(
-            base.leaked_probability, rel=1e-12)
-        assert 0.0 < base.leaked_probability <= 1.0
 
     def test_rescale_survives_float_range(self):
         # broken-phase gain amplifies the state past 1e120 well before
@@ -130,19 +111,18 @@ class TestEvolve:
         assert trace.p0_normalized.max() <= 1.0 + 1e-12
 
 
-def oracle_p0(spec, steps, x0=0, window_cap=None, coin=DEFAULT_COIN):
-    """p0 raw and normalized, the final site distribution and the final
-    total probability, from explicit powers of the walk matrix.
+def oracle_p0(spec, steps):
+    """p0 raw and normalized and the final site distribution, from
+    explicit powers of the walk matrix.
 
-    The matrix is built on the open lattice that ``evolve`` stores: its
-    window, whose cap annihilates what leaves it.
+    The matrix is built on the open lattice that ``evolve`` stores: the
+    whole light cone of the source at x = 0.
     """
-    full = 2 * spec.bandwidth * steps + 1
-    width = min(full, window_cap if window_cap is not None else full + 127)
-    lattice = Lattice(width, "open", x_min=x0 - width // 2)
+    reach = spec.bandwidth * steps
+    lattice = Lattice(2 * reach + 1, "open", x_min=-reach)
     u = build_walk_operator(dataclasses.replace(spec, lattice=lattice)).sparse
     psi = np.zeros(lattice.dim, dtype=complex)
-    psi[lattice.index(x0, 0)], psi[lattice.index(x0, 1)] = coin
+    psi[lattice.index(0, 0)], psi[lattice.index(0, 1)] = DEFAULT_COIN
     at0 = [lattice.index(0, 0), lattice.index(0, 1)]
     raw, norm = [], []
     for t in range(steps + 1):
@@ -152,8 +132,7 @@ def oracle_p0(spec, steps, x0=0, window_cap=None, coin=DEFAULT_COIN):
         raw.append(p[at0].sum())
         norm.append(p[at0].sum() / p.sum())
     sites = p[0::2] + p[1::2]
-    return (np.array(raw), np.array(norm),
-            (lattice.positions(), sites / p.sum()), p.sum())
+    return np.array(raw), np.array(norm), (lattice.positions(), sites / p.sum())
 
 
 def oracle_specs():
@@ -165,20 +144,12 @@ def oracle_specs():
                                     disorder_seed=7)
     lat = Lattice(11)
     return {
-        "two_step": (WalkSpec("two_step", lat, io, gamma=0.2), {}),
-        "two_step-real-coin": (WalkSpec("two_step", lat, io, gamma=0.2),
-                               {"coin": (0.6, 0.8)}),
-        "three_step": (WalkSpec("three_step", lat, io, gamma=0.1), {}),
-        "perturbed_split": (
-            WalkSpec("three_step_perturbed", lat, split, gamma=0.0), {}),
-        "disordered": (
-            WalkSpec("three_step_perturbed_disordered", lat, seeded,
-                     gamma=0.1), {}),
-        "x0=2": (WalkSpec("three_step", lat, io, gamma=0.1), {"x0": 2}),
-        "cap21-gamma0": (WalkSpec("three_step", lat, io, gamma=0.0),
-                         {"window_cap": 21}),
-        "cap21-gamma0.1": (WalkSpec("three_step", lat, io, gamma=0.1),
-                           {"window_cap": 21}),
+        "two_step": WalkSpec("two_step", lat, io, gamma=0.2),
+        "three_step": WalkSpec("three_step", lat, io, gamma=0.1),
+        "perturbed_split": WalkSpec("three_step_perturbed", lat, split,
+                                    gamma=0.0),
+        "disordered": WalkSpec("three_step_perturbed_disordered", lat, seeded,
+                               gamma=0.1),
     }
 
 
@@ -186,11 +157,9 @@ class TestMatrixPowerOracle:
     """``evolve`` against explicit powers of ``build_walk_operator``."""
 
     @staticmethod
-    def check(spec, steps, snap_abs=1e-300, **kw):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # capped leak
-            trace = evolve(spec, steps=steps, snapshot_times=(steps,), **kw)
-        raw, norm, (x, prob), _ = oracle_p0(spec, steps, **kw)
+    def check(spec, steps, snap_abs=1e-300):
+        trace = evolve(spec, steps=steps, snapshot_times=(steps,))
+        raw, norm, (x, prob) = oracle_p0(spec, steps)
         assert np.array_equal(trace.p0_raw == 0.0, raw == 0.0)
         assert np.count_nonzero(raw) > 20
         assert trace.p0_raw == pytest.approx(raw, rel=1e-12, abs=0.0)
@@ -206,29 +175,13 @@ class TestMatrixPowerOracle:
 
     @pytest.mark.parametrize("name", list(oracle_specs()))
     def test_return_probability(self, name):
-        spec, kw = oracle_specs()[name]
-        trace = self.check(spec, 60, **kw)
-        if "window_cap" in kw:
-            assert 0.0 < trace.leaked_probability <= 1.0
+        self.check(oracle_specs()[name], 60)
 
-    @pytest.mark.parametrize("spec, steps, cap", [
-        (oracle_specs()["cap21-gamma0"][0], 60, 21),
-        (homogeneous_spec(), 30, 21),
-    ], ids=["cap21-gamma0", "homogeneous-cap21"])
-    def test_leak_is_lost_norm_of_unitary_walk(self, spec, steps, cap):
-        # at gamma = 0 only the cap removes probability, so the leak is
-        # the share of the initial unit norm missing at the end
-        with pytest.warns(UserWarning, match="leaking"):
-            trace = evolve(spec, steps=steps, window_cap=cap)
-        *_, total = oracle_p0(spec, steps, window_cap=cap)
-        assert trace.leaked_probability == pytest.approx(1.0 - total,
-                                                         rel=1e-12, abs=0.0)
-
-    @pytest.mark.parametrize("name", ["two_step", "three_step", "x0=2"])
+    @pytest.mark.parametrize("name", ["two_step", "three_step"])
     def test_trimmed_fronts(self, name, monkeypatch):
         # from t ~ 450-520 on the light-cone fronts of these walks fall
         # below the smallest normal float64 and the stepper drops them
-        spec, kw = oracle_specs()[name]
+        spec = oracle_specs()[name]
         trim = dynamics._SublatticeState.trim
         dropped = []
 
@@ -240,14 +193,13 @@ class TestMatrixPowerOracle:
         monkeypatch.setattr(dynamics._SublatticeState, "trim", counting_trim)
         # over 600 steps, rounding leaves the small, cancelling
         # probabilities of the oracle only absolutely accurate
-        trace = self.check(spec, 600, snap_abs=1e-15, **kw)
+        trace = self.check(spec, 600, snap_abs=1e-15)
         assert sum(dropped) > 0
         x, prob = trace.snapshots[600]
         reach = spec.bandwidth * 600
-        x0 = kw.get("x0", 0)
-        assert x[0] == x0 - reach and x[-1] == x0 + reach
+        assert x[0] == -reach and x[-1] == reach
         assert np.sum(prob) == pytest.approx(1.0, abs=1e-12)
-        occupied = (x - x0 - reach) % 2 == 0
+        occupied = (x - reach) % 2 == 0
         assert np.all(prob[~occupied] == 0.0)
         assert prob[occupied][0] == 0.0 and prob[occupied][-1] == 0.0
 
@@ -255,7 +207,7 @@ class TestMatrixPowerOracle:
         # the same, and the norm differs only in its summation order
         monkeypatch.setattr(dynamics._SublatticeState, "trim",
                             lambda state: None)
-        full = evolve(spec, steps=600, snapshot_times=(600,), **kw)
+        full = evolve(spec, steps=600, snapshot_times=(600,))
         assert np.array_equal(full.p0_raw, trace.p0_raw)
         assert full.p0_normalized == pytest.approx(trace.p0_normalized,
                                                    rel=1e-14, abs=0.0)
@@ -380,7 +332,7 @@ class TestPredictModeFamilies:
 
 def fake_trace(p0):
     p0 = np.asarray(p0, dtype=float)
-    return EvolutionTrace(spec=None, steps=p0.size - 1, x0=0, p0_raw=p0,
+    return EvolutionTrace(spec=None, steps=p0.size - 1, p0_raw=p0,
                           p0_normalized=p0, leaked_probability=0.0)
 
 
