@@ -451,6 +451,24 @@ def test_fixed_probe_setting_rejected(capsys, tmp_path, command, key, value):
     assert payload["message"] == f"unknown keys in [{command}]: ['{key}']"
 
 
+class TestDeltaSweepCommand:
+    def test_grid_recorded(self, capsys, tmp_path):
+        # the grid comes only from delta_min, delta_max and delta_points,
+        # and the manifest records the values it resolved to
+        cfg = write_config(tmp_path, PROBE_SECTIONS["delta-sweep"]
+                           + "delta_points = 3\n")
+        rc, _, _ = run(capsys, "delta-sweep", "--config", cfg,
+                       "--out", f"{tmp_path}/s/")
+        assert rc == 0
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        params = manifest["parameters"]
+        assert params["delta_points"] == 3
+        assert params["deltas"] == [0.0, 0.05, 0.1]
+        assert manifest["result"]["n_points"] >= 3
+        rows = (tmp_path / "s" / "delta_sweep.csv").read_text().splitlines()
+        assert len(rows) > 1
+
+
 class TestEdgeMapCommand:
     def test_kind_key_rejected(self, capsys, tmp_path):
         # cells are gated by the three_step bulk gap, so no other kind

@@ -146,6 +146,7 @@ def oracle_specs():
     return {
         "two_step": WalkSpec("two_step", lat, io, gamma=0.2),
         "three_step": WalkSpec("three_step", lat, io, gamma=0.1),
+        "three_step-gamma0": WalkSpec("three_step", lat, io, gamma=0.0),
         "perturbed_split": WalkSpec("three_step_perturbed", lat, split,
                                     gamma=0.0),
         "disordered": WalkSpec("three_step_perturbed_disordered", lat, seeded,
