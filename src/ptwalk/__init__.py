@@ -31,7 +31,6 @@ from .dynamics import (
     evolve,
     infer_edge_count,
     persistence_parity,
-    predict_mode_families,
 )
 from .errors import (
     BracketError,

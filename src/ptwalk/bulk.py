@@ -1,7 +1,7 @@
 """Momentum-space analysis of translation invariant walks.
 
 :func:`bloch_fold` takes any walk kind to momentum space: it folds the
-factor table ``operators.PROTOCOLS`` into a 2x2 Bloch matrix per
+factor table ``operators.PROTOCOL`` into a 2x2 Bloch matrix per
 momentum and bulk phase and returns its eigenvalues.  The rest of the
 module treats the homogeneous three-step walk in closed form.
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import GapClosedError
 from .ioutil import write_csv
-from .operators import WalkSpec
+from .operators import PROTOCOL, WalkSpec
 
 GAP_TOL = 1e-9
 FOLD_K_POINTS = 10001  # momenta of the default bloch_fold grid over [0, pi]
@@ -143,16 +143,16 @@ def dispersion(theta1: float, theta2: float, gamma: float,
 def bloch_fold(spec: WalkSpec, k: np.ndarray | None = None) -> np.ndarray:
     """Eigenvalues of the Bloch matrix ``U(k)`` of each bulk phase of ``spec``.
 
-    Any walk kind: the factors of ``spec.protocol`` act on a 2x2 matrix
-    in turn, the shift as ``diag(e^ik, e^-ik)`` and the coins,
-    reflections and gains as they are.  The phases are the profile's
-    ``_a`` angles and, unless it is homogeneous, its ``_b`` angles, each
-    with the slot angles ``(theta1, theta2 + delta, theta2)``; disorder
-    is left out.  The two eigenvalues come from the trace and the
-    determinant of the product.  Every factor but the shift is real, so
-    ``U(-k)`` is the complex conjugate of ``U(k)``; the default ``k``,
-    ``FOLD_K_POINTS`` momenta over ``[0, pi]``, therefore meets every
-    ``|Re eps|`` of the zone.  Returns shape ``(phases, 2, k.size)``.
+    Every walk kind runs ``PROTOCOL``: its factors act on a 2x2 matrix
+    in turn, the shift as ``diag(e^ik, e^-ik)`` and the coins and gains
+    as they are.  The phases are the profile's ``_a`` angles and, unless
+    it is homogeneous, its ``_b`` angles, each with the slot angles
+    ``(theta1, theta2 + delta, theta2)``; disorder is left out.  The
+    two eigenvalues come from the trace and the determinant of the
+    product.  Every factor but the shift is real, so ``U(-k)`` is the
+    complex conjugate of ``U(k)``; the default ``k``, ``FOLD_K_POINTS``
+    momenta over ``[0, pi]``, therefore meets every ``|Re eps|`` of the
+    zone.  Returns shape ``(phases, 2, k.size)``.
     """
     if k is None:
         k = np.linspace(0.0, np.pi, FOLD_K_POINTS)
@@ -169,18 +169,14 @@ def bloch_fold(spec: WalkSpec, k: np.ndarray | None = None) -> np.ndarray:
         angles = (theta1, theta2 + prof.delta, theta2)
         # rows (a, b) and (c, d) of the product so far
         a, b, c, d = 1.0, 0.0, 0.0, 1.0
-        for op, arg in spec.protocol:
+        for op, arg in PROTOCOL:
             if op in ("shift", "gain"):
                 p, q = diagonals[op, arg]
                 a, b, c, d = p * a, p * b, q * c, q * d
                 continue
             co, si = math.cos(angles[arg]), math.sin(angles[arg])
-            if op == "coin":
-                a, b, c, d = (co * a - si * c, co * b - si * d,
-                              si * a + co * c, si * b + co * d)
-            else:
-                a, b, c, d = (co * a + si * c, co * b + si * d,
-                              si * a - co * c, si * b - co * d)
+            a, b, c, d = (co * a - si * c, co * b - si * d,
+                          si * a + co * c, si * b + co * d)
         half = 0.5 * (a + d)
         root = np.sqrt(half * half - (a * d - b * c))
         out.append((half + root, half - root))

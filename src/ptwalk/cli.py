@@ -808,8 +808,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return _dispatch(argv)
-    except (PtwalkError, ValueError, KeyError, OSError) as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
+    except Exception as exc:
+        # a private subclass (numpy's _ArrayMemoryError) is named by its
+        # public base
+        name = next(cls.__name__ for cls in type(exc).__mro__
+                    if not cls.__name__.startswith("_"))
+        payload = {"error": name, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return 1
 

@@ -4,10 +4,9 @@ The walker starts at ``x = 0`` in the coin state ``DEFAULT_COIN`` and
 evolves on an effectively infinite line: the stored window holds the
 whole light cone (``bandwidth`` sites per side per step), so no
 amplitude is ever lost off its edges and the ``lattice`` entry of the
-spec is not consulted here.  A step runs the spec's protocol, the
-factor table ``operators.PROTOCOLS`` that ``build_walk_operator``
-folds into the walk matrix, so the stepper and the matrix cannot
-disagree about the walk.
+spec is not consulted here.  A step runs the factor table
+``operators.PROTOCOL`` that ``build_walk_operator`` folds into the walk
+matrix, so the stepper and the matrix cannot disagree about the walk.
 
 The stepper uses the sublattice structure of the walk.  A shift moves
 left movers one site down and right movers one site up, so after ``k``
@@ -28,8 +27,8 @@ frequencies between long-lived interface modes; peaks are matched to
 the families of ``MODE_FAMILIES``, where ``omega_delta`` is the small
 quasienergy splitting a perturbation ``delta`` gives the interface
 modes.  That one table, a harmonic ``m`` of ``omega_delta`` per family,
-mirrored to ``pi - m omega_delta`` or not, names the detected peaks,
-predicts the families of each edge count and reads the splitting back.
+mirrored to ``pi - m omega_delta`` or not, names the detected peaks
+and reads the splitting back.
 Counting which harmonics show up, together with whether p0 persists
 at early times, pins down the number of interface mode pairs without
 ever diagonalizing the big system (``DECISIONS``).  Two cheap reads
@@ -54,7 +53,7 @@ import numpy as np
 
 from .bulk import bloch_fold, quasienergy
 from .ioutil import write_csv
-from .operators import Lattice, WalkSpec, build_walk_operator
+from .operators import PROTOCOL, Lattice, WalkSpec, build_walk_operator
 from .spectrum import eigendecompose
 
 DEFAULT_COIN = (1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
@@ -79,16 +78,6 @@ MODE_FAMILIES = {
     "pi": (0, True),
 }
 UNMATCHED = "other"  # a peak that no family target claims
-
-# the harmonics each (delta_nu, gap regime) shows: three pairs beat at
-# both harmonics of the splitting, but a small gap suppresses the
-# second; two pairs beat only at twice it; one pair has nothing to beat
-# against but the alternating pi line
-PREDICTED_HARMONICS = {
-    (1, "large"): {0}, (1, "small"): {0},
-    (2, "large"): {0, 2}, (2, "small"): {0, 2},
-    (3, "large"): {0, 1, 2}, (3, "small"): {0, 1},
-}
 
 # (parity, lowest splitting harmonic seen) -> (candidates, note)
 DECISIONS = {
@@ -163,8 +152,8 @@ class _SublatticeState:
         self.b = self.right[:, vb:vb + self.n]
         self.sites = slice(self.lo // 2, self.lo // 2 + self.n)
 
-    def coin(self, cos_t, sin_t, reflect: bool):
-        """C(theta) or R(theta) on every occupied site.
+    def coin(self, cos_t, sin_t):
+        """C(theta) on every occupied site.
 
         ``cos_t`` and ``sin_t`` are pairs of (even-site, odd-site)
         arrays over the window.
@@ -177,12 +166,8 @@ class _SublatticeState:
         np.multiply(a, c, out=a)
         np.multiply(b, s, out=sb)
         np.multiply(b, c, out=b)
-        if reflect:
-            a += sb
-            np.subtract(sa, b, out=b)
-        else:
-            a -= sb
-            b += sa
+        a -= sb
+        b += sa
 
     def gain(self, ga: float, gb: float):
         self.a *= ga
@@ -285,14 +270,14 @@ def evolve(spec: WalkSpec, steps: int, snapshot_times=()) -> EvolutionTrace:
 
     for t in range(steps + 1):
         if t > 0:
-            for op, arg in spec.protocol:
+            for op, arg in PROTOCOL:
                 if op == "shift":
                     state.shift()
                 elif op == "gain":
                     if spec.gamma != 0.0:
                         state.gain(*gains[arg])
                 else:
-                    state.coin(*trig[arg], reflect=op == "reflect")
+                    state.coin(*trig[arg])
             state.trim()
         norm2 = state.norm2()
         # no amplitude exceeds sqrt(norm2); the margin covers rounding
@@ -423,18 +408,6 @@ def detect_modes(fspec: FourierSpectrum,
         modes.append(Mode(omega=omega, magnitude=float(absc[i]),
                           family=family, index=i))
     return modes
-
-
-def predict_mode_families(delta_nu: int, gap_regime: str) -> frozenset:
-    """Families expected in the return-probability spectrum: those of
-    ``MODE_FAMILIES`` whose harmonic ``PREDICTED_HARMONICS`` lists."""
-    if delta_nu not in (1, 2, 3):
-        raise ValueError("delta_nu must be 1, 2 or 3")
-    if gap_regime not in ("large", "small"):
-        raise ValueError("gap_regime must be 'large' or 'small'")
-    harmonics = PREDICTED_HARMONICS[delta_nu, gap_regime]
-    return frozenset(name for name, (m, _) in MODE_FAMILIES.items()
-                     if m in harmonics)
 
 
 def persistence_parity(trace: EvolutionTrace):

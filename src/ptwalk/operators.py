@@ -6,9 +6,7 @@ Conventions used throughout the package:
   dimensional internal (coin) space.  Basis order is position major:
   the amplitude on site ``x`` with internal component ``s`` (0 = left
   mover, 1 = right mover) sits at flat index ``2*(x - x_min) + s``.
-* ``C(theta)`` is the rotation ``[[cos, -sin], [sin, cos]]``.  The
-  reflective variant ``R(theta) = C(theta) @ sigma3 = [[cos, sin],
-  [sin, -cos]]`` is used only by the ``two_step`` protocol.
+* ``C(theta)`` is the rotation ``[[cos, -sin], [sin, cos]]``.
 * The shift ``S`` moves left movers one site down and right movers one
   site up.  Periodic boundaries wrap; open boundaries annihilate the
   amplitude that would leave the lattice (the operator is then not
@@ -16,11 +14,12 @@ Conventions used throughout the package:
 * ``G = diag(e^gamma, e^-gamma)`` amplifies left movers and damps
   right movers on every site.
 
-Each walk kind is defined once, in ``PROTOCOLS``, as the factors of
-one step in the order they act on the state.  ``build_walk_operator``
-folds that table into a sparse product and ``dynamics.evolve`` runs it
-factor by factor.  Written as an operator product (rightmost factor first),
-``three_step`` is
+The walk is defined once, in ``PROTOCOL``, as the factors of one step
+in the order they act on the state; every walk kind runs it.
+``build_walk_operator`` folds that table into a sparse product,
+``dynamics.evolve`` runs it factor by factor and ``bulk.bloch_fold``
+folds it into a 2x2 Bloch matrix.  Written as an operator product
+(rightmost factor first), one step is
 
     G^-1 . S . C(theta2) . S . C(theta2) . G . S . C(theta1)
 
@@ -43,11 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 WALK_KINDS = (
-    "two_step",
     "three_step",
     "three_step_symmetric",
     "three_step_perturbed",
@@ -59,21 +58,14 @@ SLOT_THETA1 = 0
 SLOT_THETA2_FIRST = 1
 SLOT_THETA2_SECOND = 2
 
-# One step of each walk family, factor by factor in the order they act.
-# ("coin", slot) is C(theta) and ("reflect", slot) is R(theta), with theta
-# the slot's entry of WalkSpec.effective_angles; ("gain", +1) is G and
-# ("gain", -1) is G^-1.  Every three_step kind runs the three_step table.
-PROTOCOLS = {
-    "two_step": (
-        ("reflect", SLOT_THETA1), ("shift", None), ("gain", -1),
-        ("reflect", SLOT_THETA2_FIRST), ("shift", None), ("gain", +1),
-    ),
-    "three_step": (
-        ("coin", SLOT_THETA1), ("shift", None), ("gain", +1),
-        ("coin", SLOT_THETA2_FIRST), ("shift", None),
-        ("coin", SLOT_THETA2_SECOND), ("shift", None), ("gain", -1),
-    ),
-}
+# One step of the walk, factor by factor in the order they act.
+# ("coin", slot) is C(theta), with theta the slot's entry of
+# WalkSpec.effective_angles; ("gain", +1) is G and ("gain", -1) is G^-1.
+PROTOCOL = (
+    ("coin", SLOT_THETA1), ("shift", None), ("gain", +1),
+    ("coin", SLOT_THETA2_FIRST), ("shift", None),
+    ("coin", SLOT_THETA2_SECOND), ("shift", None), ("gain", -1),
+)
 
 
 @dataclass(frozen=True)
@@ -131,7 +123,7 @@ class CoinProfile:
     the left angles for ``x <= 0``.
 
     ``delta`` shifts the first ``theta2`` coin of the perturbed
-    protocols.  ``disorder_amplitude`` is the half width of the
+    kinds.  ``disorder_amplitude`` is the half width of the
     uniform angle jitter drawn per site and per coin slot from a
     counter-based generator keyed by ``disorder_seed``, so a
     realization is reproducible from the profile alone.
@@ -239,14 +231,9 @@ class WalkSpec:
             raise ValueError(f"{self.kind} does not take disorder")
 
     @property
-    def protocol(self) -> tuple:
-        """The factors of one step, in the order they act (``PROTOCOLS``)."""
-        return PROTOCOLS["two_step" if self.kind == "two_step" else "three_step"]
-
-    @property
     def bandwidth(self) -> int:
         """Lattice distance reached by one application."""
-        return sum(op == "shift" for op, _ in self.protocol)
+        return sum(op == "shift" for op, _ in PROTOCOL)
 
     def effective_angles(self, x: np.ndarray):
         """(theta1, theta2_first, theta2_second) arrays, disorder included.
@@ -280,9 +267,6 @@ class WalkOperator:
     spec: WalkSpec
     sparse: sp.csr_matrix
     frame: str  # "stepwise" or "symmetric"
-    theta1_eff: np.ndarray
-    theta2_first_eff: np.ndarray
-    theta2_second_eff: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -293,17 +277,14 @@ class WalkOperator:
         return self.sparse.toarray()
 
 
-def _coin_blocks(theta: np.ndarray, reflective: bool = False) -> sp.csr_matrix:
+def _coin_blocks(theta: np.ndarray) -> sp.csr_matrix:
     """Block-diagonal coin, one 2x2 block per site."""
     n = theta.size
     c, s = np.cos(theta), np.sin(theta)
     i = 2 * np.arange(n)
     rows = np.concatenate([i, i, i + 1, i + 1])
     cols = np.concatenate([i, i + 1, i, i + 1])
-    if reflective:
-        vals = np.concatenate([c, s, s, -c])
-    else:
-        vals = np.concatenate([c, -s, s, c])
+    vals = np.concatenate([c, -s, s, c])
     return sp.csr_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
 
 
@@ -345,7 +326,6 @@ def build_walk_operator(spec: WalkSpec) -> WalkOperator:
     """
     lattice = spec.lattice
     angles = spec.effective_angles(lattice.positions())
-    t1, t2_first, t2_second = angles
     shift = _shift(lattice)
     gains = {sign: _gain(lattice, sign * spec.gamma) for sign in (1, -1)}
 
@@ -354,18 +334,15 @@ def build_walk_operator(spec: WalkSpec) -> WalkOperator:
             return shift
         if op == "gain":
             return gains[arg]
-        return _coin_blocks(angles[arg], reflective=op == "reflect")
+        return _coin_blocks(angles[arg])
 
     # fold left to right from the last-acting factor: the written product
     # G^-1 . S . ... . C(theta1) associates, and so rounds, this way
-    factors = [factor(op, arg) for op, arg in reversed(spec.protocol)]
+    factors = [factor(op, arg) for op, arg in reversed(PROTOCOL)]
     op = WalkOperator(
         spec=spec,
         sparse=functools.reduce(operator.matmul, factors).tocsr(),
         frame="stepwise",
-        theta1_eff=t1,
-        theta2_first_eff=t2_first,
-        theta2_second_eff=t2_second,
     )
     if spec.kind == "three_step_symmetric":
         return symmetric_frame(op)
@@ -373,19 +350,19 @@ def build_walk_operator(spec: WalkSpec) -> WalkOperator:
 
 
 def symmetric_frame(op: WalkOperator) -> WalkOperator:
-    """Conjugate a three-step operator by C(theta1/2).
+    """Conjugate a walk operator by C(theta1/2).
 
     This splits the first coin symmetrically across the step, which is
     the frame in which the symmetry relations checked by
     :func:`verify_symmetries` take their simple form.  The spectrum is
-    untouched.  Uses the operator's effective first-coin angles, so it
-    is the right frame even for disordered realizations.
+    untouched.  Uses the effective first-coin angles, so it is the
+    right frame even for disordered realizations.
     """
-    if op.spec.kind == "two_step":
-        raise ValueError("two_step has no symmetric frame")
     if op.frame == "symmetric":
         return op
-    half = _coin_blocks(op.theta1_eff / 2.0)
+    lattice = op.spec.lattice
+    theta1 = op.spec.effective_angles(lattice.positions())[SLOT_THETA1]
+    half = _coin_blocks(theta1 / 2.0)
     return dataclasses.replace(
         op, sparse=(half @ op.sparse @ half.T).tocsr(), frame="symmetric")
 
@@ -411,15 +388,13 @@ def _parity_matrix(lattice: Lattice) -> sp.csr_matrix | None:
     """Permutation x -> -x tensored with sigma3, or None if unavailable."""
     x = lattice.positions()
     partner = lattice.parity_partner(x)
-    if lattice.boundary == "open":
-        if set(partner.tolist()) != set(x.tolist()):
-            return None
-    rows, cols, vals = [], [], []
-    for xi, xp in zip(x, partner):
-        i, j = lattice.index(xi), lattice.index(int(xp))
-        rows += [j, j + 1]
-        cols += [i, i + 1]
-        vals += [1.0, -1.0]
+    if not np.array_equal(np.sort(partner), x):
+        return None
+    i = 2 * (x - lattice.x_min)
+    j = 2 * (partner - lattice.x_min)
+    rows = np.concatenate([j, j + 1])
+    cols = np.concatenate([i, i + 1])
+    vals = np.repeat([1.0, -1.0], x.size)
     return sp.csr_matrix((vals, (rows, cols)), shape=(lattice.dim, lattice.dim))
 
 
@@ -441,26 +416,27 @@ def verify_symmetries(op: WalkOperator, tol: float = 1e-10) -> SymmetryReport:
     ``holds`` means residual below ``tol`` times the Frobenius norm of
     U.  The PT entry is skipped with a note when the lattice or the
     effective coin profile is not parity symmetric, since the relation
-    is then not even well posed.
+    is then not even well posed.  Every product stays sparse, so the
+    check costs time in proportion to the nonzeros of U and never
+    builds the dense ``matrix``.
     """
     if op.frame != "symmetric":
         raise ValueError("symmetry relations are stated in the symmetric frame; "
                          "apply symmetric_frame first")
-    U = op.matrix
-    norm = float(np.linalg.norm(U))
+    U = op.sparse
+    norm = float(spla.norm(U))
     scale = tol * norm
     checks: dict[str, SymmetryCheck] = {}
 
     lattice = op.spec.lattice
     x = lattice.positions()
-    partner = lattice.parity_partner(x)
     pt_note = ""
     P = _parity_matrix(lattice)
     if P is None:
         pt_note = "lattice positions are not parity symmetric"
     else:
-        order = np.searchsorted(x, partner)
-        for arr in (op.theta1_eff, op.theta2_first_eff, op.theta2_second_eff):
+        order = np.searchsorted(x, lattice.parity_partner(x))
+        for arr in op.spec.effective_angles(x):
             if not np.array_equal(arr, arr[order]):
                 pt_note = "coin profile is not parity symmetric"
                 break
@@ -468,17 +444,17 @@ def verify_symmetries(op: WalkOperator, tol: float = 1e-10) -> SymmetryReport:
         checks["pt"] = SymmetryCheck(None, None, pt_note)
     else:
         lhs = P @ U.conj() @ P  # (P x sigma3) squares to 1
-        res = float(np.linalg.norm(lhs @ U - np.eye(op.dim)))
+        res = float(spla.norm(lhs @ U - sp.identity(op.dim)))
         checks["pt"] = SymmetryCheck(res, res < scale)
 
     T = sp.kron(sp.identity(lattice.num_sites), SIGMA1).tocsr()
-    res = float(np.linalg.norm(T @ U.T @ T - U))
+    res = float(spla.norm(T @ U.T @ T - U))
     checks["trs_dagger"] = SymmetryCheck(res, res < scale)
 
-    res = float(np.linalg.norm(U.conj() - U))
+    res = float(spla.norm(U.conj() - U))
     checks["phs_dagger"] = SymmetryCheck(res, res < scale)
 
-    res = float(np.linalg.norm(T @ U.conj().T @ T - U))
+    res = float(spla.norm(T @ U.conj().T @ T - U))
     checks["chiral"] = SymmetryCheck(res, res < scale)
 
     return SymmetryReport(checks=checks, matrix_norm=norm, tol=tol)

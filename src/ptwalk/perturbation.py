@@ -46,8 +46,6 @@ EDGE_LIKE = ("edge_zero", "edge_pi", "defective_pair_member")
 
 def _edge_eigensystem(spec: WalkSpec, delta: float):
     """Eigenvalues and vectors of the interface-localized states at delta."""
-    if spec.kind == "two_step":
-        raise ValueError("two_step has no delta slot to perturb")
     kind = spec.kind
     if not kind.startswith("three_step_perturbed"):
         kind = "three_step_perturbed"
@@ -285,11 +283,8 @@ def disorder_ensemble(spec: WalkSpec, theta_r: float, n_seeds: int = 32,
     Realizations run one after another.  ``threads`` is accepted and
     ignored: ARPACK and SuperLU hold the GIL, so threads cannot overlap
     the solves.  ``spec`` should carry the wanted ``delta``; its kind is
-    switched to the disordered protocol here, so ``two_step``, which
-    has no disordered variant, is refused.
+    switched to ``three_step_perturbed_disordered`` here.
     """
-    if spec.kind == "two_step":
-        raise ValueError("two_step has no disordered variant")
     if seeds is None:
         seeds = range(seed0, seed0 + n_seeds)
     seeds = list(seeds)

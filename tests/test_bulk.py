@@ -225,8 +225,7 @@ def fold_floor(spec):
 
 class TestBlochFold:
     @pytest.mark.parametrize("num_sites", [31, 40])
-    @pytest.mark.parametrize("kind,delta", [("two_step", 0.0),
-                                            ("three_step", 0.0),
+    @pytest.mark.parametrize("kind,delta", [("three_step", 0.0),
                                             ("three_step_perturbed", 0.05)])
     @pytest.mark.parametrize("gamma", [0.0, 0.1])
     def test_matches_periodic_ring(self, num_sites, kind, delta, gamma):

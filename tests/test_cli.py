@@ -149,6 +149,33 @@ class TestUsageAndErrors:
         payload = error_of(capsys, "spectrum", "--config", cfg)
         assert "states" in payload["message"]
 
+    @pytest.mark.parametrize("command,text,error,message", [
+        ("spectrum", "gamma = 800\n[spectrum]\n",
+         "OverflowError", "math range error"),
+        ("evolve", "gamma = 800\n[evolve]\nsteps = 10\n",
+         "OverflowError", "math range error"),
+        ("evolve", "[evolve]\nsteps = 100000000000000000\n",
+         "MemoryError", "Unable to allocate"),
+    ], ids=["gain-overflow-build", "gain-overflow-evolve", "steps-too-many"])
+    def test_runtime_failure_is_a_json_error(self, capsys, tmp_path, command,
+                                             text, error, message):
+        # a failure inside the library ends the run as the one-line JSON
+        # error, not a traceback; the window of 3 * 10**17 steps cannot
+        # be allocated at all, so the attempt fails at once
+        cfg = write_config(tmp_path, SMALL_WALK + text)
+        payload = error_of(capsys, command, "--config", cfg,
+                           "--out", f"{tmp_path}/f/")
+        assert payload["error"] == error
+        assert payload["message"].startswith(message)
+
+    def test_keyboard_interrupt_propagates(self, monkeypatch):
+        def interrupted(argv):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_dispatch", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["dispersion"])
+
 
 class TestDispersionCommand:
     CFG = ("[dispersion]\ntheta1_over_pi = 0.4\ntheta2_over_pi = 0.1\n"
@@ -304,7 +331,9 @@ class TestWalkSection:
         ("num_sites = 11\n", "num_sites = eleven\n", "[walk] num_sites: "),
         ("num_sites = 11\n", "num_sites = 1\n",
          "[walk] need at least two sites"),
-    ], ids=["missing", "unknown", "unparseable", "invalid"])
+        ("kind = three_step\n", "kind = two_step\n",
+         "[walk] unknown walk kind 'two_step'"),
+    ], ids=["missing", "unknown", "unparseable", "invalid", "unknown-kind"])
     def test_error_wording(self, capsys, tmp_path, old, new, message):
         cfg = write_config(tmp_path, SMALL_WALK.replace(old, new))
         payload = error_of(capsys, "spectrum", "--config", cfg,

@@ -18,7 +18,6 @@ from ptwalk.dynamics import (
     evolve,
     infer_edge_count,
     persistence_parity,
-    predict_mode_families,
     write_fourier_csv,
     write_snapshot_csv,
     write_trace_csv,
@@ -47,12 +46,6 @@ class TestEvolve:
         trace = evolve(homogeneous_spec(), steps=20)
         assert np.all(trace.p0_raw[1::2] == 0.0)
         assert trace.p0_raw[0] == pytest.approx(1.0)
-
-    def test_two_step_walk_returns_at_every_even_shift(self):
-        trace = evolve(homogeneous_spec(kind="two_step"), steps=20)
-        # two shifts per step: odd times leave the walker off origin
-        # only by one shift, which the second shift can undo
-        assert np.any(trace.p0_raw[1:] > 0.0)
 
     def test_normalized_probability_bounded(self):
         trace = evolve(homogeneous_spec(gamma=0.3), steps=40)
@@ -144,7 +137,6 @@ def oracle_specs():
                                     disorder_seed=7)
     lat = Lattice(11)
     return {
-        "two_step": WalkSpec("two_step", lat, io, gamma=0.2),
         "three_step": WalkSpec("three_step", lat, io, gamma=0.1),
         "three_step-gamma0": WalkSpec("three_step", lat, io, gamma=0.0),
         "perturbed_split": WalkSpec("three_step_perturbed", lat, split,
@@ -178,11 +170,10 @@ class TestMatrixPowerOracle:
     def test_return_probability(self, name):
         self.check(oracle_specs()[name], 60)
 
-    @pytest.mark.parametrize("name", ["two_step", "three_step"])
-    def test_trimmed_fronts(self, name, monkeypatch):
-        # from t ~ 450-520 on the light-cone fronts of these walks fall
+    def test_trimmed_fronts(self, monkeypatch):
+        # from t ~ 450-520 on the light-cone fronts of this walk fall
         # below the smallest normal float64 and the stepper drops them
-        spec = oracle_specs()[name]
+        spec = oracle_specs()["three_step"]
         trim = dynamics._SublatticeState.trim
         dropped = []
 
@@ -312,23 +303,27 @@ class TestDetectModes:
         assert [m.family for m in modes] == ["pi"]
 
 
-class TestPredictModeFamilies:
-    def test_table(self):
-        assert predict_mode_families(1, "large") == {"pi"}
-        assert predict_mode_families(1, "small") == {"pi"}
-        assert predict_mode_families(2, "large") == {
-            "2omega_delta", "pi-2omega_delta", "pi"}
-        assert predict_mode_families(3, "large") == {
-            "omega_delta", "2omega_delta", "pi-2omega_delta",
-            "pi-omega_delta", "pi"}
-        assert predict_mode_families(3, "small") == {
-            "omega_delta", "pi-omega_delta", "pi"}
+# the harmonics each (delta_nu, gap regime) shows: three pairs beat at
+# both harmonics of the splitting, but a small gap suppresses the
+# second; two pairs beat only at twice it; one pair has nothing to beat
+# against but the alternating pi line
+PREDICTED_HARMONICS = {
+    (1, "large"): {0}, (1, "small"): {0},
+    (2, "large"): {0, 2}, (2, "small"): {0, 2},
+    (3, "large"): {0, 1, 2}, (3, "small"): {0, 1},
+}
 
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            predict_mode_families(0, "large")
-        with pytest.raises(ValueError):
-            predict_mode_families(2, "medium")
+
+def test_decisions_recover_every_predicted_count():
+    # an odd count of pairs keeps p0 persistent, and the lowest
+    # splitting harmonic it beats at must pin the count down alone
+    family_harmonics = {m for m, _ in dynamics.MODE_FAMILIES.values()}
+    for (delta_nu, regime), harmonics in PREDICTED_HARMONICS.items():
+        assert harmonics <= family_harmonics
+        parity = "odd" if delta_nu % 2 else "even"
+        lowest = min((h for h in harmonics if h > 0), default=None)
+        candidates, _ = dynamics.DECISIONS[parity, lowest]
+        assert candidates == (delta_nu,), (delta_nu, regime)
 
 
 def fake_trace(p0):

@@ -9,6 +9,7 @@ from ptwalk.operators import (
     CoinProfile,
     Lattice,
     WalkSpec,
+    _parity_matrix,
     build_walk_operator,
     disorder_offset,
     symmetric_frame,
@@ -121,11 +122,15 @@ class TestWalkSpec:
         assert np.allclose(t2f - t2s, 0.05)
         assert np.allclose(t1, 0.3)
 
+    def test_two_step_is_an_unknown_kind(self):
+        # the paper's walk is the three-step one; no other protocol exists
+        with pytest.raises(ValueError, match="unknown walk kind 'two_step'"):
+            homogeneous_spec(kind="two_step")
+
 
 class TestBuildOperator:
-    @pytest.mark.parametrize("kind", ["two_step", "three_step"])
-    def test_unitary_at_gamma_zero(self, kind):
-        op = build_walk_operator(homogeneous_spec(kind=kind))
+    def test_unitary_at_gamma_zero(self):
+        op = build_walk_operator(homogeneous_spec())
         prod = op.matrix @ op.matrix.T
         assert np.max(np.abs(prod - np.eye(op.dim))) < 1e-12
 
@@ -163,15 +168,89 @@ class TestBuildOperator:
         via_frame = symmetric_frame(base)
         assert np.allclose(sym.matrix, via_frame.matrix, atol=1e-13)
 
-    def test_two_step_has_no_symmetric_frame(self):
-        op = build_walk_operator(homogeneous_spec(kind="two_step"))
-        with pytest.raises(ValueError):
-            symmetric_frame(op)
+
+
+def site_loop_parity(lattice):
+    """Dense parity x sigma3, placed site by site; None where x -> -x
+    leaves the lattice."""
+    x = lattice.positions()
+    partner = lattice.parity_partner(x)
+    if set(partner.tolist()) != set(x.tolist()):
+        return None
+    P = np.zeros((lattice.dim, lattice.dim))
+    for xi, xp in zip(x, partner):
+        i, j = lattice.index(xi), lattice.index(int(xp))
+        P[j, i], P[j + 1, i + 1] = 1.0, -1.0
+    return P
+
+
+def dense_symmetry_residuals(op):
+    """The relations of ``verify_symmetries`` on the dense matrix, with
+    the parity operator placed site by site: the slow oracle.  Returns
+    the Frobenius norm of U and the residual of each relation, None
+    where the PT relation is not posed."""
+    U = op.matrix
+    lattice = op.spec.lattice
+    x = lattice.positions()
+    partner = lattice.parity_partner(x)
+    T = np.kron(np.eye(lattice.num_sites), [[0.0, 1.0], [1.0, 0.0]])
+    res = {
+        "trs_dagger": np.linalg.norm(T @ U.T @ T - U),
+        "phs_dagger": np.linalg.norm(U.conj() - U),
+        "chiral": np.linalg.norm(T @ U.conj().T @ T - U),
+        "pt": None,
+    }
+    P = site_loop_parity(lattice)
+    if P is not None and all(
+            np.array_equal(a, a[np.searchsorted(x, partner)])
+            for a in op.spec.effective_angles(x)):
+        res["pt"] = np.linalg.norm(P @ U.conj() @ P @ U - np.eye(op.dim))
+    return np.linalg.norm(U), res
 
 
 class TestSymmetries:
     def check(self, spec):
         return verify_symmetries(symmetric_frame(build_walk_operator(spec)))
+
+    @pytest.mark.parametrize("lattice", [
+        Lattice(5), Lattice(6), Lattice(10, x_min=-3), Lattice(41, "open"),
+        Lattice(40, "open"), Lattice(11, "open", x_min=-4),
+    ], ids=repr)
+    def test_parity_matrix_matches_site_loop(self, lattice):
+        P = _parity_matrix(lattice)
+        expected = site_loop_parity(lattice)
+        if expected is None:
+            assert P is None
+        else:
+            assert np.array_equal(P.toarray(), expected)
+
+    @pytest.mark.parametrize("spec", [
+        homogeneous_spec(gamma=0.1),
+        homogeneous_spec(n=41, gamma=0.1, boundary="open"),
+        WalkSpec("three_step", Lattice(41),
+                 CoinProfile.inner_outer((0.4 * PI, 0.1 * PI),
+                                         (-0.2 * PI, 0.3 * PI), half_width=8),
+                 gamma=0.1),
+        WalkSpec("three_step", Lattice(40),
+                 CoinProfile.left_right((0.4 * PI, 0.1 * PI),
+                                        (-0.2 * PI, 0.3 * PI)),
+                 gamma=0.1),
+        homogeneous_spec(kind="three_step_perturbed", delta=0.05, gamma=0.1),
+    ], ids=["homogeneous", "open", "inner_outer", "left_right", "perturbed"])
+    def test_sparse_check_matches_dense_oracle(self, spec):
+        op = symmetric_frame(build_walk_operator(spec))
+        report = verify_symmetries(op)
+        assert "matrix" not in vars(op)
+        norm, residuals = dense_symmetry_residuals(op)
+        slack = 1e-13 * norm
+        assert abs(report.matrix_norm - norm) <= slack
+        for name, res in residuals.items():
+            check = report.checks[name]
+            if res is None:
+                assert check.residual is None and check.holds is None, name
+            else:
+                assert abs(check.residual - res) <= slack, name
+                assert check.holds == (res < report.tol * norm), name
 
     def test_homogeneous_has_all_four(self):
         report = self.check(homogeneous_spec(gamma=0.1))

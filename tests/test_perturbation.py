@@ -107,22 +107,6 @@ class TestDeltaSweep:
         with pytest.raises(TrackingError):
             delta_sweep(spec, [0.01, 0.02])
 
-    def test_two_step_refused(self):
-        spec = WalkSpec(kind="two_step", lattice=Lattice(301),
-                        profile=CoinProfile.inner_outer(INNER, OUTER_C, 50),
-                        gamma=0.1)
-        with pytest.raises(ValueError):
-            delta_sweep(spec, [0.0, 0.01])
-
-    def test_two_step_refused_by_disorder(self):
-        # the ensemble switches the kind to the disordered three-step
-        # walk, which a two_step walk has no counterpart of
-        spec = WalkSpec(kind="two_step", lattice=Lattice(301),
-                        profile=CoinProfile.inner_outer(INNER, OUTER_C, 50),
-                        gamma=0.1)
-        with pytest.raises(ValueError, match="two_step"):
-            disorder_ensemble(spec, 0.01, n_seeds=1)
-
 
 class TestExceptionalPoint:
     def test_location(self, ep):
