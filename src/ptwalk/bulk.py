@@ -220,9 +220,6 @@ def bulk_gap_status(theta1: float, theta2: float, gamma: float) -> GapStatus:
 
 @dataclass(frozen=True)
 class TopologicalNumber:
-    theta1: float
-    theta2: float
-    gamma: float
     nu_prime: int
     nu_zero: float
     nu_pi: float
@@ -248,11 +245,8 @@ def winding_number(theta1: float, theta2: float, gamma: float,
     roots = np.roots([q + c2sq, p - s2sq, p + s2sq, q - c2sq])
     n_in = int(np.count_nonzero(np.abs(roots) < 1.0))
     nu = 2 * n_in - 3
-    return TopologicalNumber(
-        theta1=theta1, theta2=theta2, gamma=gamma,
-        nu_prime=nu, nu_zero=nu / 2.0, nu_pi=nu / 2.0,
-        nu_shifted=n_in,
-    )
+    return TopologicalNumber(nu_prime=nu, nu_zero=nu / 2.0, nu_pi=nu / 2.0,
+                             nu_shifted=n_in)
 
 
 @dataclass(frozen=True, eq=False)

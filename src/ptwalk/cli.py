@@ -166,9 +166,7 @@ def _walk_spec(cfg: dict) -> tuple[WalkSpec, dict]:
         raise CliError("this subcommand needs a [walk] section in the config")
     sec = _section(cfg, "walk")
     kind = sec.take("kind", str)
-    lattice = dict(num_sites=sec.take("num_sites", int),
-                   boundary=sec.take("boundary", str, "periodic"),
-                   x_min=sec.take("x_min", int, None))
+    num_sites = sec.take("num_sites", int)
     layout = sec.take("layout", str, "homogeneous")
     profile = dict(
         layout=layout,
@@ -186,10 +184,12 @@ def _walk_spec(cfg: dict) -> tuple[WalkSpec, dict]:
     gamma = sec.take("gamma", float, 0.0)
     params = sec.finish()
     try:
-        spec = WalkSpec(kind=kind, lattice=Lattice(**lattice),
+        spec = WalkSpec(kind=kind, lattice=Lattice(num_sites),
                         profile=CoinProfile(**profile), gamma=gamma)
     except ValueError as exc:
         raise CliError(f"[walk] {exc}")
+    # every walk runs on a centred ring; recorded so manifests say so
+    params["boundary"] = "periodic"
     params["x_min"] = spec.lattice.x_min
     return spec, params
 

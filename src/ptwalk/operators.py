@@ -7,10 +7,10 @@ Conventions used throughout the package:
   the amplitude on site ``x`` with internal component ``s`` (0 = left
   mover, 1 = right mover) sits at flat index ``2*(x - x_min) + s``.
 * ``C(theta)`` is the rotation ``[[cos, -sin], [sin, cos]]``.
-* The shift ``S`` moves left movers one site down and right movers one
-  site up.  Periodic boundaries wrap; open boundaries annihilate the
-  amplitude that would leave the lattice (the operator is then not
-  norm preserving even at ``gamma = 0``).
+* The lattice is a ring centred on the origin: ``x_min`` is
+  ``-((num_sites - 1) // 2)`` and the shift ``S`` moves left movers
+  one site down and right movers one site up, wrapping around.  Every
+  factor of a step is therefore invertible.
 * ``G = diag(e^gamma, e^-gamma)`` amplifies left movers and damps
   right movers on every site.
 
@@ -70,23 +70,18 @@ PROTOCOL = (
 
 @dataclass(frozen=True)
 class Lattice:
-    """Finite 1D lattice holding the walker.
-
-    ``x_min`` defaults to ``-(num_sites - 1) // 2`` which centers the
-    lattice on the origin (exactly for odd ``num_sites``).
-    """
+    """Periodic 1D ring holding the walker, centred on the origin
+    (exactly for odd ``num_sites``)."""
 
     num_sites: int
-    boundary: str = "periodic"
-    x_min: int | None = None
 
     def __post_init__(self):
         if self.num_sites < 2:
             raise ValueError("need at least two sites")
-        if self.boundary not in ("periodic", "open"):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
-        if self.x_min is None:
-            object.__setattr__(self, "x_min", -((self.num_sites - 1) // 2))
+
+    @property
+    def x_min(self) -> int:
+        return -((self.num_sites - 1) // 2)
 
     @property
     def dim(self) -> int:
@@ -105,10 +100,8 @@ class Lattice:
         return 2 * offset + component
 
     def parity_partner(self, x: np.ndarray) -> np.ndarray:
-        """Positions mapped by x -> -x, wrapped on a periodic lattice."""
-        if self.boundary == "periodic":
-            return (-x - self.x_min) % self.num_sites + self.x_min
-        return -x
+        """Positions mapped by x -> -x, wrapped around the ring."""
+        return (-x - self.x_min) % self.num_sites + self.x_min
 
 
 @dataclass(frozen=True)
@@ -186,8 +179,7 @@ class CoinProfile:
         x = lattice.positions()
         t1, t2 = self.base_angles(x)
         cuts = []
-        last = lattice.num_sites if lattice.boundary == "periodic" else lattice.num_sites - 1
-        for i in range(last):
+        for i in range(lattice.num_sites):
             j = (i + 1) % lattice.num_sites
             if t1[i] != t1[j] or t2[i] != t2[j]:
                 cuts.append(x[i] + 0.5)
@@ -229,6 +221,13 @@ class WalkSpec:
                 and self.kind != "three_step_perturbed_disordered"):
             # refuse rather than silently ignore the amplitude
             raise ValueError(f"{self.kind} does not take disorder")
+        if (self.profile.layout == "inner_outer"
+                and self.profile.half_width > self.lattice.num_sites // 2):
+            # |x| < half_width would hold on every site: no interface
+            raise ValueError(
+                f"half_width {self.profile.half_width} leaves no outer site "
+                f"on {self.lattice.num_sites} sites (at most "
+                f"{self.lattice.num_sites // 2})")
 
     @property
     def bandwidth(self) -> int:
@@ -291,23 +290,10 @@ def _coin_blocks(theta: np.ndarray) -> sp.csr_matrix:
 def _shift(lattice: Lattice) -> sp.csr_matrix:
     n = lattice.num_sites
     i = np.arange(n)
-    rows, cols, vals = [], [], []
-    # left movers: x -> x - 1
-    dest = (i - 1) % n
-    keep = np.ones(n, bool) if lattice.boundary == "periodic" else i > 0
-    rows.append(2 * dest[keep])
-    cols.append(2 * i[keep])
-    vals.append(np.ones(keep.sum()))
-    # right movers: x -> x + 1
-    dest = (i + 1) % n
-    keep = np.ones(n, bool) if lattice.boundary == "periodic" else i < n - 1
-    rows.append(2 * dest[keep] + 1)
-    cols.append(2 * i[keep] + 1)
-    vals.append(np.ones(keep.sum()))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * n, 2 * n),
-    )
+    # left movers x -> x - 1, right movers x -> x + 1
+    rows = np.concatenate([2 * ((i - 1) % n), 2 * ((i + 1) % n) + 1])
+    cols = np.concatenate([2 * i, 2 * i + 1])
+    return sp.csr_matrix((np.ones(2 * n), (rows, cols)), shape=(2 * n, 2 * n))
 
 
 def _gain(lattice: Lattice, gamma: float) -> sp.dia_matrix:
@@ -384,12 +370,10 @@ class SymmetryReport:
         return self.checks[name].holds
 
 
-def _parity_matrix(lattice: Lattice) -> sp.csr_matrix | None:
-    """Permutation x -> -x tensored with sigma3, or None if unavailable."""
+def _parity_matrix(lattice: Lattice) -> sp.csr_matrix:
+    """Permutation x -> -x tensored with sigma3."""
     x = lattice.positions()
     partner = lattice.parity_partner(x)
-    if not np.array_equal(np.sort(partner), x):
-        return None
     i = 2 * (x - lattice.x_min)
     j = 2 * (partner - lattice.x_min)
     rows = np.concatenate([j, j + 1])
@@ -414,9 +398,9 @@ def verify_symmetries(op: WalkOperator, tol: float = 1e-10) -> SymmetryReport:
     * ``chiral``      Gamma U+ Gamma^-1 = U   (Gamma = sigma1 on every site)
 
     ``holds`` means residual below ``tol`` times the Frobenius norm of
-    U.  The PT entry is skipped with a note when the lattice or the
-    effective coin profile is not parity symmetric, since the relation
-    is then not even well posed.  Every product stays sparse, so the
+    U.  The PT entry is skipped with a note when the effective coin
+    profile is not parity symmetric, since the relation is then not
+    even well posed.  Every product stays sparse, so the
     check costs time in proportion to the nonzeros of U and never
     builds the dense ``matrix``.
     """
@@ -430,19 +414,13 @@ def verify_symmetries(op: WalkOperator, tol: float = 1e-10) -> SymmetryReport:
 
     lattice = op.spec.lattice
     x = lattice.positions()
-    pt_note = ""
-    P = _parity_matrix(lattice)
-    if P is None:
-        pt_note = "lattice positions are not parity symmetric"
+    order = np.searchsorted(x, lattice.parity_partner(x))
+    if any(not np.array_equal(arr, arr[order])
+           for arr in op.spec.effective_angles(x)):
+        checks["pt"] = SymmetryCheck(None, None,
+                                     "coin profile is not parity symmetric")
     else:
-        order = np.searchsorted(x, lattice.parity_partner(x))
-        for arr in op.spec.effective_angles(x):
-            if not np.array_equal(arr, arr[order]):
-                pt_note = "coin profile is not parity symmetric"
-                break
-    if pt_note:
-        checks["pt"] = SymmetryCheck(None, None, pt_note)
-    else:
+        P = _parity_matrix(lattice)
         lhs = P @ U.conj() @ P  # (P x sigma3) squares to 1
         res = float(spla.norm(lhs @ U - sp.identity(op.dim)))
         checks["pt"] = SymmetryCheck(res, res < scale)

@@ -89,10 +89,6 @@ class DeltaSweepResult:
     n_branches: int
     ep_bracket: tuple[float, float] | None
 
-    @property
-    def deltas(self) -> np.ndarray:
-        return np.array([p.delta for p in self.points])
-
     def branch(self, branch_id: int) -> np.ndarray:
         return np.array([p.lams[branch_id] for p in self.points])
 
@@ -135,32 +131,29 @@ def delta_sweep(spec: WalkSpec, deltas) -> DeltaSweepResult:
     while pending:
         target = pending[-1]
         lams_new, vecs_new = _edge_eigensystem(spec, target)
+        width = target - prev_delta
+        failure = None
         if lams_new.size != n_branches:
-            if inserted_budget > 0 and target - prev_delta > MIN_STEP:
+            failure = (f"tracked state count changed from {n_branches} to "
+                       f"{lams_new.size} near delta={target:.6g}")
+        else:
+            cost = np.abs(prev[:, None] - lams_new[None, :])
+            rows, cols = linear_sum_assignment(cost)
+            aligned = np.empty_like(lams_new)
+            aligned[rows] = lams_new[cols]
+            moves = np.abs(aligned - prev)
+            regime = _regime(lams_new, vecs_new)
+            if prev_step is not None and regime == points[-1].regime:
+                est = prev_step * (width / prev_width) + 1e-12
+                if np.any(moves > np.maximum(JUMP_FACTOR * est, 1e-4)):
+                    failure = ("unresolvable branch crossing near "
+                               f"delta={target:.6g}")
+        if failure is not None:
+            if inserted_budget > 0 and width > MIN_STEP:
                 pending.append((prev_delta + target) / 2.0)
                 inserted_budget -= 1
                 continue
-            raise TrackingError(
-                f"tracked state count changed from {n_branches} to "
-                f"{lams_new.size} near delta={target:.6g}")
-        cost = np.abs(prev[:, None] - lams_new[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        aligned = np.empty_like(lams_new)
-        aligned[rows] = lams_new[cols]
-        moves = np.abs(aligned - prev)
-
-        regime = _regime(lams_new, vecs_new)
-        width = target - prev_delta
-        if prev_step is not None and regime == points[-1].regime:
-            est = prev_step * (width / prev_width) + 1e-12
-            bound = np.maximum(JUMP_FACTOR * est, 1e-4)
-            if np.any(moves > bound):
-                if inserted_budget > 0 and width > MIN_STEP:
-                    pending.append((prev_delta + target) / 2.0)
-                    inserted_budget -= 1
-                    continue
-                raise TrackingError(
-                    f"unresolvable branch crossing near delta={target:.6g}")
+            raise TrackingError(failure)
         pending.pop()
         points.append(SweepPoint(delta=float(target), lams=aligned,
                                  regime=regime,

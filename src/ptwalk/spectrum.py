@@ -80,7 +80,6 @@ class SpectrumResult:
     pairs: list[Eigenpair]
     counts: dict[str, int]
     eps_m: float | None
-    window: int
     interfaces: list[float] = field(default_factory=list)
     solver: str = "dense"  # "dense", "interface" or "dense-fallback"
 
@@ -99,9 +98,7 @@ def _interface_distance(lattice: Lattice, interfaces) -> np.ndarray:
     if not interfaces:
         return np.full(x.shape, np.inf)
     d = np.abs(x[:, None] - np.asarray(interfaces)[None, :])
-    if lattice.boundary == "periodic":
-        d = np.minimum(d, lattice.num_sites - d)
-    return d.min(axis=1)
+    return np.minimum(d, lattice.num_sites - d).min(axis=1)
 
 
 @dataclass(frozen=True)
@@ -119,8 +116,7 @@ def _fit_localization(prob: np.ndarray, lattice: Lattice,
     """
     x = lattice.positions()
     d = np.abs(x - x[center_idx])
-    if lattice.boundary == "periodic":
-        d = np.minimum(d, lattice.num_sites - d)
+    d = np.minimum(d, lattice.num_sites - d)
     peak = prob[center_idx]
     mask = (prob >= peak / 10.0) & (prob > 0)
     if mask.sum() < 3:
@@ -179,17 +175,13 @@ def classify_states(evals: np.ndarray, vectors: np.ndarray, spec: WalkSpec,
 
         dist0 = abs(eps[i].real)
         distpi = np.pi - dist0
-        annihilated = abs_lam[i] == 0.0
-        im_rel = 0.0 if annihilated else abs(lam.imag) / abs_lam[i]
+        im_rel = abs(lam.imag) / abs_lam[i]
         real_eig = im_rel <= TOL_REAL
         if TOL_REAL / 2 <= im_rel <= 2 * TOL_REAL:
             pair.ambiguous = True
 
         if localized:
-            if annihilated:
-                # lambda = 0 is no mode of the walk, whatever its Re eps
-                pair.classification = "impurity"
-            elif real_eig or min(dist0, distpi) <= TOL_EDGE:
+            if real_eig or min(dist0, distpi) <= TOL_EDGE:
                 pair.classification = ("edge_zero" if dist0 <= distpi
                                        else "edge_pi")
             elif (min(dist0, distpi) <= EDGE_BAND
@@ -221,13 +213,13 @@ def classify_states(evals: np.ndarray, vectors: np.ndarray, spec: WalkSpec,
                if p.classification == "bulk" and p.eps.real > 0]
     eps_m = min(bulk_up) if bulk_up else None
     return SpectrumResult(spec=spec, pairs=pairs, counts=counts, eps_m=eps_m,
-                          window=window, interfaces=interfaces)
+                          interfaces=interfaces)
 
 
 def _completeness_radius(gamma: float) -> float:
     """Distance from +1 (or -1) that holds every edge-like eigenvalue.
 
-    On a periodic ring each of G and G^-1 enters a step once with norm
+    On the ring each of G and G^-1 enters a step once with norm
     e^|gamma| and every coin and shift has norm 1, so the spectrum lies
     in the annulus e^-2|gamma| <= |lambda| <= e^2|gamma|.  An edge-like
     state (real, or a defective pair member) has its argument within
@@ -245,12 +237,10 @@ def _interface_window(op: WalkOperator):
     until the farthest one lies beyond the completeness radius, so
     nothing inside the radius is missed.  The start vector and the
     restart draws are seeded, which makes the result a function of the
-    operator alone.  None means the window cannot be trusted (open
-    lattice, k beyond a quarter of the dimension, or no convergence)
-    and the caller should solve densely.
+    operator alone.  None means the window cannot be trusted (k beyond
+    a quarter of the dimension, or no convergence) and the caller
+    should solve densely.
     """
-    if op.spec.lattice.boundary == "open":
-        return None  # S is not invertible, so |lambda| has no lower bound
     radius = _completeness_radius(op.spec.gamma)
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, op.dim)
     evals, vectors = [], []

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ptwalk import cli
@@ -274,16 +275,16 @@ class TestSpectrumCommand:
 
     @pytest.mark.parametrize("condition,near_defective",
                              [("true", 22), ("false", None)])
-    def test_health_counts(self, capsys, tmp_path, condition,
+    def test_health_counts(self, capsys, tmp_path, monkeypatch, condition,
                            near_defective):
-        # zero coin angles on an open lattice give a nilpotent walk whose
-        # eigenvector matrix is singular: every pair is near defective
-        cfg = write_config(tmp_path, "[walk]\nkind = three_step\n"
-                                     "num_sites = 11\nboundary = open\n"
-                                     "theta1_a_over_pi = 0\n"
-                                     "theta2_a_over_pi = 0\n"
-                                     "[spectrum]\ncompute_condition = "
-                                     f"{condition}\n")
+        # a ring walk never has a singular eigenvector matrix, so the
+        # inversion is made to fail: every pair is then near defective
+        def singular(_):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        cfg = write_config(tmp_path, SMALL_WALK + "[spectrum]\n"
+                                     f"compute_condition = {condition}\n")
         rc, _, _ = run(capsys, "spectrum", "--config", cfg,
                        "--out", f"{tmp_path}/s/")
         assert rc == 0
@@ -320,9 +321,13 @@ class TestWalkSection:
 
     def test_resolved_x_min_recorded(self, capsys, tmp_path):
         walk = self.walk_params(capsys, tmp_path, SMALL_WALK)
-        assert walk["x_min"] == -5
-        walk = self.walk_params(capsys, tmp_path, SMALL_WALK + "x_min = -2\n")
-        assert walk["x_min"] == -2
+        assert (walk["boundary"], walk["x_min"]) == ("periodic", -5)
+        for key in ("boundary = open\n", "x_min = -2\n"):
+            cfg = write_config(tmp_path, SMALL_WALK + key)
+            payload = error_of(capsys, "spectrum", "--config", cfg,
+                               "--out", f"{tmp_path}/w/")
+            assert payload["message"] == (
+                f"unknown keys in [walk]: [{key.split()[0]!r}]")
 
     @pytest.mark.parametrize("old,new,message", [
         ("kind = three_step\n", "", "missing key 'kind' in section [walk]"),
@@ -333,7 +338,11 @@ class TestWalkSection:
          "[walk] need at least two sites"),
         ("kind = three_step\n", "kind = two_step\n",
          "[walk] unknown walk kind 'two_step'"),
-    ], ids=["missing", "unknown", "unparseable", "invalid", "unknown-kind"])
+        ("num_sites = 11\n", "num_sites = 11\nlayout = inner_outer\n"
+         "theta1_b_over_pi = -0.6\ntheta2_b_over_pi = 0.2\nhalf_width = 6\n",
+         "[walk] half_width 6 leaves no outer site on 11 sites"),
+    ], ids=["missing", "unknown", "unparseable", "invalid", "unknown-kind",
+            "no-outer-site"])
     def test_error_wording(self, capsys, tmp_path, old, new, message):
         cfg = write_config(tmp_path, SMALL_WALK.replace(old, new))
         payload = error_of(capsys, "spectrum", "--config", cfg,
@@ -509,6 +518,19 @@ class TestEdgeMapCommand:
                            "--out", f"{tmp_path}/m/")
         assert payload["error"] == "CliError"
         assert "unknown keys in [edge-map]: ['kind']" in payload["message"]
+
+    def test_inner_region_covering_the_ring(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, PROBE_SECTIONS["edge-map"]
+                           + "num_sites = 101\nhalf_width = 51\n"
+                             "theta1_min_over_pi = -0.6\n"
+                             "theta1_max_over_pi = -0.5\ntheta1_points = 2\n"
+                             "theta2_min_over_pi = 0.2\n"
+                             "theta2_max_over_pi = 0.3\ntheta2_points = 2\n")
+        payload = error_of(capsys, "edge-map", "--config", cfg,
+                           "--out", f"{tmp_path}/m/")
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith("half_width 51 leaves no outer")
+        assert not (tmp_path / "m").exists()
 
 
 INFER = """\

@@ -1,5 +1,6 @@
 """The README's module map names only what the modules really define,
-and its command-line block is the usage text the CLI prints."""
+its command-line block is the usage text the CLI prints, and the walk
+keys it names are keys the CLI reads."""
 
 import importlib
 import re
@@ -40,3 +41,23 @@ def test_usage_block_is_cli_usage():
     # the first fenced block of the "Command line" section
     block = TEXT.split("\n## Command line\n", 1)[1].split("```\n")[1]
     assert block == cli.USAGE
+
+
+# every key _walk_spec reads, for a kind and layout that read them all
+FULL_WALK = {
+    "kind": "three_step_perturbed_disordered", "num_sites": "41",
+    "layout": "inner_outer", "theta1_a_over_pi": "0.4",
+    "theta2_a_over_pi": "0.1", "theta1_b_over_pi": "-0.6",
+    "theta2_b_over_pi": "0.2", "half_width": "10", "gamma": "0.1",
+    "delta": "0.05", "disorder_amplitude": "0.1", "disorder_seed": "3",
+}
+
+
+def test_optional_walk_keys_are_read():
+    # _walk_spec rejects a key it does not read, and resolves one it
+    # reads whether given or not; the manifest adds the ring's constants
+    _, params = cli._walk_spec({"walk": FULL_WALK})
+    assert set(params) == set(FULL_WALK) | {"boundary", "x_min"}
+    sentence = re.search(r"Optional walk keys:(.*?)\.\s", TEXT, re.S)[1]
+    keys = re.findall(r"`(\w+)`", sentence)
+    assert keys and set(keys) <= set(FULL_WALK)

@@ -108,11 +108,12 @@ def oracle_p0(spec, steps):
     """p0 raw and normalized and the final site distribution, from
     explicit powers of the walk matrix.
 
-    The matrix is built on the open lattice that ``evolve`` stores: the
-    whole light cone of the source at x = 0.
+    The matrix is built on the centred ring of the sites ``evolve``
+    stores, the whole light cone of the source at x = 0, so no
+    amplitude reaches the wrap.
     """
     reach = spec.bandwidth * steps
-    lattice = Lattice(2 * reach + 1, "open", x_min=-reach)
+    lattice = Lattice(2 * reach + 1)
     u = build_walk_operator(dataclasses.replace(spec, lattice=lattice)).sparse
     psi = np.zeros(lattice.dim, dtype=complex)
     psi[lattice.index(0, 0)], psi[lattice.index(0, 1)] = DEFAULT_COIN

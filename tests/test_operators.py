@@ -20,9 +20,9 @@ PI = math.pi
 
 
 def homogeneous_spec(kind="three_step", n=40, theta1=0.3, theta2=0.2,
-                     gamma=0.0, boundary="periodic", **kw):
+                     gamma=0.0, **kw):
     profile = CoinProfile.homogeneous(theta1, theta2, **kw)
-    return WalkSpec(kind=kind, lattice=Lattice(n, boundary=boundary),
+    return WalkSpec(kind=kind, lattice=Lattice(n),
                     profile=profile, gamma=gamma)
 
 
@@ -127,6 +127,18 @@ class TestWalkSpec:
         with pytest.raises(ValueError, match="unknown walk kind 'two_step'"):
             homogeneous_spec(kind="two_step")
 
+    @pytest.mark.parametrize("n", [100, 101])
+    def test_inner_region_leaves_an_outer_site(self, n):
+        def spec(half_width):
+            profile = CoinProfile.inner_outer((0.1, 0.2), (0.3, 0.4),
+                                              half_width)
+            return WalkSpec("three_step", Lattice(n), profile)
+
+        widest = spec(n // 2)
+        assert len(widest.profile.interfaces(widest.lattice)) == 2
+        with pytest.raises(ValueError, match="leaves no outer site"):
+            spec(n // 2 + 1)
+
 
 class TestBuildOperator:
     def test_unitary_at_gamma_zero(self):
@@ -150,11 +162,6 @@ class TestBuildOperator:
                     blk = m[2 * i:2 * i + 2, 2 * j:2 * j + 2]
                     assert not blk.any()
 
-    def test_open_boundary_loses_norm(self):
-        op = build_walk_operator(homogeneous_spec(boundary="open"))
-        prod = op.matrix @ op.matrix.T
-        assert np.max(np.abs(prod - np.eye(op.dim))) > 1e-3
-
     def test_nonunitary_at_gamma(self):
         op = build_walk_operator(homogeneous_spec(gamma=0.1))
         prod = op.matrix @ op.matrix.T
@@ -171,12 +178,9 @@ class TestBuildOperator:
 
 
 def site_loop_parity(lattice):
-    """Dense parity x sigma3, placed site by site; None where x -> -x
-    leaves the lattice."""
+    """Dense parity x sigma3, placed site by site."""
     x = lattice.positions()
     partner = lattice.parity_partner(x)
-    if set(partner.tolist()) != set(x.tolist()):
-        return None
     P = np.zeros((lattice.dim, lattice.dim))
     for xi, xp in zip(x, partner):
         i, j = lattice.index(xi), lattice.index(int(xp))
@@ -201,9 +205,8 @@ def dense_symmetry_residuals(op):
         "pt": None,
     }
     P = site_loop_parity(lattice)
-    if P is not None and all(
-            np.array_equal(a, a[np.searchsorted(x, partner)])
-            for a in op.spec.effective_angles(x)):
+    if all(np.array_equal(a, a[np.searchsorted(x, partner)])
+           for a in op.spec.effective_angles(x)):
         res["pt"] = np.linalg.norm(P @ U.conj() @ P @ U - np.eye(op.dim))
     return np.linalg.norm(U), res
 
@@ -213,20 +216,14 @@ class TestSymmetries:
         return verify_symmetries(symmetric_frame(build_walk_operator(spec)))
 
     @pytest.mark.parametrize("lattice", [
-        Lattice(5), Lattice(6), Lattice(10, x_min=-3), Lattice(41, "open"),
-        Lattice(40, "open"), Lattice(11, "open", x_min=-4),
+        Lattice(5), Lattice(6), Lattice(40), Lattice(41),
     ], ids=repr)
     def test_parity_matrix_matches_site_loop(self, lattice):
         P = _parity_matrix(lattice)
-        expected = site_loop_parity(lattice)
-        if expected is None:
-            assert P is None
-        else:
-            assert np.array_equal(P.toarray(), expected)
+        assert np.array_equal(P.toarray(), site_loop_parity(lattice))
 
     @pytest.mark.parametrize("spec", [
         homogeneous_spec(gamma=0.1),
-        homogeneous_spec(n=41, gamma=0.1, boundary="open"),
         WalkSpec("three_step", Lattice(41),
                  CoinProfile.inner_outer((0.4 * PI, 0.1 * PI),
                                          (-0.2 * PI, 0.3 * PI), half_width=8),
@@ -236,7 +233,7 @@ class TestSymmetries:
                                         (-0.2 * PI, 0.3 * PI)),
                  gamma=0.1),
         homogeneous_spec(kind="three_step_perturbed", delta=0.05, gamma=0.1),
-    ], ids=["homogeneous", "open", "inner_outer", "left_right", "perturbed"])
+    ], ids=["homogeneous", "inner_outer", "left_right", "perturbed"])
     def test_sparse_check_matches_dense_oracle(self, spec):
         op = symmetric_frame(build_walk_operator(spec))
         report = verify_symmetries(op)
@@ -275,7 +272,7 @@ class TestSymmetries:
                                            (-0.2 * PI, 0.3 * PI)),
             gamma=0.1)
         report = self.check(spec)
-        # not a verdict: the parity operator does not exist here
+        # not a verdict: x -> -x does not map the coin profile to itself
         assert report.holds("pt") is None
         assert "parity" in report.checks["pt"].note
         assert report.holds("phs_dagger")

@@ -101,6 +101,25 @@ class TestDeltaSweep:
         with pytest.raises(ValueError):
             delta_sweep(interface_spec(), [0.05])
 
+    @pytest.mark.parametrize("jump,message", [
+        ("count", "tracked state count changed from 2 to 3 near delta=0.5$"),
+        ("move", "unresolvable branch crossing near delta=0.5$"),
+    ], ids=["count", "move"])
+    def test_unresolvable_step_raises(self, monkeypatch, jump, message):
+        # a discontinuity at delta = 0.5 that no bisection can resolve
+        def edge_eigensystem(spec, delta):
+            lams = [0.1 * delta, -1.0 + 0.1 * delta]
+            if delta >= 0.5 and jump == "count":
+                lams.append(0.9)
+            elif delta >= 0.5:
+                lams[0] += 5.0
+            return np.array(lams, dtype=complex), np.eye(4, len(lams))
+
+        monkeypatch.setattr(perturbation, "_edge_eigensystem",
+                            edge_eigensystem)
+        with pytest.raises(TrackingError, match=message):
+            delta_sweep(interface_spec(), [0.0, 0.25, 1.0])
+
     def test_no_interface_modes(self):
         spec = WalkSpec(kind="three_step", lattice=Lattice(301),
                         profile=CoinProfile.homogeneous(*INNER), gamma=0.1)

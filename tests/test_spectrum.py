@@ -29,9 +29,9 @@ OUTER_COUNTS = {
 
 
 def interface_spec(outer, gamma=0.1, num_sites=301, half_width=50,
-                   kind="three_step", boundary="periodic", **profile_kw):
+                   kind="three_step", **profile_kw):
     profile = CoinProfile.inner_outer(INNER, outer, half_width, **profile_kw)
-    return WalkSpec(kind=kind, lattice=Lattice(num_sites, boundary),
+    return WalkSpec(kind=kind, lattice=Lattice(num_sites),
                     profile=profile, gamma=gamma)
 
 
@@ -98,22 +98,6 @@ class TestClassification:
         assert not any(p.near_defective for p in result_d.pairs)
 
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_annihilated_states_are_never_edge_like(self):
-        # on a short open ring the two lambda = 0 states sit inside a
-        # 40-site window, so they count as localized
-        spec = interface_spec((-0.6 * PI, 0.2 * PI), num_sites=61,
-                              half_width=10, boundary="open")
-        res = eigendecompose(build_walk_operator(spec),
-                             compute_condition=False, window=40)
-        zero = [p for p in res.pairs if p.lam == 0]
-        assert len(zero) == 2
-        for p in zero:
-            assert p.classification == "impurity"
-            assert p.eps == complex(0.0, -math.inf)
-        assert (res.counts["edge_zero"], res.counts["edge_pi"]) == (8, 8)
-
-
 class TestLocalization:
     def test_edge_state_is_tight(self, result_d):
         p = result_d.select("edge_zero")[0]
@@ -142,6 +126,13 @@ class TestEdgeCountMap:
         with pytest.raises(GapClosedError):
             edge_count_map((0.25 * PI, 0.25 * PI), [0.4 * PI], [0.1 * PI],
                            gamma=0.1, num_sites=301)
+
+    def test_inner_region_covering_the_ring_rejected(self):
+        # |x| < 51 holds on all 101 sites: there is no interface to count
+        # at, so the cell is refused rather than recorded as 0/0
+        with pytest.raises(ValueError, match="half_width 51"):
+            edge_count_map(INNER, [-0.6 * PI], [0.2 * PI], gamma=0.1,
+                           half_width=51, num_sites=101)
 
     def test_thread_invariance(self, single_cell):
         # threads is accepted and ignored
@@ -221,15 +212,10 @@ class TestInterfaceSolver:
         with pytest.raises(ValueError):
             eigendecompose(op, interface_only=True)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("spec", [
-        interface_spec((-0.6 * PI, 0.2 * PI), num_sites=201, half_width=30,
-                       boundary="open"),
         interface_spec((-0.6 * PI, 0.2 * PI), num_sites=31, half_width=5),
-    ], ids=["open-lattice", "k-above-quarter-dim"])
+    ], ids=["k-above-quarter-dim"])
     def test_fallback_is_reported(self, spec):
-        # the open lattice annihilates two states (lambda = 0); they must
-        # pass through the taxonomy without a warning or an edge class
         dense = eigendecompose(build_walk_operator(spec),
                                compute_condition=False)
         fallback = eigendecompose(build_walk_operator(spec),
@@ -237,9 +223,6 @@ class TestInterfaceSolver:
         assert fallback.solver == "dense-fallback"
         assert fallback.counts == dense.counts
         assert (dense.counts["edge_zero"], dense.counts["edge_pi"]) == (6, 6)
-        for p in dense.pairs:
-            if p.lam == 0:
-                assert p.classification not in EDGE_LIKE
 
     def test_radius(self):
         assert _completeness_radius(0.1) == pytest.approx(0.3977, abs=1e-4)
