@@ -346,11 +346,17 @@ def symmetric_frame(op: WalkOperator) -> WalkOperator:
     """
     if op.frame == "symmetric":
         return op
-    lattice = op.spec.lattice
-    theta1 = op.spec.effective_angles(lattice.positions())[SLOT_THETA1]
-    half = _coin_blocks(theta1 / 2.0)
+    half = half_coin(op.spec)
     return dataclasses.replace(
         op, sparse=(half @ op.sparse @ half.T).tocsr(), frame="symmetric")
+
+
+def half_coin(spec: WalkSpec) -> sp.csr_matrix:
+    """C(theta1/2) on every site, the rotation :func:`symmetric_frame`
+    conjugates by; its transpose takes a symmetric-frame eigenvector back
+    to the stepwise frame."""
+    theta1 = spec.effective_angles(spec.lattice.positions())[SLOT_THETA1]
+    return _coin_blocks(theta1 / 2.0)
 
 
 @dataclass(frozen=True)
@@ -380,6 +386,23 @@ def _parity_matrix(lattice: Lattice) -> sp.csr_matrix:
     cols = np.concatenate([i, i + 1])
     vals = np.repeat([1.0, -1.0], x.size)
     return sp.csr_matrix((vals, (rows, cols)), shape=(lattice.dim, lattice.dim))
+
+
+def parity_even(lattice: Lattice) -> sp.csr_matrix:
+    """Orthonormal basis (``dim`` x ``num_sites``) of the +1 eigenspace
+    of P = parity x sigma3.
+
+    Column i of I + P is e_i + P e_i.  A mirror pair of sites gives one
+    column per component, kept at the smaller index; a site that is its
+    own mirror image gives its left mover alone, since sigma3 sends its
+    right mover to the -1 eigenspace.
+    """
+    P = _parity_matrix(lattice).tocsc()
+    i, j = np.arange(lattice.dim), P.indices  # P e_i = +-e_j
+    keep = (i < j) | ((i == j) & (P.data > 0))
+    cols = (sp.identity(lattice.dim) + P).tocsc()[:, keep]
+    norms = np.sqrt(np.asarray(cols.multiply(cols).sum(axis=0)).ravel())
+    return (cols @ sp.diags(1.0 / norms)).tocsr()
 
 
 def verify_symmetries(op: WalkOperator, tol: float = 1e-10) -> SymmetryReport:

@@ -26,13 +26,18 @@ use ``DEFAULT_WINDOW``.  The other classification thresholds
 the command line record.  ``EDGE_BAND`` also sizes the interface
 window below, so the window and the classification cannot disagree.
 
-:func:`eigendecompose` has two solver paths.  The default is a dense
-``scipy.linalg.eig`` of the whole matrix.  ``interface_only=True``
-asks ARPACK in shift-invert mode for the eigenvalues nearest +1 and
--1 instead, enough of them to cover every state the taxonomy could
-call ``edge_zero``, ``edge_pi`` or ``defective_pair_member`` (see
-:func:`_completeness_radius`); the rest of the spectrum is never
-computed.
+:func:`eigendecompose` computes the whole spectrum by the cheapest
+exact path the walk admits.  A gain-loss-free walk is real orthogonal
+and a PT-symmetric one satisfies P U P = U^-1; either way
+M = (U + U^-1)/2 commutes with U, so the eigenspaces of M (one
+symmetric ``eigh``, or two ``eig`` of half the size) reduce U to small
+blocks.  Every other walk takes a dense ``scipy.linalg.eig``, and so
+does any structured result that misses the residual gate.
+``interface_only=True`` asks ARPACK in shift-invert mode for the
+eigenvalues nearest +1 and -1 instead, enough of them to cover every
+state the taxonomy could call ``edge_zero``, ``edge_pi`` or
+``defective_pair_member`` (see :func:`_completeness_radius`); the rest
+of the spectrum is never computed.
 """
 
 from __future__ import annotations
@@ -47,7 +52,17 @@ import scipy.sparse.linalg
 from .bulk import bulk_gap_status, quasienergy
 from .errors import GapClosedError
 from .ioutil import write_csv
-from .operators import CoinProfile, Lattice, WalkOperator, WalkSpec, build_walk_operator
+from .operators import (
+    CoinProfile,
+    Lattice,
+    WalkOperator,
+    WalkSpec,
+    build_walk_operator,
+    half_coin,
+    parity_even,
+    symmetric_frame,
+    verify_symmetries,
+)
 
 DEFAULT_WINDOW = 10
 TOL_EDGE = 1e-6       # rad, distance of Re eps from 0 or pi
@@ -56,6 +71,10 @@ EDGE_BAND = 0.3       # rad, how far off the axis a defective pair may sit
 PAIR_TOL = 1e-8       # relative, conjugate partner matching
 COND_THRESHOLD = 1e12  # eigenvalue condition number flagged as near defective
 WINDOW_K0 = 16        # first ARPACK request of the interface path, per side
+GATE_TOL = 1e-10      # relative, symmetry residual admitting a structured path
+CLUSTER_TOL = 3e-4    # relative to the largest |mu|, mu values solved together
+RESIDUAL_TOL = 1e-10  # |U v - lambda v| every structured eigenpair must meet
+_BLOCK = 256          # columns per sparse product over all eigenvectors
 
 CLASSES = ("bulk", "edge_zero", "edge_pi", "defective_pair_member", "impurity")
 
@@ -81,7 +100,8 @@ class SpectrumResult:
     counts: dict[str, int]
     eps_m: float | None
     interfaces: list[float] = field(default_factory=list)
-    solver: str = "dense"  # "dense", "interface" or "dense-fallback"
+    # "orthogonal", "pt-fold", "dense", "interface" or "dense-fallback"
+    solver: str = "dense"
 
     def select(self, *classes: str) -> list[Eigenpair]:
         return [p for p in self.pairs if p.classification in classes]
@@ -264,18 +284,201 @@ def _interface_window(op: WalkOperator):
     return np.concatenate(evals), np.concatenate(vectors, axis=1)
 
 
+def _clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Single-linkage groups: indices chained by distances below ``tol``.
+
+    Two values closer than ``tol`` are closer in real part too, so the
+    scan over offsets in real-part order stops at the first offset with
+    no real-part gap below ``tol``.
+    """
+    order = np.argsort(values.real, kind="stable")
+    z = values[order]
+    root = list(range(z.size))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for k in range(1, z.size):
+        near = z.real[k:] - z.real[:-k] < tol
+        if not near.any():
+            break
+        for i in np.flatnonzero(near & (np.abs(z[k:] - z[:-k]) < tol)):
+            a, b = find(i), find(i + k)
+            root[max(a, b)] = min(a, b)
+    labels = np.array([find(i) for i in range(z.size)])
+    return [order[labels == r] for r in np.unique(labels)]
+
+
+def _solve_clusters(R: scipy.sparse.csr_matrix, bases: list[np.ndarray],
+                    values: np.ndarray):
+    """Eigenpairs of R from the eigenspaces of M = (R + R^-1)/2.
+
+    M is block diagonal; ``bases`` holds the eigenvectors of each
+    diagonal block (block after block) and ``values`` their eigenvalues.
+    M commutes with R, so a cluster of equal values spans a space that
+    R maps into itself: its orthonormalized basis Q turns R into the
+    small block Q^H R Q, whose eigenpairs are eigenpairs of R.  Clusters
+    are single-linkage groups within ``CLUSTER_TOL`` of the spectral
+    radius of M, so no near-degenerate eigenvector is split from its
+    partners.  Returns the eigenvalues, the unit eigenvectors and one
+    column slice per cluster.
+    """
+    n = R.shape[0]
+    starts = np.cumsum([0] + [b.shape[1] for b in bases])
+    evals = np.empty(n, dtype=complex)
+    vectors = np.empty((n, n), dtype=complex)
+    spans = []
+    col = 0
+    for group in _clusters(values, CLUSTER_TOL * np.abs(values).max()):
+        q = np.zeros((n, group.size), dtype=np.result_type(*bases))
+        filled = 0
+        for basis, lo, hi in zip(bases, starts[:-1], starts[1:]):
+            picked = group[(group >= lo) & (group < hi)] - lo
+            q[lo:hi, filled:filled + picked.size] = np.linalg.qr(
+                basis[:, picked])[0]
+            filled += picked.size
+        lam, z = scipy.linalg.eig(q.conj().T @ (R @ q))
+        span = slice(col, col + group.size)
+        evals[span] = lam
+        vectors[:, span] = q @ z
+        spans.append(span)
+        col += group.size
+    vectors /= np.linalg.norm(vectors, axis=0)
+    return evals, vectors, spans
+
+
+def _rotate(A: scipy.sparse.csr_matrix, vectors: np.ndarray) -> None:
+    """vectors <- A @ vectors in place, a column block at a time."""
+    for start in range(0, vectors.shape[1], _BLOCK):
+        block = slice(start, start + _BLOCK)
+        vectors[:, block] = A @ vectors[:, block]
+
+
+def _max_residual(U: scipy.sparse.csr_matrix, evals: np.ndarray,
+                  vectors: np.ndarray) -> float:
+    """Largest |U v - lambda v|, a column block at a time."""
+    worst = 0.0
+    for start in range(0, evals.size, _BLOCK):
+        b = slice(start, start + _BLOCK)
+        r = U @ vectors[:, b] - vectors[:, b] * evals[b]
+        worst = max(worst, float(np.linalg.norm(r, axis=0).max()))
+    return worst
+
+
+def _t_order(dim: int) -> np.ndarray:
+    """Row order of T = sigma1 on every site: T v is v[_t_order(dim)]."""
+    return np.arange(dim) ^ 1
+
+
+def _pt_conditions(vectors: np.ndarray, spans: list[slice]) -> np.ndarray:
+    """Condition numbers of unit eigenvectors of U with T U^T T = U.
+
+    T U is symmetric (T = sigma1 on every site), so (T v)^T is a left
+    eigenvector for v.  Within a cluster the rows of G^-1 (T V)^T, with
+    G = V^T T V, are the dual basis of the columns V, and each row's
+    norm is that pair's condition number.  A singular G makes them
+    infinite.
+    """
+    swap = _t_order(vectors.shape[0])
+    conditions = np.empty(vectors.shape[1])
+    for span in spans:
+        v = vectors[:, span]
+        tv = v[swap]
+        try:
+            dual = np.linalg.solve(v.T @ tv, tv.T)
+        except np.linalg.LinAlgError:
+            conditions[span] = np.inf
+        else:
+            conditions[span] = np.linalg.norm(dual, axis=1)
+    return conditions
+
+
+def _structured(op: WalkOperator, compute_condition: bool):
+    """(solver, evals, vectors, conditions) from a structured path, or None.
+
+    ``orthogonal`` (U^T U = I, that is gamma = 0): M = (U + U^T)/2 is
+    symmetric, one ``eigh`` gives its eigenspaces, and every condition
+    number is 1 since U is normal.  ``pt-fold`` (the ``pt`` and
+    ``trs_dagger`` relations of :func:`verify_symmetries` hold in the
+    symmetric frame): there P U P = U^-1, so M = (U + P U P)/2 commutes
+    with P and splits into its two parity sectors, each of
+    ``num_sites`` dimensions.  T = sigma1 on every site anticommutes
+    with P and gives T U^T T = U, so T maps the P = +1 sector onto the
+    -1 sector and the -1 block of M is the transpose of the +1 block:
+    one ``eig`` of the +1 block, with its left eigenvectors, solves
+    both.  Both gates cost time in proportion to the nonzeros of U, and
+    neither path builds the dense ``matrix``.  None means no gate holds,
+    or some pair misses ``RESIDUAL_TOL``.
+    """
+    U = op.sparse
+    if (scipy.sparse.linalg.norm(U.T @ U - scipy.sparse.identity(op.dim))
+            <= GATE_TOL * scipy.sparse.linalg.norm(U)):
+        solver = "orthogonal"
+        c, q = scipy.linalg.eigh(((U + U.T) * 0.5).toarray(), driver="evd",
+                                 overwrite_a=True)
+        evals, vectors, _ = _solve_clusters(U, [q], c)
+        conditions = np.ones(op.dim) if compute_condition else None
+    else:
+        sym = symmetric_frame(op)
+        report = verify_symmetries(sym, tol=GATE_TOL)
+        if not (report.holds("pt") and report.holds("trs_dagger")):
+            return None
+        solver = "pt-fold"
+        n = op.spec.lattice.num_sites
+        even = parity_even(op.spec.lattice)
+        E = scipy.sparse.hstack([even, even[_t_order(op.dim)]]).tocsr()
+        R = (E.T @ sym.sparse @ E).tocsr()
+        mu, left, right = scipy.linalg.eig(R[:n, :n].toarray(), left=True,
+                                           overwrite_a=True)
+        evals, vectors, spans = _solve_clusters(
+            R, [right, left.conj()], np.concatenate([mu, mu]))
+        _rotate(E, vectors)
+        conditions = (_pt_conditions(vectors, spans) if compute_condition
+                      else None)
+        if op.frame == "stepwise":
+            _rotate(half_coin(op.spec).T, vectors)
+    if _max_residual(U, evals, vectors) > RESIDUAL_TOL:
+        return None
+    return solver, evals, vectors, conditions
+
+
+def _dense(op: WalkOperator, compute_condition: bool):
+    """Eigenpairs of the dense ``matrix``; condition numbers come from
+    its left eigenvectors, 1/|w^H v| for unit w and v."""
+    found = scipy.linalg.eig(op.matrix, left=compute_condition)
+    evals, vectors = found[0], found[-1]
+    vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)
+    conditions = None
+    if compute_condition:
+        left = found[1]
+        with np.errstate(divide="ignore"):
+            conditions = (np.linalg.norm(left, axis=0)
+                          / np.abs(np.einsum("ij,ij->j", left.conj(), vectors)))
+    return evals, vectors, conditions
+
+
 def eigendecompose(op: WalkOperator, compute_condition: bool = True, *,
                    interface_only: bool = False,
                    window: int = DEFAULT_WINDOW) -> SpectrumResult:
     """Eigendecomposition plus classification.
 
-    By default the whole spectrum comes from a dense solve.  Eigenvalue
-    condition numbers (1 over the cosine of the angle between matching
-    left and right eigenvectors) are computed from the inverse of the
-    eigenvector matrix; values beyond 1e12 flag the pair as near
-    defective.  Exactly defective matrices leave the eigenvector matrix
-    singular, in which case every condition number is reported
-    infinite.
+    By default the whole spectrum comes from the cheapest exact path
+    whose gate the operator passes, tried in this order: ``orthogonal``
+    (U^T U = I), ``pt-fold`` (PT and transposed time-reversal symmetry
+    in the symmetric frame; see :func:`_structured`) and ``dense`` (a
+    dense ``scipy.linalg.eig``, which takes every other walk).  A
+    structured path answers only if every pair has |U v - lambda v| <=
+    ``RESIDUAL_TOL``; otherwise the dense path does.  ``solver`` on the
+    result names the path that answered.
+
+    Eigenvalue condition numbers are 1 over the cosine of the angle
+    between matching left and right eigenvectors: exactly 1 on the
+    orthogonal path (U is normal), from the left eigenvectors T v on the
+    PT fold and from the dense left eigenvectors otherwise.  Values
+    beyond ``COND_THRESHOLD`` flag the pair as near defective; an
+    exactly defective eigenvalue has an infinite condition number.
 
     ``interface_only=True`` computes only the window around +1 and -1
     that holds every ``edge_zero``, ``edge_pi`` and
@@ -283,9 +486,9 @@ def eigendecompose(op: WalkOperator, compute_condition: bool = True, *,
     ``counts["bulk"]`` and ``counts["impurity"]`` then cover that
     window alone, and ``eps_m`` is None since the band edge may lie
     outside it.  It needs ``compute_condition=False``.  Where the window
-    cannot be trusted the dense path runs instead; ``solver`` on the
-    result says which path answered.  ``window`` is the localization
-    window of :func:`classify_states`.
+    cannot be trusted the dense path runs instead, and ``solver`` is
+    ``"dense-fallback"``.  ``window`` is the localization window of
+    :func:`classify_states`.
     """
     if interface_only and compute_condition:
         raise ValueError("condition numbers need the full eigenvector "
@@ -299,19 +502,15 @@ def eigendecompose(op: WalkOperator, compute_condition: bool = True, *,
             result.eps_m = None
             result.solver = "interface"
             return result
-    evals, vectors = scipy.linalg.eig(op.matrix)
-    vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-    conditions = None
-    if compute_condition:
-        try:
-            vinv = np.linalg.inv(vectors)
-            conditions = np.linalg.norm(vinv, axis=1)
-        except np.linalg.LinAlgError:
-            conditions = np.full(evals.shape, np.inf)
+        solver = "dense-fallback"
+        evals, vectors, conditions = _dense(op, compute_condition=False)
+    else:
+        solver, evals, vectors, conditions = (
+            _structured(op, compute_condition)
+            or ("dense", *_dense(op, compute_condition)))
     result = classify_states(evals, vectors, op.spec,
                              eig_conditions=conditions, window=window)
-    if interface_only:
-        result.solver = "dense-fallback"
+    result.solver = solver
     return result
 
 
@@ -340,12 +539,16 @@ def edge_count_map(inner: tuple[float, float], theta1_values, theta2_values,
     """
     if not bulk_gap_status(inner[0], inner[1], gamma).gap_open:
         raise GapClosedError("inner bulk phase is gapless")
+    lattice = Lattice(num_sites=num_sites)
+    # WalkSpec refuses a half_width that leaves no interface; check it
+    # here too, since a grid of gapless cells builds no WalkSpec at all
+    WalkSpec(kind="three_step", lattice=lattice, gamma=gamma,
+             profile=CoinProfile.inner_outer(inner, inner, half_width))
     t1s = np.asarray(theta1_values, dtype=float)
     t2s = np.asarray(theta2_values, dtype=float)
     n_zero = np.zeros((t1s.size, t2s.size), dtype=int)
     n_pi = np.zeros_like(n_zero)
     counted = np.zeros(n_zero.shape, dtype=bool)
-    lattice = Lattice(num_sites=num_sites)
 
     for i in range(t1s.size):
         for j in range(t2s.size):

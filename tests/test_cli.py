@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ptwalk import cli
 from ptwalk.cli import main
@@ -277,17 +278,27 @@ class TestSpectrumCommand:
                              [("true", 22), ("false", None)])
     def test_health_counts(self, capsys, tmp_path, monkeypatch, condition,
                            near_defective):
-        # a ring walk never has a singular eigenvector matrix, so the
-        # inversion is made to fail: every pair is then near defective
-        def singular(_):
-            raise np.linalg.LinAlgError("Singular matrix")
+        # the perturbed gain-loss walk takes the dense path, and no ring
+        # walk is defective, so each right eigenvector is handed the left
+        # eigenvector of another eigenvalue: bi-orthogonality makes the
+        # two orthogonal, and every pair is then near defective
+        dense_eig = scipy.linalg.eig
+        calls = []
 
-        monkeypatch.setattr(np.linalg, "inv", singular)
-        cfg = write_config(tmp_path, SMALL_WALK + "[spectrum]\n"
+        def mismatched(a, left=False):
+            calls.append(left)
+            if not left:
+                return dense_eig(a)
+            evals, vl, vr = dense_eig(a, left=True)
+            return evals, np.roll(vl, 1, axis=1), vr
+
+        monkeypatch.setattr(scipy.linalg, "eig", mismatched)
+        cfg = write_config(tmp_path, SMALL_DENSE_WALK + "[spectrum]\n"
                                      f"compute_condition = {condition}\n")
         rc, _, _ = run(capsys, "spectrum", "--config", cfg,
                        "--out", f"{tmp_path}/s/")
         assert rc == 0
+        assert calls == [condition == "true"]
         manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
         assert manifest["result"]["near_defective"] == near_defective
         assert manifest["result"]["ambiguous"] == 0
@@ -299,6 +310,21 @@ kind = three_step
 num_sites = 11
 theta1_a_over_pi = 0.671530208
 theta2_a_over_pi = 0.1
+"""
+
+# gain-loss with delta: neither orthogonal nor PT-folded, so solved densely
+SMALL_DENSE_WALK = """\
+[walk]
+kind = three_step_perturbed
+num_sites = 11
+layout = inner_outer
+theta1_a_over_pi = 0.4
+theta2_a_over_pi = 0.1
+theta1_b_over_pi = -0.6
+theta2_b_over_pi = 0.2
+half_width = 3
+gamma = 0.1
+delta = 0.05
 """
 
 
@@ -530,6 +556,22 @@ class TestEdgeMapCommand:
                            "--out", f"{tmp_path}/m/")
         assert payload["error"] == "ValueError"
         assert payload["message"].startswith("half_width 51 leaves no outer")
+        assert not (tmp_path / "m").exists()
+
+    def test_inner_region_covering_the_ring_without_gapped_cells(
+            self, capsys, tmp_path):
+        # every cell is gapless, so no cell would build a WalkSpec
+        cfg = write_config(tmp_path, PROBE_SECTIONS["edge-map"]
+                           + "gamma = 0.1\nnum_sites = 101\nhalf_width = 51\n"
+                             "theta1_min_over_pi = 0.25\n"
+                             "theta1_max_over_pi = 0.25\ntheta1_points = 2\n"
+                             "theta2_min_over_pi = 0.25\n"
+                             "theta2_max_over_pi = 0.25\ntheta2_points = 2\n")
+        payload = error_of(capsys, "edge-map", "--config", cfg,
+                           "--out", f"{tmp_path}/m/")
+        assert payload == {"error": "ValueError", "message":
+                           "half_width 51 leaves no outer site on 101 sites "
+                           "(at most 50)"}
         assert not (tmp_path / "m").exists()
 
 

@@ -1,14 +1,16 @@
 """The README's module map names only what the modules really define,
-its command-line block is the usage text the CLI prints, and the walk
-keys it names are keys the CLI reads."""
+its command-line block is the usage text the CLI prints, the walk keys
+it names are keys the CLI reads, and the solver labels it lists are the
+ones ``eigendecompose`` can return."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
 
 import pytest
 
-from ptwalk import cli
+from ptwalk import cli, spectrum
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MAP_ROW = re.compile(r"^\| `(ptwalk\.\w+)` \| (.*) \|$")
@@ -61,3 +63,34 @@ def test_optional_walk_keys_are_read():
     sentence = re.search(r"Optional walk keys:(.*?)\.\s", TEXT, re.S)[1]
     keys = re.findall(r"`(\w+)`", sentence)
     assert keys and set(keys) <= set(FULL_WALK)
+
+
+def solver_labels(tree: ast.AST) -> set[str]:
+    """String constants in the value of every assignment to a ``solver``
+    name or attribute, the first target of a tuple included."""
+    labels = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Tuple):
+                target = target.elts[0]
+            if getattr(target, "id", getattr(target, "attr", None)) == "solver":
+                labels.update(sub.value for sub in ast.walk(node.value)
+                              if isinstance(sub, ast.Constant)
+                              and isinstance(sub.value, str))
+    return labels
+
+
+def test_solver_labels_are_the_returned_ones():
+    source = Path(spectrum.__file__).read_text(encoding="utf-8")
+    code = solver_labels(ast.parse(source))
+    sentence = re.search(r"`result\.solver` is one of(.*?)\.\s", TEXT, re.S)[1]
+    readme = re.findall(r'`"([\w-]+)"`', sentence)
+    assert len(readme) == len(set(readme))
+    assert set(readme) == code == {"orthogonal", "pt-fold", "dense",
+                                   "interface", "dense-fallback"}

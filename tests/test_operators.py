@@ -12,6 +12,7 @@ from ptwalk.operators import (
     _parity_matrix,
     build_walk_operator,
     disorder_offset,
+    parity_even,
     symmetric_frame,
     verify_symmetries,
 )
@@ -276,6 +277,21 @@ class TestSymmetries:
         assert report.holds("pt") is None
         assert "parity" in report.checks["pt"].note
         assert report.holds("phs_dagger")
+
+    @pytest.mark.parametrize("lattice", [
+        Lattice(5), Lattice(6), Lattice(40), Lattice(41),
+    ], ids=repr)
+    def test_parity_even_basis(self, lattice):
+        E = parity_even(lattice).toarray()
+        P = _parity_matrix(lattice).toarray()
+        T = np.kron(np.eye(lattice.num_sites), [[0, 1], [1, 0]])
+        assert E.shape == (lattice.dim, lattice.num_sites)
+        assert np.array_equal(P @ E, E)
+        # T anticommutes with P: it carries the +1 sector onto the -1 one,
+        # and the two together are an orthonormal basis
+        assert np.array_equal(P @ T @ E, -T @ E)
+        basis = np.hstack([E, T @ E])
+        assert np.allclose(basis.T @ basis, np.eye(lattice.dim), atol=1e-15)
 
     def test_raw_frame_rejected(self):
         op = build_walk_operator(homogeneous_spec())

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
+from ptwalk import spectrum
 from ptwalk.bulk import bulk_gap_status, dispersion
 from ptwalk.errors import GapClosedError
 from ptwalk.operators import CoinProfile, Lattice, WalkSpec, build_walk_operator
 from ptwalk.perturbation import EDGE_LIKE
 from ptwalk.spectrum import (
     _completeness_radius,
+    _pt_conditions,
+    classify_states,
     edge_count_map,
     eigendecompose,
     write_spectrum_csv,
@@ -35,10 +39,26 @@ def interface_spec(outer, gamma=0.1, num_sites=301, half_width=50,
                     profile=profile, gamma=gamma)
 
 
-def multiset_distance(a, b):
+def matching(a, b):
+    """Index into b of the partner of each entry of a, under the
+    one-to-one assignment of least total distance."""
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    return cols[np.argsort(rows)]
+
+
+def multiset_distance(a, b):
+    return float(np.abs(a - b[matching(a, b)]).max())
+
+
+def dense_oracle(spec, compute_condition=False):
+    """classify_states on a plain dense eig, with condition numbers from
+    the rows of the inverse eigenvector matrix."""
+    evals, vectors = scipy.linalg.eig(build_walk_operator(spec).matrix)
+    vectors = vectors / np.linalg.norm(vectors, axis=0)
+    conditions = (np.linalg.norm(np.linalg.inv(vectors), axis=1)
+                  if compute_condition else None)
+    return classify_states(evals, vectors, spec, eig_conditions=conditions)
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +154,12 @@ class TestEdgeCountMap:
             edge_count_map(INNER, [-0.6 * PI], [0.2 * PI], gamma=0.1,
                            half_width=51, num_sites=101)
 
+    def test_inner_region_covering_the_ring_rejected_without_gapped_cells(self):
+        # no cell is gapped, so no cell ever builds a WalkSpec
+        with pytest.raises(ValueError, match="half_width 51 leaves no outer"):
+            edge_count_map(INNER, [0.25 * PI], [0.25 * PI], gamma=0.1,
+                           half_width=51, num_sites=101)
+
     def test_thread_invariance(self, single_cell):
         # threads is accepted and ignored
         b = edge_count_map(INNER, [-0.6 * PI], [0.2 * PI], gamma=0.1,
@@ -182,11 +208,9 @@ class TestInterfaceSolver:
     @pytest.mark.parametrize("name,spec", ORACLE_CASES,
                              ids=[name for name, _ in ORACLE_CASES])
     def test_matches_dense(self, name, spec):
-        dense = eigendecompose(build_walk_operator(spec),
-                               compute_condition=False)
+        dense = dense_oracle(spec)
         window = eigendecompose(build_walk_operator(spec),
                                 compute_condition=False, interface_only=True)
-        assert dense.solver == "dense"
         assert window.solver == "interface"
         assert window.eps_m is None
         assert len(window.pairs) < len(dense.pairs)
@@ -237,6 +261,77 @@ class TestInterfaceSolver:
         assert a.solver == b.solver == "interface"
         lam = [np.array([p.lam for p in r.pairs]).tobytes() for r in (a, b)]
         assert lam[0] == lam[1]
+
+
+def _fig4(outer, gamma=0.1, kind="three_step"):
+    return interface_spec((outer[0] * PI, outer[1] * PI), gamma=gamma,
+                          kind=kind)
+
+
+STRUCTURED_CASES = [
+    *[(f"fig4{name}", "pt-fold", _fig4(outer))
+      for name, outer in zip("abcd", OUTER_COUNTS)],
+    ("fig4e", "orthogonal", _fig4((-0.6, 0.2), gamma=0.0)),
+    ("split-gamma0", "orthogonal", ORACLE_CASES[-1][1]),
+    ("fig8a-gamma0-seed5", "orthogonal", interface_spec(
+        (0.9 * PI, 0.2 * PI), gamma=0.0, kind="three_step_perturbed_disordered",
+        delta=0.05, disorder_amplitude=0.1, disorder_seed=5)),
+    ("fig4d-symmetric", "pt-fold",
+     _fig4((-0.6, 0.2), kind="three_step_symmetric")),
+    ("fig7c-near-ep", "dense", _c06(0.0696)),
+]
+
+
+class TestStructuredSolver:
+    """The orthogonal and PT-fold paths against a dense eig with
+    condition numbers from the inverse eigenvector matrix."""
+
+    @pytest.mark.parametrize("name,solver,spec", STRUCTURED_CASES,
+                             ids=[name for name, _, _ in STRUCTURED_CASES])
+    def test_matches_dense(self, name, solver, spec):
+        op = build_walk_operator(spec)
+        result = eigendecompose(op)
+        assert result.solver == solver
+        # only the dense path builds the dense matrix
+        assert ("matrix" in vars(op)) == (solver == "dense")
+        oracle = dense_oracle(spec, compute_condition=True)
+        assert result.counts == oracle.counts
+        lam = np.array([p.lam for p in result.pairs])
+        lam_o = np.array([p.lam for p in oracle.pairs])
+        partner = matching(lam, lam_o)
+        assert np.abs(lam - lam_o[partner]).max() < 1e-10
+        assert abs(result.eps_m - oracle.eps_m) < 1e-10
+        vectors = np.column_stack([p.vector for p in result.pairs])
+        residual = np.linalg.norm(op.matrix @ vectors - vectors * lam, axis=0)
+        assert residual.max() <= 1e-10
+        # well separated: no other eigenvalue within 1e-3
+        gaps = np.abs(lam_o[:, None] - lam_o[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        separated = gaps.min(axis=1)[partner] > 1e-3
+        kappa = np.array([p.eig_condition for p in result.pairs])
+        kappa_o = np.array([p.eig_condition for p in oracle.pairs])[partner]
+        assert separated.sum() > lam.size / 2
+        error = np.abs(kappa - kappa_o) / kappa_o
+        assert error[separated].max() <= 1e-6
+
+    @pytest.mark.parametrize("spec", [_fig4((-0.6, 0.2)),
+                                      _fig4((-0.6, 0.2), gamma=0.0)],
+                             ids=["pt-fold", "orthogonal"])
+    def test_unclustered_falls_back_to_dense(self, monkeypatch, spec):
+        # each conjugate pair shares one mu; solved apart, neither member
+        # is an eigenvector, and the residual gate hands over to dense
+        monkeypatch.setattr(spectrum, "CLUSTER_TOL", 0.0)
+        result = eigendecompose(build_walk_operator(spec),
+                                compute_condition=False)
+        assert result.solver == "dense"
+        assert result.counts == dense_oracle(spec).counts
+
+    def test_singular_dual_is_infinite(self):
+        # two equal eigenvectors in one cluster leave G singular
+        v = np.zeros(6, dtype=complex)
+        v[0] = v[1] = math.sqrt(0.5)
+        kappa = _pt_conditions(np.column_stack([v, v]), [slice(0, 2)])
+        assert np.all(np.isinf(kappa))
 
 
 class TestCsv:
