@@ -4,7 +4,11 @@ The walker starts at ``x = 0`` in the coin state ``DEFAULT_COIN`` and
 evolves on an effectively infinite line: the stored window holds the
 whole light cone (``bandwidth`` sites per side per step), so no
 amplitude is ever lost off its edges and the ``lattice`` entry of the
-spec is not consulted here.  A step runs the factor table
+spec is not consulted here.  A unitary walk (``gamma = 0``) is cut to
+its return cone once the last snapshot is taken: after step ``t`` of
+``T`` no site farther than ``bandwidth (T - t)`` from the source can
+reach ``x = 0`` in time, so those sites are dropped.  The kept sites
+compute the same values, so ``p0`` is exact.  A step runs the factor table
 ``operators.PROTOCOL`` that ``build_walk_operator`` folds into the walk
 matrix, so the stepper and the matrix cannot disagree about the walk.
 
@@ -20,8 +24,10 @@ zeroed and dropped: their squares are zero anyway, and arithmetic on
 subnormal numbers is slow.
 
 The observable is the return probability ``p0(t) = |<x=0|psi(t)>|^2``,
-both raw and normalized by the instantaneous total probability (the
-natural choice when gain and loss make the evolution non-unitary).
+both raw and normalized by the total probability: the instantaneous
+one when gain and loss make the evolution non-unitary, the conserved
+one at ``t = 0`` when ``gamma = 0`` (a clipped state no longer holds
+it).
 Its discrete Fourier transform over ``t = 0..T`` exposes beat
 frequencies between long-lived interface modes; peaks are matched to
 the families of ``MODE_FAMILIES``, where ``omega_delta`` is the small
@@ -58,6 +64,7 @@ from .spectrum import eigendecompose
 
 DEFAULT_COIN = (1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
 RESCALE_LIMIT = 1e120
+TINY = np.finfo(float).tiny  # smallest normal float64
 PERSISTENCE_THRESHOLD = 0.05
 PERSISTENCE_RANGE = (12, 24)
 BACKGROUND_BINS = 64   # bins around a candidate peak that set its background
@@ -123,9 +130,10 @@ class _SublatticeState:
 
     Only the support, the occupied sites ``lo, lo + 2, ...`` (``n`` of
     them), is updated; ``a`` and ``b`` are its views.  It grows by a
-    site per side and shift, and :meth:`trim` drops edge sites whose
+    site per side and shift.  :meth:`trim` drops edge sites whose
     amplitudes have all fallen below the smallest normal float64, where
-    arithmetic turns slow and every square is zero.
+    arithmetic turns slow and every square is zero, and :meth:`clip`
+    drops the sites outside a radius around the source.
     """
 
     def __init__(self, shifts: int):
@@ -183,17 +191,28 @@ class _SublatticeState:
 
     def trim(self):
         """Zero and drop edge sites whose amplitudes are all subnormal."""
-        tiny = np.finfo(float).tiny
         a, b = self.a, self.b
         first, last = 0, self.n - 1
         while first < last and max(abs(a[0, first]), abs(a[1, first]),
-                                   abs(b[0, first]), abs(b[1, first])) < tiny:
+                                   abs(b[0, first]), abs(b[1, first])) < TINY:
             first += 1
         while last > first and max(abs(a[0, last]), abs(a[1, last]),
-                                   abs(b[0, last]), abs(b[1, last])) < tiny:
+                                   abs(b[0, last]), abs(b[1, last])) < TINY:
             last -= 1
+        self._keep(first, last)
+
+    def clip(self, radius: int):
+        """Zero and drop sites farther than ``radius`` from the source."""
+        first = max(0, -((self.lo - self.shifts + radius) // 2))
+        last = min(self.n - 1, (self.shifts + radius - self.lo) // 2)
+        self._keep(first, last)
+
+    def _keep(self, first: int, last: int):
+        """Zero the support outside lanes ``first..last`` and shrink it
+        to them."""
         if first == 0 and last == self.n - 1:
             return
+        a, b = self.a, self.b
         a[:, :first] = b[:, :first] = 0.0
         a[:, last + 1:] = b[:, last + 1:] = 0.0
         self.lo += 2 * first
@@ -240,13 +259,20 @@ def evolve(spec: WalkSpec, steps: int, snapshot_times=()) -> EvolutionTrace:
     """Run ``steps`` applications of the walk from a point source at
     ``x = 0`` in the coin state ``DEFAULT_COIN``.
 
-    The stored window is the whole light cone, so nothing is ever
-    truncated.  Snapshots are normalized site distributions taken after
-    the requested step counts.
+    The stored window is the whole light cone, so no amplitude is lost
+    off its edges.  At ``gamma = 0`` the steps after the last snapshot
+    run on the return cone only, the sites within ``bandwidth`` times
+    the remaining steps of ``x = 0``; nothing outside it reaches
+    ``x = 0`` again, so ``p0_raw`` is unchanged.  ``p0_normalized`` is
+    then ``p0_raw`` over the norm at ``t = 0``, which the orthogonal
+    walk conserves; with gain and loss it is over the norm at each
+    step.  Snapshots are normalized site distributions taken after the
+    requested step counts, over the whole light cone.
     """
     if steps < 1:
         raise ValueError("need at least one step")
-    shifts = spec.bandwidth * steps
+    reach = spec.bandwidth
+    shifts = reach * steps
     x = np.arange(-shifts, shifts + 1)
 
     trig = []
@@ -263,6 +289,10 @@ def evolve(spec: WalkSpec, steps: int, snapshot_times=()) -> EvolutionTrace:
     if bad:
         raise ValueError(f"snapshot times outside 0..{steps}: {sorted(bad)}")
 
+    unitary = spec.gamma == 0.0
+    last_snap = max(snaps_wanted, default=-1)
+    norm0 = state.norm2()
+
     p0_raw = np.zeros(steps + 1)
     p0_norm = np.zeros(steps + 1)
     snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -274,19 +304,26 @@ def evolve(spec: WalkSpec, steps: int, snapshot_times=()) -> EvolutionTrace:
                 if op == "shift":
                     state.shift()
                 elif op == "gain":
-                    if spec.gamma != 0.0:
+                    if not unitary:
                         state.gain(*gains[arg])
                 else:
                     state.coin(*trig[arg])
             state.trim()
-        norm2 = state.norm2()
-        # no amplitude exceeds sqrt(norm2); the margin covers rounding
-        if spec.gamma != 0.0 and norm2 > 0.5 * RESCALE_LIMIT ** 2:
-            m = state.max_modulus()
-            if m > RESCALE_LIMIT:
-                state.rescale(m)
-                log_scale += math.log(m)
-                norm2 = state.norm2()
+            if unitary and t > last_snap:
+                # nothing farther out reaches x = 0 within the steps left
+                state.clip(reach * (steps - t))
+        if unitary:
+            # the norm is conserved, and a clipped state no longer holds it
+            norm2 = state.norm2() if t in snaps_wanted else norm0
+        else:
+            norm2 = state.norm2()
+            # no amplitude exceeds sqrt(norm2); the margin covers rounding
+            if norm2 > 0.5 * RESCALE_LIMIT ** 2:
+                m = state.max_modulus()
+                if m > RESCALE_LIMIT:
+                    state.rescale(m)
+                    log_scale += math.log(m)
+                    norm2 = state.norm2()
 
         site = state.site_probability(shifts)  # site i = shifts is x = 0
         if log_scale == 0.0:
@@ -298,7 +335,7 @@ def evolve(spec: WalkSpec, steps: int, snapshot_times=()) -> EvolutionTrace:
             # the float64 range long before the run ends
             ls = math.log(site) + 2.0 * log_scale
             p0_raw[t] = math.exp(ls) if ls <= 709.0 else math.inf
-        p0_norm[t] = site / norm2
+        p0_norm[t] = site / (norm0 if unitary else norm2)
         if t in snaps_wanted:
             lo, hi = state.span
             snapshots[t] = (x[lo:hi + 1].copy(),

@@ -234,6 +234,15 @@ class WalkSpec:
         """Lattice distance reached by one application."""
         return sum(op == "shift" for op, _ in PROTOCOL)
 
+    @functools.cached_property
+    def _lattice_angles(self):
+        """:meth:`effective_angles` on the lattice sites, drawn once per
+        spec and read only."""
+        angles = self.effective_angles(self.lattice.positions())
+        for theta in angles:
+            theta.flags.writeable = False
+        return angles
+
     def effective_angles(self, x: np.ndarray):
         """(theta1, theta2_first, theta2_second) arrays, disorder included.
 
@@ -311,7 +320,7 @@ def build_walk_operator(spec: WalkSpec) -> WalkOperator:
     :func:`symmetric_frame`).
     """
     lattice = spec.lattice
-    angles = spec.effective_angles(lattice.positions())
+    angles = spec._lattice_angles
     shift = _shift(lattice)
     gains = {sign: _gain(lattice, sign * spec.gamma) for sign in (1, -1)}
 
@@ -355,8 +364,7 @@ def half_coin(spec: WalkSpec) -> sp.csr_matrix:
     """C(theta1/2) on every site, the rotation :func:`symmetric_frame`
     conjugates by; its transpose takes a symmetric-frame eigenvector back
     to the stepwise frame."""
-    theta1 = spec.effective_angles(spec.lattice.positions())[SLOT_THETA1]
-    return _coin_blocks(theta1 / 2.0)
+    return _coin_blocks(spec._lattice_angles[SLOT_THETA1] / 2.0)
 
 
 @dataclass(frozen=True)
@@ -439,7 +447,7 @@ def verify_symmetries(op: WalkOperator, tol: float = 1e-10) -> SymmetryReport:
     x = lattice.positions()
     order = np.searchsorted(x, lattice.parity_partner(x))
     if any(not np.array_equal(arr, arr[order])
-           for arr in op.spec.effective_angles(x)):
+           for arr in op.spec._lattice_angles):
         checks["pt"] = SymmetryCheck(None, None,
                                      "coin profile is not parity symmetric")
     else:

@@ -147,17 +147,34 @@ def oracle_specs():
     }
 
 
+def counting_clip(monkeypatch):
+    """Record the lanes every ``clip`` call drops."""
+    clip = dynamics._SublatticeState.clip
+    dropped = []
+
+    def counted(state, radius):
+        n = state.n
+        clip(state, radius)
+        dropped.append(n - state.n)
+
+    monkeypatch.setattr(dynamics._SublatticeState, "clip", counted)
+    return dropped
+
+
 class TestMatrixPowerOracle:
     """``evolve`` against explicit powers of ``build_walk_operator``."""
 
     @staticmethod
-    def check(spec, steps, snap_abs=1e-300):
-        trace = evolve(spec, steps=steps, snapshot_times=(steps,))
+    def check(spec, steps, snap_abs=1e-300, snapshot=True):
+        trace = evolve(spec, steps=steps,
+                       snapshot_times=(steps,) if snapshot else ())
         raw, norm, (x, prob) = oracle_p0(spec, steps)
         assert np.array_equal(trace.p0_raw == 0.0, raw == 0.0)
         assert np.count_nonzero(raw) > 20
         assert trace.p0_raw == pytest.approx(raw, rel=1e-12, abs=0.0)
         assert trace.p0_normalized == pytest.approx(norm, rel=1e-12, abs=0.0)
+        if not snapshot:
+            return trace
         snap_x, snap_prob = trace.snapshots[steps]
         on_span = np.isin(x, snap_x)
         assert np.array_equal(x[on_span], snap_x)
@@ -170,6 +187,15 @@ class TestMatrixPowerOracle:
     @pytest.mark.parametrize("name", list(oracle_specs()))
     def test_return_probability(self, name):
         self.check(oracle_specs()[name], 60)
+
+    @pytest.mark.parametrize("name,steps", [("perturbed_split", 60),
+                                            ("three_step-gamma0", 60),
+                                            ("perturbed_split", 600)])
+    def test_return_cone(self, monkeypatch, name, steps):
+        # no snapshot: at gamma = 0 the stepper clips to the return cone
+        dropped = counting_clip(monkeypatch)
+        self.check(oracle_specs()[name], steps, snapshot=False)
+        assert sum(dropped) > 0
 
     def test_trimmed_fronts(self, monkeypatch):
         # from t ~ 450-520 on the light-cone fronts of this walk fall
@@ -216,6 +242,52 @@ class TestMatrixPowerOracle:
             assert x[0] == -3 * t and x[-1] == 3 * t
             assert np.sum(prob) == pytest.approx(1.0, abs=1e-12)
             assert np.all(prob[(x - 3 * t) % 2 != 0] == 0.0)
+
+
+class TestReturnCone:
+    """At gamma = 0, past the last snapshot, ``evolve`` drops the sites
+    that can no longer reach x = 0 and divides p0 by the initial norm."""
+
+    def test_matches_unclipped_stepper(self, monkeypatch):
+        spec = split_spec((0.75 * PI, 0.05 * PI), (-PI / 3, 0.0), 0.05)
+        dropped = counting_clip(monkeypatch)
+        trace = evolve(spec, steps=800)
+        assert sum(dropped) > 0
+        monkeypatch.setattr(dynamics._SublatticeState, "clip",
+                            lambda state, radius: None)
+        full = evolve(spec, steps=800)
+        assert np.array_equal(trace.p0_raw, full.p0_raw)
+        # the walk is unitary: p0 is divided by the norm at t = 0
+        norm0 = dynamics._SublatticeState(1).norm2()
+        want = full.p0_raw / norm0
+        assert np.all(np.abs(trace.p0_normalized - want) <= np.spacing(want))
+
+    def test_snapshot_past_half_trace(self, monkeypatch):
+        # the cone binds from t = T/2 on, but no clip runs before the
+        # last snapshot
+        steps = 200
+        t = steps // 2 + 5
+        dropped = counting_clip(monkeypatch)
+        trace = evolve(oracle_specs()["perturbed_split"], steps=steps,
+                       snapshot_times=(t,))
+        assert sum(dropped) > 0
+        x, prob = trace.snapshots[t]
+        assert x[0] == -3 * t and x[-1] == 3 * t
+        assert np.sum(prob) == pytest.approx(1.0, abs=1e-12)
+        occupied = (x - 3 * t) % 2 == 0
+        assert np.all(prob[~occupied] == 0.0)
+        assert np.all(prob[occupied] > 0.0)
+        monkeypatch.setattr(dynamics._SublatticeState, "clip",
+                            lambda state, radius: None)
+        full = evolve(oracle_specs()["perturbed_split"], steps=steps,
+                      snapshot_times=(t,))
+        assert np.array_equal(full.snapshots[t][1], prob)
+
+    @pytest.mark.parametrize("name", ["three_step", "disordered"])
+    def test_gain_and_loss_are_never_clipped(self, monkeypatch, name):
+        dropped = counting_clip(monkeypatch)
+        evolve(oracle_specs()[name], steps=200)
+        assert dropped == []
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from ptwalk import spectrum
+from ptwalk import operators, spectrum
 from ptwalk.bulk import bulk_gap_status, dispersion
 from ptwalk.errors import GapClosedError
 from ptwalk.operators import CoinProfile, Lattice, WalkSpec, build_walk_operator
@@ -325,6 +325,30 @@ class TestStructuredSolver:
                                 compute_condition=False)
         assert result.solver == "dense"
         assert result.counts == dense_oracle(spec).counts
+
+    def test_gate_draws_disorder_once(self, monkeypatch):
+        # the pt-fold gate reads the coin angles twice, through
+        # symmetric_frame and verify_symmetries; each (site, slot)
+        # offset must be drawn once per spec, not once per read
+        spec = interface_spec((-0.6 * PI, 0.2 * PI), gamma=0.1, num_sites=41,
+                              half_width=10, kind="three_step_perturbed_disordered",
+                              delta=0.05, disorder_amplitude=0.1,
+                              disorder_seed=7)
+        draws = []
+        offset = operators.disorder_offset
+
+        def counting_offset(*args):
+            draws.append(args)
+            return offset(*args)
+
+        monkeypatch.setattr(operators, "disorder_offset", counting_offset)
+        op = build_walk_operator(spec)
+        built = len(draws)
+        result = eigendecompose(op)
+        assert result.solver == "dense"
+        assert built == 3 * spec.lattice.num_sites
+        assert len(draws) - built <= 3 * spec.lattice.num_sites
+        assert len(set(draws)) == len(draws)
 
     def test_singular_dual_is_infinite(self):
         # two equal eigenvectors in one cluster leave G singular
