@@ -336,6 +336,7 @@ def _cmd_spectrum(cfg, em) -> Run:
                 continue
             em.write(f"state_{i:04d}.csv", write_state_csv, result, i)
     summary = {
+        "solver": result.solver,
         "counts": dict(result.counts),
         "eps_m": result.eps_m,
         "near_defective": (sum(p.near_defective for p in result.pairs)
@@ -366,6 +367,7 @@ def _cmd_edge_map(cfg, em) -> Run:
     result = {
         "counted_cells": int(np.count_nonzero(emap.counted)),
         "skipped_cells": int(np.count_nonzero(~emap.counted)),
+        "solvers": dict(sorted(emap.solvers.items())),
     }
     return Run(params, result, emap)
 

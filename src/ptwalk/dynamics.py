@@ -505,7 +505,10 @@ def infer_edge_count(spec: WalkSpec, steps: int = 10000,
     window (``interface_only=True``, localization window
     ``COMPANION_WINDOW`` sites); defective pairs lie inside that window
     by construction.  ``companion_solver`` records the path that
-    answered, ``"interface"`` or ``"dense-fallback"``.  ``eps_m`` is
+    answered.  On a gamma = 0 walk, as the split walks of return
+    spectroscopy are, the ring is orthogonal: every mu = (lambda +
+    1/lambda)/2 is double, so the lambda-window (``"interface"``)
+    answers, or ``"dense-fallback"`` where it cannot.  ``eps_m`` is
     the bulk band floor, the smallest ``|Re eps|`` of either phase over
     the ``bulk.bloch_fold`` momentum grid; below ``GAP_REGIME_SPLIT``
     the gap regime is ``"small"``.  It does not depend on the size of

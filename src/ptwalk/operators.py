@@ -268,8 +268,8 @@ class WalkSpec:
 class WalkOperator:
     """A built walk operator plus the data needed to reason about it.
 
-    ``sparse`` is the operator itself; ``matrix`` is its dense copy,
-    built on first access and kept.
+    ``sparse`` is the operator itself; ``matrix`` is its dense copy and
+    ``inverse`` its sparse inverse, each built on first access and kept.
     """
 
     spec: WalkSpec
@@ -283,6 +283,15 @@ class WalkOperator:
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         return self.sparse.toarray()
+
+    @functools.cached_property
+    def inverse(self) -> sp.csr_matrix:
+        """U^-1 in the same frame, from the inverted step factors."""
+        inverse = _step_product(self.spec, inverse=True)
+        if self.frame == "symmetric":
+            half = half_coin(self.spec)
+            inverse = (half @ inverse @ half.T).tocsr()
+        return inverse
 
 
 def _coin_blocks(theta: np.ndarray) -> sp.csr_matrix:
@@ -312,12 +321,11 @@ def _gain(lattice: Lattice, gamma: float) -> sp.dia_matrix:
     return sp.diags(diag)
 
 
-def build_walk_operator(spec: WalkSpec) -> WalkOperator:
-    """Build the sparse walk operator for ``spec``.
+def _step_product(spec: WalkSpec, inverse: bool = False) -> sp.csr_matrix:
+    """One step of ``PROTOCOL`` as a sparse product, in the stepwise frame.
 
-    ``three_step_symmetric`` is returned in the symmetric frame; every
-    other kind comes out in the stepwise frame (see
-    :func:`symmetric_frame`).
+    ``inverse=True`` gives U^-1: every factor inverted (C(theta)^T,
+    S^T, and G and G^-1 swapped) and the order of action reversed.
     """
     lattice = spec.lattice
     angles = spec._lattice_angles
@@ -326,19 +334,27 @@ def build_walk_operator(spec: WalkSpec) -> WalkOperator:
 
     def factor(op, arg):
         if op == "shift":
-            return shift
+            return shift.T if inverse else shift
         if op == "gain":
-            return gains[arg]
-        return _coin_blocks(angles[arg])
+            return gains[-arg if inverse else arg]
+        coin = _coin_blocks(angles[arg])
+        return coin.T if inverse else coin
 
     # fold left to right from the last-acting factor: the written product
     # G^-1 . S . ... . C(theta1) associates, and so rounds, this way
-    factors = [factor(op, arg) for op, arg in reversed(PROTOCOL)]
-    op = WalkOperator(
-        spec=spec,
-        sparse=functools.reduce(operator.matmul, factors).tocsr(),
-        frame="stepwise",
-    )
+    order = PROTOCOL if inverse else reversed(PROTOCOL)
+    factors = [factor(op, arg) for op, arg in order]
+    return functools.reduce(operator.matmul, factors).tocsr()
+
+
+def build_walk_operator(spec: WalkSpec) -> WalkOperator:
+    """Build the sparse walk operator for ``spec``.
+
+    ``three_step_symmetric`` is returned in the symmetric frame; every
+    other kind comes out in the stepwise frame (see
+    :func:`symmetric_frame`).
+    """
+    op = WalkOperator(spec=spec, sparse=_step_product(spec), frame="stepwise")
     if spec.kind == "three_step_symmetric":
         return symmetric_frame(op)
     return op
@@ -411,6 +427,18 @@ def parity_even(lattice: Lattice) -> sp.csr_matrix:
     cols = (sp.identity(lattice.dim) + P).tocsc()[:, keep]
     norms = np.sqrt(np.asarray(cols.multiply(cols).sum(axis=0)).ravel())
     return (cols @ sp.diags(1.0 / norms)).tocsr()
+
+
+def skew_parity(lattice: Lattice) -> sp.csr_matrix:
+    """K = parity x i sigma2, a form the walk keeps: U K U^T = K.
+
+    i sigma2 = sigma3 sigma1, so K is ``parity x sigma3`` times T =
+    sigma1 on every site.  The relation holds in either frame, whatever
+    gamma and delta, whenever parity maps the coin angles onto
+    themselves (no disorder, and not the ``left_right`` layout); it
+    makes 1/lambda an eigenvalue with lambda.
+    """
+    return _parity_matrix(lattice)[:, np.arange(lattice.dim) ^ 1].tocsr()
 
 
 def verify_symmetries(op: WalkOperator, tol: float = 1e-10) -> SymmetryReport:

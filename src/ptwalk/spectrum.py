@@ -33,11 +33,21 @@ M = (U + U^-1)/2 commutes with U, so the eigenspaces of M (one
 symmetric ``eigh``, or two ``eig`` of half the size) reduce U to small
 blocks.  Every other walk takes a dense ``scipy.linalg.eig``, and so
 does any structured result that misses the residual gate.
+
 ``interface_only=True`` asks ARPACK in shift-invert mode for the
 eigenvalues nearest +1 and -1 instead, enough of them to cover every
 state the taxonomy could call ``edge_zero``, ``edge_pi`` or
-``defective_pair_member`` (see :func:`_completeness_radius`); the rest
-of the spectrum is never computed.
+``defective_pair_member``; the rest of the spectrum is never computed.
+Those states lie in a sector of the annulus that holds the spectrum
+(see :func:`_completeness_radius`), and mu = (lambda + 1/lambda)/2
+maps the sector into a much smaller disk about +-1 (see
+:func:`_mu_radius`).  So where each mu is simple the window is taken in
+mu: on the +1 parity block of M and its transpose where the PT-fold
+gate holds (``interface-fold``), on M itself otherwise
+(``interface-mu``).  Where a relation makes every mu exactly double
+(gamma = 0, or U K U^T = K on a parity-symmetric profile without
+disorder) a Krylov method need not find both copies, and the window is
+taken on U in lambda (``interface``), as it is when a mu path fails.
 """
 
 from __future__ import annotations
@@ -60,6 +70,7 @@ from .operators import (
     build_walk_operator,
     half_coin,
     parity_even,
+    skew_parity,
     symmetric_frame,
     verify_symmetries,
 )
@@ -100,7 +111,8 @@ class SpectrumResult:
     counts: dict[str, int]
     eps_m: float | None
     interfaces: list[float] = field(default_factory=list)
-    # "orthogonal", "pt-fold", "dense", "interface" or "dense-fallback"
+    # "orthogonal", "pt-fold", "dense", "interface-fold", "interface-mu",
+    # "interface" or "dense-fallback"
     solver: str = "dense"
 
     def select(self, *classes: str) -> list[Eigenpair]:
@@ -152,6 +164,31 @@ def _fit_localization(prob: np.ndarray, lattice: Lattice,
     return LocalizationFit(length=float(-1.0 / slope), reliable=r2 >= 0.9)
 
 
+def _conjugate_gaps(evals: np.ndarray) -> np.ndarray:
+    """min over j != i of |lambda_i - conj(lambda_j)|, for every i.
+
+    That distance is at least |Re lambda_i - Re lambda_j|, so a scan
+    over offsets in real-part order stops at the first offset where no
+    pair is closer in real part than the best partner of either end.
+    The distance is symmetric in i and j bit for bit, so each pair is
+    computed once.
+    """
+    order = np.argsort(evals.real, kind="stable")
+    z = evals[order]
+    best = np.full(z.size, np.inf)
+    for k in range(1, z.size):
+        gap = z.real[k:] - z.real[:-k]
+        near = np.flatnonzero((gap < best[:-k]) | (gap < best[k:]))
+        if not near.size:
+            break
+        d = np.abs(z[near] - np.conj(z[near + k]))
+        best[near] = np.minimum(best[near], d)
+        best[near + k] = np.minimum(best[near + k], d)
+    gaps = np.empty_like(best)
+    gaps[order] = best
+    return gaps
+
+
 def classify_states(evals: np.ndarray, vectors: np.ndarray, spec: WalkSpec,
                     eig_conditions: np.ndarray | None = None,
                     window: int = DEFAULT_WINDOW) -> SpectrumResult:
@@ -172,9 +209,7 @@ def classify_states(evals: np.ndarray, vectors: np.ndarray, spec: WalkSpec,
     eps = quasienergy(evals)
     abs_lam = np.abs(evals)
     # a real matrix pairs every complex eigenvalue with its conjugate
-    gap_to_conj = np.abs(evals[:, None] - np.conj(evals)[None, :])
-    np.fill_diagonal(gap_to_conj, np.inf)
-    conj_gap = gap_to_conj.min(axis=1)
+    conj_gap = _conjugate_gaps(evals)
 
     pairs: list[Eigenpair] = []
     for i in range(evals.size):
@@ -250,27 +285,39 @@ def _completeness_radius(gamma: float) -> float:
                for r in (math.exp(-2 * abs(gamma)), math.exp(2 * abs(gamma))))
 
 
-def _interface_window(op: WalkOperator):
-    """Eigenpairs near +1 and -1 from shift-invert ARPACK, or None.
+def _mu_radius(gamma: float) -> float:
+    """Distance from +1 (or -1) that holds mu = (lambda + 1/lambda)/2 of
+    every edge-like eigenvalue.
 
-    Each side starts at ``WINDOW_K0`` eigenvalues and doubles the count
-    until the farthest one lies beyond the completeness radius, so
-    nothing inside the radius is missed.  The start vector and the
-    restart draws are seeded, which makes the result a function of the
-    operator alone.  None means the window cannot be trusted (k beyond
-    a quarter of the dimension, or no convergence) and the caller
-    should solve densely.
+    mu - 1 = (lambda - 1)^2 / (2 lambda), so lambda = r e^(i phi) gives
+    |mu - 1| = cosh(ln r) - cos(phi), which grows with |ln r| and |phi|.
+    Over the sector of :func:`_completeness_radius` (|phi| <=
+    ``EDGE_BAND``, e^-2|gamma| <= r <= e^2|gamma|) it peaks at the four
+    corners, all at cosh(2 gamma) - cos(EDGE_BAND); mu(-lambda) =
+    -mu(lambda) gives the same about -1.
     """
-    radius = _completeness_radius(op.spec.gamma)
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, op.dim)
+    return math.cosh(2 * gamma) - math.cos(EDGE_BAND)
+
+
+def _window(A, radius: float):
+    """Eigenpairs of the sparse A nearest +1 and -1, or None.
+
+    Shift-invert ARPACK at sigma = +1 and -1.  Each side starts at
+    ``WINDOW_K0`` eigenvalues and doubles the count until the farthest
+    one lies beyond ``radius``, so nothing inside it is missed.  The
+    start vector and the restart draws are seeded, which makes the
+    result a function of A alone.  None means the window cannot be
+    trusted: k beyond a quarter of the dimension, or no convergence.
+    """
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, A.shape[0])
     evals, vectors = [], []
     for sigma in (1.0, -1.0):
         k = WINDOW_K0
         while True:
-            if k > op.dim / 4:
+            if k > A.shape[0] / 4:
                 return None
             try:
-                lam, vec = scipy.sparse.linalg.eigs(op.sparse, k, sigma=sigma,
+                lam, vec = scipy.sparse.linalg.eigs(A, k, sigma=sigma,
                                                     v0=v0, rng=0)
             except RuntimeError:
                 # ArpackNoConvergence and ArpackError are RuntimeErrors,
@@ -313,30 +360,34 @@ def _clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
 
 def _solve_clusters(R: scipy.sparse.csr_matrix, bases: list[np.ndarray],
                     values: np.ndarray):
-    """Eigenpairs of R from the eigenspaces of M = (R + R^-1)/2.
+    """Eigenpairs of R from eigenvectors of M = (R + R^-1)/2.
 
-    M is block diagonal; ``bases`` holds the eigenvectors of each
-    diagonal block (block after block) and ``values`` their eigenvalues.
-    M commutes with R, so a cluster of equal values spans a space that
-    R maps into itself: its orthonormalized basis Q turns R into the
-    small block Q^H R Q, whose eigenpairs are eigenpairs of R.  Clusters
-    are single-linkage groups within ``CLUSTER_TOL`` of the spectral
-    radius of M, so no near-degenerate eigenvector is split from its
+    M is block diagonal; ``bases`` holds eigenvectors of each diagonal
+    block (block after block, rows and columns alike) and ``values``
+    their eigenvalues.  M commutes with R, so a cluster of equal values
+    spans a space that R maps into itself: its orthonormalized basis Q
+    turns R into the small block Q^H R Q, whose eigenpairs are
+    eigenpairs of R.  That needs each cluster to hold the whole
+    eigenspace of its values, which the callers' residual gates check.
+    Clusters are single-linkage groups within ``CLUSTER_TOL`` of the
+    largest |value|, so no near-degenerate eigenvector is split from its
     partners.  Returns the eigenvalues, the unit eigenvectors and one
     column slice per cluster.
     """
     n = R.shape[0]
-    starts = np.cumsum([0] + [b.shape[1] for b in bases])
-    evals = np.empty(n, dtype=complex)
-    vectors = np.empty((n, n), dtype=complex)
+    rows = np.cumsum([0] + [b.shape[0] for b in bases])
+    cols = np.cumsum([0] + [b.shape[1] for b in bases])
+    evals = np.empty(cols[-1], dtype=complex)
+    vectors = np.empty((n, cols[-1]), dtype=complex)
     spans = []
     col = 0
     for group in _clusters(values, CLUSTER_TOL * np.abs(values).max()):
         q = np.zeros((n, group.size), dtype=np.result_type(*bases))
         filled = 0
-        for basis, lo, hi in zip(bases, starts[:-1], starts[1:]):
+        for basis, top, bottom, lo, hi in zip(bases, rows[:-1], rows[1:],
+                                             cols[:-1], cols[1:]):
             picked = group[(group >= lo) & (group < hi)] - lo
-            q[lo:hi, filled:filled + picked.size] = np.linalg.qr(
+            q[top:bottom, filled:filled + picked.size] = np.linalg.qr(
                 basis[:, picked])[0]
             filled += picked.size
         lam, z = scipy.linalg.eig(q.conj().T @ (R @ q))
@@ -395,6 +446,36 @@ def _pt_conditions(vectors: np.ndarray, spans: list[slice]) -> np.ndarray:
     return conditions
 
 
+def _is_orthogonal(U: scipy.sparse.csr_matrix) -> bool:
+    """U^T U = I within ``GATE_TOL``: gamma = 0."""
+    return (scipy.sparse.linalg.norm(U.T @ U - scipy.sparse.identity(U.shape[0]))
+            <= GATE_TOL * scipy.sparse.linalg.norm(U))
+
+
+def _pt_frame(op: WalkOperator) -> WalkOperator | None:
+    """The symmetric-frame operator if the ``pt`` and ``trs_dagger``
+    relations of :func:`verify_symmetries` hold there, else None."""
+    sym = symmetric_frame(op)
+    report = verify_symmetries(sym, tol=GATE_TOL)
+    return sym if report.holds("pt") and report.holds("trs_dagger") else None
+
+
+def _keeps_skew_parity(U: scipy.sparse.csr_matrix, lattice: Lattice) -> bool:
+    """U K U^T = K within ``GATE_TOL`` (K of :func:`skew_parity`)."""
+    K = skew_parity(lattice)
+    return (scipy.sparse.linalg.norm(U @ K @ U.T - K)
+            <= GATE_TOL * scipy.sparse.linalg.norm(U))
+
+
+def _fold_basis(sym: WalkOperator):
+    """(E, R): the basis E = [even, T even] of the P = +1 sector and its
+    T-image, and the symmetric-frame U in it, R = E^T U E.  R[:n, :n]
+    is the +1 block of M and its transpose the -1 block."""
+    even = parity_even(sym.spec.lattice)
+    E = scipy.sparse.hstack([even, even[_t_order(sym.dim)]]).tocsr()
+    return E, (E.T @ sym.sparse @ E).tocsr()
+
+
 def _structured(op: WalkOperator, compute_condition: bool):
     """(solver, evals, vectors, conditions) from a structured path, or None.
 
@@ -413,23 +494,19 @@ def _structured(op: WalkOperator, compute_condition: bool):
     or some pair misses ``RESIDUAL_TOL``.
     """
     U = op.sparse
-    if (scipy.sparse.linalg.norm(U.T @ U - scipy.sparse.identity(op.dim))
-            <= GATE_TOL * scipy.sparse.linalg.norm(U)):
+    if _is_orthogonal(U):
         solver = "orthogonal"
         c, q = scipy.linalg.eigh(((U + U.T) * 0.5).toarray(), driver="evd",
                                  overwrite_a=True)
         evals, vectors, _ = _solve_clusters(U, [q], c)
         conditions = np.ones(op.dim) if compute_condition else None
     else:
-        sym = symmetric_frame(op)
-        report = verify_symmetries(sym, tol=GATE_TOL)
-        if not (report.holds("pt") and report.holds("trs_dagger")):
+        sym = _pt_frame(op)
+        if sym is None:
             return None
         solver = "pt-fold"
         n = op.spec.lattice.num_sites
-        even = parity_even(op.spec.lattice)
-        E = scipy.sparse.hstack([even, even[_t_order(op.dim)]]).tocsr()
-        R = (E.T @ sym.sparse @ E).tocsr()
+        E, R = _fold_basis(sym)
         mu, left, right = scipy.linalg.eig(R[:n, :n].toarray(), left=True,
                                            overwrite_a=True)
         evals, vectors, spans = _solve_clusters(
@@ -442,6 +519,72 @@ def _structured(op: WalkOperator, compute_condition: bool):
     if _max_residual(U, evals, vectors) > RESIDUAL_TOL:
         return None
     return solver, evals, vectors, conditions
+
+
+def _fold_window(op: WalkOperator, sym: WalkOperator):
+    """Window eigenpairs of a walk that passes the ``pt-fold`` gate, or None.
+
+    The mu-window of the +1 block of M, n = ``num_sites`` wide, and of
+    its transpose, the -1 block (whose vectors are the T-images of left
+    eigenvectors of the +1 block); each value of mu then holds one
+    eigenvector per sector, and :func:`_solve_clusters` recovers lambda
+    and 1/lambda from the two.
+    """
+    n = op.spec.lattice.num_sites
+    E, R = _fold_basis(sym)
+    block = R[:n, :n]
+    radius = _mu_radius(op.spec.gamma)
+    plus = _window(block, radius)
+    minus = None if plus is None else _window(block.T.tocsr(), radius)
+    if minus is None:
+        return None
+    evals, vectors, _ = _solve_clusters(
+        R, [plus[1], minus[1]], np.concatenate([plus[0], minus[0]]))
+    _rotate(E, vectors)
+    if op.frame == "stepwise":
+        _rotate(half_coin(op.spec).T, vectors)
+    return evals, vectors
+
+
+def _mu_window(op: WalkOperator):
+    """Window eigenpairs from the mu-window of M = (U + U^-1)/2 itself,
+    for walks where no relation doubles mu; None if it cannot be
+    trusted."""
+    U = op.sparse
+    found = _window(((U + op.inverse) * 0.5).tocsr(), _mu_radius(op.spec.gamma))
+    if found is None:
+        return None
+    evals, vectors, _ = _solve_clusters(U, [found[1]], found[0])
+    return evals, vectors
+
+
+def _interface(op: WalkOperator):
+    """(solver, evals, vectors) of the interface window, or None.
+
+    ``interface-fold`` where the ``pt-fold`` gate holds,
+    ``interface-mu`` where neither U^T U = I nor U K U^T = K does, and
+    ``interface`` (the lambda-window of U) where one of those two makes
+    every mu exactly double, or where a mu path fails or some pair
+    misses ``RESIDUAL_TOL``.
+    """
+    U = op.sparse
+    found = None
+    if not _is_orthogonal(U):
+        sym = _pt_frame(op)
+        if sym is not None:
+            solver, found = "interface-fold", _fold_window(op, sym)
+        elif not _keeps_skew_parity(U, op.spec.lattice):
+            solver, found = "interface-mu", _mu_window(op)
+        if found is not None and _max_residual(U, *found) > RESIDUAL_TOL:
+            found = None
+    if found is None:
+        solver = "interface"
+        found = _window(U, _completeness_radius(op.spec.gamma))
+        if found is None:
+            return None
+        evals, vectors = found
+        found = evals, vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
+    return solver, *found
 
 
 def _dense(op: WalkOperator, compute_condition: bool):
@@ -485,22 +628,33 @@ def eigendecompose(op: WalkOperator, compute_condition: bool = True, *,
     ``defective_pair_member`` state (with its conjugate partner).  Its
     ``counts["bulk"]`` and ``counts["impurity"]`` then cover that
     window alone, and ``eps_m`` is None since the band edge may lie
-    outside it.  It needs ``compute_condition=False``.  Where the window
-    cannot be trusted the dense path runs instead, and ``solver`` is
-    ``"dense-fallback"``.  ``window`` is the localization window of
-    :func:`classify_states`.
+    outside it.  It needs ``compute_condition=False``.  The gates pick
+    the path (see :func:`_interface`):
+
+    * ``interface-fold`` (the ``pt-fold`` gate): shift-invert ARPACK on
+      the +1 parity block of M = (U + U^-1)/2 and on its transpose, out
+      to :func:`_mu_radius` from +-1.
+    * ``interface-mu`` (no gate, nor U K U^T = K): the same on M itself.
+    * ``interface`` (U^T U = I or U K U^T = K, where every mu is double,
+      or a mu path that failed or missed ``RESIDUAL_TOL``): on U, out to
+      :func:`_completeness_radius`.
+
+    Every edge-like eigenvalue lies within that radius, so doubling the
+    ARPACK request until the farthest value returned lies beyond it
+    misses none.  Where the lambda-window cannot be trusted either, the
+    dense path runs, and ``solver`` is ``"dense-fallback"``.  ``window``
+    is the localization window of :func:`classify_states`.
     """
     if interface_only and compute_condition:
         raise ValueError("condition numbers need the full eigenvector "
                          "matrix; pass compute_condition=False")
     if interface_only:
-        found = _interface_window(op)
+        found = _interface(op)
         if found is not None:
-            evals, vectors = found
-            vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
+            solver, evals, vectors = found
             result = classify_states(evals, vectors, op.spec, window=window)
             result.eps_m = None
-            result.solver = "interface"
+            result.solver = solver
             return result
         solver = "dense-fallback"
         evals, vectors, conditions = _dense(op, compute_condition=False)
@@ -522,6 +676,7 @@ class EdgeCountMap:
     n_zero: np.ndarray
     n_pi: np.ndarray
     counted: np.ndarray  # bool; False where the outer bulk gap is closed
+    solvers: dict[str, int]  # counted cells per eigendecompose solver label
 
 
 def edge_count_map(inner: tuple[float, float], theta1_values, theta2_values,
@@ -549,6 +704,7 @@ def edge_count_map(inner: tuple[float, float], theta1_values, theta2_values,
     n_zero = np.zeros((t1s.size, t2s.size), dtype=int)
     n_pi = np.zeros_like(n_zero)
     counted = np.zeros(n_zero.shape, dtype=bool)
+    solvers: dict[str, int] = {}
 
     for i in range(t1s.size):
         for j in range(t2s.size):
@@ -564,8 +720,10 @@ def edge_count_map(inner: tuple[float, float], theta1_values, theta2_values,
             n_zero[i, j] = result.counts["edge_zero"]
             n_pi[i, j] = result.counts["edge_pi"]
             counted[i, j] = True
+            solvers[result.solver] = solvers.get(result.solver, 0) + 1
     return EdgeCountMap(theta1_values=t1s, theta2_values=t2s, gamma=gamma,
-                        n_zero=n_zero, n_pi=n_pi, counted=counted)
+                        n_zero=n_zero, n_pi=n_pi, counted=counted,
+                        solvers=solvers)
 
 
 def write_spectrum_csv(result: SpectrumResult, path) -> None:

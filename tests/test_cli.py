@@ -250,6 +250,7 @@ class TestSpectrumCommand:
         rc, _, _ = run(capsys, "spectrum", "--config", cfg, "--out", out)
         assert rc == 0
         manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        assert manifest["result"]["solver"] == "pt-fold"
         counts = manifest["result"]["counts"]
         assert counts["edge_zero"] == 6
         assert counts["edge_pi"] == 6
@@ -674,6 +675,7 @@ class TestReproduce:
         assert rc == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["result"]["counted_cells"] == 50
+        assert manifest["result"]["solvers"] == {"interface-fold": 50}
 
     def test_delta_sweep(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "reproduce", "fig6", "--out", f"{tmp_path}/")

@@ -93,4 +93,5 @@ def test_solver_labels_are_the_returned_ones():
     readme = re.findall(r'`"([\w-]+)"`', sentence)
     assert len(readme) == len(set(readme))
     assert set(readme) == code == {"orthogonal", "pt-fold", "dense",
+                                   "interface-fold", "interface-mu",
                                    "interface", "dense-fallback"}

@@ -13,6 +13,7 @@ from ptwalk.operators import (
     build_walk_operator,
     disorder_offset,
     parity_even,
+    skew_parity,
     symmetric_frame,
     verify_symmetries,
 )
@@ -175,6 +176,47 @@ class TestBuildOperator:
         assert sym.frame == "symmetric"
         via_frame = symmetric_frame(base)
         assert np.allclose(sym.matrix, via_frame.matrix, atol=1e-13)
+
+    @pytest.mark.parametrize("kind,frame", [
+        ("three_step_perturbed_disordered", "stepwise"),
+        ("three_step_perturbed_disordered", "symmetric"),
+        ("three_step_symmetric", "symmetric"),
+    ])
+    def test_inverse(self, kind, frame):
+        kw = ({"delta": 0.05, "disorder_amplitude": 0.2, "disorder_seed": 3}
+              if kind.endswith("disordered") else {})
+        op = build_walk_operator(homogeneous_spec(kind=kind, n=21, gamma=0.1,
+                                                  **kw))
+        if frame == "symmetric":
+            op = symmetric_frame(op)
+        assert op.frame == frame
+        inverse = op.inverse.toarray()
+        assert np.abs(inverse @ op.matrix - np.eye(op.dim)).max() < 1e-13
+        assert np.abs(np.linalg.inv(op.matrix) - inverse).max() < 1e-12
+
+
+class TestSkewParity:
+    def test_is_parity_times_i_sigma2(self):
+        lattice = Lattice(9)
+        K = skew_parity(lattice).toarray()
+        P = np.abs(_parity_matrix(lattice).toarray())
+        i_sigma2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        assert np.array_equal(K, P @ np.kron(np.eye(9), i_sigma2))
+
+    @pytest.mark.parametrize("frame", ["stepwise", "symmetric"])
+    @pytest.mark.parametrize("amplitude,kept", [(0.0, True), (0.1, False)])
+    def test_kept_without_disorder(self, frame, amplitude, kept):
+        profile = CoinProfile.inner_outer((0.4 * PI, 0.1 * PI),
+                                          (-0.2 * PI, 0.3 * PI), 5, delta=0.05,
+                                          disorder_amplitude=amplitude)
+        spec = WalkSpec(kind="three_step_perturbed_disordered",
+                        lattice=Lattice(21), profile=profile, gamma=0.1)
+        op = build_walk_operator(spec)
+        if frame == "symmetric":
+            op = symmetric_frame(op)
+        K = skew_parity(spec.lattice).toarray()
+        residual = np.abs(op.matrix @ K @ op.matrix.T - K).max()
+        assert (residual < 1e-12) == kept
 
 
 

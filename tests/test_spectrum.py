@@ -12,6 +12,8 @@ from ptwalk.operators import CoinProfile, Lattice, WalkSpec, build_walk_operator
 from ptwalk.perturbation import EDGE_LIKE
 from ptwalk.spectrum import (
     _completeness_radius,
+    _conjugate_gaps,
+    _mu_radius,
     _pt_conditions,
     classify_states,
     edge_count_map,
@@ -118,6 +120,33 @@ class TestClassification:
         assert not any(p.near_defective for p in result_d.pairs)
 
 
+class TestConjugateGaps:
+    @staticmethod
+    def brute_force(evals):
+        gaps = np.abs(evals[:, None] - np.conj(evals)[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        return gaps.min(axis=1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_full_matrix_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=40) + 1j * rng.normal(size=40)
+        real = rng.normal(size=15)
+        evals = np.concatenate([z, np.conj(z[:20]), z[:5], real, real[:4],
+                                np.round(z[:10], 1)])
+        rng.shuffle(evals)
+        assert np.array_equal(_conjugate_gaps(evals), self.brute_force(evals))
+
+    def test_small_cases(self):
+        assert np.array_equal(_conjugate_gaps(np.array([1 + 1j])), [np.inf])
+        pair = np.array([0.5 + 0.2j, 0.5 - 0.2j, 2.0, 2.0])
+        assert np.array_equal(_conjugate_gaps(pair), [0.0, 0.0, 0.0, 0.0])
+
+    def test_spectrum(self, result_d):
+        evals = np.array([p.lam for p in result_d.pairs])
+        assert np.array_equal(_conjugate_gaps(evals), self.brute_force(evals))
+
+
 class TestLocalization:
     def test_edge_state_is_tight(self, result_d):
         p = result_d.select("edge_zero")[0]
@@ -136,6 +165,12 @@ class TestEdgeCountMap:
         assert single_cell.counted[0, 0]
         assert single_cell.n_zero[0, 0] == 6
         assert single_cell.n_pi[0, 0] == 6
+
+    def test_solver_counts(self, single_cell):
+        assert single_cell.solvers == {"interface-fold": 1}
+        emap = edge_count_map(INNER, [0.25 * PI], [0.25 * PI], gamma=0.1,
+                              num_sites=301)
+        assert emap.solvers == {}
 
     def test_gapless_outer_cell_skipped(self):
         emap = edge_count_map(INNER, [0.25 * PI], [0.25 * PI], gamma=0.1,
@@ -172,7 +207,7 @@ class TestEdgeCountMap:
 def _fig5_row_cells():
     """The gapped cells of fig5 row theta1 = -3pi/4 (301 sites)."""
     t1 = np.linspace(-PI, PI, 9)[1]
-    return [(f"fig5-row1-{j}", interface_spec((t1, t2)))
+    return [(f"fig5-row1-{j}", "interface-fold", interface_spec((t1, t2)))
             for j, t2 in enumerate(np.linspace(-PI, PI, 9))
             if bulk_gap_status(t1, t2, 0.1).gap_open]
 
@@ -182,18 +217,31 @@ def _c06(delta):
                           delta=delta)
 
 
+def _c07(outer, theta_r, seed=5):
+    return interface_spec((outer[0] * PI, outer[1] * PI),
+                          kind="three_step_perturbed_disordered", delta=0.05,
+                          disorder_amplitude=theta_r, disorder_seed=seed)
+
+
+# (id, the solver that must answer, walk): the PT-fold gate holds for
+# the edge-map cells, c04 and delta = 0; gamma = 0 and undisordered
+# delta != 0 make every mu double and keep the lambda-window; disorder
+# at gamma != 0 leaves mu simple
 ORACLE_CASES = [
     *_fig5_row_cells(),
-    ("c04-801", interface_spec((-0.6 * PI, 0.2 * PI), num_sites=801)),
-    *[(f"c06-{d}", _c06(d)) for d in (0.05, 0.0696, 0.07, 0.08)],
-    ("c07-seed5", interface_spec(
-        (-0.2 * PI, 0.3 * PI), kind="three_step_perturbed_disordered",
-        delta=0.05, disorder_amplitude=0.1, disorder_seed=5)),
-    ("split-gamma0", WalkSpec(
+    ("c04-801", "interface-fold",
+     interface_spec((-0.6 * PI, 0.2 * PI), num_sites=801)),
+    ("c06-0.0", "interface-fold", _c06(0.0)),
+    *[(f"c06-{d}", "interface", _c06(d)) for d in (0.05, 0.0696, 0.07, 0.08)],
+    ("c07-seed5", "interface-mu", _c07((-0.2, 0.3), 0.1)),
+    ("c07-dnu1-seed5", "interface-mu", _c07((0.9, 0.2), 0.1)),
+    ("c07-r0.001-seed5", "interface-mu", _c07((-0.2, 0.3), 0.001)),
+    ("split-gamma0", "interface", WalkSpec(
         kind="three_step_perturbed", lattice=Lattice(301), gamma=0.0,
         profile=CoinProfile.left_right((0.125 * PI, 0.1 * PI),
                                        (-0.2 * PI, -PI / 12), delta=0.05))),
 ]
+MU_PATHS = {"interface-fold": _c06(0.0), "interface-mu": _c07((-0.2, 0.3), 0.1)}
 
 
 def edge_like(result):
@@ -202,16 +250,20 @@ def edge_like(result):
     return counts, lams
 
 
-class TestInterfaceSolver:
-    """The shift-invert window against the dense oracle."""
+def window_lams(spec):
+    return eigendecompose(build_walk_operator(spec), compute_condition=False,
+                          interface_only=True)
 
-    @pytest.mark.parametrize("name,spec", ORACLE_CASES,
-                             ids=[name for name, _ in ORACLE_CASES])
-    def test_matches_dense(self, name, spec):
+
+class TestInterfaceSolver:
+    """The shift-invert windows against the dense oracle."""
+
+    @pytest.mark.parametrize("name,solver,spec", ORACLE_CASES,
+                             ids=[name for name, _, _ in ORACLE_CASES])
+    def test_matches_dense(self, name, solver, spec):
         dense = dense_oracle(spec)
-        window = eigendecompose(build_walk_operator(spec),
-                                compute_condition=False, interface_only=True)
-        assert window.solver == "interface"
+        window = window_lams(spec)
+        assert window.solver == solver
         assert window.eps_m is None
         assert len(window.pairs) < len(dense.pairs)
         counts_d, lams_d = edge_like(dense)
@@ -220,14 +272,19 @@ class TestInterfaceSolver:
         assert sum(counts_d) > 0
         assert multiset_distance(lams_w, lams_d) < 1e-10
         # every returned eigenvalue is a distinct dense one, and none
-        # within the completeness radius of +-1 is missing
+        # inside the window of the path is missing: the lambda-disk of
+        # the completeness radius, or the mu-disk of the sector's image
         all_d = np.array([p.lam for p in dense.pairs])
         all_w = np.array([p.lam for p in window.pairs])
         assert multiset_distance(all_w, all_d) < 1e-10
-        radius = _completeness_radius(spec.gamma)
+        if solver == "interface":
+            radius, image = _completeness_radius(spec.gamma), lambda z: z
+        else:
+            radius, image = _mu_radius(spec.gamma), lambda z: (z + 1 / z) / 2
 
         def inside(lams):
-            return lams[np.minimum(abs(lams - 1), abs(lams + 1)) < radius]
+            z = image(lams)
+            return lams[np.minimum(abs(z - 1), abs(z + 1)) <= radius]
 
         assert inside(all_w).size == inside(all_d).size
 
@@ -248,10 +305,45 @@ class TestInterfaceSolver:
         assert fallback.counts == dense.counts
         assert (dense.counts["edge_zero"], dense.counts["edge_pi"]) == (6, 6)
 
+    @pytest.mark.parametrize("solver", MU_PATHS)
+    def test_residual_miss_falls_back_to_lambda_window(self, monkeypatch,
+                                                       solver):
+        spec = MU_PATHS[solver]
+        assert window_lams(spec).solver == solver
+        monkeypatch.setattr(spectrum, "RESIDUAL_TOL", 0.0)
+        result = window_lams(spec)
+        assert result.solver == "interface"
+        assert edge_like(result)[0] == edge_like(dense_oracle(spec))[0]
+
     def test_radius(self):
         assert _completeness_radius(0.1) == pytest.approx(0.3977, abs=1e-4)
         assert _completeness_radius(0.0) == pytest.approx(2 * math.sin(0.15))
         assert _completeness_radius(-0.1) == _completeness_radius(0.1)
+
+    def test_mu_radius(self):
+        assert _mu_radius(0.1) == pytest.approx(0.0647, abs=1e-4)
+        assert _mu_radius(-0.1) == _mu_radius(0.1)
+        assert _mu_radius(0.0) == pytest.approx(1 - math.cos(spectrum.EDGE_BAND))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, -0.3])
+    def test_sector_corners_map_inside_mu_radius(self, gamma):
+        band = spectrum.EDGE_BAND
+        corners = np.array([sign * r * np.exp(1j * phi)
+                            for sign in (1, -1)
+                            for r in (math.exp(-2 * abs(gamma)),
+                                      math.exp(2 * abs(gamma)))
+                            for phi in (band, -band)])
+        mu = (corners + 1 / corners) / 2
+        distance = np.abs(mu - np.sign(corners.real))
+        assert distance.max() <= _mu_radius(gamma) * (1 + 1e-12)
+        # the corners are the farthest points: they lie on the circle,
+        # and the rest of the sector inside it
+        assert distance.min() >= _mu_radius(gamma) * (1 - 1e-12)
+        r, phi = np.meshgrid(np.exp(np.linspace(-2, 2, 41) * abs(gamma)),
+                             np.linspace(-band, band, 41))
+        sector = np.concatenate([r * np.exp(1j * phi), -r * np.exp(1j * phi)])
+        mu = (sector + 1 / sector) / 2
+        assert np.abs(mu - np.sign(sector.real)).max() <= distance.max()
 
     def test_repeat_calls_identical(self):
         spec = _c06(0.07)
@@ -261,6 +353,15 @@ class TestInterfaceSolver:
         assert a.solver == b.solver == "interface"
         lam = [np.array([p.lam for p in r.pairs]).tobytes() for r in (a, b)]
         assert lam[0] == lam[1]
+
+    @pytest.mark.parametrize("solver", MU_PATHS)
+    def test_mu_paths_repeat_identically(self, solver):
+        a, b = (window_lams(MU_PATHS[solver]) for _ in range(2))
+        assert a.solver == b.solver == solver
+        for attr in ("lam", "vector"):
+            got = [np.array([getattr(p, attr) for p in r.pairs]).tobytes()
+                   for r in (a, b)]
+            assert got[0] == got[1]
 
 
 def _fig4(outer, gamma=0.1, kind="three_step"):
@@ -272,7 +373,7 @@ STRUCTURED_CASES = [
     *[(f"fig4{name}", "pt-fold", _fig4(outer))
       for name, outer in zip("abcd", OUTER_COUNTS)],
     ("fig4e", "orthogonal", _fig4((-0.6, 0.2), gamma=0.0)),
-    ("split-gamma0", "orthogonal", ORACLE_CASES[-1][1]),
+    ("split-gamma0", "orthogonal", ORACLE_CASES[-1][2]),
     ("fig8a-gamma0-seed5", "orthogonal", interface_spec(
         (0.9 * PI, 0.2 * PI), gamma=0.0, kind="three_step_perturbed_disordered",
         delta=0.05, disorder_amplitude=0.1, disorder_seed=5)),
