@@ -125,6 +125,8 @@ def dispersion(theta1: float, theta2: float, gamma: float,
     symmetry.
     """
     if k is None:
+        if k_res < 1:
+            raise ValueError(f"k_res must be at least 1, got {k_res}")
         k = np.linspace(-np.pi, np.pi, k_res + 1)
     co = bloch_coefficients(theta1, theta2, gamma, k)
     root = np.sqrt((1.0 - co.d0**2).astype(complex))

@@ -96,6 +96,13 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 def _parse_ints(raw: str) -> list[int]:
     return [int(part) for part in raw.split(",") if part.strip()]
 
@@ -131,7 +138,7 @@ class Section:
     def angle(self, key: str, default=_REQUIRED) -> float:
         """``take`` for a value in units of pi: records it as given and
         returns it in radians."""
-        return self.take(key, float, default) * math.pi
+        return self.take(key, _parse_float, default) * math.pi
 
     def finish(self) -> dict:
         if self.items:
@@ -172,8 +179,8 @@ def _walk_spec(cfg: dict) -> tuple[WalkSpec, dict]:
         layout=layout,
         theta1_a=sec.angle("theta1_a_over_pi"),
         theta2_a=sec.angle("theta2_a_over_pi"),
-        delta=sec.take("delta", float, 0.0),
-        disorder_amplitude=sec.take("disorder_amplitude", float, 0.0),
+        delta=sec.take("delta", _parse_float, 0.0),
+        disorder_amplitude=sec.take("disorder_amplitude", _parse_float, 0.0),
         disorder_seed=sec.take("disorder_seed", int, 0),
     )
     if layout != "homogeneous":
@@ -181,7 +188,7 @@ def _walk_spec(cfg: dict) -> tuple[WalkSpec, dict]:
         profile["theta2_b"] = sec.angle("theta2_b_over_pi")
     if layout == "inner_outer":
         profile["half_width"] = sec.take("half_width", int)
-    gamma = sec.take("gamma", float, 0.0)
+    gamma = sec.take("gamma", _parse_float, 0.0)
     params = sec.finish()
     try:
         spec = WalkSpec(kind=kind, lattice=Lattice(num_sites),
@@ -276,7 +283,7 @@ def _cmd_dispersion(cfg, em) -> Run:
     sec = _section(cfg, "dispersion")
     t1 = sec.angle("theta1_over_pi")
     t2 = sec.angle("theta2_over_pi")
-    gamma = sec.take("gamma", float, 0.0)
+    gamma = sec.take("gamma", _parse_float, 0.0)
     k_res = sec.take("k_res", int, 1024)
     params = sec.finish()
 
@@ -290,7 +297,7 @@ def _cmd_phase_diagram(cfg, em) -> Run:
     sec = _section(cfg, "phase-diagram")
     t1s = _angle_grid(sec, "theta1", 101)
     t2s = _angle_grid(sec, "theta2", 101)
-    gamma = sec.take("gamma", float, 0.0)
+    gamma = sec.take("gamma", _parse_float, 0.0)
     params = sec.finish()
     params["gap_tol"] = GAP_TOL
 
@@ -350,7 +357,7 @@ def _cmd_edge_map(cfg, em) -> Run:
     sec = _section(cfg, "edge-map")
     inner = (sec.angle("inner_theta1_over_pi"),
              sec.angle("inner_theta2_over_pi"))
-    gamma = sec.take("gamma", float, 0.0)
+    gamma = sec.take("gamma", _parse_float, 0.0)
     half_width = sec.take("half_width", int, 50)
     num_sites = sec.take("num_sites", int, 801)
     t1s = _angle_grid(sec, "theta1", 21)
@@ -385,8 +392,8 @@ def _sweep_tolerances() -> dict:
 def _cmd_delta_sweep(cfg, em) -> Run:
     spec, walk = _walk_spec(cfg)
     sec = _section(cfg, "delta-sweep")
-    lo = sec.take("delta_min", float, 0.0)
-    hi = sec.take("delta_max", float)
+    lo = sec.take("delta_min", _parse_float, 0.0)
+    hi = sec.take("delta_max", _parse_float)
     n = sec.take("delta_points", int, 21)
     deltas = np.linspace(lo, hi, n).tolist()
     params = sec.finish()
@@ -415,8 +422,8 @@ def _write_ep_csv(ep, path) -> None:
 def _cmd_ep_find(cfg, em) -> Run:
     spec, walk = _walk_spec(cfg)
     sec = _section(cfg, "ep-find")
-    delta_lo = sec.take("delta_lo", float)
-    delta_hi = sec.take("delta_hi", float)
+    delta_lo = sec.take("delta_lo", _parse_float)
+    delta_hi = sec.take("delta_hi", _parse_float)
     params = sec.finish()
     params["walk"] = walk
     params["tol_delta"] = _perturbation.TOL_DELTA
@@ -443,7 +450,7 @@ def _cmd_disorder(cfg, em) -> Run:
                            f"set [disorder] {instead} instead")
     spec, walk = _walk_spec(cfg)
     sec = _section(cfg, "disorder")
-    theta_r = sec.take("theta_r", float)
+    theta_r = sec.take("theta_r", _parse_float)
     n_seeds = sec.take("n_seeds", int, 32)
     seed0 = sec.take("seed0", int, 0)
     params = sec.finish()

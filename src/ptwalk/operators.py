@@ -344,7 +344,16 @@ def _step_product(spec: WalkSpec, inverse: bool = False) -> sp.csr_matrix:
     # G^-1 . S . ... . C(theta1) associates, and so rounds, this way
     order = PROTOCOL if inverse else reversed(PROTOCOL)
     factors = [factor(op, arg) for op, arg in order]
-    return functools.reduce(operator.matmul, factors).tocsr()
+    return _sorted(functools.reduce(operator.matmul, factors))
+
+
+def _sorted(m) -> sp.csr_matrix:
+    """``m`` as CSR with sorted indices.  Later sparse products sum in
+    index order, so the order is fixed when an operator is built, not
+    by whichever reader first sorts it in place."""
+    m = m.tocsr()
+    m.sort_indices()
+    return m
 
 
 def build_walk_operator(spec: WalkSpec) -> WalkOperator:
@@ -373,7 +382,7 @@ def symmetric_frame(op: WalkOperator) -> WalkOperator:
         return op
     half = half_coin(op.spec)
     return dataclasses.replace(
-        op, sparse=(half @ op.sparse @ half.T).tocsr(), frame="symmetric")
+        op, sparse=_sorted(half @ op.sparse @ half.T), frame="symmetric")
 
 
 def half_coin(spec: WalkSpec) -> sp.csr_matrix:
@@ -412,6 +421,16 @@ def _parity_matrix(lattice: Lattice) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(lattice.dim, lattice.dim))
 
 
+def mirror_symmetric(spec: WalkSpec) -> bool:
+    """Whether parity x -> -x maps every effective coin angle onto itself
+    (disorder included, so a disordered realization is not)."""
+    lattice = spec.lattice
+    x = lattice.positions()
+    order = np.searchsorted(x, lattice.parity_partner(x))
+    return all(np.array_equal(theta, theta[order])
+               for theta in spec._lattice_angles)
+
+
 def parity_even(lattice: Lattice) -> sp.csr_matrix:
     """Orthonormal basis (``dim`` x ``num_sites``) of the +1 eigenspace
     of P = parity x sigma3.
@@ -427,18 +446,6 @@ def parity_even(lattice: Lattice) -> sp.csr_matrix:
     cols = (sp.identity(lattice.dim) + P).tocsc()[:, keep]
     norms = np.sqrt(np.asarray(cols.multiply(cols).sum(axis=0)).ravel())
     return (cols @ sp.diags(1.0 / norms)).tocsr()
-
-
-def skew_parity(lattice: Lattice) -> sp.csr_matrix:
-    """K = parity x i sigma2, a form the walk keeps: U K U^T = K.
-
-    i sigma2 = sigma3 sigma1, so K is ``parity x sigma3`` times T =
-    sigma1 on every site.  The relation holds in either frame, whatever
-    gamma and delta, whenever parity maps the coin angles onto
-    themselves (no disorder, and not the ``left_right`` layout); it
-    makes 1/lambda an eigenvalue with lambda.
-    """
-    return _parity_matrix(lattice)[:, np.arange(lattice.dim) ^ 1].tocsr()
 
 
 def verify_symmetries(op: WalkOperator, tol: float = 1e-10) -> SymmetryReport:
@@ -472,10 +479,7 @@ def verify_symmetries(op: WalkOperator, tol: float = 1e-10) -> SymmetryReport:
     checks: dict[str, SymmetryCheck] = {}
 
     lattice = op.spec.lattice
-    x = lattice.positions()
-    order = np.searchsorted(x, lattice.parity_partner(x))
-    if any(not np.array_equal(arr, arr[order])
-           for arr in op.spec._lattice_angles):
+    if not mirror_symmetric(op.spec):
         checks["pt"] = SymmetryCheck(None, None,
                                      "coin profile is not parity symmetric")
     else:

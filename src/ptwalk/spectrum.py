@@ -26,28 +26,15 @@ use ``DEFAULT_WINDOW``.  The other classification thresholds
 the command line record.  ``EDGE_BAND`` also sizes the interface
 window below, so the window and the classification cannot disagree.
 
-:func:`eigendecompose` computes the whole spectrum by the cheapest
-exact path the walk admits.  A gain-loss-free walk is real orthogonal
-and a PT-symmetric one satisfies P U P = U^-1; either way
-M = (U + U^-1)/2 commutes with U, so the eigenspaces of M (one
-symmetric ``eigh``, or two ``eig`` of half the size) reduce U to small
-blocks.  Every other walk takes a dense ``scipy.linalg.eig``, and so
-does any structured result that misses the residual gate.
-
-``interface_only=True`` asks ARPACK in shift-invert mode for the
-eigenvalues nearest +1 and -1 instead, enough of them to cover every
-state the taxonomy could call ``edge_zero``, ``edge_pi`` or
-``defective_pair_member``; the rest of the spectrum is never computed.
-Those states lie in a sector of the annulus that holds the spectrum
-(see :func:`_completeness_radius`), and mu = (lambda + 1/lambda)/2
-maps the sector into a much smaller disk about +-1 (see
-:func:`_mu_radius`).  So where each mu is simple the window is taken in
-mu: on the +1 parity block of M and its transpose where the PT-fold
-gate holds (``interface-fold``), on M itself otherwise
-(``interface-mu``).  Where a relation makes every mu exactly double
-(gamma = 0, or U K U^T = K on a parity-symmetric profile without
-disorder) a Krylov method need not find both copies, and the window is
-taken on U in lambda (``interface``), as it is when a mu path fails.
+:func:`eigendecompose` takes its path from the walk's recipe
+(:func:`_structure`): a gain-loss-free walk is real orthogonal and a
+PT-symmetric one satisfies P U P = U^-1, and either way the eigenspaces
+of M = (U + U^-1)/2 reduce U to small blocks; every other walk takes a
+dense ``scipy.linalg.eig``.  ``interface_only=True`` asks shift-invert
+ARPACK only for the states the taxonomy could call ``edge_zero``,
+``edge_pi`` or ``defective_pair_member``: in mu = (lambda + 1/lambda)/2
+where each mu is simple, and in lambda where a relation makes every mu
+double.
 """
 
 from __future__ import annotations
@@ -69,10 +56,9 @@ from .operators import (
     WalkSpec,
     build_walk_operator,
     half_coin,
+    mirror_symmetric,
     parity_even,
-    skew_parity,
     symmetric_frame,
-    verify_symmetries,
 )
 
 DEFAULT_WINDOW = 10
@@ -82,7 +68,6 @@ EDGE_BAND = 0.3       # rad, how far off the axis a defective pair may sit
 PAIR_TOL = 1e-8       # relative, conjugate partner matching
 COND_THRESHOLD = 1e12  # eigenvalue condition number flagged as near defective
 WINDOW_K0 = 16        # first ARPACK request of the interface path, per side
-GATE_TOL = 1e-10      # relative, symmetry residual admitting a structured path
 CLUSTER_TOL = 3e-4    # relative to the largest |mu|, mu values solved together
 RESIDUAL_TOL = 1e-10  # |U v - lambda v| every structured eigenpair must meet
 _BLOCK = 256          # columns per sparse product over all eigenvectors
@@ -189,6 +174,13 @@ def _conjugate_gaps(evals: np.ndarray) -> np.ndarray:
     return gaps
 
 
+def _check_window(window: int) -> None:
+    # interfaces sit on bond centres, half a site from the nearest one:
+    # below 1 no state is localized and every class but bulk is empty
+    if window < 1:
+        raise ValueError(f"window must be at least 1 site, got {window}")
+
+
 def classify_states(evals: np.ndarray, vectors: np.ndarray, spec: WalkSpec,
                     eig_conditions: np.ndarray | None = None,
                     window: int = DEFAULT_WINDOW) -> SpectrumResult:
@@ -200,6 +192,7 @@ def classify_states(evals: np.ndarray, vectors: np.ndarray, spec: WalkSpec,
     right at the reality tolerance) is flagged on the pair, never
     silently dropped.
     """
+    _check_window(window)
     lattice = spec.lattice
     interfaces = spec.profile.interfaces(lattice)
     dmin = _interface_distance(lattice, interfaces)
@@ -446,104 +439,80 @@ def _pt_conditions(vectors: np.ndarray, spans: list[slice]) -> np.ndarray:
     return conditions
 
 
-def _is_orthogonal(U: scipy.sparse.csr_matrix) -> bool:
-    """U^T U = I within ``GATE_TOL``: gamma = 0."""
-    return (scipy.sparse.linalg.norm(U.T @ U - scipy.sparse.identity(U.shape[0]))
-            <= GATE_TOL * scipy.sparse.linalg.norm(U))
+def _structure(spec: WalkSpec) -> str:
+    """Which relations the walk's recipe gives it, read from its parameters.
 
-
-def _pt_frame(op: WalkOperator) -> WalkOperator | None:
-    """The symmetric-frame operator if the ``pt`` and ``trs_dagger``
-    relations of :func:`verify_symmetries` hold there, else None."""
-    sym = symmetric_frame(op)
-    report = verify_symmetries(sym, tol=GATE_TOL)
-    return sym if report.holds("pt") and report.holds("trs_dagger") else None
-
-
-def _keeps_skew_parity(U: scipy.sparse.csr_matrix, lattice: Lattice) -> bool:
-    """U K U^T = K within ``GATE_TOL`` (K of :func:`skew_parity`)."""
-    K = skew_parity(lattice)
-    return (scipy.sparse.linalg.norm(U @ K @ U.T - K)
-            <= GATE_TOL * scipy.sparse.linalg.norm(U))
-
-
-def _fold_basis(sym: WalkOperator):
-    """(E, R): the basis E = [even, T even] of the P = +1 sector and its
-    T-image, and the symmetric-frame U in it, R = E^T U E.  R[:n, :n]
-    is the +1 block of M and its transpose the -1 block."""
-    even = parity_even(sym.spec.lattice)
-    E = scipy.sparse.hstack([even, even[_t_order(sym.dim)]]).tocsr()
-    return E, (E.T @ sym.sparse @ E).tocsr()
-
-
-def _structured(op: WalkOperator, compute_condition: bool):
-    """(solver, evals, vectors, conditions) from a structured path, or None.
-
-    ``orthogonal`` (U^T U = I, that is gamma = 0): M = (U + U^T)/2 is
-    symmetric, one ``eigh`` gives its eigenspaces, and every condition
-    number is 1 since U is normal.  ``pt-fold`` (the ``pt`` and
-    ``trs_dagger`` relations of :func:`verify_symmetries` hold in the
-    symmetric frame): there P U P = U^-1, so M = (U + P U P)/2 commutes
-    with P and splits into its two parity sectors, each of
-    ``num_sites`` dimensions.  T = sigma1 on every site anticommutes
-    with P and gives T U^T T = U, so T maps the P = +1 sector onto the
-    -1 sector and the -1 block of M is the transpose of the +1 block:
-    one ``eig`` of the +1 block, with its left eigenvectors, solves
-    both.  Both gates cost time in proportion to the nonzeros of U, and
-    neither path builds the dense ``matrix``.  None means no gate holds,
-    or some pair misses ``RESIDUAL_TOL``.
+    ``orthogonal``: gamma = 0, so every factor is a rotation or a
+    permutation and U^T U = I.  Otherwise the coin angles decide.
+    ``pt-fold``: they mirror onto themselves and the two theta2 coins
+    agree (delta = 0, no disorder), so in the symmetric frame
+    P U P = U^-1 and T U^T T = U, the ``pt`` and ``trs_dagger``
+    relations of :func:`verify_symmetries`.  ``skew``: they mirror but
+    the theta2 coins differ, which leaves only U K U^T = K with
+    K = parity x i sigma2, so 1/lambda is an eigenvalue with lambda.
+    ``general``: they do not mirror, and no relation holds.
     """
+    if spec.gamma == 0:
+        return "orthogonal"
+    if not mirror_symmetric(spec):
+        return "general"
+    _, first, second = spec._lattice_angles
+    return "pt-fold" if np.array_equal(first, second) else "skew"
+
+
+def _orthogonal(op: WalkOperator, compute_condition: bool):
+    """Eigenpairs of a gamma = 0 walk: M = (U + U^T)/2 is symmetric, one
+    ``eigh`` gives its eigenspaces, and every condition number is 1
+    since U is normal."""
     U = op.sparse
-    if _is_orthogonal(U):
-        solver = "orthogonal"
-        c, q = scipy.linalg.eigh(((U + U.T) * 0.5).toarray(), driver="evd",
-                                 overwrite_a=True)
-        evals, vectors, _ = _solve_clusters(U, [q], c)
-        conditions = np.ones(op.dim) if compute_condition else None
-    else:
-        sym = _pt_frame(op)
-        if sym is None:
-            return None
-        solver = "pt-fold"
-        n = op.spec.lattice.num_sites
-        E, R = _fold_basis(sym)
-        mu, left, right = scipy.linalg.eig(R[:n, :n].toarray(), left=True,
-                                           overwrite_a=True)
-        evals, vectors, spans = _solve_clusters(
-            R, [right, left.conj()], np.concatenate([mu, mu]))
-        _rotate(E, vectors)
-        conditions = (_pt_conditions(vectors, spans) if compute_condition
-                      else None)
-        if op.frame == "stepwise":
-            _rotate(half_coin(op.spec).T, vectors)
-    if _max_residual(U, evals, vectors) > RESIDUAL_TOL:
-        return None
-    return solver, evals, vectors, conditions
+    c, q = scipy.linalg.eigh(((U + U.T) * 0.5).toarray(), driver="evd",
+                             overwrite_a=True)
+    evals, vectors, _ = _solve_clusters(U, [q], c)
+    return evals, vectors, np.ones(op.dim) if compute_condition else None
 
 
-def _fold_window(op: WalkOperator, sym: WalkOperator):
-    """Window eigenpairs of a walk that passes the ``pt-fold`` gate, or None.
+def _fold(op: WalkOperator, window: bool, compute_condition: bool):
+    """Eigenpairs of a ``pt-fold`` walk from the +1 parity block of M, or
+    None if its window cannot be trusted.
 
-    The mu-window of the +1 block of M, n = ``num_sites`` wide, and of
-    its transpose, the -1 block (whose vectors are the T-images of left
-    eigenvectors of the +1 block); each value of mu then holds one
-    eigenvector per sector, and :func:`_solve_clusters` recovers lambda
-    and 1/lambda from the two.
+    In the symmetric frame M = (U + P U P)/2 commutes with P and splits
+    into two parity sectors of ``num_sites`` dimensions each.
+    T = sigma1 on every site maps the P = +1 sector onto the -1 sector,
+    and T U^T T = U makes the -1 block the transpose of the +1 block.
+    So one ``eig`` of the +1 block, with its left eigenvectors, solves
+    both; ``window=True`` takes the mu-window of the block and of its
+    transpose instead.  Each value of mu then has one eigenvector per
+    sector, and :func:`_solve_clusters` recovers lambda and 1/lambda
+    from the two.  Condition numbers are taken in the symmetric frame,
+    where T U^T T = U holds, before a stepwise walk's eigenvectors are
+    rotated back by C(theta1/2)^T.
     """
     n = op.spec.lattice.num_sites
-    E, R = _fold_basis(sym)
+    # E = [even, T even] spans the P = +1 sector and its T-image, and
+    # R = E^T U E holds the +1 block of M in R[:n, :n]
+    even = parity_even(op.spec.lattice)
+    E = scipy.sparse.hstack([even, even[_t_order(op.dim)]]).tocsr()
+    R = (E.T @ symmetric_frame(op).sparse @ E).tocsr()
     block = R[:n, :n]
-    radius = _mu_radius(op.spec.gamma)
-    plus = _window(block, radius)
-    minus = None if plus is None else _window(block.T.tocsr(), radius)
-    if minus is None:
-        return None
-    evals, vectors, _ = _solve_clusters(
-        R, [plus[1], minus[1]], np.concatenate([plus[0], minus[0]]))
+    if window:
+        radius = _mu_radius(op.spec.gamma)
+        plus = _window(block, radius)
+        minus = None if plus is None else _window(block.T.tocsr(), radius)
+        if minus is None:
+            return None
+        values = np.concatenate([plus[0], minus[0]])
+        bases = [plus[1], minus[1]]
+    else:
+        mu, left, right = scipy.linalg.eig(block.toarray(), left=True,
+                                           overwrite_a=True)
+        values, bases = np.concatenate([mu, mu]), [right, left.conj()]
+    evals, vectors, spans = _solve_clusters(R, bases, values)
     _rotate(E, vectors)
+    conditions = (_pt_conditions(vectors, spans) if compute_condition
+                  else None)
     if op.frame == "stepwise":
         _rotate(half_coin(op.spec).T, vectors)
-    return evals, vectors
+    return evals, vectors, conditions
 
 
 def _mu_window(op: WalkOperator):
@@ -555,36 +524,24 @@ def _mu_window(op: WalkOperator):
     if found is None:
         return None
     evals, vectors, _ = _solve_clusters(U, [found[1]], found[0])
-    return evals, vectors
+    return evals, vectors, None
 
 
-def _interface(op: WalkOperator):
-    """(solver, evals, vectors) of the interface window, or None.
-
-    ``interface-fold`` where the ``pt-fold`` gate holds,
-    ``interface-mu`` where neither U^T U = I nor U K U^T = K does, and
-    ``interface`` (the lambda-window of U) where one of those two makes
-    every mu exactly double, or where a mu path fails or some pair
-    misses ``RESIDUAL_TOL``.
-    """
-    U = op.sparse
-    found = None
-    if not _is_orthogonal(U):
-        sym = _pt_frame(op)
-        if sym is not None:
-            solver, found = "interface-fold", _fold_window(op, sym)
-        elif not _keeps_skew_parity(U, op.spec.lattice):
-            solver, found = "interface-mu", _mu_window(op)
-        if found is not None and _max_residual(U, *found) > RESIDUAL_TOL:
-            found = None
+def _lambda_window(op: WalkOperator):
+    """Window eigenpairs from the lambda-window of U, or None."""
+    found = _window(op.sparse, _completeness_radius(op.spec.gamma))
     if found is None:
-        solver = "interface"
-        found = _window(U, _completeness_radius(op.spec.gamma))
-        if found is None:
-            return None
-        evals, vectors = found
-        found = evals, vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-    return solver, *found
+        return None
+    evals, vectors = found
+    vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)
+    return evals, vectors, None
+
+
+def _gated(op: WalkOperator, found):
+    """``found`` if every pair meets ``RESIDUAL_TOL`` on U, else None."""
+    if found is None or _max_residual(op.sparse, *found[:2]) > RESIDUAL_TOL:
+        return None
+    return found
 
 
 def _dense(op: WalkOperator, compute_condition: bool):
@@ -605,66 +562,76 @@ def _dense(op: WalkOperator, compute_condition: bool):
 def eigendecompose(op: WalkOperator, compute_condition: bool = True, *,
                    interface_only: bool = False,
                    window: int = DEFAULT_WINDOW) -> SpectrumResult:
-    """Eigendecomposition plus classification.
+    """Eigendecomposition plus classification; ``solver`` on the result
+    names the path that answered.
 
-    By default the whole spectrum comes from the cheapest exact path
-    whose gate the operator passes, tried in this order: ``orthogonal``
-    (U^T U = I), ``pt-fold`` (PT and transposed time-reversal symmetry
-    in the symmetric frame; see :func:`_structured`) and ``dense`` (a
-    dense ``scipy.linalg.eig``, which takes every other walk).  A
-    structured path answers only if every pair has |U v - lambda v| <=
-    ``RESIDUAL_TOL``; otherwise the dense path does.  ``solver`` on the
-    result names the path that answered.
+    The walk's :func:`_structure` picks the path:
 
-    Eigenvalue condition numbers are 1 over the cosine of the angle
-    between matching left and right eigenvectors: exactly 1 on the
-    orthogonal path (U is normal), from the left eigenvectors T v on the
-    PT fold and from the dense left eigenvectors otherwise.  Values
-    beyond ``COND_THRESHOLD`` flag the pair as near defective; an
-    exactly defective eigenvalue has an infinite condition number.
+    ============  ================  ====================
+    structure     whole spectrum    ``interface_only``
+    ============  ================  ====================
+    orthogonal    ``orthogonal``    ``interface``
+    pt-fold       ``pt-fold``       ``interface-fold``
+    skew          ``dense``         ``interface``
+    general       ``dense``         ``interface-mu``
+    ============  ================  ====================
 
-    ``interface_only=True`` computes only the window around +1 and -1
-    that holds every ``edge_zero``, ``edge_pi`` and
-    ``defective_pair_member`` state (with its conjugate partner).  Its
-    ``counts["bulk"]`` and ``counts["impurity"]`` then cover that
-    window alone, and ``eps_m`` is None since the band edge may lie
-    outside it.  It needs ``compute_condition=False``.  The gates pick
-    the path (see :func:`_interface`):
+    ``orthogonal`` is one ``eigh`` of (U + U^T)/2, ``pt-fold`` one
+    ``eig`` of a parity block (:func:`_fold`) and ``dense`` a dense
+    ``scipy.linalg.eig``.  Eigenvalue condition numbers are 1 over the
+    cosine of the angle between matching left and right eigenvectors:
+    exactly 1 on ``orthogonal`` (U is normal), from the left
+    eigenvectors T v on ``pt-fold`` and from the dense left
+    eigenvectors otherwise.  Values beyond ``COND_THRESHOLD`` flag the
+    pair as near defective.
 
-    * ``interface-fold`` (the ``pt-fold`` gate): shift-invert ARPACK on
-      the +1 parity block of M = (U + U^-1)/2 and on its transpose, out
-      to :func:`_mu_radius` from +-1.
-    * ``interface-mu`` (no gate, nor U K U^T = K): the same on M itself.
-    * ``interface`` (U^T U = I or U K U^T = K, where every mu is double,
-      or a mu path that failed or missed ``RESIDUAL_TOL``): on U, out to
-      :func:`_completeness_radius`.
+    ``interface_only=True``, which needs ``compute_condition=False``,
+    computes only the window around +1 and -1 that holds every
+    ``edge_zero``, ``edge_pi`` and ``defective_pair_member`` state,
+    with shift-invert ARPACK: in mu out to :func:`_mu_radius` on the
+    parity block and its transpose (``interface-fold``) or on
+    M = (U + U^-1)/2 (``interface-mu``), and in lambda on U out to
+    :func:`_completeness_radius` where every mu is double
+    (``interface``).  ``counts["bulk"]`` and ``counts["impurity"]``
+    then cover the window alone, and ``eps_m`` is None.
 
-    Every edge-like eigenvalue lies within that radius, so doubling the
-    ARPACK request until the farthest value returned lies beyond it
-    misses none.  Where the lambda-window cannot be trusted either, the
-    dense path runs, and ``solver`` is ``"dense-fallback"``.  ``window``
-    is the localization window of :func:`classify_states`.
+    A structured or mu result answers only if every pair has
+    |U v - lambda v| <= ``RESIDUAL_TOL``; otherwise ``dense``
+    respectively ``interface`` does, and where the lambda-window cannot
+    be trusted the dense path answers as ``dense-fallback``.
+    ``window`` is the localization window of :func:`classify_states`.
     """
     if interface_only and compute_condition:
         raise ValueError("condition numbers need the full eigenvector "
                          "matrix; pass compute_condition=False")
+    _check_window(window)
+    structure = _structure(op.spec)
+    found = None
     if interface_only:
-        found = _interface(op)
-        if found is not None:
-            solver, evals, vectors = found
-            result = classify_states(evals, vectors, op.spec, window=window)
-            result.eps_m = None
-            result.solver = solver
-            return result
-        solver = "dense-fallback"
-        evals, vectors, conditions = _dense(op, compute_condition=False)
-    else:
-        solver, evals, vectors, conditions = (
-            _structured(op, compute_condition)
-            or ("dense", *_dense(op, compute_condition)))
+        if structure == "pt-fold":
+            solver = "interface-fold"
+            found = _gated(op, _fold(op, True, False))
+        elif structure == "general":
+            solver = "interface-mu"
+            found = _gated(op, _mu_window(op))
+        if found is None:
+            solver = "interface"
+            found = _lambda_window(op)
+    elif structure == "orthogonal":
+        solver = "orthogonal"
+        found = _gated(op, _orthogonal(op, compute_condition))
+    elif structure == "pt-fold":
+        solver = "pt-fold"
+        found = _gated(op, _fold(op, False, compute_condition))
+    if found is None:
+        solver = "dense-fallback" if interface_only else "dense"
+        found = _dense(op, compute_condition)
+    evals, vectors, conditions = found
     result = classify_states(evals, vectors, op.spec,
                              eig_conditions=conditions, window=window)
     result.solver = solver
+    if solver.startswith("interface"):
+        result.eps_m = None
     return result
 
 

@@ -147,6 +147,11 @@ class TestDispersion:
         for lam in lams[::7]:
             assert np.min(np.abs(lams + lam)) < 1e-12
 
+    @pytest.mark.parametrize("k_res", [0, -1])
+    def test_empty_grid_rejected(self, k_res):
+        with pytest.raises(ValueError, match="k_res must be at least 1"):
+            dispersion(0.4 * PI, 0.1 * PI, 0.1, k_res=k_res)
+
 
 class TestGapStatus:
     def test_open_point(self):

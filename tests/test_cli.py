@@ -88,6 +88,28 @@ class TestUsageAndErrors:
         payload = error_of(capsys, "dispersion", "--config", cfg)
         assert "[dispersion] theta1_over_pi" in payload["message"]
 
+    @pytest.mark.parametrize("command,text,key", [
+        ("dispersion", "[dispersion]\ntheta1_over_pi = 0.4\n"
+         "theta2_over_pi = 0.1\ngamma = nan\n", "[dispersion] gamma"),
+        ("dispersion", "[dispersion]\ntheta1_over_pi = inf\n"
+         "theta2_over_pi = 0.1\n", "[dispersion] theta1_over_pi"),
+        ("phase-diagram", "[phase-diagram]\ntheta1_points = 4\n"
+         "theta2_points = 4\ngamma = nan\n", "[phase-diagram] gamma"),
+        ("evolve", WALK.replace("gamma = 0.1", "gamma = nan")
+         + "[evolve]\nsteps = 10\n", "[walk] gamma"),
+    ], ids=["dispersion-gamma", "dispersion-angle", "phase-diagram-gamma",
+            "walk-gamma"])
+    def test_non_finite_float_rejected(self, capsys, tmp_path, command, text,
+                                       key):
+        # float() reads nan and inf; each of these runs would otherwise
+        # write nan rows or call every cell gapless
+        cfg = write_config(tmp_path, text)
+        payload = error_of(capsys, command, "--config", cfg,
+                           "--out", f"{tmp_path}/o/")
+        assert payload["error"] == "CliError"
+        assert payload["message"].startswith(f"{key}: not a finite number")
+        assert not (tmp_path / "o").exists()
+
     def test_duplicate_walk_key(self, capsys, tmp_path):
         cfg = write_config(tmp_path, WALK + "gamma = 0.2\n")
         payload = error_of(capsys, "spectrum", "--config", cfg)
@@ -221,6 +243,15 @@ class TestDispersionCommand:
         # header plus k_res + 1 samples, both zone edges included
         assert len(csv) == 1 + 65
 
+    def test_empty_grid_rejected(self, capsys, tmp_path):
+        # k_res = -1 used to write an empty CSV and a NaN fraction
+        cfg = write_config(tmp_path, self.CFG + "k_res = -1\n")
+        payload = error_of(capsys, "dispersion", "--config", cfg,
+                           "--out", f"{tmp_path}/o/")
+        assert payload == {"error": "ValueError",
+                           "message": "k_res must be at least 1, got -1"}
+        assert not (tmp_path / "o").exists()
+
 
 class TestPhaseDiagramCommand:
     CFG = ("[phase-diagram]\ntheta1_points = 4\ntheta2_points = 4\n"
@@ -262,6 +293,19 @@ class TestSpectrumCommand:
         walk = manifest["parameters"]["walk"]
         assert walk["theta1_b_over_pi"] == -0.6
         assert walk["half_width"] == 20
+
+    def test_zero_window_rejected(self, capsys, tmp_path):
+        # interfaces sit on bond centres, so window = 0 would call every
+        # state of this walk bulk (window 10 finds 6 + 6 edge states)
+        cfg = write_config(tmp_path, WALK.replace("num_sites = 101",
+                                                  "num_sites = 41")
+                           .replace("half_width = 20", "half_width = 10")
+                           + "[spectrum]\nwindow = 0\n")
+        payload = error_of(capsys, "spectrum", "--config", cfg,
+                           "--out", f"{tmp_path}/s/")
+        assert payload == {"error": "ValueError",
+                           "message": "window must be at least 1 site, got 0"}
+        assert not (tmp_path / "s").exists()
 
     def test_num_sites_key(self, capsys, tmp_path):
         cfg = write_config(tmp_path, WALK.replace("num_sites = 101",

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptwalk.operators import (
+    WALK_KINDS,
     CoinProfile,
     Lattice,
     WalkSpec,
@@ -13,10 +16,10 @@ from ptwalk.operators import (
     build_walk_operator,
     disorder_offset,
     parity_even,
-    skew_parity,
     symmetric_frame,
     verify_symmetries,
 )
+from ptwalk.spectrum import _structure
 
 PI = math.pi
 
@@ -194,6 +197,25 @@ class TestBuildOperator:
         assert np.abs(inverse @ op.matrix - np.eye(op.dim)).max() < 1e-13
         assert np.abs(np.linalg.inv(op.matrix) - inverse).max() < 1e-12
 
+    @pytest.mark.parametrize("kind", WALK_KINDS)
+    def test_indices_sorted(self, kind):
+        # later sparse products sum in index order; a reader that sorts
+        # in place must not change what they sum to
+        op = build_walk_operator(homogeneous_spec(kind=kind, n=21, gamma=0.1))
+        rows = np.split(op.sparse.indices, op.sparse.indptr[1:-1])
+        assert all(np.all(np.diff(row) > 0) for row in rows)
+
+
+def skew_parity(lattice):
+    """K = parity x i sigma2, a form the walk keeps: U K U^T = K.
+
+    i sigma2 = sigma3 sigma1, so K is ``parity x sigma3`` times T =
+    sigma1 on every site.  The relation holds in either frame, whatever
+    gamma and delta, whenever parity maps the coin angles onto
+    themselves; it makes 1/lambda an eigenvalue with lambda.
+    """
+    return _parity_matrix(lattice)[:, np.arange(lattice.dim) ^ 1].tocsr()
+
 
 class TestSkewParity:
     def test_is_parity_times_i_sigma2(self):
@@ -218,6 +240,62 @@ class TestSkewParity:
         residual = np.abs(op.matrix @ K @ op.matrix.T - K).max()
         assert (residual < 1e-12) == kept
 
+
+# (kind, delta, disorder amplitude): every variant a kind accepts
+VARIANTS = [("three_step", 0.0, 0.0), ("three_step_symmetric", 0.0, 0.0),
+            ("three_step_perturbed", 0.0, 0.0),
+            ("three_step_perturbed", 0.05, 0.0),
+            *[("three_step_perturbed_disordered", delta, amplitude)
+              for delta in (0.0, 0.05) for amplitude in (0.0, 0.1)]]
+LAYOUTS = {
+    "homogeneous": lambda **kw: CoinProfile.homogeneous(0.3, 0.2, **kw),
+    "inner_outer": lambda **kw: CoinProfile.inner_outer(
+        (0.4 * PI, 0.1 * PI), (-0.6 * PI, 0.2 * PI), 5, **kw),
+    "left_right": lambda **kw: CoinProfile.left_right(
+        (0.4 * PI, 0.1 * PI), (-0.6 * PI, 0.2 * PI), **kw),
+}
+STRUCTURE_GRID = [
+    WalkSpec(kind=kind, lattice=Lattice(n), gamma=gamma,
+             profile=LAYOUTS[layout](delta=delta, disorder_amplitude=amplitude,
+                                     disorder_seed=3))
+    for n in (20, 21, 40, 41) for layout in LAYOUTS
+    for kind, delta, amplitude in VARIANTS for gamma in (0.0, 0.1, -0.3)
+]
+
+
+def numeric_structure(spec):
+    """The label of ``spectrum._structure`` from the relations measured
+    on the sparse operator, each within 1e-10 of its Frobenius norm."""
+    op = build_walk_operator(spec)
+    U = op.sparse
+    tol = 1e-10 * scipy.sparse.linalg.norm(U)
+
+    def holds(residual):
+        return scipy.sparse.linalg.norm(residual) <= tol
+
+    if holds(U.T @ U - scipy.sparse.identity(op.dim)):
+        return "orthogonal"
+    report = verify_symmetries(symmetric_frame(op))
+    if report.holds("pt") and report.holds("trs_dagger"):
+        return "pt-fold"
+    K = skew_parity(spec.lattice)
+    return "skew" if holds(U @ K @ U.T - K) else "general"
+
+
+class TestStructure:
+    """The solver's structure, read from the recipe, against the
+    relations the operator satisfies."""
+
+    @pytest.mark.parametrize("spec", STRUCTURE_GRID, ids=[
+        f"{s.kind}-{s.profile.layout}-n{s.lattice.num_sites}-g{s.gamma}"
+        f"-d{s.profile.delta}-r{s.profile.disorder_amplitude}"
+        for s in STRUCTURE_GRID])
+    def test_matches_the_relations(self, spec):
+        assert _structure(spec) == numeric_structure(spec)
+
+    def test_grid_reaches_every_structure(self):
+        assert {_structure(s) for s in STRUCTURE_GRID} == {
+            "orthogonal", "pt-fold", "skew", "general"}
 
 
 def site_loop_parity(lattice):

@@ -119,6 +119,22 @@ class TestClassification:
         assert all(c is not None and c >= 1.0 for c in conds)
         assert not any(p.near_defective for p in result_d.pairs)
 
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_rejected(self, monkeypatch, window):
+        # interfaces sit on bond centres, half a site from every state,
+        # so a window below 1 would leave every class but bulk empty
+        spec = interface_spec((-0.6 * PI, 0.2 * PI), num_sites=41,
+                              half_width=10)
+        op = build_walk_operator(spec)
+        monkeypatch.setattr(spectrum, "_fold", None)  # refused before solving
+        for interface_only in (False, True):
+            with pytest.raises(ValueError, match="at least 1 site"):
+                eigendecompose(op, compute_condition=False,
+                               interface_only=interface_only, window=window)
+        with pytest.raises(ValueError, match="at least 1 site"):
+            classify_states(np.ones(1), np.ones((op.dim, 1)), spec,
+                            window=window)
+
 
 class TestConjugateGaps:
     @staticmethod
@@ -369,6 +385,7 @@ def _fig4(outer, gamma=0.1, kind="three_step"):
                           kind=kind)
 
 
+SMALL = {"num_sites": 101, "half_width": 20}
 STRUCTURED_CASES = [
     *[(f"fig4{name}", "pt-fold", _fig4(outer))
       for name, outer in zip("abcd", OUTER_COUNTS)],
@@ -428,9 +445,9 @@ class TestStructuredSolver:
         assert result.counts == dense_oracle(spec).counts
 
     def test_gate_draws_disorder_once(self, monkeypatch):
-        # the pt-fold gate reads the coin angles twice, through
-        # symmetric_frame and verify_symmetries; each (site, slot)
-        # offset must be drawn once per spec, not once per read
+        # the solver's structure check reads the coin angles, and so
+        # would symmetric_frame; each (site, slot) offset must be drawn
+        # once per spec, not once per read
         spec = interface_spec((-0.6 * PI, 0.2 * PI), gamma=0.1, num_sites=41,
                               half_width=10, kind="three_step_perturbed_disordered",
                               delta=0.05, disorder_amplitude=0.1,
@@ -450,6 +467,26 @@ class TestStructuredSolver:
         assert built == 3 * spec.lattice.num_sites
         assert len(draws) - built <= 3 * spec.lattice.num_sites
         assert len(set(draws)) == len(draws)
+
+    @pytest.mark.parametrize("interface_only", [False, True],
+                             ids=["whole", "window"])
+    @pytest.mark.parametrize("spec", [
+        interface_spec((-0.6 * PI, 0.2 * PI), gamma=0.0, **SMALL),
+        interface_spec((-0.6 * PI, 0.2 * PI), **SMALL),
+        interface_spec((-0.6 * PI, 0.2 * PI), kind="three_step_perturbed",
+                       delta=0.05, **SMALL),
+        interface_spec((-0.6 * PI, 0.2 * PI),
+                       kind="three_step_perturbed_disordered",
+                       disorder_amplitude=0.1, disorder_seed=5, **SMALL),
+    ], ids=["orthogonal", "pt-fold", "skew", "general"])
+    def test_operator_left_unchanged(self, spec, interface_only):
+        # every path reads op.sparse as built, indices and data alike
+        op = build_walk_operator(spec)
+        before = op.sparse.indices.tobytes(), op.sparse.data.tobytes()
+        eigendecompose(op, compute_condition=not interface_only,
+                       interface_only=interface_only)
+        after = op.sparse.indices.tobytes(), op.sparse.data.tobytes()
+        assert after == before
 
     def test_singular_dual_is_infinite(self):
         # two equal eigenvectors in one cluster leave G singular
