@@ -403,8 +403,11 @@ def detect_modes(fspec: FourierSpectrum,
     excluded = {0, half}
     spread = BACKGROUND_BINS // 2
 
+    # bin half + 1 mirrors a bin at or left of half (half itself when m
+    # is odd), so bin half only has to beat its left neighbour
     candidates = [i for i in range(1, half + 1)
-                  if absc[i] >= absc[i - 1] and absc[i] >= absc[i + 1]]
+                  if absc[i] >= absc[i - 1]
+                  and (i == half or absc[i] >= absc[i + 1])]
     peaks = []
     for i in candidates:
         window = [j for j in range(max(1, i - spread), min(half, i + spread) + 1)

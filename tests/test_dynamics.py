@@ -375,6 +375,20 @@ class TestDetectModes:
                              omega_delta_hint=(PI - bins2) / 2.0)
         assert [m.family for m in modes] == ["pi"]
 
+    def test_last_bin_ignores_its_mirror(self):
+        # for odd m bin half + 1 is the conjugate of bin half itself; a
+        # mirror one ulp larger must not decide whether the alternating
+        # line is a peak
+        m = self.M + 1
+        t = np.arange(m)
+        p0 = 0.3 + 0.001 * np.random.default_rng(0).standard_normal(m)
+        fspec = synthetic_fspec(p0 + 0.08 * np.cos(PI * t))
+        half = m // 2
+        fspec.c[half + 1] = np.nextafter(abs(fspec.c[half]), np.inf)
+        assert np.abs(fspec.c[half + 1]) > np.abs(fspec.c[half])
+        modes = detect_modes(fspec)
+        assert [(mode.index, mode.family) for mode in modes] == [(half, "pi")]
+
 
 # the harmonics each (delta_nu, gap regime) shows: three pairs beat at
 # both harmonics of the splitting, but a small gap suppresses the
