@@ -14,14 +14,20 @@ matrix, so the stepper and the matrix cannot disagree about the walk.
 
 The stepper uses the sublattice structure of the walk.  A shift moves
 left movers one site down and right movers one site up, so after ``k``
-shifts only the sites of one parity are occupied.  Left movers are
-stored by ``(i + k) / 2`` and right movers by ``(i - k) / 2``, so a
-shift moves no amplitude in memory, and the coins and gains run over
-half the sites.  The walk matrix is real, so the real and imaginary
-parts are updated in place as separate float64 rows.  Edge sites whose
-amplitudes have all fallen below the smallest normal float64 are
-zeroed and dropped: their squares are zero anyway, and arithmetic on
-subnormal numbers is slow.
+shifts only the sites of one parity are occupied, and the coins and
+gains run over half the sites.  The walk matrix is real, so the real
+and imaginary parts of the amplitudes evolve independently, each as
+one row of a complex array that packs a site's left mover ``a`` and
+right mover ``b`` as ``a + i b``.  The coin rotation C(theta) of
+``(a, b)`` is then one in-place multiplication by ``e^{i theta}``, and
+a shift keeps the real parts in place and moves the imaginary parts one
+lane up.  Where numpy's complex multiply uses fused multiply-add
+(AVX2 and AVX-512 hosts), it rounds differently from separate real
+products, so the last bits of ``p0`` follow numpy's dispatch: the
+artifacts are byte-identical from run to run on one host, not across
+CPUs.  Edge sites whose amplitudes have all fallen below the smallest
+normal float64 are zeroed and dropped: their squares are zero anyway,
+and arithmetic on subnormal numbers is slow.
 
 The observable is the return probability ``p0(t) = |<x=0|psi(t)>|^2``,
 both raw and normalized by the total probability: the instantaneous
@@ -120,30 +126,32 @@ class _SublatticeState:
 
     The window holds the sites ``i = 0 .. 2 shifts``, the source sitting
     at ``i = shifts``.  After ``k`` shifts only the sites
-    ``i = shifts + k (mod 2)`` can hold amplitude.  The left mover of
-    such a site is stored in lane ``(i - shifts + k) / 2`` of ``left``
-    and the right mover in lane ``(i + shifts - k) / 2`` of ``right``:
-    a shift carries every mover one site along its own lane, so it
-    changes only ``k``.  Each array is float64 of shape
-    ``(2, shifts + 1)``, real part over imaginary part; the walk matrix
-    is real, so the two rows evolve independently.
+    ``i = shifts + k (mod 2)`` can hold amplitude, and such a site lives
+    in lane ``(i - shifts + k) / 2`` of ``W``, a complex array of shape
+    ``(2, shifts + 1)``.  Row 0 holds the real parts of the amplitudes
+    and row 1 their imaginary parts; the walk matrix is real, so the two
+    rows evolve independently.  Within a row the left mover ``a`` and
+    the right mover ``b`` of a site are packed as ``a + i b``, so the
+    coin rotation C(theta) of ``(a, b)`` is one multiplication by
+    ``e^{i theta}``.  A shift moves left movers one site down and right
+    movers one site up: the real parts keep their lane and the
+    imaginary parts move one lane up.
 
-    Only the support, the occupied sites ``lo, lo + 2, ...`` (``n`` of
-    them), is updated; ``a`` and ``b`` are its views.  It grows by a
-    site per side and shift.  :meth:`trim` drops edge sites whose
+    Only the support, the occupied sites ``lo, lo + 2, ...`` in the
+    ``n`` lanes from ``lane`` on, is updated; ``w`` is its view.  It
+    grows by a site per side and shift.  :meth:`trim` drops edge sites whose
     amplitudes have all fallen below the smallest normal float64, where
     arithmetic turns slow and every square is zero, and :meth:`clip`
-    drops the sites outside a radius around the source.
+    drops the sites outside a radius around the source.  Lanes outside
+    the support hold zero.
     """
 
     def __init__(self, shifts: int):
         self.shifts = shifts
-        self.left = np.zeros((2, shifts + 1))
-        self.right = np.zeros((2, shifts + 1))
+        self.W = np.zeros((2, shifts + 1), dtype=complex)
         a0, b0 = (complex(c) for c in DEFAULT_COIN)
-        self.left[:, 0] = a0.real, a0.imag
-        self.right[:, shifts] = b0.real, b0.imag
-        self._tmp = (np.empty((2, shifts + 1)), np.empty((2, shifts + 1)))
+        self.W[:, 0] = complex(a0.real, b0.real), complex(a0.imag, b0.imag)
+        self._im = tuple(self.W.imag)  # the right movers, row by row
         self.k = 0
         self.lo, self.n = shifts, 1
         self._locate()
@@ -154,36 +162,29 @@ class _SublatticeState:
         return self.shifts - self.k, self.shifts + self.k
 
     def _locate(self):
-        ua = (self.lo - self.shifts + self.k) // 2
-        vb = (self.lo + self.shifts - self.k) // 2
-        self.a = self.left[:, ua:ua + self.n]
-        self.b = self.right[:, vb:vb + self.n]
+        self.lane = (self.lo - self.shifts + self.k) // 2
+        self.w = self.W[:, self.lane:self.lane + self.n]
         self.sites = slice(self.lo // 2, self.lo // 2 + self.n)
 
-    def coin(self, cos_t, sin_t):
+    def coin(self, phasors):
         """C(theta) on every occupied site.
 
-        ``cos_t`` and ``sin_t`` are pairs of (even-site, odd-site)
+        ``phasors`` is the (even-site, odd-site) pair of ``e^{i theta}``
         arrays over the window.
         """
-        a, b = self.a, self.b
-        c = cos_t[self.lo & 1][self.sites]
-        s = sin_t[self.lo & 1][self.sites]
-        sa, sb = (t[:, :self.n] for t in self._tmp)
-        np.multiply(a, s, out=sa)
-        np.multiply(a, c, out=a)
-        np.multiply(b, s, out=sb)
-        np.multiply(b, c, out=b)
-        a -= sb
-        b += sa
+        np.multiply(self.w, phasors[self.lo & 1][self.sites], out=self.w)
 
     def gain(self, ga: float, gb: float):
-        self.a *= ga
-        self.b *= gb
+        self.w.real *= ga
+        self.w.imag *= gb
 
     def shift(self):
         """Advance every mover one site: the support widens by one site
         per side."""
+        j, n = self.lane, self.n
+        for row in self._im:
+            row[j + 1:j + n + 1] = row[j:j + n]
+            row[j] = 0.0
         self.k += 1
         self.lo -= 1
         self.n += 1
@@ -191,13 +192,11 @@ class _SublatticeState:
 
     def trim(self):
         """Zero and drop edge sites whose amplitudes are all subnormal."""
-        a, b = self.a, self.b
+        w = self.w
         first, last = 0, self.n - 1
-        while first < last and max(abs(a[0, first]), abs(a[1, first]),
-                                   abs(b[0, first]), abs(b[1, first])) < TINY:
+        while first < last and _subnormal(w[0, first], w[1, first]):
             first += 1
-        while last > first and max(abs(a[0, last]), abs(a[1, last]),
-                                   abs(b[0, last]), abs(b[1, last])) < TINY:
+        while last > first and _subnormal(w[0, last], w[1, last]):
             last -= 1
         self._keep(first, last)
 
@@ -212,47 +211,46 @@ class _SublatticeState:
         to them."""
         if first == 0 and last == self.n - 1:
             return
-        a, b = self.a, self.b
-        a[:, :first] = b[:, :first] = 0.0
-        a[:, last + 1:] = b[:, last + 1:] = 0.0
+        self.w[:, :first] = 0.0
+        self.w[:, last + 1:] = 0.0
         self.lo += 2 * first
         self.n = last - first + 1
         self._locate()
 
-    def probabilities(self):
-        """Squared moduli of the occupied amplitudes, left and right."""
-        pa, pb = (t[:, :self.n] for t in self._tmp)
-        np.multiply(self.a, self.a, out=pa)
-        np.multiply(self.b, self.b, out=pb)
-        return pa, pb
-
     def norm2(self) -> float:
-        pa, pb = self.probabilities()
-        return float(pa.sum() + pb.sum())
+        v = self.w.view(float)
+        return float(np.dot(v[0], v[0]) + np.dot(v[1], v[1]))
 
     def site_probability(self, i: int) -> float:
         """Probability on site ``i``; zero off the support."""
         j, odd = divmod(i - self.lo, 2)
         if odd or not 0 <= j < self.n:
             return 0.0
-        a, b = self.a[:, j], self.b[:, j]
-        return float(a[0] ** 2 + a[1] ** 2 + (b[0] ** 2 + b[1] ** 2))
+        z0, z1 = self.w[0, j], self.w[1, j]
+        return float(z0.real ** 2 + z1.real ** 2
+                     + (z0.imag ** 2 + z1.imag ** 2))
 
     def max_modulus(self) -> float:
-        return float(max(np.hypot(*self.a).max(), np.hypot(*self.b).max()))
+        w = self.w
+        return float(max(np.hypot(*w.real).max(), np.hypot(*w.imag).max()))
 
     def rescale(self, m: float):
-        self.a /= m
-        self.b /= m
+        v = self.w.view(float)
+        v /= m
 
     def span_probabilities(self) -> np.ndarray:
         """Site probabilities over the whole span, zero off the parity
         and on trimmed edge sites."""
-        pa, pb = self.probabilities()
+        pa, pb = self.w.real ** 2, self.w.imag ** 2
         p = np.zeros(self.span[1] - self.span[0] + 1)
         start = self.lo - self.span[0]
         p[start:start + 2 * self.n:2] = (pa[0] + pa[1]) + (pb[0] + pb[1])
         return p
+
+
+def _subnormal(z0, z1) -> bool:
+    """Whether all four parts of a lane's two amplitudes are subnormal."""
+    return max(abs(z0.real), abs(z0.imag), abs(z1.real), abs(z1.imag)) < TINY
 
 
 def evolve(spec: WalkSpec, steps: int, snapshot_times=()) -> EvolutionTrace:
@@ -267,7 +265,12 @@ def evolve(spec: WalkSpec, steps: int, snapshot_times=()) -> EvolutionTrace:
     then ``p0_raw`` over the norm at ``t = 0``, which the orthogonal
     walk conserves; with gain and loss it is over the norm at each
     step.  Snapshots are normalized site distributions taken after the
-    requested step counts, over the whole light cone.
+    requested step counts, over the whole light cone; a time that is not
+    a whole step count is refused.
+
+    The state is the packed complex array of :class:`_SublatticeState`,
+    so each coin is one phasor multiply; its last bits depend on the
+    host's complex-multiply code (see the module docstring).
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -275,16 +278,18 @@ def evolve(spec: WalkSpec, steps: int, snapshot_times=()) -> EvolutionTrace:
     shifts = reach * steps
     x = np.arange(-shifts, shifts + 1)
 
-    trig = []
+    phasors = []
     for theta in spec.effective_angles(x):
-        c, s = np.cos(theta), np.sin(theta)
-        trig.append(((c[0::2].copy(), c[1::2].copy()),
-                     (s[0::2].copy(), s[1::2].copy())))
+        ph = np.cos(theta) + 1j * np.sin(theta)
+        phasors.append((ph[0::2].copy(), ph[1::2].copy()))
     eg, emg = math.exp(spec.gamma), math.exp(-spec.gamma)
     gains = {1: (eg, emg), -1: (emg, eg)}
     state = _SublatticeState(shifts)
 
     snaps_wanted = set(int(t) for t in snapshot_times)
+    if snaps_wanted != set(snapshot_times):
+        raise ValueError(f"snapshot times must be whole steps: "
+                         f"{list(snapshot_times)}")
     bad = [t for t in snaps_wanted if not 0 <= t <= steps]
     if bad:
         raise ValueError(f"snapshot times outside 0..{steps}: {sorted(bad)}")
@@ -307,7 +312,7 @@ def evolve(spec: WalkSpec, steps: int, snapshot_times=()) -> EvolutionTrace:
                     if not unitary:
                         state.gain(*gains[arg])
                 else:
-                    state.coin(*trig[arg])
+                    state.coin(phasors[arg])
             state.trim()
             if unitary and t > last_snap:
                 # nothing farther out reaches x = 0 within the steps left

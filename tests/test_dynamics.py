@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptwalk import dynamics
 from ptwalk.bulk import bloch_fold, quasienergy
@@ -22,7 +24,13 @@ from ptwalk.dynamics import (
     write_snapshot_csv,
     write_trace_csv,
 )
-from ptwalk.operators import CoinProfile, Lattice, WalkSpec, build_walk_operator
+from ptwalk.operators import (
+    WALK_KINDS,
+    CoinProfile,
+    Lattice,
+    WalkSpec,
+    build_walk_operator,
+)
 from ptwalk.spectrum import eigendecompose
 
 PI = math.pi
@@ -76,6 +84,15 @@ class TestEvolve:
     def test_snapshot_time_out_of_range(self):
         with pytest.raises(ValueError):
             evolve(homogeneous_spec(), steps=4, snapshot_times=(5,))
+
+    @pytest.mark.parametrize("times", [(2.5,), (4, 7.25)])
+    def test_snapshot_time_must_be_whole(self, times):
+        with pytest.raises(ValueError, match="whole steps"):
+            evolve(homogeneous_spec(), steps=12, snapshot_times=times)
+
+    def test_whole_float_snapshot_time(self):
+        trace = evolve(homogeneous_spec(), steps=12, snapshot_times=(4.0,))
+        assert list(trace.snapshots) == [4]
 
     def test_point_source_is_fixed(self):
         # the walker always starts at x = 0 in DEFAULT_COIN, on a window
@@ -242,6 +259,69 @@ class TestMatrixPowerOracle:
             assert x[0] == -3 * t and x[-1] == 3 * t
             assert np.sum(prob) == pytest.approx(1.0, abs=1e-12)
             assert np.all(prob[(x - 3 * t) % 2 != 0] == 0.0)
+
+
+ANGLES = st.tuples(st.floats(-PI, PI), st.floats(-PI, PI))
+
+
+@st.composite
+def small_recipes(draw):
+    """A walk of any kind and layout, with or without gain and loss,
+    delta and disorder, and a step count and snapshot time of at most
+    60 steps."""
+    kind = draw(st.sampled_from(WALK_KINDS))
+    layout = draw(st.sampled_from(["homogeneous", "inner_outer",
+                                   "left_right"]))
+    a, b = draw(ANGLES), draw(ANGLES)
+    kw = {}
+    if kind.startswith("three_step_perturbed"):
+        kw["delta"] = draw(st.floats(-0.3, 0.3))
+    if kind == "three_step_perturbed_disordered":
+        kw["disorder_amplitude"] = draw(st.floats(0.0, 0.5))
+        kw["disorder_seed"] = draw(st.integers(0, 2**64 - 1))
+    if layout == "homogeneous":
+        profile = CoinProfile.homogeneous(*a, **kw)
+    elif layout == "inner_outer":
+        # the oracle ring of a one-step snapshot has 3 sites per side
+        profile = CoinProfile.inner_outer(a, b, draw(st.integers(1, 3)), **kw)
+    else:
+        profile = CoinProfile.left_right(a, b, **kw)
+    gamma = draw(st.one_of(st.just(0.0), st.floats(-0.5, 0.5)))
+    steps = draw(st.integers(1, 60))
+    snapshot = draw(st.integers(1, steps))
+    return WalkSpec(kind, Lattice(11), profile, gamma=gamma), steps, snapshot
+
+
+def assert_rounding_close(got, want, norm, steps):
+    """``got`` within rel 1e-12 of ``want``, or of the rounding of the
+    amplitudes it is made of.
+
+    A probability ``p`` that is a small difference of larger amplitudes
+    carries their rounding, about one ulp of the norm ``norm`` a step,
+    so after ``steps`` steps an error of ``steps eps sqrt(p norm)``.
+    That floor binds only below about ``2e-4 norm`` at 60 steps.
+    """
+    floor = steps * np.finfo(float).eps * np.sqrt(want * norm)
+    err = np.abs(got - want)
+    assert np.all(err <= np.maximum(1e-12 * want, floor)), err.max()
+
+
+@given(small_recipes())
+@settings(max_examples=40, deadline=None)
+def test_evolve_matches_matrix_powers(recipe):
+    spec, steps, snapshot = recipe
+    trace = evolve(spec, steps=steps, snapshot_times=(snapshot,))
+    raw, norm, _ = oracle_p0(spec, steps)
+    assert np.array_equal(trace.p0_raw == 0.0, raw == 0.0)
+    t = np.arange(steps + 1)
+    total = np.divide(raw, norm, out=np.ones_like(raw), where=norm > 0)
+    assert_rounding_close(trace.p0_raw, raw, total, t)
+    assert_rounding_close(trace.p0_normalized, norm, 1.0, t)
+    _, _, (x, prob) = oracle_p0(spec, snapshot)
+    snap_x, snap_prob = trace.snapshots[snapshot]
+    assert np.array_equal(snap_x, x)
+    assert np.array_equal(snap_prob == 0.0, prob == 0.0)
+    assert_rounding_close(snap_prob, prob, 1.0, snapshot)
 
 
 class TestReturnCone:
