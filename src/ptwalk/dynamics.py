@@ -139,11 +139,11 @@ class _SublatticeState:
 
     Only the support, the occupied sites ``lo, lo + 2, ...`` in the
     ``n`` lanes from ``lane`` on, is updated; ``w`` is its view.  It
-    grows by a site per side and shift.  :meth:`trim` drops edge sites whose
-    amplitudes have all fallen below the smallest normal float64, where
-    arithmetic turns slow and every square is zero, and :meth:`clip`
-    drops the sites outside a radius around the source.  Lanes outside
-    the support hold zero.
+    grows by a site per side and shift.  :meth:`trim` drops edge sites
+    whose amplitudes have all fallen below the smallest normal float64,
+    where arithmetic turns slow and every square is zero, and
+    :meth:`clip` drops the sites outside a radius around the source.
+    Lanes outside the support hold zero.
     """
 
     def __init__(self, shifts: int):
