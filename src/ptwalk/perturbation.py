@@ -274,9 +274,9 @@ def disorder_ensemble(spec: WalkSpec, theta_r: float, n_seeds: int = 32,
     reproducible elementwise.  ``seeds`` defaults to ``n_seeds``
     consecutive seeds from ``seed0`` and must not be empty.
     Realizations run one after another.  ``threads`` is accepted and
-    ignored: ARPACK and SuperLU hold the GIL, so threads cannot overlap
-    the solves.  ``spec`` should carry the wanted ``delta``; its kind is
-    switched to ``three_step_perturbed_disordered`` here.
+    ignored: two threads ran the banded shift-invert window solves
+    slower than one.  ``spec`` should carry the wanted ``delta``; its
+    kind is switched to ``three_step_perturbed_disordered`` here.
     """
     if seeds is None:
         seeds = range(seed0, seed0 + n_seeds)

@@ -31,10 +31,10 @@ window below, so the window and the classification cannot disagree.
 PT-symmetric one satisfies P U P = U^-1, and either way the eigenspaces
 of M = (U + U^-1)/2 reduce U to small blocks; every other walk takes a
 dense ``scipy.linalg.eig``.  ``interface_only=True`` asks shift-invert
-ARPACK only for the states the taxonomy could call ``edge_zero``,
-``edge_pi`` or ``defective_pair_member``: in mu = (lambda + 1/lambda)/2
-where each mu is simple, and in lambda where a relation makes every mu
-double.
+ARPACK, on a banded LU of each shifted matrix (:func:`_window`), only
+for the states the taxonomy could call ``edge_zero``, ``edge_pi`` or
+``defective_pair_member``: in mu = (lambda + 1/lambda)/2 where each mu
+is simple, and in lambda where a relation makes every mu double.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .bulk import bulk_gap_status, quasienergy
@@ -292,36 +293,86 @@ def _mu_radius(gamma: float) -> float:
     return math.cosh(2 * gamma) - math.cos(EDGE_BAND)
 
 
+def _band_order(A) -> np.ndarray:
+    """Reverse Cuthill-McKee order of the pattern of A + A^T.
+
+    Every factor of a walk step moves a site by at most one, so in this
+    order each window matrix is banded, with a bandwidth set by the
+    protocol and not by the lattice.
+    """
+    pattern = (abs(A) + abs(A).T).tocsr()
+    return scipy.sparse.csgraph.reverse_cuthill_mckee(pattern,
+                                                      symmetric_mode=True)
+
+
+class _BandedLU(scipy.sparse.linalg.LinearOperator):
+    """x -> (B - sigma I)^-1 x from the LAPACK banded LU of B - sigma I;
+    ``kl`` and ``ku`` count the sub- and superdiagonals of the band."""
+
+    def __init__(self, lu: np.ndarray, ipiv: np.ndarray, kl: int, ku: int):
+        super().__init__(np.float64, (lu.shape[1], lu.shape[1]))
+        self.lu, self.ipiv, self.kl, self.ku = lu, ipiv, kl, ku
+
+    def _matvec(self, x):
+        return scipy.linalg.lapack.dgbtrs(self.lu, self.kl, self.ku, x,
+                                          self.ipiv)[0]
+
+
+def _shift_invert(B, sigma: float) -> _BandedLU | None:
+    """(B - sigma I)^-1 for a banded sparse B, or None if the factor is
+    exactly singular (``dgbtrf`` finds a zero pivot)."""
+    C = B.tocoo()
+    offset = C.row - C.col
+    kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
+    # LAPACK band storage, with kl more rows on top for the pivoting fill
+    ab = np.zeros((2 * kl + ku + 1, B.shape[0]))
+    ab[kl + ku + offset, C.col] = C.data
+    ab[kl + ku] -= sigma
+    lu, ipiv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku, overwrite_ab=True)
+    return None if info > 0 else _BandedLU(lu, ipiv, kl, ku)
+
+
 def _window(A, radius: float):
     """Eigenpairs of the sparse A nearest +1 and -1, or None.
 
-    Shift-invert ARPACK at sigma = +1 and -1.  Each side starts at
+    Shift-invert ARPACK at sigma = +1 and -1.  ARPACK runs on A in its
+    :func:`_band_order`, and each side factors A - sigma I once as a
+    banded LU (:func:`_shift_invert`).  Each side starts at
     ``WINDOW_K0`` eigenvalues and doubles the count until the farthest
     one lies beyond ``radius``, so nothing inside it is missed.  The
     start vector and the restart draws are seeded, which makes the
     result a function of A alone.  None means the window cannot be
-    trusted: k beyond a quarter of the dimension, or no convergence.
+    trusted: A - sigma I exactly singular, k beyond a quarter of the
+    dimension, or no convergence.
     """
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, A.shape[0])
+    n = A.shape[0]
+    order = _band_order(A)
+    B = A[order][:, order]
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)[order]
     evals, vectors = [], []
     for sigma in (1.0, -1.0):
+        inverse = _shift_invert(B, sigma)
+        if inverse is None:
+            return None
         k = WINDOW_K0
         while True:
-            if k > A.shape[0] / 4:
+            if k > n / 4:
                 return None
             try:
-                lam, vec = scipy.sparse.linalg.eigs(A, k, sigma=sigma,
-                                                    v0=v0, rng=0)
+                lam, vec = scipy.sparse.linalg.eigs(B, k, sigma=sigma,
+                                                    OPinv=inverse, v0=v0,
+                                                    rng=0)
             except RuntimeError:
-                # ArpackNoConvergence and ArpackError are RuntimeErrors,
-                # and so is an exactly singular factor of A - sigma
+                # ArpackNoConvergence and ArpackError are RuntimeErrors
                 return None
             if np.abs(lam - sigma).max() > radius:
                 break
             k *= 2
         evals.append(lam)
         vectors.append(vec)
-    return np.concatenate(evals), np.concatenate(vectors, axis=1)
+    # rows back from the band order to site order
+    return (np.concatenate(evals),
+            np.concatenate(vectors, axis=1)[np.argsort(order)])
 
 
 def _clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -471,6 +522,15 @@ def _orthogonal(op: WalkOperator, compute_condition: bool):
     return evals, vectors, np.ones(op.dim) if compute_condition else None
 
 
+def _parity_frame(op: WalkOperator):
+    """E = [even, T even], which spans the P = +1 sector and its
+    T-image, and R = E^T U E in the symmetric frame; R[:n, :n] is the
+    +1 block of M for n = ``num_sites``."""
+    even = parity_even(op.spec.lattice)
+    E = scipy.sparse.hstack([even, even[_t_order(op.dim)]]).tocsr()
+    return E, (E.T @ symmetric_frame(op).sparse @ E).tocsr()
+
+
 def _fold(op: WalkOperator, window: bool, compute_condition: bool):
     """Eigenpairs of a ``pt-fold`` walk from the +1 parity block of M, or
     None if its window cannot be trusted.
@@ -488,11 +548,7 @@ def _fold(op: WalkOperator, window: bool, compute_condition: bool):
     rotated back by C(theta1/2)^T.
     """
     n = op.spec.lattice.num_sites
-    # E = [even, T even] spans the P = +1 sector and its T-image, and
-    # R = E^T U E holds the +1 block of M in R[:n, :n]
-    even = parity_even(op.spec.lattice)
-    E = scipy.sparse.hstack([even, even[_t_order(op.dim)]]).tocsr()
-    R = (E.T @ symmetric_frame(op).sparse @ E).tocsr()
+    E, R = _parity_frame(op)
     block = R[:n, :n]
     if window:
         radius = _mu_radius(op.spec.gamma)
@@ -656,8 +712,8 @@ def edge_count_map(inner: tuple[float, float], theta1_values, theta2_values,
     since an interface into a gapless bulk pins nothing.  Every cell is
     a ``three_step`` walk, the kind whose closed-form bulk gap does the
     gating.  Cells run one after another.  ``threads`` is accepted and
-    ignored: ARPACK and SuperLU hold the GIL, so threads cannot overlap
-    the solves.
+    ignored: two threads ran the banded shift-invert window solves
+    slower than one.
     """
     if not bulk_gap_status(inner[0], inner[1], gamma).gap_open:
         raise GapClosedError("inner bulk phase is gapless")

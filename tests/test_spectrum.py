@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 from scipy.optimize import linear_sum_assignment
 
 from ptwalk import operators, spectrum
@@ -378,6 +381,82 @@ class TestInterfaceSolver:
             got = [np.array([getattr(p, attr) for p in r.pairs]).tobytes()
                    for r in (a, b)]
             assert got[0] == got[1]
+
+
+WINDOW_MATRICES = ("U-skew", "U-gamma0", "M-disordered", "fold-block",
+                   "fold-block-T")
+
+
+def window_matrices(num_sites):
+    """Every matrix a window path factors: U of a skew and of a
+    gamma = 0 walk, M = (U + U^-1)/2 of a disordered walk, and the
+    interface-fold block and its transpose."""
+    half_width = min(50, num_sites // 4)
+
+    def op(outer, **kw):
+        return build_walk_operator(interface_spec(
+            outer, num_sites=num_sites, half_width=half_width, **kw))
+
+    gamma0 = dataclasses.replace(ORACLE_CASES[-1][2],
+                                 lattice=Lattice(num_sites))
+    disordered = op((-0.2 * PI, 0.3 * PI),
+                    kind="three_step_perturbed_disordered", delta=0.05,
+                    disorder_amplitude=0.1, disorder_seed=5)
+    _, R = spectrum._parity_frame(op((-0.6 * PI, 0.2 * PI)))
+    block = R[:num_sites, :num_sites]
+    return dict(zip(WINDOW_MATRICES, (
+        op((-0.2 * PI, 0.3 * PI), kind="three_step_perturbed",
+           delta=0.07).sparse,
+        build_walk_operator(gamma0).sparse,
+        ((disordered.sparse + disordered.inverse) * 0.5).tocsr(),
+        block,
+        block.T.tocsr(),
+    )))
+
+
+def banded_factors(A):
+    """The band order of A and the shift-invert factor at +1 and -1."""
+    order = spectrum._band_order(A)
+    B = A[order][:, order]
+    return order, [spectrum._shift_invert(B, sigma) for sigma in (1.0, -1.0)]
+
+
+class TestBandedShiftInvert:
+    """The banded LU that every window path runs ARPACK on."""
+
+    # at 61 sites every A - sigma I here has a condition number below
+    # 1e5, so any two backward-stable solvers agree to 1e-12
+    @pytest.mark.parametrize("name", WINDOW_MATRICES)
+    def test_matches_spsolve(self, name):
+        A = window_matrices(61)[name]
+        order, factors = banded_factors(A)
+        b = np.random.default_rng(3).standard_normal(A.shape[0])
+        for sigma, factor in zip((1.0, -1.0), factors):
+            want = scipy.sparse.linalg.spsolve(
+                (A - sigma * scipy.sparse.identity(A.shape[0])).tocsc(), b)
+            got = np.empty_like(b)
+            got[order] = factor.matvec(b[order])
+            assert (np.linalg.norm(got - want)
+                    <= 1e-12 * np.linalg.norm(want))
+
+    def test_bandwidth_does_not_grow_with_the_lattice(self):
+        # a walk step that moved a site by more than one would widen
+        # the band with the lattice, and the banded LU would cost O(n^3)
+        bands = {name: set() for name in WINDOW_MATRICES}
+        for num_sites in (31, 301, 801):
+            for name, A in window_matrices(num_sites).items():
+                bands[name].update((f.kl, f.ku) for f in banded_factors(A)[1])
+        for name, band in bands.items():
+            assert len(band) == 1, (name, band)
+
+    @pytest.mark.parametrize("eigenvalues,sigma", [
+        (np.ones(200), 1.0),
+        (np.concatenate([np.linspace(2.0, 3.0, 199), [-1.0]]), -1.0),
+    ], ids=["identity", "exact-minus-one"])
+    def test_singular_shift_gives_no_window(self, eigenvalues, sigma):
+        A = scipy.sparse.diags(eigenvalues).tocsr()
+        assert spectrum._shift_invert(A, sigma) is None
+        assert spectrum._window(A, 0.1) is None
 
 
 def _fig4(outer, gamma=0.1, kind="three_step"):
