@@ -88,12 +88,10 @@ _REQUIRED = object()
 
 
 def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 def _parse_float(raw: str) -> float:
@@ -247,8 +245,7 @@ class Emitter:
             **extra,
         }
         full = self._full("manifest.json")
-        with open(full, "w", newline="") as fh:
-            fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        _write_json(data, full)
         for name in sorted(self.paths):
             print(f"wrote {self.paths[name]}")
         print(f"wrote {full}")

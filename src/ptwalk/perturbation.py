@@ -26,7 +26,7 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+import scipy.sparse.csgraph
 
 from .errors import BracketError, TrackingError
 from .ioutil import write_csv
@@ -72,6 +72,13 @@ def _regime(lams: np.ndarray, vecs: np.ndarray) -> str:
                 if overlap > OVERLAP_COALESCED:
                     return "at_exceptional"
     return "all_real"
+
+
+def _matching(cost: np.ndarray) -> np.ndarray:
+    """Column matched to each row of the square ``cost``, least in total.
+    csgraph reads a zero as no edge, so costs are floored at ``tiny``."""
+    graph = scipy.sparse.csr_array(np.maximum(cost, np.finfo(float).tiny))
+    return scipy.sparse.csgraph.min_weight_full_bipartite_matching(graph)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,10 +144,7 @@ def delta_sweep(spec: WalkSpec, deltas) -> DeltaSweepResult:
             failure = (f"tracked state count changed from {n_branches} to "
                        f"{lams_new.size} near delta={target:.6g}")
         else:
-            cost = np.abs(prev[:, None] - lams_new[None, :])
-            rows, cols = linear_sum_assignment(cost)
-            aligned = np.empty_like(lams_new)
-            aligned[rows] = lams_new[cols]
+            aligned = lams_new[_matching(np.abs(prev[:, None] - lams_new))]
             moves = np.abs(aligned - prev)
             regime = _regime(lams_new, vecs_new)
             if prev_step is not None and regime == points[-1].regime:

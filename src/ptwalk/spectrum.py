@@ -380,26 +380,22 @@ def _clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
 
     Two values closer than ``tol`` are closer in real part too, so the
     scan over offsets in real-part order stops at the first offset with
-    no real-part gap below ``tol``.
+    no real-part gap below ``tol``.  The groups are the connected
+    components of the near pairs it finds, in order of their first member.
     """
     order = np.argsort(values.real, kind="stable")
     z = values[order]
-    root = list(range(z.size))
-
-    def find(i):
-        while root[i] != i:
-            i = root[i]
-        return i
-
+    pairs = [np.empty((2, 0), dtype=int)]
     for k in range(1, z.size):
         near = z.real[k:] - z.real[:-k] < tol
         if not near.any():
             break
-        for i in np.flatnonzero(near & (np.abs(z[k:] - z[:-k]) < tol)):
-            a, b = find(i), find(i + k)
-            root[max(a, b)] = min(a, b)
-    labels = np.array([find(i) for i in range(z.size)])
-    return [order[labels == r] for r in np.unique(labels)]
+        i = np.flatnonzero(near & (np.abs(z[k:] - z[:-k]) < tol))
+        pairs.append([i, i + k])
+    i, j = np.hstack(pairs)
+    graph = scipy.sparse.coo_array((np.ones(i.size), (i, j)), (z.size, z.size))
+    count, labels = scipy.sparse.csgraph.connected_components(graph)
+    return [order[labels == r] for r in range(count)]
 
 
 def _solve_clusters(R: scipy.sparse.csr_matrix, bases: list[np.ndarray],

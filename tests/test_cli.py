@@ -110,6 +110,20 @@ class TestUsageAndErrors:
         assert payload["message"].startswith(f"{key}: not a finite number")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command,text,message", [
+        ("spectrum", WALK + "[spectrum]\ncompute_condition = maybe\n",
+         "[spectrum] compute_condition: not a boolean: 'maybe'"),
+        ("phase-diagram", "[phase-diagram]\ntheta1_points = 1\n",
+         "[phase-diagram] theta1_points must be at least 2"),
+    ], ids=["not-a-boolean", "one-point-grid"])
+    def test_invalid_value_rejected(self, capsys, tmp_path, command, text,
+                                    message):
+        cfg = write_config(tmp_path, text)
+        payload = error_of(capsys, command, "--config", cfg,
+                           "--out", f"{tmp_path}/o/")
+        assert payload == {"error": "CliError", "message": message}
+        assert not (tmp_path / "o").exists()
+
     def test_duplicate_walk_key(self, capsys, tmp_path):
         cfg = write_config(tmp_path, WALK + "gamma = 0.2\n")
         payload = error_of(capsys, "spectrum", "--config", cfg)
@@ -412,8 +426,17 @@ class TestWalkSection:
         ("num_sites = 11\n", "num_sites = 11\nlayout = inner_outer\n"
          "theta1_b_over_pi = -0.6\ntheta2_b_over_pi = 0.2\nhalf_width = 6\n",
          "[walk] half_width 6 leaves no outer site on 11 sites"),
+        ("num_sites = 11\n", "num_sites = 11\nlayout = ring\n"
+         "theta1_b_over_pi = -0.6\ntheta2_b_over_pi = 0.2\n",
+         "[walk] unknown layout 'ring'"),
+        ("num_sites = 11\n", "num_sites = 11\nlayout = inner_outer\n"
+         "theta1_b_over_pi = -0.6\ntheta2_b_over_pi = 0.2\nhalf_width = 0\n",
+         "[walk] inner_outer layout needs a positive half_width"),
+        ("num_sites = 11\n", "num_sites = 11\ndisorder_amplitude = -0.1\n",
+         "[walk] disorder_amplitude must be nonnegative"),
     ], ids=["missing", "unknown", "unparseable", "invalid", "unknown-kind",
-            "no-outer-site"])
+            "no-outer-site", "unknown-layout", "no-inner-site",
+            "negative-disorder"])
     def test_error_wording(self, capsys, tmp_path, old, new, message):
         cfg = write_config(tmp_path, SMALL_WALK.replace(old, new))
         payload = error_of(capsys, "spectrum", "--config", cfg,
@@ -576,6 +599,44 @@ class TestDeltaSweepCommand:
         assert manifest["result"]["n_points"] >= 3
         rows = (tmp_path / "s" / "delta_sweep.csv").read_text().splitlines()
         assert len(rows) > 1
+
+
+class TestEpFindCommand:
+    # the c06 walk: its interface eigenvalues coalesce at delta = 0.0696
+    CFG = """\
+[walk]
+kind = three_step_perturbed
+num_sites = 301
+layout = inner_outer
+theta1_a_over_pi = 0.4
+theta2_a_over_pi = 0.1
+theta1_b_over_pi = -0.2
+theta2_b_over_pi = 0.3
+half_width = 50
+gamma = 0.1
+[ep-find]
+delta_lo = 0.05
+delta_hi = 0.08
+"""
+
+    def test_artifacts_and_determinism(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, self.CFG)
+        files = []
+        for out in ("a", "b"):
+            rc, _, _ = run(capsys, "ep-find", "--config", cfg,
+                           "--out", f"{tmp_path}/{out}/")
+            assert rc == 0
+            files.append({p.name: p.read_bytes()
+                          for p in sorted((tmp_path / out).iterdir())})
+        assert files[0] == files[1]
+        assert sorted(files[0]) == ["exceptional_point.csv", "manifest.json"]
+        header, *rows = files[0]["exceptional_point.csv"].decode().splitlines()
+        assert header == ("delta_ep,delta_lower,delta_upper,"
+                          "coalescence_overlap,n_solves")
+        assert len(rows) == 1
+        result = json.loads(files[0]["manifest.json"])["result"]
+        assert result["delta_ep"] == pytest.approx(0.0696, abs=0.001)
+        assert int(rows[0].split(",")[-1]) == result["n_solves"]
 
 
 class TestEdgeMapCommand:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from ptwalk import perturbation
 from ptwalk.errors import BracketError, TrackingError
@@ -125,6 +126,34 @@ class TestDeltaSweep:
                         profile=CoinProfile.homogeneous(*INNER), gamma=0.1)
         with pytest.raises(TrackingError):
             delta_sweep(spec, [0.01, 0.02])
+
+
+class TestRegime:
+    # two tracked eigenvalues at the same real value: coalesced vectors
+    # make an exceptional point, orthogonal ones a plain degeneracy
+    @pytest.mark.parametrize("lams,vecs,regime", [
+        ([0.5, 0.5], [[1, 1], [0, 0.1]], "at_exceptional"),
+        ([0.5, 0.5], [[1, 0], [0, 1]], "all_real"),
+    ], ids=["coalesced", "orthogonal"])
+    def test_label(self, lams, vecs, regime):
+        vecs = np.array(vecs, dtype=complex)
+        vecs /= np.linalg.norm(vecs, axis=0)
+        assert perturbation._regime(np.array(lams, dtype=complex),
+                                    vecs) == regime
+
+
+class TestMatching:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_least_total_against_linear_sum_assignment(self, n):
+        # few distinct costs, zero among them, so exact zeros and exactly
+        # tied totals are common; every sum of them is exact in floats
+        rng = np.random.default_rng(n)
+        for scale in [2.0**-30, 0.25, 3.0] * 17:
+            cost = rng.integers(0, 3, (n, n)) * scale
+            cols = perturbation._matching(cost)
+            rows, best = linear_sum_assignment(cost)
+            assert sorted(cols) == list(range(n))
+            assert cost[np.arange(n), cols].sum() == cost[rows, best].sum()
 
 
 class TestExceptionalPoint:

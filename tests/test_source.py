@@ -4,9 +4,15 @@ is referenced somewhere in the package, and every public module constant,
 class field and property is read somewhere in the package, its tests or
 the benchmark.  A field or property counts as read only through an
 attribute (``obj.name``), so a local variable of the same name cannot
-hide it.  All three catch what a deletion leaves behind."""
+hide it.  All three catch what a deletion leaves behind.  No module
+imports scipy.optimize, at module level or deferred, and ``import
+ptwalk`` in a fresh interpreter leaves it unloaded: it would add about
+17 MB and 0.1 s to every run, for jobs scipy.sparse.csgraph does."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -126,3 +132,37 @@ def test_every_public_attribute_is_read():
     unread += [f"{module}:{name}" for module, tree in TREES.items()
                for name in public_members(tree) if name not in attributes]
     assert unread == []
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """Every module an import statement names, ``from`` names included."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+            modules.update(f"{node.module}.{alias.name}"
+                           for alias in node.names)
+    return modules
+
+
+def is_optimize(module: str) -> bool:
+    return module.split(".")[:2] == ["scipy", "optimize"]
+
+
+def test_no_module_imports_scipy_optimize():
+    found = [f"{module}:{name}" for module, tree in TREES.items()
+             for name in sorted(imported_modules(tree)) if is_optimize(name)]
+    assert found == []
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, ptwalk; print(*sorted(sys.modules), sep='\\n')"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}).stdout
+    assert [m for m in loaded.split() if is_optimize(m)] == []
+    assert "scipy.sparse.csgraph" in loaded.split()

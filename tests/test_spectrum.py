@@ -312,12 +312,21 @@ class TestInterfaceSolver:
         with pytest.raises(ValueError):
             eigendecompose(op, interface_only=True)
 
-    @pytest.mark.parametrize("spec", [
-        interface_spec((-0.6 * PI, 0.2 * PI), num_sites=31, half_width=5),
-    ], ids=["k-above-quarter-dim"])
-    def test_fallback_is_reported(self, spec):
+    @pytest.mark.parametrize("spec,arpack_fails", [
+        (interface_spec((-0.6 * PI, 0.2 * PI), num_sites=31, half_width=5),
+         False),
+        (interface_spec((-0.6 * PI, 0.2 * PI), num_sites=101, half_width=20),
+         True),
+    ], ids=["k-above-quarter-dim", "no-convergence"])
+    def test_fallback_is_reported(self, monkeypatch, spec, arpack_fails):
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "no convergence", np.empty(0), np.empty((0, 0)))
+
         dense = eigendecompose(build_walk_operator(spec),
                                compute_condition=False)
+        if arpack_fails:
+            monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
         fallback = eigendecompose(build_walk_operator(spec),
                                   compute_condition=False, interface_only=True)
         assert fallback.solver == "dense-fallback"
@@ -522,6 +531,32 @@ class TestStructuredSolver:
                                 compute_condition=False)
         assert result.solver == "dense"
         assert result.counts == dense_oracle(spec).counts
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_clusters_are_the_components(self, seed):
+        # against the dense |z_i - z_j| < tol graph, closed by squaring
+        # its reachability; groups listed by their first member in
+        # real-part order, as the solvers fill their columns
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(-1, 1, 60) + 1j * rng.choice([0, 0.3], 60)
+        z = base[rng.integers(0, 60, 200)]
+        z[::3] += 1e-5 * rng.standard_normal(z[::3].size)
+        tol = [1e-6, 3e-5, 1e-2][seed % 3]
+        order = np.argsort(z.real, kind="stable")
+        reach = np.abs(z[order][:, None] - z[order][None, :]) < tol
+        while True:
+            wider = (reach.astype(int) @ reach.astype(int)) > 0
+            if (wider == reach).all():
+                break
+            reach = wider
+        oracle, seen = [], np.zeros(z.size, dtype=bool)
+        for i in range(z.size):
+            if not seen[i]:
+                seen |= reach[i]
+                oracle.append(order[reach[i]])
+        groups = spectrum._clusters(z, tol)
+        assert len(groups) == len(oracle)
+        assert all(np.array_equal(g, o) for g, o in zip(groups, oracle))
 
     def test_gate_draws_disorder_once(self, monkeypatch):
         # the solver's structure check reads the coin angles, and so
