@@ -4,9 +4,10 @@ Every run reads an optional INI-style config file with a ``[walk]``
 section for the operator recipe plus one section named after the
 subcommand for its numeric controls (any other section is an error),
 runs the requested analysis, and writes CSV artifacts next to a
-``manifest.json`` recording the fully resolved parameters and a sha256
-per artifact.  The config file is the only source of a run's settings:
-the command line names the file and the output prefix, nothing else.
+``manifest.json`` recording the fully resolved parameters, a sha256
+per artifact and every numeric constant of the library.  The config
+file is the only source of a run's settings: the command line names
+the file and the output prefix, nothing else.
 Identical configurations produce byte-identical artifacts: floats are
 printed with 17 significant digits, lines end in LF, and manifests
 contain no timestamps.
@@ -26,20 +27,18 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
+import numbers
 import os
 import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
-from . import dynamics as _dynamics
-from . import perturbation as _perturbation
-from . import spectrum as _spectrum
+from . import __version__, bulk, dynamics, operators, perturbation, spectrum
 from .bulk import (
-    GAP_TOL,
     dispersion,
     phase_diagram,
     write_dispersion_csv,
@@ -64,7 +63,6 @@ from .perturbation import (
     write_disorder_csv,
 )
 from .spectrum import (
-    DEFAULT_WINDOW,
     edge_count_map,
     eigendecompose,
     write_edge_map_csv,
@@ -242,6 +240,7 @@ class Emitter:
             "artifacts": {name: sha256_of(path)
                           for name, path in sorted(self.paths.items())},
             "result": result,
+            "constants": _constants(),
             **extra,
         }
         full = self._full("manifest.json")
@@ -249,6 +248,32 @@ class Emitter:
         for name in sorted(self.paths):
             print(f"wrote {self.paths[name]}")
         print(f"wrote {full}")
+
+
+# in import order, so a constant one module takes from another is
+# recorded once, under the module that defines it
+_CONSTANT_MODULES = (operators, bulk, spectrum, perturbation, dynamics)
+
+
+def _constants() -> dict:
+    """Every public numeric constant of the library, keyed
+    ``module.NAME``: a number or a tuple of numbers, complex ones as
+    ``[re, im]``."""
+    found = {}
+    for i, module in enumerate(_CONSTANT_MODULES):
+        short = module.__name__.rpartition(".")[2]
+        for name, value in vars(module).items():
+            items = value if isinstance(value, tuple) else (value,)
+            imported = any(getattr(m, name, None) is value
+                           for m in _CONSTANT_MODULES[:i])
+            if (name.startswith("_") or not name.isupper() or imported
+                    or not all(isinstance(v, numbers.Number) for v in items)):
+                continue
+            if any(isinstance(v, complex) for v in items):
+                items = [[complex(v).real, complex(v).imag] for v in items]
+            found[f"{short}.{name}"] = (list(items) if isinstance(value, tuple)
+                                        else items[0])
+    return found
 
 
 def _write_json(payload: dict, path) -> None:
@@ -296,7 +321,6 @@ def _cmd_phase_diagram(cfg, em) -> Run:
     t2s = _angle_grid(sec, "theta2", 101)
     gamma = sec.take("gamma", _parse_float, 0.0)
     params = sec.finish()
-    params["gap_tol"] = GAP_TOL
 
     pd = phase_diagram(t1s, t2s, gamma)
     em.write("phase_diagram.csv", write_phase_diagram_csv, pd)
@@ -307,20 +331,10 @@ def _cmd_phase_diagram(cfg, em) -> Run:
     return Run(params, result, pd)
 
 
-def _spectrum_tolerances() -> dict:
-    return {
-        "tol_edge": _spectrum.TOL_EDGE,
-        "tol_real": _spectrum.TOL_REAL,
-        "edge_band": _spectrum.EDGE_BAND,
-        "pair_tol": _spectrum.PAIR_TOL,
-        "cond_threshold": _spectrum.COND_THRESHOLD,
-    }
-
-
 def _cmd_spectrum(cfg, em) -> Run:
     spec, walk = _walk_spec(cfg)
     sec = _section(cfg, "spectrum")
-    window = sec.take("window", int, DEFAULT_WINDOW)
+    window = sec.take("window", int, spectrum.DEFAULT_WINDOW)
     states = sec.take("states", str, "none")
     compute_condition = sec.take("compute_condition", _parse_bool, True)
     params = sec.finish()
@@ -328,7 +342,6 @@ def _cmd_spectrum(cfg, em) -> Run:
         raise CliError(f"[spectrum] states must be none, nonbulk or all, "
                        f"got {states!r}")
     params["walk"] = walk
-    params.update(_spectrum_tolerances())
 
     result = eigendecompose(build_walk_operator(spec),
                             compute_condition=compute_condition,
@@ -361,9 +374,6 @@ def _cmd_edge_map(cfg, em) -> Run:
     t2s = _angle_grid(sec, "theta2", 21)
     params = sec.finish()
     params["kind"] = "three_step"  # the kind the bulk-gap gating fits
-    params["window"] = DEFAULT_WINDOW
-    params.update(_spectrum_tolerances())
-    params["gap_tol"] = GAP_TOL
 
     emap = edge_count_map(inner, t1s, t2s, gamma, half_width=half_width,
                           num_sites=num_sites)
@@ -376,16 +386,6 @@ def _cmd_edge_map(cfg, em) -> Run:
     return Run(params, result, emap)
 
 
-def _sweep_tolerances() -> dict:
-    return {
-        "window": DEFAULT_WINDOW,
-        "tol_im": _perturbation.TOL_IM,
-        "edge_band": _spectrum.EDGE_BAND,
-        "collision_tol": _perturbation.COLLISION_TOL,
-        "overlap_coalesced": _perturbation.OVERLAP_COALESCED,
-    }
-
-
 def _cmd_delta_sweep(cfg, em) -> Run:
     spec, walk = _walk_spec(cfg)
     sec = _section(cfg, "delta-sweep")
@@ -396,8 +396,6 @@ def _cmd_delta_sweep(cfg, em) -> Run:
     params = sec.finish()
     params["deltas"] = deltas
     params["walk"] = walk
-    params["jump_factor"] = _perturbation.JUMP_FACTOR
-    params.update(_sweep_tolerances())
 
     sweep = delta_sweep(spec, deltas)
     em.write("delta_sweep.csv", write_delta_sweep_csv, sweep)
@@ -409,13 +407,6 @@ def _cmd_delta_sweep(cfg, em) -> Run:
     return Run(params, result, sweep)
 
 
-def _write_ep_csv(ep, path) -> None:
-    write_csv(path, ["delta_ep", "delta_lower", "delta_upper",
-                     "coalescence_overlap", "n_solves"],
-              [[ep.delta, ep.lower, ep.upper, ep.coalescence_overlap,
-                ep.n_solves]])
-
-
 def _cmd_ep_find(cfg, em) -> Run:
     spec, walk = _walk_spec(cfg)
     sec = _section(cfg, "ep-find")
@@ -423,11 +414,8 @@ def _cmd_ep_find(cfg, em) -> Run:
     delta_hi = sec.take("delta_hi", _parse_float)
     params = sec.finish()
     params["walk"] = walk
-    params["tol_delta"] = _perturbation.TOL_DELTA
-    params.update(_sweep_tolerances())
 
     ep = find_exceptional_point(spec, delta_lo, delta_hi)
-    em.write("exceptional_point.csv", _write_ep_csv, ep)
     result = {
         "delta_ep": ep.delta,
         "delta_lower": ep.lower,
@@ -435,6 +423,9 @@ def _cmd_ep_find(cfg, em) -> Run:
         "coalescence_overlap": ep.coalescence_overlap,
         "n_solves": ep.n_solves,
     }
+    em.write("exceptional_point.csv",
+             lambda row, path: write_csv(path, list(row), [row.values()]),
+             result)
     return Run(params, result, ep)
 
 
@@ -455,7 +446,6 @@ def _cmd_disorder(cfg, em) -> Run:
     walk["kind"] = "three_step_perturbed_disordered"
     del walk["disorder_amplitude"], walk["disorder_seed"]
     params["walk"] = walk
-    params.update(_sweep_tolerances())
 
     ens = disorder_ensemble(spec, theta_r, n_seeds=n_seeds, seed0=seed0)
     em.write("disorder.csv", write_disorder_csv, ens)
@@ -473,40 +463,15 @@ def _cmd_evolve(cfg, em) -> Run:
     snapshot_times = sec.take("snapshot_times", _parse_ints, [])
     params = sec.finish()
     params["walk"] = walk
-    params["rescale_limit"] = _dynamics.RESCALE_LIMIT
-    # the initial state: the source site and its coin state
+    # the source site; its coin state is dynamics.DEFAULT_COIN
     params["x0"] = 0
-    coin_l, coin_r = (complex(c) for c in _dynamics.DEFAULT_COIN)
-    params.update(coin_l_re=coin_l.real, coin_l_im=coin_l.imag,
-                  coin_r_re=coin_r.real, coin_r_im=coin_r.imag)
 
     trace = evolve(spec, steps=steps, snapshot_times=snapshot_times)
     em.write("trace.csv", write_trace_csv, trace)
     em.write("fourier.csv", write_fourier_csv, dft(trace))
     for t in snapshot_times:
         em.write(f"snapshot_t{t}.csv", write_snapshot_csv, trace, t)
-    result = {
-        "leaked_probability": trace.leaked_probability,
-        "log_scale": trace.log_scale,
-    }
-    return Run(params, result, trace)
-
-
-def _inference_payload(report) -> dict:
-    return {
-        "delta_nu": report.delta_nu,
-        "candidates": list(report.candidates),
-        "ambiguous": report.ambiguous,
-        "parity": report.parity,
-        "persistence": report.persistence,
-        "families": list(report.families),
-        "omega_delta_measured": report.omega_delta_measured,
-        "omega_delta_hint": report.omega_delta_hint,
-        "eps_m": report.eps_m,
-        "gap_regime": report.gap_regime,
-        "companion_solver": report.companion_solver,
-        "notes": list(report.notes),
-    }
+    return Run(params, {"log_scale": trace.log_scale}, trace)
 
 
 def _write_modes_csv(modes, path) -> None:
@@ -522,18 +487,15 @@ def _cmd_infer_edges(cfg, em) -> Run:
     spectrum_sites = sec.take("spectrum_sites", int, 801)
     params = sec.finish()
     params["walk"] = walk
-    params["spectrum_window"] = _dynamics.COMPANION_WINDOW
-    params["threshold"] = _dynamics.PERSISTENCE_THRESHOLD
-    params["kappa"] = _dynamics.PEAK_KAPPA
-    params["persistence_t_range"] = list(_dynamics.PERSISTENCE_RANGE)
-    params["gap_regime_split_over_pi"] = _dynamics.GAP_REGIME_SPLIT / math.pi
 
     report = infer_edge_count(spec, steps=steps,
                               spectrum_sites=spectrum_sites)
     em.write("trace.csv", write_trace_csv, report.trace)
     em.write("fourier.csv", write_fourier_csv, report.fourier)
     em.write("modes.csv", _write_modes_csv, report.modes)
-    payload = _inference_payload(report)
+    payload = {f.name: getattr(report, f.name)
+               for f in dataclasses.fields(report)
+               if f.name not in ("modes", "trace", "fourier")}
     em.write("inference.json", _write_json, payload)
     return Run(params, payload, report)
 

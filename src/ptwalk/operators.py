@@ -90,15 +90,6 @@ class Lattice:
     def positions(self) -> np.ndarray:
         return np.arange(self.num_sites) + self.x_min
 
-    def index(self, x: int, component: int = 0) -> int:
-        """Flat index of site ``x``, internal component ``component``."""
-        if component not in (0, 1):
-            raise ValueError("component must be 0 (left) or 1 (right)")
-        offset = x - self.x_min
-        if not 0 <= offset < self.num_sites:
-            raise ValueError(f"position {x} outside lattice")
-        return 2 * offset + component
-
     def parity_partner(self, x: np.ndarray) -> np.ndarray:
         """Positions mapped by x -> -x, wrapped around the ring."""
         return (-x - self.x_min) % self.num_sites + self.x_min
@@ -178,12 +169,8 @@ class CoinProfile:
         """Bond-center coordinates where the base angles change."""
         x = lattice.positions()
         t1, t2 = self.base_angles(x)
-        cuts = []
-        for i in range(lattice.num_sites):
-            j = (i + 1) % lattice.num_sites
-            if t1[i] != t1[j] or t2[i] != t2[j]:
-                cuts.append(x[i] + 0.5)
-        return cuts
+        cut = (t1 != np.roll(t1, -1)) | (t2 != np.roll(t2, -1))
+        return (x[cut] + 0.5).tolist()
 
 
 def disorder_offset(seed: int, x: int, slot: int, amplitude: float) -> float:
@@ -253,8 +240,7 @@ class WalkSpec:
         t1 = t1.astype(float).copy()
         t2_first = t2.astype(float) + self.profile.delta
         t2_second = t2.astype(float).copy()
-        if (self.kind == "three_step_perturbed_disordered"
-                and self.profile.disorder_amplitude > 0.0):
+        if self.profile.disorder_amplitude > 0.0:
             amp = self.profile.disorder_amplitude
             seed = self.profile.disorder_seed
             for i, xi in enumerate(np.asarray(x).ravel()):

@@ -1,11 +1,14 @@
+import ast
+import inspect
 import json
 import math
+import numbers
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from ptwalk import cli
+from ptwalk import bulk, cli, dynamics, operators, perturbation, spectrum
 from ptwalk.cli import main
 from ptwalk.operators import CoinProfile, Lattice, WalkSpec
 
@@ -42,6 +45,56 @@ def write_config(tmp_path, text):
     path = tmp_path / "run.ini"
     path.write_text(text)
     return str(path)
+
+
+def assert_live_constants(manifest):
+    """The manifest's constants block holds the library's values now."""
+    assert manifest["constants"] == json.loads(json.dumps(cli._constants()))
+
+
+class TestConstants:
+    MODULES = (operators, bulk, spectrum, perturbation, dynamics)
+
+    def test_every_value_is_the_live_one(self):
+        modules = {m.__name__.rpartition(".")[2]: m for m in self.MODULES}
+        constants = cli._constants()
+        # the complex tuple is checked in test_complex_components_read_alike
+        del constants["dynamics.DEFAULT_COIN"]
+        for key, value in constants.items():
+            module, name = key.split(".")
+            live = getattr(modules[module], name)
+            assert value == (list(live) if isinstance(live, tuple) else live)
+
+    def test_every_assigned_numeric_constant_is_recorded(self):
+        # the oracle reads the assignments in each module's source, so a
+        # constant is expected once, under the module that defines it
+        expected = set()
+        for module in self.MODULES:
+            tree = ast.parse(inspect.getsource(module))
+            assigns = [n for n in tree.body if isinstance(n, ast.Assign)]
+            for node in assigns:
+                for target in node.targets:
+                    name = getattr(target, "id", "")
+                    value = getattr(module, name, None)
+                    items = value if isinstance(value, tuple) else (value,)
+                    if (name.isupper() and not name.startswith("_")
+                            and all(isinstance(v, numbers.Number)
+                                    for v in items)):
+                        expected.add(
+                            f"{module.__name__.rpartition('.')[2]}.{name}")
+        assert set(cli._constants()) == expected
+        assert "perturbation.MAX_INSERTED" in expected
+        assert "spectrum.RESIDUAL_TOL" in expected
+
+    def test_complex_components_read_alike(self):
+        r = 1 / math.sqrt(2)
+        assert cli._constants()["dynamics.DEFAULT_COIN"] == [[r, 0.0],
+                                                             [0.0, r]]
+
+    def test_usage_names_every_subcommand(self):
+        block = cli.USAGE.split("subcommands:\n")[1].split("\n\n")[0]
+        names = [line.split()[0] for line in block.splitlines()]
+        assert sorted(names) == sorted([*cli.HANDLERS, "reproduce"])
 
 
 class TestUsageAndErrors:
@@ -470,15 +523,17 @@ class TestEvolveCommand:
         assert names == ["fourier.csv", "manifest.json", "snapshot_t4.csv",
                          "snapshot_t8.csv", "trace.csv"]
         manifest = json.loads((tmp_path / "e" / "manifest.json").read_text())
-        assert manifest["result"]["leaked_probability"] == 0.0
-        assert manifest["result"]["log_scale"] == 0.0
+        # leaked_probability is always 0.0, so it is not reported
+        assert manifest["result"] == {"log_scale": 0.0}
         params = manifest["parameters"]
-        assert params["rescale_limit"] == 1e120
+        constants = manifest["constants"]
+        assert constants["dynamics.RESCALE_LIMIT"] == 1e120
         # the fixed initial state is recorded; the window is always the
         # whole light cone, so there is no cap to record
         assert params["x0"] == 0
-        assert params["coin_l_re"] == params["coin_r_im"] == 1 / math.sqrt(2)
-        assert params["coin_l_im"] == params["coin_r_re"] == 0.0
+        coin_l, coin_r = constants["dynamics.DEFAULT_COIN"]
+        assert coin_l[0] == coin_r[1] == 1 / math.sqrt(2)
+        assert coin_l[1] == coin_r[0] == 0.0
         assert "window_cap" not in params
         trace = (tmp_path / "e" / "trace.csv").read_text().splitlines()
         assert len(trace) == 1 + 13
@@ -517,6 +572,7 @@ class TestDisorderCommand:
         assert rc == 0
         manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
         assert manifest["parameters"]["seed0"] == 7
+        assert_live_constants(manifest)
         # the walk that ran: each realization's amplitude and seed are
         # theta_r and its row's seed, not [walk] keys
         walk = manifest["parameters"]["walk"]
@@ -600,6 +656,18 @@ class TestDeltaSweepCommand:
         rows = (tmp_path / "s" / "delta_sweep.csv").read_text().splitlines()
         assert len(rows) > 1
 
+    def test_manifest_reads_the_live_constant(self, capsys, tmp_path,
+                                              monkeypatch):
+        monkeypatch.setattr(perturbation, "MAX_INSERTED", 65)
+        cfg = write_config(tmp_path, PROBE_SECTIONS["delta-sweep"]
+                           + "delta_points = 2\n")
+        rc, _, _ = run(capsys, "delta-sweep", "--config", cfg,
+                       "--out", f"{tmp_path}/s/")
+        assert rc == 0
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        assert manifest["constants"]["perturbation.MAX_INSERTED"] == 65
+        assert_live_constants(manifest)
+
 
 class TestEpFindCommand:
     # the c06 walk: its interface eigenvalues coalesce at delta = 0.0696
@@ -634,7 +702,9 @@ delta_hi = 0.08
         assert header == ("delta_ep,delta_lower,delta_upper,"
                           "coalescence_overlap,n_solves")
         assert len(rows) == 1
-        result = json.loads(files[0]["manifest.json"])["result"]
+        manifest = json.loads(files[0]["manifest.json"])
+        assert_live_constants(manifest)
+        result = manifest["result"]
         assert result["delta_ep"] == pytest.approx(0.0696, abs=0.001)
         assert int(rows[0].split(",")[-1]) == result["n_solves"]
 
@@ -715,12 +785,13 @@ class TestInferEdgesCommand:
 
     def test_manifest_records_the_constants(self, infer_dir):
         manifest = json.loads((infer_dir / "manifest.json").read_text())
-        params = manifest["parameters"]
-        assert params["kappa"] == 6.0
-        assert params["threshold"] == 0.05
-        assert params["spectrum_window"] == 50
-        assert type(params["spectrum_window"]) is int
-        assert params["spectrum_sites"] == 101
+        constants = manifest["constants"]
+        assert constants["dynamics.PEAK_KAPPA"] == 6.0
+        assert constants["dynamics.PERSISTENCE_THRESHOLD"] == 0.05
+        assert constants["dynamics.COMPANION_WINDOW"] == 50
+        assert type(constants["dynamics.COMPANION_WINDOW"]) is int
+        assert_live_constants(manifest)
+        assert manifest["parameters"]["spectrum_sites"] == 101
         inference = json.loads((infer_dir / "inference.json").read_text())
         assert manifest["result"] == inference
         assert inference["parity"] == "odd"
@@ -880,3 +951,5 @@ class TestEveryFigure:
         own = (manifest["parameters"] if len(panels) == 1
                else manifest["parameters"]["panels"][name])
         assert sub["parameters"] == own
+        assert_live_constants(manifest)
+        assert_live_constants(sub)

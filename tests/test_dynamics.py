@@ -133,8 +133,9 @@ def oracle_p0(spec, steps):
     lattice = Lattice(2 * reach + 1)
     u = build_walk_operator(dataclasses.replace(spec, lattice=lattice)).sparse
     psi = np.zeros(lattice.dim, dtype=complex)
-    psi[lattice.index(0, 0)], psi[lattice.index(0, 1)] = DEFAULT_COIN
-    at0 = [lattice.index(0, 0), lattice.index(0, 1)]
+    # site x, component s sits at flat index 2 * (x - x_min) + s
+    at0 = [2 * (0 - lattice.x_min) + s for s in (0, 1)]
+    psi[at0] = DEFAULT_COIN
     raw, norm = [], []
     for t in range(steps + 1):
         if t:

@@ -24,6 +24,19 @@ from ptwalk.spectrum import _structure
 PI = math.pi
 
 
+def loop_interfaces(profile, lattice):
+    """The bond centres where the base angles change, found site by
+    site around the ring: the slow oracle."""
+    x = lattice.positions()
+    t1, t2 = profile.base_angles(x)
+    cuts = []
+    for i in range(lattice.num_sites):
+        j = (i + 1) % lattice.num_sites
+        if t1[i] != t1[j] or t2[i] != t2[j]:
+            cuts.append(x[i] + 0.5)
+    return cuts
+
+
 def homogeneous_spec(kind="three_step", n=40, theta1=0.3, theta2=0.2,
                      gamma=0.0, **kw):
     profile = CoinProfile.homogeneous(theta1, theta2, **kw)
@@ -36,14 +49,6 @@ class TestLattice:
         lat = Lattice(5)
         assert lat.x_min == -2
         assert lat.positions().tolist() == [-2, -1, 0, 1, 2]
-
-    def test_index_layout(self):
-        lat = Lattice(5)
-        assert lat.index(-2, 0) == 0
-        assert lat.index(-2, 1) == 1
-        assert lat.index(2, 1) == 9
-        with pytest.raises(ValueError):
-            lat.index(3)
 
     def test_parity_partner_periodic_wraps(self):
         lat = Lattice(6)  # x in [-2, 3]
@@ -76,6 +81,21 @@ class TestCoinProfile:
         p = CoinProfile.left_right((0.1, 0.2), (0.3, 0.4))
         cuts = p.interfaces(Lattice(10))  # x in [-4, 5]
         assert cuts == [0.5, 5.5]
+
+    @pytest.mark.parametrize("n", [10, 11])
+    @pytest.mark.parametrize("profile", [
+        CoinProfile.homogeneous(0.1, 0.2),
+        CoinProfile.inner_outer((0.1, 0.2), (0.3, 0.4), half_width=3),
+        # the outer region is the single site at the wrap, or none
+        CoinProfile.inner_outer((0.1, 0.2), (0.3, 0.4), half_width=5),
+        CoinProfile.left_right((0.1, 0.2), (0.3, 0.4)),
+        # only theta2 changes across the cut
+        CoinProfile.left_right((0.1, 0.2), (0.1, 0.4)),
+    ], ids=["homogeneous", "inner_outer", "inner_outer-wide",
+            "left_right", "left_right-theta2"])
+    def test_interfaces_match_the_site_loop(self, profile, n):
+        lattice = Lattice(n)
+        assert profile.interfaces(lattice) == loop_interfaces(profile, lattice)
 
     def test_missing_b_pair_rejected(self):
         with pytest.raises(ValueError):
@@ -304,7 +324,7 @@ def site_loop_parity(lattice):
     partner = lattice.parity_partner(x)
     P = np.zeros((lattice.dim, lattice.dim))
     for xi, xp in zip(x, partner):
-        i, j = lattice.index(xi), lattice.index(int(xp))
+        i, j = 2 * (xi - lattice.x_min), 2 * (xp - lattice.x_min)
         P[j, i], P[j + 1, i + 1] = 1.0, -1.0
     return P
 
