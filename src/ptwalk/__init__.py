@@ -41,13 +41,11 @@ from .errors import (
 from .operators import (
     CoinProfile,
     Lattice,
-    SymmetryReport,
     WalkOperator,
     WalkSpec,
     build_walk_operator,
     disorder_offset,
     symmetric_frame,
-    verify_symmetries,
 )
 from .perturbation import (
     DeltaSweepResult,

@@ -357,7 +357,6 @@ class FourierSpectrum:
     omega: np.ndarray
     c: np.ndarray
     bin_width: float
-    steps: int
 
 
 def dft(trace: EvolutionTrace) -> FourierSpectrum:
@@ -371,7 +370,7 @@ def dft(trace: EvolutionTrace) -> FourierSpectrum:
     c = np.fft.fft(p0)
     m = p0.size
     return FourierSpectrum(omega=2.0 * np.pi * np.arange(m) / m, c=c,
-                           bin_width=2.0 * np.pi / m, steps=trace.steps)
+                           bin_width=2.0 * np.pi / m)
 
 
 @dataclass(frozen=True)
@@ -401,10 +400,15 @@ def detect_modes(fspec: FourierSpectrum,
     ``other`` (``UNMATCHED``), which is where unprotected impurity beats
     land by design rather than stretching them onto the nearest named
     family.
+
+    Needs at least 4 samples (a trace of 3 steps): with fewer, every
+    bin's background window is empty.
     """
     absc = np.abs(fspec.c)
     m = absc.size
     half = m // 2
+    if half < 2:
+        raise ValueError(f"detect_modes needs at least 4 samples, got {m}")
     excluded = {0, half}
     spread = BACKGROUND_BINS // 2
 

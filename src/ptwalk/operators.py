@@ -42,9 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 WALK_KINDS = (
     "three_step",
@@ -359,10 +356,12 @@ def symmetric_frame(op: WalkOperator) -> WalkOperator:
     """Conjugate a walk operator by C(theta1/2).
 
     This splits the first coin symmetrically across the step, which is
-    the frame in which the symmetry relations checked by
-    :func:`verify_symmetries` take their simple form.  The spectrum is
-    untouched.  Uses the effective first-coin angles, so it is the
-    right frame even for disordered realizations.
+    the frame in which the walk's relations take their plain form, with
+    P = parity x sigma3 and T = sigma1 on every site: T U^T T = U when
+    the two theta2 coins agree, and P U P = U^-1 when the coin angles
+    also mirror onto themselves.  The spectrum is untouched.  Uses the
+    effective first-coin angles, so it is the right frame even for
+    disordered realizations.
     """
     if op.frame == "symmetric":
         return op
@@ -376,23 +375,6 @@ def half_coin(spec: WalkSpec) -> sp.csr_matrix:
     conjugates by; its transpose takes a symmetric-frame eigenvector back
     to the stepwise frame."""
     return _coin_blocks(spec._lattice_angles[SLOT_THETA1] / 2.0)
-
-
-@dataclass(frozen=True)
-class SymmetryCheck:
-    residual: float | None
-    holds: bool | None
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    checks: dict
-    matrix_norm: float
-    tol: float
-
-    def holds(self, name: str):
-        return self.checks[name].holds
 
 
 def _parity_matrix(lattice: Lattice) -> sp.csr_matrix:
@@ -432,56 +414,3 @@ def parity_even(lattice: Lattice) -> sp.csr_matrix:
     cols = (sp.identity(lattice.dim) + P).tocsc()[:, keep]
     norms = np.sqrt(np.asarray(cols.multiply(cols).sum(axis=0)).ravel())
     return (cols @ sp.diags(1.0 / norms)).tocsr()
-
-
-def verify_symmetries(op: WalkOperator, tol: float = 1e-10) -> SymmetryReport:
-    """Measure the residuals of the four defining symmetry relations.
-
-    The operator must be in the symmetric frame (ValueError otherwise):
-    in the stepwise frame the same physics holds but the symmetry
-    operators acquire position-dependent dressings and the plain
-    relations below fail spuriously.
-
-    Relations, with U the walk matrix and I the identity:
-
-    * ``pt``          PT U* PT^-1 U = I       (PT = parity x sigma3)
-    * ``trs_dagger``  T U^T T^-1 = U          (T = sigma1 on every site)
-    * ``phs_dagger``  U* = U                  (conjugation alone)
-    * ``chiral``      Gamma U+ Gamma^-1 = U   (Gamma = sigma1 on every site)
-
-    ``holds`` means residual below ``tol`` times the Frobenius norm of
-    U.  The PT entry is skipped with a note when the effective coin
-    profile is not parity symmetric, since the relation is then not
-    even well posed.  Every product stays sparse, so the
-    check costs time in proportion to the nonzeros of U and never
-    builds the dense ``matrix``.
-    """
-    if op.frame != "symmetric":
-        raise ValueError("symmetry relations are stated in the symmetric frame; "
-                         "apply symmetric_frame first")
-    U = op.sparse
-    norm = float(spla.norm(U))
-    scale = tol * norm
-    checks: dict[str, SymmetryCheck] = {}
-
-    lattice = op.spec.lattice
-    if not mirror_symmetric(op.spec):
-        checks["pt"] = SymmetryCheck(None, None,
-                                     "coin profile is not parity symmetric")
-    else:
-        P = _parity_matrix(lattice)
-        lhs = P @ U.conj() @ P  # (P x sigma3) squares to 1
-        res = float(spla.norm(lhs @ U - sp.identity(op.dim)))
-        checks["pt"] = SymmetryCheck(res, res < scale)
-
-    T = sp.kron(sp.identity(lattice.num_sites), SIGMA1).tocsr()
-    res = float(spla.norm(T @ U.T @ T - U))
-    checks["trs_dagger"] = SymmetryCheck(res, res < scale)
-
-    res = float(spla.norm(U.conj() - U))
-    checks["phs_dagger"] = SymmetryCheck(res, res < scale)
-
-    res = float(spla.norm(T @ U.conj().T @ T - U))
-    checks["chiral"] = SymmetryCheck(res, res < scale)
-
-    return SymmetryReport(checks=checks, matrix_norm=norm, tol=tol)

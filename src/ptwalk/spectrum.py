@@ -40,7 +40,7 @@ is simple, and in lambda where a relation makes every mu double.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -96,7 +96,6 @@ class SpectrumResult:
     pairs: list[Eigenpair]
     counts: dict[str, int]
     eps_m: float | None
-    interfaces: list[float] = field(default_factory=list)
     # "orthogonal", "pt-fold", "dense", "interface-fold", "interface-mu",
     # "interface" or "dense-fallback"
     solver: str = "dense"
@@ -119,18 +118,13 @@ def _interface_distance(lattice: Lattice, interfaces) -> np.ndarray:
     return np.minimum(d, lattice.num_sites - d).min(axis=1)
 
 
-@dataclass(frozen=True)
-class LocalizationFit:
-    length: float
-    reliable: bool
-
-
 def _fit_localization(prob: np.ndarray, lattice: Lattice,
-                      center_idx: int) -> LocalizationFit | None:
+                      center_idx: int) -> tuple[float, bool] | None:
     """Exponential fit of the probability tail around its peak.
 
     Fits log prob against distance from the peak over the decade below
-    the peak value; the length is the probability e-folding distance.
+    the peak value.  Returns the probability e-folding distance and
+    whether the fit is reliable, or None with fewer than three points.
     """
     x = lattice.positions()
     d = np.abs(x - x[center_idx])
@@ -141,13 +135,13 @@ def _fit_localization(prob: np.ndarray, lattice: Lattice,
         return None
     slope, intercept = np.polyfit(d[mask], np.log(prob[mask]), 1)
     if slope >= 0:
-        return LocalizationFit(length=np.inf, reliable=False)
+        return np.inf, False
     fitted = slope * d[mask] + intercept
     resid = np.log(prob[mask]) - fitted
     total = np.log(prob[mask]) - np.log(prob[mask]).mean()
     denom = float(total @ total)
     r2 = 1.0 - float(resid @ resid) / denom if denom > 0 else 0.0
-    return LocalizationFit(length=float(-1.0 / slope), reliable=r2 >= 0.9)
+    return float(-1.0 / slope), r2 >= 0.9
 
 
 def _conjugate_gaps(evals: np.ndarray) -> np.ndarray:
@@ -242,8 +236,7 @@ def classify_states(evals: np.ndarray, vectors: np.ndarray, spec: WalkSpec,
             pair.loc_center = float(lattice.positions()[idx])
             fit = _fit_localization(prob, lattice, idx)
             if fit is not None:
-                pair.loc_length = fit.length
-                pair.loc_reliable = fit.reliable
+                pair.loc_length, pair.loc_reliable = fit
         pairs.append(pair)
 
     order = np.lexsort((
@@ -261,8 +254,7 @@ def classify_states(evals: np.ndarray, vectors: np.ndarray, spec: WalkSpec,
     bulk_up = [p.eps.real for p in pairs
                if p.classification == "bulk" and p.eps.real > 0]
     eps_m = min(bulk_up) if bulk_up else None
-    return SpectrumResult(spec=spec, pairs=pairs, counts=counts, eps_m=eps_m,
-                          interfaces=interfaces)
+    return SpectrumResult(spec=spec, pairs=pairs, counts=counts, eps_m=eps_m)
 
 
 def _completeness_radius(gamma: float) -> float:
@@ -493,11 +485,13 @@ def _structure(spec: WalkSpec) -> str:
     permutation and U^T U = I.  Otherwise the coin angles decide.
     ``pt-fold``: they mirror onto themselves and the two theta2 coins
     agree (delta = 0, no disorder), so in the symmetric frame
-    P U P = U^-1 and T U^T T = U, the ``pt`` and ``trs_dagger``
-    relations of :func:`verify_symmetries`.  ``skew``: they mirror but
-    the theta2 coins differ, which leaves only U K U^T = K with
+    P U P = U^-1 and T U^T T = U, with P = parity x sigma3 and
+    T = sigma1 on every site.  ``skew``: they mirror but the theta2
+    coins differ, which leaves only U K U^T = K with
     K = parity x i sigma2, so 1/lambda is an eigenvalue with lambda.
-    ``general``: they do not mirror, and no relation holds.
+    ``general``: they do not mirror, so no relation with parity holds
+    (T U^T T = U still does when the theta2 coins agree, but no path
+    uses it).
     """
     if spec.gamma == 0:
         return "orthogonal"

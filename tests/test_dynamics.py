@@ -401,12 +401,26 @@ class TestDft:
 def synthetic_fspec(signal):
     m = signal.size
     return FourierSpectrum(omega=2.0 * PI * np.arange(m) / m,
-                           c=np.fft.fft(signal), bin_width=2.0 * PI / m,
-                           steps=m - 1)
+                           c=np.fft.fft(signal), bin_width=2.0 * PI / m)
 
 
 class TestDetectModes:
     M = 1000
+
+    def test_one_step_trace_is_refused(self):
+        spec = WalkSpec(kind="three_step", lattice=Lattice(21),
+                        profile=CoinProfile.homogeneous(*INNER))
+        with pytest.raises(ValueError, match="at least 4 samples, got 2"):
+            detect_modes(dft(evolve(spec, 1)))
+
+    @pytest.mark.parametrize("m,refused", [(1, True), (3, True), (4, False)])
+    def test_fewest_samples(self, m, refused):
+        fspec = synthetic_fspec(np.ones(m))
+        if refused:
+            with pytest.raises(ValueError, match=f"got {m}"):
+                detect_modes(fspec)
+        else:
+            assert detect_modes(fspec) == []
 
     def carrier(self):
         rng = np.random.default_rng(0)

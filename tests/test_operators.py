@@ -17,7 +17,6 @@ from ptwalk.operators import (
     disorder_offset,
     parity_even,
     symmetric_frame,
-    verify_symmetries,
 )
 from ptwalk.spectrum import _structure
 
@@ -285,7 +284,8 @@ STRUCTURE_GRID = [
 
 def numeric_structure(spec):
     """The label of ``spectrum._structure`` from the relations measured
-    on the sparse operator, each within 1e-10 of its Frobenius norm."""
+    on the operator, each within 1e-10 of its Frobenius norm; PT and
+    TRS-dagger come from the dense oracle in the symmetric frame."""
     op = build_walk_operator(spec)
     U = op.sparse
     tol = 1e-10 * scipy.sparse.linalg.norm(U)
@@ -295,8 +295,8 @@ def numeric_structure(spec):
 
     if holds(U.T @ U - scipy.sparse.identity(op.dim)):
         return "orthogonal"
-    report = verify_symmetries(symmetric_frame(op))
-    if report.holds("pt") and report.holds("trs_dagger"):
+    _, res = dense_symmetry_residuals(symmetric_frame(op))
+    if res["pt"] is not None and max(res["pt"], res["trs_dagger"]) <= tol:
         return "pt-fold"
     K = skew_parity(spec.lattice)
     return "skew" if holds(U @ K @ U.T - K) else "general"
@@ -330,10 +330,23 @@ def site_loop_parity(lattice):
 
 
 def dense_symmetry_residuals(op):
-    """The relations of ``verify_symmetries`` on the dense matrix, with
-    the parity operator placed site by site: the slow oracle.  Returns
-    the Frobenius norm of U and the residual of each relation, None
-    where the PT relation is not posed."""
+    """Residuals of the four symmetry relations on the dense matrix, with
+    the parity operator placed site by site: the slow oracle.
+
+    Relations, with U the walk matrix in the symmetric frame (in the
+    stepwise frame the symmetry operators acquire position-dependent
+    dressings and the plain relations fail spuriously):
+
+    * ``pt``          PT U* PT^-1 U = I       (PT = parity x sigma3)
+    * ``trs_dagger``  T U^T T^-1 = U          (T = sigma1 on every site)
+    * ``phs_dagger``  U* = U                  (conjugation alone)
+    * ``chiral``      Gamma U+ Gamma^-1 = U   (Gamma = sigma1 on every site)
+
+    Returns the Frobenius norm of U and the Frobenius norm of each
+    residual, None for ``pt`` when parity does not map the effective
+    coin angles onto themselves, since the relation is then not posed.
+    """
+    assert op.frame == "symmetric"
     U = op.matrix
     lattice = op.spec.lattice
     x = lattice.positions()
@@ -354,7 +367,12 @@ def dense_symmetry_residuals(op):
 
 class TestSymmetries:
     def check(self, spec):
-        return verify_symmetries(symmetric_frame(build_walk_operator(spec)))
+        """Which relations hold within 1e-10 of the norm of U, None
+        where one is not posed."""
+        op = symmetric_frame(build_walk_operator(spec))
+        norm, residuals = dense_symmetry_residuals(op)
+        return {name: None if res is None else bool(res < 1e-10 * norm)
+                for name, res in residuals.items()}
 
     @pytest.mark.parametrize("lattice", [
         Lattice(5), Lattice(6), Lattice(40), Lattice(41),
@@ -363,38 +381,10 @@ class TestSymmetries:
         P = _parity_matrix(lattice)
         assert np.array_equal(P.toarray(), site_loop_parity(lattice))
 
-    @pytest.mark.parametrize("spec", [
-        homogeneous_spec(gamma=0.1),
-        WalkSpec("three_step", Lattice(41),
-                 CoinProfile.inner_outer((0.4 * PI, 0.1 * PI),
-                                         (-0.2 * PI, 0.3 * PI), half_width=8),
-                 gamma=0.1),
-        WalkSpec("three_step", Lattice(40),
-                 CoinProfile.left_right((0.4 * PI, 0.1 * PI),
-                                        (-0.2 * PI, 0.3 * PI)),
-                 gamma=0.1),
-        homogeneous_spec(kind="three_step_perturbed", delta=0.05, gamma=0.1),
-    ], ids=["homogeneous", "inner_outer", "left_right", "perturbed"])
-    def test_sparse_check_matches_dense_oracle(self, spec):
-        op = symmetric_frame(build_walk_operator(spec))
-        report = verify_symmetries(op)
-        assert "matrix" not in vars(op)
-        norm, residuals = dense_symmetry_residuals(op)
-        slack = 1e-13 * norm
-        assert abs(report.matrix_norm - norm) <= slack
-        for name, res in residuals.items():
-            check = report.checks[name]
-            if res is None:
-                assert check.residual is None and check.holds is None, name
-            else:
-                assert abs(check.residual - res) <= slack, name
-                assert check.holds == (res < report.tol * norm), name
-
     def test_homogeneous_has_all_four(self):
-        report = self.check(homogeneous_spec(gamma=0.1))
-        for name in ("pt", "trs_dagger", "phs_dagger", "chiral"):
-            assert report.holds(name), name
-            assert report.checks[name].residual < 1e-10 * report.matrix_norm
+        assert self.check(homogeneous_spec(gamma=0.1)) == {
+            "pt": True, "trs_dagger": True, "phs_dagger": True,
+            "chiral": True}
 
     def test_inner_outer_keeps_pt(self):
         spec = WalkSpec(
@@ -403,8 +393,7 @@ class TestSymmetries:
                                             (-0.2 * PI, 0.3 * PI),
                                             half_width=8),
             gamma=0.1)
-        report = self.check(spec)
-        assert report.holds("pt")
+        assert self.check(spec)["pt"]
 
     def test_left_right_breaks_parity_but_not_phs(self):
         spec = WalkSpec(
@@ -412,11 +401,19 @@ class TestSymmetries:
             profile=CoinProfile.left_right((0.4 * PI, 0.1 * PI),
                                            (-0.2 * PI, 0.3 * PI)),
             gamma=0.1)
-        report = self.check(spec)
+        holds = self.check(spec)
         # not a verdict: x -> -x does not map the coin profile to itself
-        assert report.holds("pt") is None
-        assert "parity" in report.checks["pt"].note
-        assert report.holds("phs_dagger")
+        assert holds["pt"] is None
+        assert holds["phs_dagger"]
+
+    def test_left_right_keeps_trs_dagger(self):
+        # the theta2 coins agree, so T U^T T = U needs no mirror
+        spec = WalkSpec(
+            kind="three_step", lattice=Lattice(40),
+            profile=CoinProfile.left_right((0.4 * PI, 0.1 * PI),
+                                           (-0.2 * PI, 0.3 * PI)),
+            gamma=0.1)
+        assert self.check(spec)["trs_dagger"]
 
     @pytest.mark.parametrize("lattice", [
         Lattice(5), Lattice(6), Lattice(40), Lattice(41),
@@ -433,17 +430,12 @@ class TestSymmetries:
         basis = np.hstack([E, T @ E])
         assert np.allclose(basis.T @ basis, np.eye(lattice.dim), atol=1e-15)
 
-    def test_raw_frame_rejected(self):
-        op = build_walk_operator(homogeneous_spec())
-        with pytest.raises(ValueError):
-            verify_symmetries(op)
-
     def test_delta_breaks_chiral_not_phs(self):
         spec = homogeneous_spec(kind="three_step_perturbed", delta=0.05,
                                 gamma=0.1)
-        report = self.check(spec)
-        assert report.holds("phs_dagger")
-        assert report.holds("chiral") is False
+        holds = self.check(spec)
+        assert holds["phs_dagger"]
+        assert holds["chiral"] is False
 
 
 class TestSublattice:

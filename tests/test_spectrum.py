@@ -172,6 +172,30 @@ class TestLocalization:
         assert 0 < p.loc_length < 20
         assert p.loc_reliable
 
+    def test_fit_recovers_the_decay_length(self):
+        # peak near the seam, so the tail wraps round the ring
+        lattice = Lattice(41)
+        center = 38
+        d = np.abs(lattice.positions() - lattice.positions()[center])
+        d = np.minimum(d, lattice.num_sites - d)
+        length, reliable = spectrum._fit_localization(
+            np.exp(-d / 3.0), lattice, center)
+        assert length == pytest.approx(3.0, rel=1e-12)
+        assert reliable
+
+    def test_fewer_than_three_points(self):
+        lattice = Lattice(21)
+        prob = np.zeros(lattice.num_sites)
+        prob[[10, 11]] = [1.0, 0.5]
+        assert spectrum._fit_localization(prob, lattice, 10) is None
+
+    def test_rising_tail_is_unreliable(self):
+        lattice = Lattice(21)
+        d = np.abs(lattice.positions())
+        prob = 1.0 + 0.01 * d
+        assert spectrum._fit_localization(prob, lattice, 10) == (np.inf,
+                                                                  False)
+
 
 @pytest.fixture(scope="module")
 def single_cell():
