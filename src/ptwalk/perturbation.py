@@ -23,11 +23,13 @@ A sweep point is labelled by a regime:
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.csgraph
 
+from ._pool import ordered_map
 from .errors import BracketError, TrackingError
 from .ioutil import write_csv
 from .operators import WalkSpec, build_walk_operator
@@ -114,12 +116,30 @@ def delta_sweep(spec: WalkSpec, deltas) -> DeltaSweepResult:
     ``MIN_STEP``, or needs more than ``MAX_INSERTED`` points, the sweep
     raises TrackingError rather than return a possibly scrambled branch
     history.
+
+    Every requested delta is solved before tracking starts, side by
+    side on worker processes (see :func:`ptwalk._pool.ordered_map`);
+    matching, the jump checks and bisection run here, and so do the
+    solves of the points bisection inserts.  The sweep is the same for
+    any worker count, and a solve that raises raises where the tracking
+    reaches its delta.
     """
     grid = np.unique(np.asarray(deltas, dtype=float))
     if grid.size < 2:
         raise ValueError("need at least two delta values")
+    requested = set(float(d) for d in grid)
+    grid_solves = ordered_map(functools.partial(_edge_eigensystem, spec), grid)
+    solved = {}
 
-    lams0, vecs0 = _edge_eigensystem(spec, grid[0])
+    def solve(delta):
+        # tracking reaches each requested delta first in grid order
+        if delta not in requested:
+            return _edge_eigensystem(spec, delta)
+        if delta not in solved:
+            solved[delta] = next(grid_solves)
+        return solved[delta]
+
+    lams0, vecs0 = solve(grid[0])
     if lams0.size == 0:
         raise TrackingError("no interface-localized states at the first delta")
     order = np.lexsort((lams0.imag, lams0.real))
@@ -134,10 +154,9 @@ def delta_sweep(spec: WalkSpec, deltas) -> DeltaSweepResult:
     inserted_budget = MAX_INSERTED
 
     pending = list(grid[1:][::-1])  # stack, next target on top
-    requested = set(float(d) for d in grid)
     while pending:
         target = pending[-1]
-        lams_new, vecs_new = _edge_eigensystem(spec, target)
+        lams_new, vecs_new = solve(target)
         width = target - prev_delta
         failure = None
         if lams_new.size != n_branches:
@@ -201,24 +220,32 @@ def find_exceptional_point(spec: WalkSpec, delta_lo: float,
     is narrower than ``TOL_DELTA``, or once its midpoint can no longer
     be told apart from an end in float64 (far from zero, adjacent
     floats lie farther apart than ``TOL_DELTA``).
+
+    The two bracket ends are solved side by side on worker processes
+    (see :func:`ptwalk._pool.ordered_map`) and the bisection runs
+    here.  The answer, ``n_solves`` included, is the same for any
+    worker count, and the lower end is checked, and its solve's error
+    raised, before the upper end's.
     """
     if not delta_lo < delta_hi:
         raise ValueError("need delta_lo < delta_hi")
     n_solves = 0
 
-    def probe(delta: float):
+    def probe(eigensystem):
         nonlocal n_solves
         n_solves += 1
-        lams, vecs = _edge_eigensystem(spec, delta)
+        lams, vecs = eigensystem
         max_im = float(np.max(np.abs(lams.imag))) if lams.size else 0.0
         return max_im, lams, vecs
 
-    max_im, _, _ = probe(delta_lo)
+    ends = ordered_map(functools.partial(_edge_eigensystem, spec),
+                       (delta_lo, delta_hi))
+    max_im, _, _ = probe(next(ends))
     if max_im > TOL_IM:
         raise BracketError(
             f"interface eigenvalues already complex at delta={delta_lo:.6g} "
             f"(max |Im lambda| = {max_im:.3e}); move the lower end down")
-    max_im, lams_hi, vecs_hi = probe(delta_hi)
+    max_im, lams_hi, vecs_hi = probe(next(ends))
     if max_im <= TOL_IM:
         raise BracketError(
             f"interface eigenvalues still real at delta={delta_hi:.6g}; "
@@ -227,7 +254,7 @@ def find_exceptional_point(spec: WalkSpec, delta_lo: float,
     lo, hi = delta_lo, delta_hi
     mid = (lo + hi) / 2.0
     while hi - lo > TOL_DELTA and lo < mid < hi:
-        max_im, lams, vecs = probe(mid)
+        max_im, lams, vecs = probe(_edge_eigensystem(spec, mid))
         if max_im > TOL_IM:
             hi, lams_hi, vecs_hi = mid, lams, vecs
         else:
@@ -271,24 +298,27 @@ class DisorderEnsemble:
 
 def disorder_ensemble(spec: WalkSpec, theta_r: float, n_seeds: int = 32,
                       seed0: int = 0, seeds=None,
-                      threads: int = 1) -> DisorderEnsemble:
+                      threads: int | None = None) -> DisorderEnsemble:
     """Interface eigenvalue reality across disorder realizations.
 
     Every realization is keyed by its seed alone, so ensembles are
     reproducible elementwise.  ``seeds`` defaults to ``n_seeds``
     consecutive seeds from ``seed0`` and must not be empty.
-    Realizations run one after another.  ``threads`` is accepted and
-    ignored: two threads ran the banded shift-invert window solves
-    slower than one.  ``spec`` should carry the wanted ``delta``; its
-    kind is switched to ``three_step_perturbed_disordered`` here.
+    Realizations are solved side by side on worker processes, at most
+    ``threads`` of them (no cap if None; 1 solves them one after
+    another in this process); the records are the same for any worker
+    count, and a realization that raises raises here as it would in a
+    serial loop over the seeds.  ``spec`` should carry the wanted
+    ``delta``; its kind is switched to
+    ``three_step_perturbed_disordered`` here.
     """
     if seeds is None:
         seeds = range(seed0, seed0 + n_seeds)
     seeds = list(seeds)
     if not seeds:
         raise ValueError("a disorder ensemble needs at least one seed")
-    records = []
-    for seed in seeds:
+
+    def realize(seed) -> DisorderRecord:
         profile = dataclasses.replace(spec.profile,
                                       disorder_amplitude=theta_r,
                                       disorder_seed=int(seed))
@@ -296,9 +326,11 @@ def disorder_ensemble(spec: WalkSpec, theta_r: float, n_seeds: int = 32,
             spec, kind="three_step_perturbed_disordered", profile=profile)
         lams, vecs = _edge_eigensystem(probed, profile.delta)
         max_im = float(np.max(np.abs(lams.imag))) if lams.size else 0.0
-        records.append(DisorderRecord(
-            seed=int(seed), theta_r=theta_r, max_im_lambda_edge=max_im,
-            regime=_regime(lams, vecs)))
+        return DisorderRecord(seed=int(seed), theta_r=theta_r,
+                              max_im_lambda_edge=max_im,
+                              regime=_regime(lams, vecs))
+
+    records = list(ordered_map(realize, seeds, threads))
     return DisorderEnsemble(spec=spec, theta_r=theta_r, records=records)
 
 

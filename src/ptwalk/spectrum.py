@@ -47,6 +47,7 @@ import scipy.linalg
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
+from ._pool import ordered_map
 from .bulk import bulk_gap_status, quasienergy
 from .errors import GapClosedError
 from .ioutil import write_csv
@@ -694,16 +695,19 @@ class EdgeCountMap:
 
 def edge_count_map(inner: tuple[float, float], theta1_values, theta2_values,
                    gamma: float, half_width: int = 50,
-                   num_sites: int = 801, threads: int = 1) -> EdgeCountMap:
+                   num_sites: int = 801,
+                   threads: int | None = None) -> EdgeCountMap:
     """Count protected interface modes against a grid of outer phases.
 
     The inner phase must be gapped (GapClosedError otherwise).  Cells
     whose outer bulk gap is closed are skipped rather than counted,
     since an interface into a gapless bulk pins nothing.  Every cell is
     a ``three_step`` walk, the kind whose closed-form bulk gap does the
-    gating.  Cells run one after another.  ``threads`` is accepted and
-    ignored: two threads ran the banded shift-invert window solves
-    slower than one.
+    gating.  The gapped cells are solved side by side on worker
+    processes, at most ``threads`` of them (no cap if None; 1 solves
+    them one after another in this process); the map is the same for
+    any worker count, and a cell that raises raises here as it would
+    in a serial loop over the cells.
     """
     if not bulk_gap_status(inner[0], inner[1], gamma).gap_open:
         raise GapClosedError("inner bulk phase is gapless")
@@ -719,21 +723,24 @@ def edge_count_map(inner: tuple[float, float], theta1_values, theta2_values,
     counted = np.zeros(n_zero.shape, dtype=bool)
     solvers: dict[str, int] = {}
 
-    for i in range(t1s.size):
-        for j in range(t2s.size):
-            if not bulk_gap_status(t1s[i], t2s[j], gamma).gap_open:
-                continue
-            profile = CoinProfile.inner_outer(inner, (t1s[i], t2s[j]),
-                                              half_width)
-            spec = WalkSpec(kind="three_step", lattice=lattice, profile=profile,
-                            gamma=gamma)
-            result = eigendecompose(build_walk_operator(spec),
-                                    compute_condition=False,
-                                    interface_only=True)
-            n_zero[i, j] = result.counts["edge_zero"]
-            n_pi[i, j] = result.counts["edge_pi"]
-            counted[i, j] = True
-            solvers[result.solver] = solvers.get(result.solver, 0) + 1
+    def count(cell):
+        profile = CoinProfile.inner_outer(inner, (t1s[cell[0]], t2s[cell[1]]),
+                                          half_width)
+        spec = WalkSpec(kind="three_step", lattice=lattice, profile=profile,
+                        gamma=gamma)
+        result = eigendecompose(build_walk_operator(spec),
+                                compute_condition=False, interface_only=True)
+        counts = result.counts
+        return counts["edge_zero"], counts["edge_pi"], result.solver
+
+    cells = [(i, j) for i in range(t1s.size) for j in range(t2s.size)
+             if bulk_gap_status(t1s[i], t2s[j], gamma).gap_open]
+    for cell, (zero, pi, solver) in zip(cells,
+                                        ordered_map(count, cells, threads)):
+        n_zero[cell] = zero
+        n_pi[cell] = pi
+        counted[cell] = True
+        solvers[solver] = solvers.get(solver, 0) + 1
     return EdgeCountMap(theta1_values=t1s, theta2_values=t2s, gamma=gamma,
                         n_zero=n_zero, n_pi=n_pi, counted=counted,
                         solvers=solvers)

@@ -2,13 +2,22 @@ import ast
 import inspect
 import json
 import math
+import multiprocessing
 import numbers
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from ptwalk import bulk, cli, dynamics, operators, perturbation, spectrum
+from ptwalk import (
+    _pool,
+    bulk,
+    cli,
+    dynamics,
+    operators,
+    perturbation,
+    spectrum,
+)
 from ptwalk.cli import main
 from ptwalk.operators import CoinProfile, Lattice, WalkSpec
 
@@ -637,6 +646,53 @@ def test_fixed_probe_setting_rejected(capsys, tmp_path, command, key, value):
                        "--out", f"{tmp_path}/p/")
     assert payload["error"] == "CliError"
     assert payload["message"] == f"unknown keys in [{command}]: ['{key}']"
+
+
+POOLED = {
+    "edge-map": PROBE_SECTIONS["edge-map"]
+    + "gamma = 0.1\nnum_sites = 101\nhalf_width = 20\n"
+      "theta1_min_over_pi = -0.6\ntheta1_max_over_pi = -0.2\n"
+      "theta1_points = 2\ntheta2_min_over_pi = 0.2\n"
+      "theta2_max_over_pi = 0.3\ntheta2_points = 2\n",
+    "delta-sweep": PROBE_SECTIONS["delta-sweep"] + "delta_points = 4\n",
+    "disorder": PROBE_SECTIONS["disorder"] + "n_seeds = 3\n",
+}
+
+
+@pytest.mark.parametrize("command", POOLED)
+def test_pooled_run_writes_the_same_bytes(capsys, tmp_path, monkeypatch,
+                                          command):
+    # the pool forced to one worker (in process) and to two
+    cfg = write_config(tmp_path, POOLED[command])
+    files = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(_pool, "_cpu_count", lambda n=cpus: n)
+        rc, _, _ = run(capsys, command, "--config", cfg,
+                       "--out", f"{tmp_path}/{cpus}/")
+        assert rc == 0
+        assert multiprocessing.active_children() == []
+        files.append({p.name: p.read_bytes()
+                      for p in sorted((tmp_path / str(cpus)).iterdir())})
+    assert files[0] == files[1]
+    assert "manifest.json" in files[0] and len(files[0]) == 2
+
+
+def test_pooled_failure_is_a_json_error(capsys, tmp_path, monkeypatch):
+    # a realization that raises in a worker reaches the user as the
+    # one-line JSON error, and no artifact is written
+    def edge_eigensystem(spec, delta):
+        raise np.linalg.LinAlgError(
+            f"seed {spec.profile.disorder_seed} did not converge")
+
+    monkeypatch.setattr(_pool, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(perturbation, "_edge_eigensystem", edge_eigensystem)
+    cfg = write_config(tmp_path, POOLED["disorder"])
+    payload = error_of(capsys, "disorder", "--config", cfg,
+                       "--out", f"{tmp_path}/d/")
+    assert payload == {"error": "LinAlgError",
+                       "message": "seed 0 did not converge"}
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "d").exists()
 
 
 class TestDeltaSweepCommand:

@@ -12,6 +12,7 @@ from ptwalk.operators import (
     CoinProfile,
     Lattice,
     WalkSpec,
+    _disorder_draws,
     _parity_matrix,
     build_walk_operator,
     disorder_offset,
@@ -126,6 +127,32 @@ class TestDisorderOffset:
         assert v == disorder_offset(seed, x, slot, 0.3)
         assert abs(v) <= 0.3
         assert v != disorder_offset(seed + 1, x, slot, 0.3)
+
+    @pytest.mark.parametrize("seed", [0, 5, 7, 2**63 + 3, 2**64 - 1])
+    def test_whole_lattice_draw_matches_single_draws(self, seed):
+        # x = -1 wraps to 2**64 - 1, and its counter carries into word 1
+        x = np.arange(-400, 401)
+        for slot in range(3):
+            for amplitude in (0.1, 0.001, 0.314):
+                singles = [disorder_offset(seed, xi, slot, amplitude)
+                           for xi in x]
+                assert np.array_equal(
+                    _disorder_draws(seed, x, slot, amplitude), singles)
+
+    def test_effective_angles_add_one_draw_per_site_and_slot(self):
+        profile = CoinProfile.inner_outer((0.4, 0.1), (-0.6, 0.2), 5,
+                                          delta=0.05, disorder_amplitude=0.2,
+                                          disorder_seed=11)
+        spec = WalkSpec(kind="three_step_perturbed_disordered",
+                        lattice=Lattice(21), profile=profile)
+        x = spec.lattice.positions()
+        t1, t2 = profile.base_angles(x)
+        base = (t1, t2 + 0.05, t2)
+        for slot, (theta, clean) in enumerate(zip(spec.effective_angles(x),
+                                                  base)):
+            loop = [c + disorder_offset(11, xi, slot, 0.2)
+                    for xi, c in zip(x, clean)]
+            assert np.array_equal(theta, loop)
 
 
 class TestWalkSpec:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from ptwalk import perturbation
+from ptwalk import _pool, perturbation
 from ptwalk.errors import BracketError, TrackingError
 from ptwalk.operators import CoinProfile, Lattice, WalkSpec
 from ptwalk.perturbation import (
@@ -211,10 +211,13 @@ class TestDisorderEnsemble:
             assert ra.max_im_lambda_edge == rb.max_im_lambda_edge
             assert ra.regime == rb.regime
 
-    def test_thread_invariance(self, small_spec, base_ensemble):
-        # threads is accepted and ignored
-        b = disorder_ensemble(small_spec, 0.05, n_seeds=2, threads=4)
-        assert b.records == base_ensemble.records
+    def test_thread_invariance(self, small_spec, monkeypatch):
+        # in process against two workers, even on a one-CPU host
+        monkeypatch.setattr(_pool, "_cpu_count", lambda: 2)
+        a, b = (disorder_ensemble(small_spec, 0.05, n_seeds=3,
+                                  threads=threads) for threads in (1, 2))
+        assert [r.seed for r in a.records] == [0, 1, 2]
+        assert a.records == b.records
 
     def test_empty_seed_list_rejected(self, base_spec):
         with pytest.raises(ValueError, match="seed"):

@@ -166,3 +166,20 @@ def test_import_leaves_scipy_optimize_unloaded():
                             env={**os.environ, "PYTHONPATH": path}).stdout
     assert [m for m in loaded.split() if is_optimize(m)] == []
     assert "scipy.sparse.csgraph" in loaded.split()
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool's modules load on the first pooled call; the bare
+    # concurrent.futures package is already loaded by numpy.testing,
+    # which scipy.linalg imports
+    code = "import sys, ptwalk; print(*sorted(sys.modules), sep='\\n')"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}).stdout
+    pool = [m for m in loaded.split()
+            if m.split(".")[0] == "multiprocessing"
+            or m == "concurrent.futures.process"]
+    assert pool == []
+    assert "ptwalk._pool" in loaded.split()

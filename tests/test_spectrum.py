@@ -8,7 +8,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.optimize import linear_sum_assignment
 
-from ptwalk import operators, spectrum
+from ptwalk import _pool, operators, spectrum
 from ptwalk.bulk import bulk_gap_status, dispersion
 from ptwalk.errors import GapClosedError
 from ptwalk.operators import CoinProfile, Lattice, WalkSpec, build_walk_operator
@@ -238,13 +238,19 @@ class TestEdgeCountMap:
             edge_count_map(INNER, [0.25 * PI], [0.25 * PI], gamma=0.1,
                            half_width=51, num_sites=101)
 
-    def test_thread_invariance(self, single_cell):
-        # threads is accepted and ignored
-        b = edge_count_map(INNER, [-0.6 * PI], [0.2 * PI], gamma=0.1,
-                           num_sites=301, threads=4)
-        assert np.array_equal(single_cell.n_zero, b.n_zero)
-        assert np.array_equal(single_cell.n_pi, b.n_pi)
-        assert np.array_equal(single_cell.counted, b.counted)
+    def test_thread_invariance(self, monkeypatch):
+        # in process against two workers (even on a one-CPU host), over
+        # three gapped cells and one gapless one
+        monkeypatch.setattr(_pool, "_cpu_count", lambda: 2)
+        a, b = (edge_count_map(INNER, [-0.6 * PI, -0.2 * PI],
+                               [0.2 * PI, 0.3 * PI], gamma=0.1,
+                               num_sites=301, threads=threads)
+                for threads in (1, 2))
+        assert np.count_nonzero(a.counted) == 3
+        assert np.array_equal(a.n_zero, b.n_zero)
+        assert np.array_equal(a.n_pi, b.n_pi)
+        assert np.array_equal(a.counted, b.counted)
+        assert a.solvers == b.solvers
 
 
 def _fig5_row_cells():
@@ -584,26 +590,27 @@ class TestStructuredSolver:
 
     def test_gate_draws_disorder_once(self, monkeypatch):
         # the solver's structure check reads the coin angles, and so
-        # would symmetric_frame; each (site, slot) offset must be drawn
-        # once per spec, not once per read
+        # would symmetric_frame; each slot's whole-lattice offsets must
+        # be drawn once per spec, not once per read
         spec = interface_spec((-0.6 * PI, 0.2 * PI), gamma=0.1, num_sites=41,
                               half_width=10, kind="three_step_perturbed_disordered",
                               delta=0.05, disorder_amplitude=0.1,
                               disorder_seed=7)
         draws = []
-        offset = operators.disorder_offset
+        draw = operators._disorder_draws
 
-        def counting_offset(*args):
-            draws.append(args)
-            return offset(*args)
+        def counting_draws(seed, x, slot, amplitude):
+            draws.append((seed, tuple(x), slot, amplitude))
+            return draw(seed, x, slot, amplitude)
 
-        monkeypatch.setattr(operators, "disorder_offset", counting_offset)
+        monkeypatch.setattr(operators, "_disorder_draws", counting_draws)
         op = build_walk_operator(spec)
         built = len(draws)
         result = eigendecompose(op)
         assert result.solver == "dense"
-        assert built == 3 * spec.lattice.num_sites
-        assert len(draws) - built <= 3 * spec.lattice.num_sites
+        assert built == 3
+        assert {d[1] for d in draws} == {tuple(spec.lattice.positions())}
+        assert len(draws) - built <= 3
         assert len(set(draws)) == len(draws)
 
     @pytest.mark.parametrize("interface_only", [False, True],
