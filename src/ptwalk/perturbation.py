@@ -117,12 +117,13 @@ def delta_sweep(spec: WalkSpec, deltas) -> DeltaSweepResult:
     raises TrackingError rather than return a possibly scrambled branch
     history.
 
-    Every requested delta is solved before tracking starts, side by
-    side on worker processes (see :func:`ptwalk._pool.ordered_map`);
-    matching, the jump checks and bisection run here, and so do the
-    solves of the points bisection inserts.  The sweep is the same for
-    any worker count, and a solve that raises raises where the tracking
-    reaches its delta.
+    Every requested delta is solved before tracking starts, the solves
+    shared out among this process and forked workers (see
+    :func:`ptwalk._pool.ordered_map`); matching, the jump checks and
+    bisection run here, and so do the solves of the points bisection
+    inserts, each with the sides of its window shared out instead.  The
+    sweep is the same for any worker count, and a solve that raises
+    raises where the tracking reaches its delta.
     """
     grid = np.unique(np.asarray(deltas, dtype=float))
     if grid.size < 2:
@@ -221,11 +222,12 @@ def find_exceptional_point(spec: WalkSpec, delta_lo: float,
     be told apart from an end in float64 (far from zero, adjacent
     floats lie farther apart than ``TOL_DELTA``).
 
-    The two bracket ends are solved side by side on worker processes
-    (see :func:`ptwalk._pool.ordered_map`) and the bisection runs
-    here.  The answer, ``n_solves`` included, is the same for any
-    worker count, and the lower end is checked, and its solve's error
-    raised, before the upper end's.
+    The two bracket ends are solved side by side, by this process and
+    a forked worker (see :func:`ptwalk._pool.ordered_map`); the
+    bisection runs here, with the sides of each midpoint's window
+    shared out the same way.  The answer, ``n_solves`` included, is
+    the same for any worker count, and the lower end is checked, and
+    its solve's error raised, before the upper end's.
     """
     if not delta_lo < delta_hi:
         raise ValueError("need delta_lo < delta_hi")
@@ -304,9 +306,10 @@ def disorder_ensemble(spec: WalkSpec, theta_r: float, n_seeds: int = 32,
     Every realization is keyed by its seed alone, so ensembles are
     reproducible elementwise.  ``seeds`` defaults to ``n_seeds``
     consecutive seeds from ``seed0`` and must not be empty.
-    Realizations are solved side by side on worker processes, at most
-    ``threads`` of them (no cap if None; 1 solves them one after
-    another in this process); the records are the same for any worker
+    Realizations are shared out among this process and forked workers,
+    at most ``threads`` of them in all (no cap if None; 1 solves them
+    one after another in this process, each with the sides of its
+    window shared out instead); the records are the same for any worker
     count, and a realization that raises raises here as it would in a
     serial loop over the seeds.  ``spec`` should carry the wanted
     ``delta``; its kind is switched to

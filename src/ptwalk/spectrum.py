@@ -39,6 +39,7 @@ is simple, and in lambda where a relation makes every mu double.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -325,47 +326,64 @@ def _shift_invert(B, sigma: float) -> _BandedLU | None:
     return None if info > 0 else _BandedLU(lu, ipiv, kl, ku)
 
 
-def _window(A, radius: float):
-    """Eigenpairs of the sparse A nearest +1 and -1, or None.
+def _side(side, radius: float):
+    """Eigenpairs of the banded B nearest sigma, for ``side`` = (B, v0,
+    sigma), or None.
 
-    Shift-invert ARPACK at sigma = +1 and -1.  ARPACK runs on A in its
-    :func:`_band_order`, and each side factors A - sigma I once as a
-    banded LU (:func:`_shift_invert`).  Each side starts at
-    ``WINDOW_K0`` eigenvalues and doubles the count until the farthest
-    one lies beyond ``radius``, so nothing inside it is missed.  The
-    start vector and the restart draws are seeded, which makes the
-    result a function of A alone.  None means the window cannot be
-    trusted: A - sigma I exactly singular, k beyond a quarter of the
-    dimension, or no convergence.
+    Shift-invert ARPACK on a banded LU of B - sigma I
+    (:func:`_shift_invert`), from the start vector v0 and seeded
+    restart draws.  It starts at ``WINDOW_K0`` eigenvalues and doubles
+    the count until the farthest one lies beyond ``radius``, so nothing
+    inside it is missed.  None means the side cannot be trusted:
+    B - sigma I exactly singular, k beyond a quarter of the dimension,
+    or no convergence.
     """
-    n = A.shape[0]
-    order = _band_order(A)
-    B = A[order][:, order]
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)[order]
-    evals, vectors = [], []
-    for sigma in (1.0, -1.0):
-        inverse = _shift_invert(B, sigma)
-        if inverse is None:
+    B, v0, sigma = side
+    inverse = _shift_invert(B, sigma)
+    if inverse is None:
+        return None
+    k = WINDOW_K0
+    while k <= B.shape[0] / 4:
+        try:
+            lam, vec = scipy.sparse.linalg.eigs(B, k, sigma=sigma,
+                                                OPinv=inverse, v0=v0, rng=0)
+        except RuntimeError:
+            # ArpackNoConvergence and ArpackError are RuntimeErrors
             return None
-        k = WINDOW_K0
-        while True:
-            if k > n / 4:
-                return None
-            try:
-                lam, vec = scipy.sparse.linalg.eigs(B, k, sigma=sigma,
-                                                    OPinv=inverse, v0=v0,
-                                                    rng=0)
-            except RuntimeError:
-                # ArpackNoConvergence and ArpackError are RuntimeErrors
-                return None
-            if np.abs(lam - sigma).max() > radius:
-                break
-            k *= 2
-        evals.append(lam)
-        vectors.append(vec)
+        if np.abs(lam - sigma).max() > radius:
+            return lam, vec
+        k *= 2
+    return None
+
+
+def _window(matrices, radius: float):
+    """Eigenpairs of each sparse matrix nearest +1 and -1, or None.
+
+    Each matrix is put in its :func:`_band_order`, with a start vector
+    drawn from a seeded generator, which makes its window a function of
+    the matrix alone.  The sides, sigma = +1 and -1 of every matrix,
+    are independent :func:`_side` solves, shared out in one
+    :func:`ptwalk._pool.ordered_map` call; each depends on its matrix
+    alone, so the window is the same however the sides are shared out.
+    None means some side cannot be trusted.
+    """
+    orders, sides = [], []
+    for A in matrices:
+        order = _band_order(A)
+        B = A[order][:, order]
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, A.shape[0])[order]
+        orders.append(order)
+        sides += [(B, v0, 1.0), (B, v0, -1.0)]
+    found = []
+    # in process, the sides after one that cannot be trusted never run
+    for side in ordered_map(functools.partial(_side, radius=radius), sides):
+        if side is None:
+            return None
+        found.append(side)
     # rows back from the band order to site order
-    return (np.concatenate(evals),
-            np.concatenate(vectors, axis=1)[np.argsort(order)])
+    return [(np.concatenate([plus[0], minus[0]]),
+             np.concatenate([plus[1], minus[1]], axis=1)[np.argsort(order)])
+            for order, plus, minus in zip(orders, found[::2], found[1::2])]
 
 
 def _clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -542,13 +560,11 @@ def _fold(op: WalkOperator, window: bool, compute_condition: bool):
     E, R = _parity_frame(op)
     block = R[:n, :n]
     if window:
-        radius = _mu_radius(op.spec.gamma)
-        plus = _window(block, radius)
-        minus = None if plus is None else _window(block.T.tocsr(), radius)
-        if minus is None:
+        found = _window([block, block.T.tocsr()], _mu_radius(op.spec.gamma))
+        if found is None:
             return None
-        values = np.concatenate([plus[0], minus[0]])
-        bases = [plus[1], minus[1]]
+        values = np.concatenate([mu for mu, _ in found])
+        bases = [basis for _, basis in found]
     else:
         mu, left, right = scipy.linalg.eig(block.toarray(), left=True,
                                            overwrite_a=True)
@@ -567,19 +583,21 @@ def _mu_window(op: WalkOperator):
     for walks where no relation doubles mu; None if it cannot be
     trusted."""
     U = op.sparse
-    found = _window(((U + op.inverse) * 0.5).tocsr(), _mu_radius(op.spec.gamma))
+    found = _window([((U + op.inverse) * 0.5).tocsr()],
+                    _mu_radius(op.spec.gamma))
     if found is None:
         return None
-    evals, vectors, _ = _solve_clusters(U, [found[1]], found[0])
+    (values, basis), = found
+    evals, vectors, _ = _solve_clusters(U, [basis], values)
     return evals, vectors, None
 
 
 def _lambda_window(op: WalkOperator):
     """Window eigenpairs from the lambda-window of U, or None."""
-    found = _window(op.sparse, _completeness_radius(op.spec.gamma))
+    found = _window([op.sparse], _completeness_radius(op.spec.gamma))
     if found is None:
         return None
-    evals, vectors = found
+    (evals, vectors), = found
     vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)
     return evals, vectors, None
 
@@ -703,9 +721,10 @@ def edge_count_map(inner: tuple[float, float], theta1_values, theta2_values,
     whose outer bulk gap is closed are skipped rather than counted,
     since an interface into a gapless bulk pins nothing.  Every cell is
     a ``three_step`` walk, the kind whose closed-form bulk gap does the
-    gating.  The gapped cells are solved side by side on worker
-    processes, at most ``threads`` of them (no cap if None; 1 solves
-    them one after another in this process); the map is the same for
+    gating.  The gapped cells are shared out among this process and
+    forked workers, at most ``threads`` of them in all (no cap if None;
+    1 solves them one after another in this process, each with the
+    sides of its window shared out instead); the map is the same for
     any worker count, and a cell that raises raises here as it would
     in a serial loop over the cells.
     """

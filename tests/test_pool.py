@@ -2,13 +2,15 @@
 
 Each pooled test forces the worker count through ``_pool._cpu_count``,
 so it runs on worker processes even on a one-CPU host.  After every
-test no child process is left."""
+test no child process is left, running or unreaped."""
 
 import ctypes
 import math
-import multiprocessing
 import os
+import pickle
+import re
 import signal
+import threading
 import time
 
 import numpy as np
@@ -16,30 +18,41 @@ import pytest
 
 from ptwalk import _pool, perturbation, spectrum
 from ptwalk.errors import BracketError, TrackingError
-from ptwalk.operators import CoinProfile, Lattice, WalkSpec
+from ptwalk.operators import (
+    CoinProfile,
+    Lattice,
+    WalkSpec,
+    build_walk_operator,
+)
 from ptwalk.perturbation import (
     delta_sweep,
     disorder_ensemble,
     find_exceptional_point,
 )
-from ptwalk.spectrum import edge_count_map
+from ptwalk.spectrum import edge_count_map, eigendecompose
 
 PI = math.pi
 INNER = (0.4 * PI, 0.1 * PI)
 OUTER_C = (-0.2 * PI, 0.3 * PI)
 
 
-def interface_spec(num_sites=301, **profile_kw):
+def interface_spec(num_sites=301, kind=None, **profile_kw):
     profile = CoinProfile.inner_outer(INNER, OUTER_C, 50, **profile_kw)
-    kind = "three_step_perturbed" if profile_kw else "three_step"
+    kind = kind or ("three_step_perturbed" if profile_kw else "three_step")
     return WalkSpec(kind=kind, lattice=Lattice(num_sites), profile=profile,
                     gamma=0.1)
+
+
+def assert_no_child():
+    """This process has no child left, running or waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(autouse=True)
 def no_child_left():
     yield
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 @pytest.fixture
@@ -48,8 +61,48 @@ def cpus(monkeypatch):
     return lambda n: monkeypatch.setattr(_pool, "_cpu_count", lambda: n)
 
 
-class Interrupted(Exception):
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the calls of os.fork, in this process and in every child."""
+    read_end, write_end = os.pipe()
+    os.set_blocking(read_end, False)
+    fork = os.fork
+
+    def counted():
+        os.write(write_end, b".")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    yield lambda: len(os.read(read_end, 4096))
+    os.close(read_end)
+    os.close(write_end)
+
+
+def meet(folder, processes=2, timeout=10.0):
+    """Return once calls in ``processes`` different processes have come
+    here, so that no one process runs all of them."""
+    (folder / str(os.getpid())).touch()
+    deadline = time.monotonic() + timeout
+    while len(list(folder.iterdir())) < processes:
+        assert time.monotonic() < deadline, "no other process came"
+        time.sleep(0.001)
+
+
+class Interrupted(KeyboardInterrupt):
     pass
+
+
+class Unpicklable(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class NeedsTwoArguments(Exception):
+    """Pickles, but cannot be unpickled: unpickling calls the class with
+    the one message argument."""
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
 
 
 def fails_from(first, label):
@@ -84,25 +137,33 @@ class TestOrderedMap:
     @pytest.mark.parametrize("caller,n_cpus,in_worker", [
         (2, 2, 1), (2, 4, 2), (1, 4, 1),
     ], ids=["shared-out", "two-each", "never-raised"])
-    def test_workers_share_out_the_blas_threads(self, cpus, caller, n_cpus,
-                                                in_worker):
-        # two workers; each runs OpenBLAS on at most its share of the
-        # CPUs, and on no more threads than the caller did
+    def test_workers_share_out_the_blas_threads(self, cpus, tmp_path, caller,
+                                                n_cpus, in_worker):
+        # two workers, the caller and one child, each with one item;
+        # each runs OpenBLAS on at most its share of the CPUs, and on no
+        # more threads than the caller did, and the caller has its own
+        # count back afterwards
         libs = openblas()
         if not libs:
             pytest.skip("no OpenBLAS loaded")
         cpus(n_cpus)
+
+        def threads_seen(item):
+            meet(tmp_path)
+            return os.getpid(), [get() for get, _ in openblas()]
+
         before = [get() for get, _ in libs]
         try:
             for _, set_ in libs:
                 set_(caller)
-            seen = list(_pool.ordered_map(
-                lambda item: [get() for get, _ in openblas()], range(2)))
+            seen = list(_pool.ordered_map(threads_seen, range(2)))
             after = [get() for get, _ in libs]
         finally:
             for (_, set_), n in zip(libs, before):
                 set_(n)
-        assert seen == [[in_worker] * len(libs)] * 2
+        assert os.getpid() in {pid for pid, _ in seen}
+        assert [threads for _, threads in seen] \
+            == [[in_worker] * len(libs)] * 2
         assert after == [caller] * len(libs)
 
     def test_results_in_input_order(self, cpus):
@@ -110,13 +171,27 @@ class TestOrderedMap:
         offset = 10  # a closure: the function is never pickled
         assert list(_pool.ordered_map(lambda i: i * i + offset, range(9))) \
             == [i * i + offset for i in range(9)]
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
-    def test_items_run_on_workers(self, cpus):
+    def test_more_items_than_the_task_pipe_holds(self, cpus):
+        # the indices go out a few at a time once they outgrow one page
         cpus(2)
-        pids = set(_pool.ordered_map(lambda _: os.getpid(), range(6)))
-        assert os.getpid() not in pids
-        assert len(pids) <= 2
+        n = 3 * _pool._MAX_TASKS + 1
+        assert list(_pool.ordered_map(lambda i: -i, range(n))) \
+            == [-i for i in range(n)]
+
+    def test_items_run_on_the_caller_and_a_child(self, cpus, tmp_path):
+        # the first two items meet, so they run in two processes
+        cpus(2)
+
+        def pid(item):
+            if item < 2:
+                meet(tmp_path)
+            return os.getpid()
+
+        pids = set(_pool.ordered_map(pid, range(6)))
+        assert os.getpid() in pids
+        assert len(pids) == 2
 
     @pytest.mark.parametrize("n_cpus,n_items,threads", [
         (1, 4, None), (2, 4, 1), (2, 1, None), (4, 1, 2),
@@ -145,16 +220,18 @@ class TestOrderedMap:
             next(results)
 
     def test_interrupt_cancels_the_items_not_started(self, cpus):
-        # the first item signals the caller while it waits, as Ctrl-C
-        # would; the pool stops without running the rest
+        # the child's first item signals the caller, as Ctrl-C would;
+        # the caller kills and reaps the child and runs none of the rest
         cpus(2)
-        started = multiprocessing.Value("i", 0)
+        caller = os.getpid()
+        started, start = os.pipe()
+        signalled = []
 
         def fn(item):
-            with started.get_lock():
-                started.value += 1
-            if item == 0:
-                os.kill(os.getppid(), signal.SIGUSR1)
+            os.write(start, b".")
+            if os.getpid() != caller and not signalled:
+                signalled.append(item)
+                os.kill(caller, signal.SIGUSR1)
             time.sleep(0.05)
 
         def interrupt(signum, frame):
@@ -166,8 +243,49 @@ class TestOrderedMap:
                 _pool.ordered_map(fn, range(40))
         finally:
             signal.signal(signal.SIGUSR1, previous)
-        assert multiprocessing.active_children() == []
-        assert started.value < 40
+            os.close(start)
+        assert_no_child()
+        assert len(os.read(started, 4096)) < 40
+        os.close(started)
+
+    @pytest.mark.parametrize("misstep,error,message", [
+        ("exit", RuntimeError,
+         "a worker process ended with status 3 before it returned item {}"),
+        ("unpicklable-exception", pickle.PicklingError,
+         "item {} raised Unpicklable: held a lock, which cannot be pickled"),
+        ("unpicklable-result", pickle.PicklingError,
+         "the result of item {} cannot be pickled"),
+        ("exception-not-unpicklable", pickle.UnpicklingError,
+         "the exception of item {} cannot be unpickled"),
+    ], ids=["exit", "unpicklable-exception", "unpicklable-result",
+            "exception-not-unpicklable"])
+    def test_a_child_failure_is_raised_at_its_item(self, cpus, tmp_path,
+                                                   misstep, error, message):
+        # the caller and the child take one item each; the child's item
+        # fails on the way back, and the iterator raises there, after
+        # the caller's item if that came first
+        cpus(2)
+        caller = os.getpid()
+
+        def fn(item):
+            meet(tmp_path)
+            if os.getpid() == caller:
+                return item
+            if misstep == "exit":
+                os._exit(3)
+            if misstep == "unpicklable-exception":
+                raise Unpicklable("held a lock")
+            if misstep == "unpicklable-result":
+                return threading.Lock()
+            raise NeedsTwoArguments("a", "b")
+
+        got = []
+        with pytest.raises(error) as raised:
+            for value in _pool.ordered_map(fn, range(2)):
+                got.append(value)
+        assert got in ([], [0])
+        assert re.match(re.escape(message.format(len(got))),
+                        str(raised.value))
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_must_be_positive(self, threads):
@@ -180,6 +298,25 @@ def sweep_rows(sweep):
             for p in sweep.points]
 
 
+# one walk for each window path, and the results compared by bytes
+WINDOW_WALKS = {
+    "interface-fold": interface_spec(),
+    "interface-mu": interface_spec(kind="three_step_perturbed_disordered",
+                                   delta=0.05, disorder_amplitude=0.1,
+                                   disorder_seed=5),
+    "interface": interface_spec(delta=0.07),
+}
+
+
+def window(spec):
+    return eigendecompose(build_walk_operator(spec), compute_condition=False,
+                          interface_only=True)
+
+
+def pair_bytes(result):
+    return [np.array([getattr(p, attr) for p in result.pairs]).tobytes()
+            for attr in ("lam", "vector")]
+
 class TestPooledEqualsInProcess:
     def test_delta_sweep(self, cpus):
         # the step to 0.069 outruns its secant estimate near the EP, so
@@ -188,7 +325,7 @@ class TestPooledEqualsInProcess:
         for n in (1, 2):
             cpus(n)
             sweeps.append(delta_sweep(interface_spec(), [0.0, 0.001, 0.069]))
-            assert multiprocessing.active_children() == []
+            assert_no_child()
         assert sum(p.inserted for p in sweeps[0].points) >= 1
         assert sweep_rows(sweeps[0]) == sweep_rows(sweeps[1])
         assert sweeps[0].ep_bracket == sweeps[1].ep_bracket
@@ -199,9 +336,63 @@ class TestPooledEqualsInProcess:
         for n in (1, 2):
             cpus(n)
             found.append(find_exceptional_point(interface_spec(), 0.05, 0.08))
-            assert multiprocessing.active_children() == []
+            assert_no_child()
         assert found[0] == found[1]
         assert found[0].n_solves > 2
+
+    @pytest.mark.parametrize("solver", WINDOW_WALKS)
+    def test_window_sides(self, cpus, solver):
+        # every side of the window on the pool against one after another
+        results = []
+        for n in (1, 2):
+            cpus(n)
+            results.append(window(WINDOW_WALKS[solver]))
+        assert results[0].solver == results[1].solver == solver
+        assert pair_bytes(results[0]) == pair_bytes(results[1])
+
+    @pytest.mark.parametrize("refused,solver", [
+        ("fold-block", "interface"), ("every-matrix", "dense-fallback"),
+    ])
+    def test_a_side_with_no_window(self, cpus, monkeypatch, refused, solver):
+        # the -1 side of the fold block (or of every matrix) has an
+        # exactly singular factor, so the lambda-window (or the dense
+        # path) answers, pooled as in-process
+        spec = WINDOW_WALKS["interface-fold"]
+        shift_invert = spectrum._shift_invert
+
+        def refusing(B, sigma):
+            if sigma < 0 and (refused == "every-matrix"
+                              or B.shape[0] == spec.lattice.num_sites):
+                return None
+            return shift_invert(B, sigma)
+
+        monkeypatch.setattr(spectrum, "_shift_invert", refusing)
+        results = []
+        for n in (1, 2):
+            cpus(n)
+            results.append(window(spec))
+        assert results[0].solver == results[1].solver == solver
+        assert pair_bytes(results[0]) == pair_bytes(results[1])
+
+
+class TestNesting:
+    """An item on the pool runs its own pools in its process."""
+
+    CELLS = [-0.6 * PI, -0.2 * PI]
+
+    def test_cells_run_their_window_sides_in_process(self, cpus, forks):
+        cpus(2)
+        emap = edge_count_map(INNER, self.CELLS, [0.2 * PI], gamma=0.1,
+                              num_sites=101, half_width=20)
+        assert emap.counted.all()
+        assert forks() == 1
+
+    def test_a_lone_cell_forks_for_its_window_sides(self, cpus, forks):
+        cpus(2)
+        emap = edge_count_map(INNER, self.CELLS[:1], [0.2 * PI], gamma=0.1,
+                              num_sites=101, half_width=20)
+        assert emap.solvers == {"interface-fold": 1}
+        assert forks() == 1
 
 
 class TestErrorsWhereTheLoopReachesThem:

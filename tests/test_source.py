@@ -157,29 +157,44 @@ def test_no_module_imports_scipy_optimize():
     assert found == []
 
 
+def modules_loaded_after(code: str) -> list[str]:
+    """sys.modules after ``code`` runs in a fresh interpreter on the
+    package's sources."""
+    code += "\nprint(*sorted(sys.modules), sep='\\n')"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}
+                          ).stdout.split()
+
+
 def test_import_leaves_scipy_optimize_unloaded():
-    code = "import sys, ptwalk; print(*sorted(sys.modules), sep='\\n')"
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                         os.environ.get("PYTHONPATH")]))
-    loaded = subprocess.run([sys.executable, "-c", code], check=True,
-                            capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": path}).stdout
-    assert [m for m in loaded.split() if is_optimize(m)] == []
-    assert "scipy.sparse.csgraph" in loaded.split()
+    loaded = modules_loaded_after("import sys, ptwalk")
+    assert [m for m in loaded if is_optimize(m)] == []
+    assert "scipy.sparse.csgraph" in loaded
 
 
-def test_import_leaves_the_process_pool_unloaded():
-    # the pool's modules load on the first pooled call; the bare
-    # concurrent.futures package is already loaded by numpy.testing,
-    # which scipy.linalg imports
-    code = "import sys, ptwalk; print(*sorted(sys.modules), sep='\\n')"
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                         os.environ.get("PYTHONPATH")]))
-    loaded = subprocess.run([sys.executable, "-c", code], check=True,
-                            capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": path}).stdout
-    pool = [m for m in loaded.split()
-            if m.split(".")[0] == "multiprocessing"
+POOLED_MAP = """\
+import math, sys, ptwalk
+ptwalk._pool._cpu_count = lambda: 2
+emap = ptwalk.edge_count_map((0.4 * math.pi, 0.1 * math.pi),
+                             [-0.6 * math.pi, -0.2 * math.pi],
+                             [0.2 * math.pi], gamma=0.1, num_sites=101,
+                             half_width=20)
+assert emap.counted.all()
+"""
+
+
+@pytest.mark.parametrize("code", ["import sys, ptwalk", POOLED_MAP],
+                         ids=["import", "pooled-map"])
+def test_the_process_pool_modules_stay_unloaded(code):
+    # the pool forks with os.fork, so neither importing the package nor
+    # a map on two workers loads multiprocessing or the executor; the
+    # bare concurrent.futures package is already loaded by
+    # numpy.testing, which scipy.linalg imports
+    loaded = modules_loaded_after(code)
+    pool = [m for m in loaded if m.split(".")[0] == "multiprocessing"
             or m == "concurrent.futures.process"]
     assert pool == []
-    assert "ptwalk._pool" in loaded.split()
+    assert "ptwalk._pool" in loaded

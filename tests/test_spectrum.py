@@ -495,7 +495,7 @@ class TestBandedShiftInvert:
     def test_singular_shift_gives_no_window(self, eigenvalues, sigma):
         A = scipy.sparse.diags(eigenvalues).tocsr()
         assert spectrum._shift_invert(A, sigma) is None
-        assert spectrum._window(A, 0.1) is None
+        assert spectrum._window([A], 0.1) is None
 
 
 def _fig4(outer, gamma=0.1, kind="three_step"):
