@@ -6,15 +6,15 @@ the call (a monkeypatched function included) and no worker outlives
 the call.  The caller is one of the workers: it runs its own share of
 the items while the children run theirs.  Forking also means the
 function and the items reach the children without being pickled; only
-the results come back pickled, each through its child's own pipe.
+the results come back pickled.
 
-The items are handed out as they are asked for: every item index (past
-``_MAX_TASKS`` items, the first of each run of a few) is written into
-one pipe before the first fork, and each process takes the next one
-with a 4-byte read, which a pipe serves whole.  A thread of the caller
-reads each child's pipe while the caller runs its share, so a child
-never waits long to hand a result over.  A child that dies, or whose
-result or exception cannot be pickled, raises at its item.
+The shares are fixed before the first fork: of ``W`` workers, worker
+``r`` (the caller is 0) runs items ``r``, ``r + W``, ``r + 2W``, ...
+Each child writes its results into its own memory file
+(``os.memfd_create``), which the caller reads once the child has
+exited, so no child waits for the caller to read and the pool starts
+no thread.  A child that dies, or whose result or exception cannot be
+pickled, raises at its item.
 
 An item that runs on the pool runs any pool of its own in its process:
 an interface solve whose cells are shared out runs the sides of each
@@ -35,7 +35,6 @@ import pickle
 import signal
 import struct
 import sys
-import threading
 
 _nested = False  # True while this process runs an item of a pool
 
@@ -51,16 +50,12 @@ _BLAS_THREADS = (
 # one record of a child: item index, whether the call returned, and the
 # length of the pickled result or exception that follows
 _RECORD = struct.Struct("<I?Q")
-# the task pipe holds every index before the first fork, and a Linux
-# pipe holds at least one 4 kB page
-_MAX_TASKS = 1024
-_PIPE_BYTES = 1 << 20  # Linux's default cap on a pipe's size
 
 
 def _cpu_count() -> int:
-    """CPUs this process may run on; 1 where the platform cannot tell,
-    which is also where it cannot fork safely."""
-    if not hasattr(os, "sched_getaffinity"):
+    """CPUs this process may run on; 1 where the platform cannot tell or
+    has no memory files, which is also where it cannot fork safely."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "memfd_create")):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -104,28 +99,13 @@ def _cap_blas(limit: int) -> list:
     return lowered
 
 
-def _widen(pipe: int) -> None:
-    """Let ``pipe`` hold ``_PIPE_BYTES`` where the platform allows it.
-
-    A child whose pipe is full waits for the caller's reader thread,
-    which runs only when this process's main thread yields the GIL,
-    every few milliseconds; a window side's eigenvectors (a few hundred
-    kB) then took the child 25 ms to hand over through 64 kB.
-    """
+def _call(fn, item) -> tuple:
+    """(True, result) of ``fn(item)``, or (False, exception) if it
+    raised."""
     try:
-        import fcntl
-
-        fcntl.fcntl(pipe, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    except (ImportError, AttributeError, OSError):
-        pass
-
-
-def _tasks(pipe: int, step: int, n: int):
-    """The item indices this process takes from the task pipe, ``step``
-    at a time, until the pipe is empty."""
-    while record := os.read(pipe, 4):
-        start = int.from_bytes(record, "little")
-        yield from range(start, min(start + step, n))
+        return True, fn(item)
+    except Exception as exc:
+        return False, exc
 
 
 def _record(index: int, ok: bool, value) -> bytes:
@@ -153,35 +133,25 @@ def _flush_std_streams() -> None:
             pass
 
 
-def _child(fn, items, tasks: int, step: int, out: int,
+def _child(fn, items, rank: int, workers: int, out: int,
            blas_threads: int) -> None:
-    """A forked worker: run the items it takes, write one record per item
-    to ``out``, and leave through ``os._exit`` whatever happens."""
+    """Forked worker ``rank``: run its share of the items, write one
+    record per item to the memory file ``out``, and leave through
+    ``os._exit`` whatever happens."""
     global _nested
     _nested = True
     status = 1
     try:
         _cap_blas(blas_threads)
-        with os.fdopen(out, "wb") as pipe:
-            for i in _tasks(tasks, step, len(items)):
-                try:
-                    record = _record(i, True, fn(items[i]))
-                except Exception as exc:
-                    record = _record(i, False, exc)
-                pipe.write(record)
+        with os.fdopen(out, "wb") as fh:
+            for i in range(rank, len(items), workers):
+                fh.write(_record(i, *_call(fn, items[i])))
                 # an exit in a later item must not take this one with it
-                pipe.flush()
+                fh.flush()
         status = 0
     finally:
         _flush_std_streams()
         os._exit(status)
-
-
-def _drain(pipe: int, chunks: list) -> None:
-    """Append what a child writes into ``pipe`` to ``chunks`` until the
-    pipe is closed."""
-    while data := os.read(pipe, _PIPE_BYTES):
-        chunks.append(data)
 
 
 def _outcomes(data: bytes, outcomes: dict) -> None:
@@ -205,69 +175,45 @@ def _outcomes(data: bytes, outcomes: dict) -> None:
 
 def _fork_map(fn, items: list, workers: int, blas_threads: int) -> list:
     """(ok, value) of every item, in input order, from this process and
-    ``workers - 1`` forked children.  If this process raises, the
-    children are killed and reaped before the exception leaves."""
+    ``workers - 1`` forked children, each child with its own share and
+    memory file.  If this process raises, the children are killed and
+    reaped before the exception leaves."""
     global _nested
     n = len(items)
-    step = -(-n // _MAX_TASKS)
-    children = {}  # pid -> read end of its pipe
-    chunks = {}  # read end -> bytes read so far
+    children = {}  # pid -> its memory file
+    files = []
     outcomes = {}
-    readers = []
-    tasks, hand_out = os.pipe()
     try:
-        with open(hand_out, "wb") as fh:
-            fh.write(b"".join(i.to_bytes(4, "little")
-                              for i in range(0, n, step)))
         _flush_std_streams()
-        for _ in range(workers - 1):
-            read_end, write_end = os.pipe()
-            chunks[read_end] = []
-            _widen(write_end)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    os.close(read_end)
-                    _child(fn, items, tasks, step, write_end, blas_threads)
-            finally:
-                os.close(write_end)
-            children[pid] = read_end
-        # a child whose pipe is full waits until it is read, so the
-        # pipes are read while this process runs its own share
-        readers = [threading.Thread(target=_drain, args=item, daemon=True)
-                   for item in chunks.items()]
-        for reader in readers:
-            reader.start()
+        for rank in range(1, workers):
+            files.append(os.memfd_create("ptwalk-pool"))
+            pid = os.fork()
+            if pid == 0:
+                _child(fn, items, rank, workers, files[-1], blas_threads)
+            children[pid] = files[-1]
         lowered = _cap_blas(blas_threads)
         _nested = True
         try:
-            for i in _tasks(tasks, step, n):
-                try:
-                    outcomes[i] = (True, fn(items[i]))
-                except Exception as exc:
-                    outcomes[i] = (False, exc)
+            for i in range(0, n, workers):
+                outcomes[i] = _call(fn, items[i])
         finally:
             _nested = False
             for set_, count in lowered:
                 set_(count)
-        for reader in readers:
-            reader.join()
         ended = ""
-        for pid, read_end in list(children.items()):
+        for pid, out in list(children.items()):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
             if code and not ended:
                 ended = (f" with status {code}" if code > 0 else
                          f" on signal {-code}")
-            _outcomes(b"".join(chunks[read_end]), outcomes)
+            _outcomes(os.pread(out, os.fstat(out).st_size, 0), outcomes)
     finally:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for reader in readers:
-            reader.join()
-        for fd in (tasks, *chunks):
-            os.close(fd)
+        for out in files:
+            os.close(out)
     return [outcomes.get(i) or (False, RuntimeError(
         f"a worker process ended{ended} before it returned item {i}"))
         for i in range(n)]

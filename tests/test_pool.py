@@ -72,8 +72,14 @@ def forks(monkeypatch):
         os.write(write_end, b".")
         return fork()
 
+    def count():
+        try:
+            return len(os.read(read_end, 4096))
+        except BlockingIOError:  # no fork wrote
+            return 0
+
     monkeypatch.setattr(os, "fork", counted)
-    yield lambda: len(os.read(read_end, 4096))
+    yield count
     os.close(read_end)
     os.close(write_end)
 
@@ -174,9 +180,9 @@ class TestOrderedMap:
         assert_no_child()
 
     def test_more_items_than_the_task_pipe_holds(self, cpus):
-        # the indices go out a few at a time once they outgrow one page
+        # thousands of items, shared out, come back in input order
         cpus(2)
-        n = 3 * _pool._MAX_TASKS + 1
+        n = 3073
         assert list(_pool.ordered_map(lambda i: -i, range(n))) \
             == [-i for i in range(n)]
 
@@ -286,6 +292,86 @@ class TestOrderedMap:
         assert got in ([], [0])
         assert re.match(re.escape(message.format(len(got))),
                         str(raised.value))
+
+    def test_a_child_that_dies_partway_keeps_what_it_returned(self, cpus,
+                                                               tmp_path):
+        # the child (items 1, 3, 5) returns item 1 and exits on item 3
+        cpus(2)
+        caller = os.getpid()
+        marker = tmp_path / "returned-one"
+
+        def fn(item):
+            if os.getpid() != caller:
+                if marker.exists():
+                    os._exit(3)
+                marker.touch()
+            return item
+
+        got = []
+        with pytest.raises(RuntimeError) as raised:
+            for value in _pool.ordered_map(fn, range(6)):
+                got.append(value)
+        assert got == [0, 1, 2]
+        assert str(raised.value) == ("a worker process ended with status 3 "
+                                     "before it returned item 3")
+
+    @pytest.mark.parametrize("misstep", ["none", "raise", "exit"])
+    def test_large_results_come_back_whole(self, cpus, misstep):
+        # 8 MB per item, far more than a pipe buffer holds; item 3 runs
+        # in the child, and no descriptor outlives the call
+        cpus(2)
+        caller = os.getpid()
+        fds = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else None
+        before = fds and sorted(os.listdir(fds))
+
+        def big(item):
+            return np.random.default_rng(item).random(1 << 20)
+
+        def fn(item):
+            if item == 3 and misstep == "raise":
+                raise ValueError("item 3 failed")
+            if item == 3 and misstep == "exit" and os.getpid() != caller:
+                os._exit(3)
+            return big(item)
+
+        got = []
+        error = {"none": None, "raise": ValueError,
+                 "exit": RuntimeError}[misstep]
+        if error is None:
+            got = list(_pool.ordered_map(fn, range(4)))
+        else:
+            with pytest.raises(error, match="item 3"):
+                for value in _pool.ordered_map(fn, range(4)):
+                    got.append(value)
+        assert [a.tobytes() for a in got] \
+            == [big(i).tobytes() for i in range(4 if error is None else 3)]
+        if fds:
+            assert sorted(os.listdir(fds)) == before
+
+    def test_no_memory_files_means_one_worker(self, monkeypatch, forks):
+        # without os.memfd_create the items run lazily in this process
+        monkeypatch.delattr(os, "memfd_create")
+        assert _pool._cpu_count() == 1
+        threads = threading.active_count()
+        calls = []
+
+        def fn(item):
+            calls.append(item)
+            return threading.active_count()
+
+        results = _pool.ordered_map(fn, range(3))
+        assert calls == []
+        assert list(results) == [threads] * 3
+        assert forks() == 0
+
+    def test_the_pool_starts_no_thread(self, cpus):
+        # the caller's share runs beside no thread of the pool's
+        cpus(2)
+        threads = threading.active_count()
+        seen = list(_pool.ordered_map(
+            lambda i: (os.getpid(), threading.active_count()), range(4)))
+        assert {n for pid, n in seen if pid == os.getpid()} == {threads}
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_must_be_positive(self, threads):
