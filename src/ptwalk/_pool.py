@@ -18,7 +18,9 @@ pickled, raises at its item.
 
 An item that runs on the pool runs any pool of its own in its process:
 an interface solve whose cells are shared out runs the sides of each
-cell's window one after another, and no worker forks again.
+cell's window one after another, and so does the companion ring that
+an edge-count inference solves in a worker while the caller runs its
+evolution; no worker forks again.
 
 Each worker, the caller included, runs OpenBLAS on at most its share of
 the CPUs; the caller's own thread count is back when the call returns.
@@ -173,6 +175,20 @@ def _outcomes(data: bytes, outcomes: dict) -> None:
         at += size
 
 
+def _read(fd: int) -> bytes:
+    """The whole of the memory file ``fd``: one read returns at most
+    2 GiB - 4 kiB on Linux, so read until the file is exhausted."""
+    size = os.fstat(fd).st_size
+    chunks, at = [], 0
+    while at < size:
+        chunk = os.pread(fd, size - at, at)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        at += len(chunk)
+    return b"".join(chunks)
+
+
 def _fork_map(fn, items: list, workers: int, blas_threads: int) -> list:
     """(ok, value) of every item, in input order, from this process and
     ``workers - 1`` forked children, each child with its own share and
@@ -207,7 +223,7 @@ def _fork_map(fn, items: list, workers: int, blas_threads: int) -> list:
             if code and not ended:
                 ended = (f" with status {code}" if code > 0 else
                          f" on signal {-code}")
-            _outcomes(os.pread(out, os.fstat(out).st_size, 0), outcomes)
+            _outcomes(_read(out), outcomes)
     finally:
         for pid in children:
             os.kill(pid, signal.SIGKILL)

@@ -47,8 +47,9 @@ ever diagonalizing the big system (``DECISIONS``).  Two cheap reads
 supply the rest: the gap regime comes from the bulk bands of both
 phases (``bulk.bloch_fold``), and the expected splitting from the
 interface window of a small companion ring, the shift-invert solve of
-``spectrum.eigendecompose``.  The thresholds of the inference are
-module constants.
+``spectrum.eigendecompose``; where there is a second CPU, both run in
+a forked worker beside the evolution.  The thresholds of the inference
+are module constants.
 
 Site probabilities are frame independent (the symmetric frame differs
 only by a site-local orthogonal rotation), so ``three_step_symmetric``
@@ -58,11 +59,13 @@ evolves identically to ``three_step`` here.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._pool import ordered_map
 from .bulk import bloch_fold, quasienergy
 from .ioutil import write_csv
 from .operators import PROTOCOL, Lattice, WalkSpec, build_walk_operator
@@ -505,6 +508,20 @@ def _measured_splitting(modes) -> float | None:
     return None
 
 
+def _companion(spec: WalkSpec, spectrum_sites: int) -> tuple:
+    """(eps_m, omega_delta hint, solver) of ``infer_edge_count``: the
+    bulk band floor, then the smallest defective-pair splitting of the
+    companion ring's interface window and the path that answered."""
+    eps_m = float(np.abs(quasienergy(bloch_fold(spec)).real).min())
+    companion = dataclasses.replace(spec, lattice=Lattice(spectrum_sites))
+    result = eigendecompose(build_walk_operator(companion),
+                            compute_condition=False, interface_only=True,
+                            window=COMPANION_WINDOW)
+    splittings = [abs(p.eps.real) for p in result.select("defective_pair_member")
+                  if 1e-4 < abs(p.eps.real) < np.pi / 2]
+    return eps_m, min(splittings) if splittings else None, result.solver
+
+
 def infer_edge_count(spec: WalkSpec, steps: int = 10000,
                      spectrum_sites: int = 801) -> EdgeInference:
     """Infer the interface mode count difference from dynamics alone.
@@ -526,27 +543,30 @@ def infer_edge_count(spec: WalkSpec, steps: int = 10000,
     the gap regime is ``"small"``.  It does not depend on the size of
     the companion ring.
 
+    The evolution and the companion (the band floor, then the ring's
+    window solve) are independent, so they are the two items of one
+    :func:`ptwalk._pool.ordered_map` call: this process runs the
+    evolution while a forked worker runs the companion, its window
+    sides one after another, and sends back only ``eps_m``, the hint
+    and the solver label.  On one CPU, or inside an item of another
+    pool, both run here, evolution first.  Either way the result is the
+    same, and so is the first error: a bad ``steps`` or a trace too
+    short for the parity raises before any error of the companion.
+
     ``DECISIONS`` maps the parity and the lowest splitting harmonic
     among the detected families to the candidate counts.  The two
     signals can disagree when a spectrum is atypical; the result is
     then flagged ambiguous, with every count consistent with the
     evidence listed, rather than forced to a single number.
     """
-    trace = evolve(spec, steps=steps)
+    jobs = ordered_map(lambda job: job(), [
+        functools.partial(evolve, spec, steps=steps),
+        functools.partial(_companion, spec, spectrum_sites)])
+    trace = next(jobs)
     parity, persistence = persistence_parity(trace)
     fspec = dft(trace)
-
-    eps_m = float(np.abs(quasienergy(bloch_fold(spec)).real).min())
+    eps_m, hint, companion_solver = next(jobs)
     gap_regime = "small" if eps_m < GAP_REGIME_SPLIT else "large"
-
-    lattice = Lattice(num_sites=spectrum_sites)
-    companion = dataclasses.replace(spec, lattice=lattice)
-    result = eigendecompose(build_walk_operator(companion),
-                            compute_condition=False, interface_only=True,
-                            window=COMPANION_WINDOW)
-    splittings = [abs(p.eps.real) for p in result.select("defective_pair_member")
-                  if 1e-4 < abs(p.eps.real) < np.pi / 2]
-    hint = min(splittings) if splittings else None
 
     modes = detect_modes(fspec, omega_delta_hint=hint)
     families = tuple(sorted(set(m.family for m in modes)))
@@ -561,7 +581,7 @@ def infer_edge_count(spec: WalkSpec, steps: int = 10000,
         candidates=candidates, ambiguous=ambiguous, parity=parity,
         persistence=persistence, families=families, modes=modes,
         omega_delta_measured=_measured_splitting(modes), omega_delta_hint=hint,
-        eps_m=eps_m, gap_regime=gap_regime, companion_solver=result.solver,
+        eps_m=eps_m, gap_regime=gap_regime, companion_solver=companion_solver,
         notes=notes, trace=trace, fourier=fspec)
 
 

@@ -860,6 +860,17 @@ class TestInferEdgesCommand:
         assert inference["eps_m"] is not None
         assert inference["companion_solver"] == "interface"
 
+    def test_companion_error_is_a_json_error(self, capsys, tmp_path):
+        # the one-site companion ring is refused where it is built, in
+        # the worker beside the evolution, and reaches the user as the
+        # one-line JSON error
+        cfg = write_config(tmp_path, INFER.replace("spectrum_sites = 101",
+                                                   "spectrum_sites = 1"))
+        payload = error_of(capsys, "infer-edges", "--config", cfg,
+                           "--out", f"{tmp_path}/i/")
+        assert payload == {"error": "ValueError",
+                           "message": "need at least two sites"}
+
     @pytest.mark.parametrize("key,value", [
         ("threshold", "0.05"), ("kappa", "6.0"), ("spectrum_window", "50")])
     def test_removed_key_rejected(self, capsys, tmp_path, key, value):
@@ -924,6 +935,22 @@ class TestReproduce:
             assert rows[0] == "x,prob"
             total = math.fsum(float(r.split(",")[1]) for r in rows[1:])
             assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("panel,largest", [("a", 1.1584), ("b", 1.1183)])
+    def test_snapshot_walks_amplify_edge_modes(self, panel, largest):
+        # the README's noise floor of the fig9 snapshots: a real edge
+        # eigenvalue past |lambda| = 1 amplifies the stepper's rounding
+        # near the interface by about largest ** 246 by t = 246
+        walk = cli.FIGURES["fig9"].panels[panel].config["walk"]
+        spec, _ = cli._walk_spec(
+            {"walk": {key: str(value) for key, value in walk.items()}})
+        result = spectrum.eigendecompose(operators.build_walk_operator(spec),
+                                         compute_condition=False,
+                                         interface_only=True)
+        edge = [p.lam for cls in ("edge_zero", "edge_pi")
+                for p in result.select(cls)]
+        assert max(abs(lam) for lam in edge) == pytest.approx(largest, abs=1e-4)
+        assert all(lam.imag == 0.0 for lam in edge)
 
     def test_defective_profiles(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "reproduce", "fig13", "--out", f"{tmp_path}/")

@@ -1,7 +1,8 @@
 """The README's module map names only what the modules really define,
 its command-line block is the usage text the CLI prints, the walk keys
-it names are keys the CLI reads, and the solver labels it lists are the
-ones ``eigendecompose`` can return."""
+it names are keys the CLI reads, the solver labels it lists are the
+ones ``eigendecompose`` can return, and its "Worker processes" bullet
+names every function that calls the fork pool."""
 
 import ast
 import importlib
@@ -95,3 +96,36 @@ def test_solver_labels_are_the_returned_ones():
     assert set(readme) == code == {"orthogonal", "pt-fold", "dense",
                                    "interface-fold", "interface-mu",
                                    "interface", "dense-fallback"}
+
+
+class PoolCallers(ast.NodeVisitor):
+    """Names of the functions whose own body calls ``ordered_map``; a
+    call in a nested function counts for the nested one."""
+
+    def __init__(self):
+        self.stack, self.found = [], set()
+
+    def visit_FunctionDef(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    def visit_Call(self, node):
+        if getattr(node.func, "id", None) == "ordered_map" and self.stack:
+            self.found.add(self.stack[-1])
+        self.generic_visit(node)
+
+
+def pool_callers() -> set[str]:
+    visitor = PoolCallers()
+    for path in Path(spectrum.__file__).parent.glob("*.py"):
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+    return visitor.found
+
+
+def test_worker_processes_names_every_pool_caller():
+    bullet = re.search(r"- \*\*Worker processes\.\*\*(.*?)\n\n", TEXT, re.S)[1]
+    named = set(re.findall(r"`(?:\w+\.)*(\w+)`", bullet))
+    callers = pool_callers()
+    assert {"_window", "edge_count_map", "infer_edge_count"} <= callers
+    assert callers <= named

@@ -2,13 +2,14 @@ import dataclasses
 import inspect
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptwalk import dynamics
+from ptwalk import _pool, dynamics
 from ptwalk.bulk import bloch_fold, quasienergy
 from ptwalk.dynamics import (
     DEFAULT_COIN,
@@ -636,6 +637,61 @@ class TestCompanion:
             assert inf.omega_delta_hint is None
         else:
             assert inf.omega_delta_hint == pytest.approx(hint(dense), rel=1e-9)
+
+
+def assert_same(a, b):
+    """Equal field by field: arrays by value and dtype, nested results
+    (the trace and its Fourier spectrum) field by field."""
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    elif dataclasses.is_dataclass(a) and not isinstance(a, (WalkSpec, Mode)):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_same(a[key], b[key])
+    else:
+        assert a == b
+
+
+class TestPooledInference:
+    """The evolution runs in this process and the companion in a forked
+    worker; the result and the first error are those of the serial
+    order."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        return lambda n: monkeypatch.setattr(_pool, "_cpu_count", lambda: n)
+
+    @pytest.mark.parametrize("walk", SPLIT_WALKS, ids=WALK_IDS)
+    def test_pooled_equals_one_worker(self, cpus, monkeypatch, walk):
+        spec = split_spec(*SPLIT_WALKS[walk], delta=0.05)
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        results = []
+        for n in (2, 1):
+            cpus(n)
+            results.append(infer_edge_count(spec, steps=200,
+                                            spectrum_sites=201))
+        assert forks == [1]
+        assert results[0].companion_solver == "interface"
+        assert_same(*results)
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_a_bad_step_count_is_raised_first(self, cpus, n_cpus):
+        cpus(n_cpus)
+        spec = split_spec(*SPLIT_WALKS["large", 3], delta=0.05)
+        with pytest.raises(ValueError, match="need at least one step"):
+            infer_edge_count(spec, steps=0, spectrum_sites=1)
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_a_companion_error_is_raised(self, cpus, n_cpus):
+        cpus(n_cpus)
+        spec = split_spec(*SPLIT_WALKS["large", 3], delta=0.05)
+        with pytest.raises(ValueError, match="need at least two sites"):
+            infer_edge_count(spec, steps=30, spectrum_sites=1)
 
 
 def ladder(parity, families):

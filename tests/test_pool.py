@@ -348,6 +348,23 @@ class TestOrderedMap:
         if fds:
             assert sorted(os.listdir(fds)) == before
 
+    def test_short_reads_are_read_on(self, cpus, monkeypatch):
+        # one read may return less than asked (at most 2 GiB - 4 kiB on
+        # Linux); every record of the child's file still comes back
+        cpus(2)
+        pread = os.pread
+        reads = []
+
+        def short(fd, n, offset):
+            reads.append(n)
+            return pread(fd, min(n, 1000), offset)
+
+        monkeypatch.setattr(os, "pread", short)
+        items = [np.arange(i, i + 500.0) for i in range(6)]
+        got = list(_pool.ordered_map(lambda a: a * 2, items))
+        assert [a.tobytes() for a in got] == [(a * 2).tobytes() for a in items]
+        assert len(reads) > 1
+
     def test_no_memory_files_means_one_worker(self, monkeypatch, forks):
         # without os.memfd_create the items run lazily in this process
         monkeypatch.delattr(os, "memfd_create")
