@@ -130,6 +130,11 @@ class CoinProfile:
             self.half_width is None or self.half_width <= 0
         ):
             raise ValueError("inner_outer layout needs a positive half_width")
+        for name in ("theta1_a", "theta2_a", "theta1_b", "theta2_b", "delta",
+                     "disorder_amplitude"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.disorder_amplitude < 0:
             raise ValueError("disorder_amplitude must be nonnegative")
 
@@ -241,6 +246,8 @@ class WalkSpec:
     def __post_init__(self):
         if self.kind not in WALK_KINDS:
             raise ValueError(f"unknown walk kind {self.kind!r}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         if (self.profile.delta != 0.0
                 and not self.kind.startswith("three_step_perturbed")):
             raise ValueError(f"{self.kind} has no delta slot")

@@ -30,11 +30,14 @@ window below, so the window and the classification cannot disagree.
 (:func:`_structure`): a gain-loss-free walk is real orthogonal and a
 PT-symmetric one satisfies P U P = U^-1, and either way the eigenspaces
 of M = (U + U^-1)/2 reduce U to small blocks; every other walk takes a
-dense ``scipy.linalg.eig``.  ``interface_only=True`` asks shift-invert
-ARPACK, on a banded LU of each shifted matrix (:func:`_window`), only
-for the states the taxonomy could call ``edge_zero``, ``edge_pi`` or
-``defective_pair_member``: in mu = (lambda + 1/lambda)/2 where each mu
-is simple, and in lambda where a relation makes every mu double.
+dense LAPACK ``geev``.  A whole-spectrum result holds one complex
+dim x dim eigenvector matrix, in Fortran order, and each pair's
+``vector`` is a column view of it.  ``interface_only=True`` asks
+shift-invert ARPACK, on a banded LU of each shifted matrix
+(:func:`_window`), only for the states the taxonomy could call
+``edge_zero``, ``edge_pi`` or ``defective_pair_member``: in
+mu = (lambda + 1/lambda)/2 where each mu is simple, and in lambda where
+a relation makes every mu double.
 """
 
 from __future__ import annotations
@@ -80,6 +83,10 @@ CLASSES = ("bulk", "edge_zero", "edge_pi", "defective_pair_member", "impurity")
 
 @dataclass(eq=False)
 class Eigenpair:
+    """One classified eigenpair.  On a whole-spectrum result ``vector``
+    is a column view of the one complex dim x dim eigenvector matrix the
+    result holds, not a copy."""
+
     lam: complex
     eps: complex
     vector: np.ndarray
@@ -183,11 +190,14 @@ def classify_states(evals: np.ndarray, vectors: np.ndarray, spec: WalkSpec,
                     window: int = DEFAULT_WINDOW) -> SpectrumResult:
     """Sort raw eigenpairs into the five state classes.
 
-    ``vectors`` holds one unit-norm eigenvector per column.  Pairs come
-    back sorted by (Re eps, Im eps).  Ambiguity near a class boundary
-    (localization fraction at the 0.5 threshold, or an imaginary part
-    right at the reality tolerance) is flagged on the pair, never
-    silently dropped.
+    ``vectors`` holds one unit-norm eigenvector per column.  Each pair's
+    ``vector`` is a view of its column where ``vectors`` is in Fortran
+    order, as every whole-spectrum path returns it, and a contiguous
+    copy otherwise; so a whole-spectrum result holds one complex
+    dim x dim matrix.  Pairs come back sorted by (Re eps, Im eps).
+    Ambiguity near a class boundary (localization fraction at the 0.5
+    threshold, or an imaginary part right at the reality tolerance) is
+    flagged on the pair, never silently dropped.
     """
     _check_window(window)
     lattice = spec.lattice
@@ -429,7 +439,7 @@ def _solve_clusters(R: scipy.sparse.csr_matrix, bases: list[np.ndarray],
     rows = np.cumsum([0] + [b.shape[0] for b in bases])
     cols = np.cumsum([0] + [b.shape[1] for b in bases])
     evals = np.empty(cols[-1], dtype=complex)
-    vectors = np.empty((n, cols[-1]), dtype=complex)
+    vectors = np.empty((n, cols[-1]), dtype=complex, order="F")
     spans = []
     col = 0
     for group in _clusters(values, CLUSTER_TOL * np.abs(values).max()):
@@ -447,8 +457,20 @@ def _solve_clusters(R: scipy.sparse.csr_matrix, bases: list[np.ndarray],
         vectors[:, span] = q @ z
         spans.append(span)
         col += group.size
-    vectors /= np.linalg.norm(vectors, axis=0)
+    _normalize(vectors, "C")
     return evals, vectors, spans
+
+
+def _normalize(vectors: np.ndarray, order: str) -> None:
+    """Scale every column of ``vectors`` to unit norm in place, a column
+    block at a time.  Each block's norms are summed over a copy in
+    ``order`` (the block itself where it has that layout): down each
+    column for "F", row after row for "C", as ``np.linalg.norm`` sums
+    a whole matrix of that layout."""
+    for start in range(0, vectors.shape[1], _BLOCK):
+        block = slice(start, start + _BLOCK)
+        vectors[:, block] /= np.linalg.norm(
+            np.asarray(vectors[:, block], order=order), axis=0)
 
 
 def _rotate(A: scipy.sparse.csr_matrix, vectors: np.ndarray) -> None:
@@ -568,8 +590,11 @@ def _fold(op: WalkOperator, window: bool, compute_condition: bool):
     else:
         mu, left, right = scipy.linalg.eig(block.toarray(), left=True,
                                            overwrite_a=True)
-        values, bases = np.concatenate([mu, mu]), [right, left.conj()]
+        values = np.concatenate([mu, mu])
+        bases = [right, np.conj(left, out=left)]
+        del left, right
     evals, vectors, spans = _solve_clusters(R, bases, values)
+    del bases
     _rotate(E, vectors)
     conditions = (_pt_conditions(vectors, spans) if compute_condition
                   else None)
@@ -609,18 +634,72 @@ def _gated(op: WalkOperator, found):
     return found
 
 
+def _real_conditions(vl: np.ndarray, vr: np.ndarray,
+                     wi: np.ndarray) -> np.ndarray:
+    """|w| |v| / |w^H v| for matching left and right eigenvectors w and v,
+    read from ``geev``'s real storage.
+
+    A real eigenvalue keeps w and v in its column.  A conjugate pair with
+    ``wi`` > 0 at column j keeps Re in column j and Im in column j + 1:
+    with w = a + ib and v = c + id, w^H v = a.c + b.d + i(a.d - b.c),
+    and both members share |w^H v|, |w| and |v|.  Each column sum reads
+    the matrices in place, so nothing of their size is allocated.
+    """
+    def column_dots(x, y):
+        return np.einsum("ij,ij->j", x, y)
+
+    ww, vv, re = column_dots(vl, vl), column_dots(vr, vr), column_dots(vl, vr)
+    im = np.zeros_like(re)
+    j = np.flatnonzero(wi > 0)
+    im[j] = (column_dots(vl[:, :-1], vr[:, 1:])[j]
+             - column_dots(vl[:, 1:], vr[:, :-1])[j])
+    for sums in (ww, vv, re, im):
+        sums[j] += sums[j + 1]
+        sums[j + 1] = sums[j]
+    with np.errstate(divide="ignore"):
+        return np.sqrt(ww * vv) / np.hypot(re, im)
+
+
 def _dense(op: WalkOperator, compute_condition: bool):
-    """Eigenpairs of the dense ``matrix``; condition numbers come from
-    its left eigenvectors, 1/|w^H v| for unit w and v."""
-    found = scipy.linalg.eig(op.matrix, left=compute_condition)
-    evals, vectors = found[0], found[-1]
-    vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)
-    conditions = None
-    if compute_condition:
-        left = found[1]
-        with np.errstate(divide="ignore"):
-            conditions = (np.linalg.norm(left, axis=0)
-                          / np.abs(np.einsum("ij,ij->j", left.conj(), vectors)))
+    """Eigenpairs of U from LAPACK ``geev`` on a dense Fortran copy of
+    ``op.sparse``, which ``geev`` overwrites; ``op.matrix`` is not built.
+
+    The eigenvalues and unit eigenvectors are those of
+    ``scipy.linalg.eig`` bit for bit: the same work size, the complex
+    vectors filled from the real ones as it fills them, and each column
+    normalized as ``np.linalg.norm`` sums it.  Condition numbers come
+    from the real vectors (:func:`_real_conditions`).  The copy goes
+    when ``geev`` returns and the left vectors before the right ones
+    are widened, so the complex eigenvector matrix is the one array of
+    its size that lives on.
+    """
+    if not np.isfinite(op.sparse.data).all():
+        # geev does not check its input; scipy.linalg.eig refused it so
+        raise ValueError("array must not contain infs or NaNs")
+    a = op.sparse.toarray(order="F")
+    geev, geev_lwork = scipy.linalg.get_lapack_funcs(("geev", "geev_lwork"),
+                                                     (a,))
+    # the work size scipy.linalg.eig queries, which sets geev's blocking
+    work, _ = geev_lwork(op.dim, compute_vl=compute_condition)
+    wr, wi, vl, vr, info = geev(a, lwork=int(work),
+                                compute_vl=compute_condition,
+                                overwrite_a=True)
+    del a
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of geev")
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            "eig algorithm (geev) did not converge (only eigenvalues with "
+            f"order >= {info} have converged)")
+    evals = wr + 1j * wi
+    conditions = _real_conditions(vl, vr, wi) if compute_condition else None
+    del vl
+    vectors = vr.astype(complex)
+    for j in np.flatnonzero(wi > 0):
+        vectors.imag[:, j] = vr[:, j + 1]
+        np.conj(vectors[:, j], out=vectors[:, j + 1])
+    del vr
+    _normalize(vectors, "F")
     return evals, vectors, conditions
 
 
@@ -643,8 +722,8 @@ def eigendecompose(op: WalkOperator, compute_condition: bool = True, *,
 
     ``orthogonal`` is one ``eigh`` of (U + U^T)/2, ``pt-fold`` one
     ``eig`` of a parity block (:func:`_fold`) and ``dense`` a dense
-    ``scipy.linalg.eig``.  Eigenvalue condition numbers are 1 over the
-    cosine of the angle between matching left and right eigenvectors:
+    ``geev`` (:func:`_dense`).  Eigenvalue condition numbers are 1 over
+    the cosine of the angle between matching left and right eigenvectors:
     exactly 1 on ``orthogonal`` (U is normal), from the left
     eigenvectors T v on ``pt-fold`` and from the dense left
     eigenvectors otherwise.  Values beyond ``COND_THRESHOLD`` flag the

@@ -402,18 +402,26 @@ class TestSpectrumCommand:
         # the perturbed gain-loss walk takes the dense path, and no ring
         # walk is defective, so each right eigenvector is handed the left
         # eigenvector of another eigenvalue: bi-orthogonality makes the
-        # two orthogonal, and every pair is then near defective
-        dense_eig = scipy.linalg.eig
+        # two orthogonal, and every pair is then near defective.  geev
+        # keeps a conjugate pair in two adjacent real columns, so the
+        # left columns move on by two
+        lapack = scipy.linalg.get_lapack_funcs
         calls = []
 
-        def mismatched(a, left=False):
-            calls.append(left)
-            if not left:
-                return dense_eig(a)
-            evals, vl, vr = dense_eig(a, left=True)
-            return evals, np.roll(vl, 1, axis=1), vr
+        def mismatched(names, *args, **kwargs):
+            funcs = lapack(names, *args, **kwargs)
+            if names != ("geev", "geev_lwork"):
+                return funcs
+            geev, geev_lwork = funcs
 
-        monkeypatch.setattr(scipy.linalg, "eig", mismatched)
+            def rolled(a, compute_vl=1, **kw):
+                calls.append(bool(compute_vl))
+                wr, wi, vl, vr, info = geev(a, compute_vl=compute_vl, **kw)
+                return wr, wi, np.roll(vl, 2, axis=1), vr, info
+
+            return rolled, geev_lwork
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", mismatched)
         cfg = write_config(tmp_path, SMALL_DENSE_WALK + "[spectrum]\n"
                                      f"compute_condition = {condition}\n")
         rc, _, _ = run(capsys, "spectrum", "--config", cfg,
@@ -496,9 +504,12 @@ class TestWalkSection:
          "[walk] inner_outer layout needs a positive half_width"),
         ("num_sites = 11\n", "num_sites = 11\ndisorder_amplitude = -0.1\n",
          "[walk] disorder_amplitude must be nonnegative"),
+        # a finite value in units of pi that overflows in radians
+        ("theta2_a_over_pi = 0.1\n", "theta2_a_over_pi = 1e308\n",
+         "[walk] theta2_a must be finite, got inf"),
     ], ids=["missing", "unknown", "unparseable", "invalid", "unknown-kind",
             "no-outer-site", "unknown-layout", "no-inner-site",
-            "negative-disorder"])
+            "negative-disorder", "infinite-angle"])
     def test_error_wording(self, capsys, tmp_path, old, new, message):
         cfg = write_config(tmp_path, SMALL_WALK.replace(old, new))
         payload = error_of(capsys, "spectrum", "--config", cfg,

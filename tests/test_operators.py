@@ -101,6 +101,18 @@ class TestCoinProfile:
         with pytest.raises(ValueError):
             CoinProfile("left_right", 0.1, 0.2)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["theta1_a", "theta2_a", "theta1_b",
+                                       "theta2_b", "delta",
+                                       "disorder_amplitude"])
+    def test_non_finite_parameter_rejected(self, field, value):
+        # a NaN disorder_amplitude would pass the nonnegative check, and
+        # a NaN or infinite angle would reach the eigensolver
+        fields = {"theta1_a": 0.1, "theta2_a": 0.2, "theta1_b": 0.3,
+                  "theta2_b": 0.4, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            CoinProfile("left_right", **fields)
+
 
 class TestDisorderOffset:
     def test_reproducible(self):
@@ -172,6 +184,12 @@ class TestWalkSpec:
         t1, t2f, t2s = spec.effective_angles(x)
         assert np.allclose(t2f - t2s, 0.05)
         assert np.allclose(t1, 0.3)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="^gamma must be finite"):
+            WalkSpec("three_step", Lattice(11),
+                     CoinProfile.homogeneous(0.1, 0.2), gamma=gamma)
 
     def test_two_step_is_an_unknown_kind(self):
         # the paper's walk is the three-step one; no other protocol exists

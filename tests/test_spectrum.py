@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -528,8 +529,9 @@ class TestStructuredSolver:
         op = build_walk_operator(spec)
         result = eigendecompose(op)
         assert result.solver == solver
-        # only the dense path builds the dense matrix
-        assert ("matrix" in vars(op)) == (solver == "dense")
+        # no whole-spectrum path leaves the dense matrix cached: the
+        # dense one solves a Fortran copy that geev overwrites
+        assert "matrix" not in vars(op)
         oracle = dense_oracle(spec, compute_condition=True)
         assert result.counts == oracle.counts
         lam = np.array([p.lam for p in result.pairs])
@@ -639,6 +641,88 @@ class TestStructuredSolver:
         v[0] = v[1] = math.sqrt(0.5)
         kappa = _pt_conditions(np.column_stack([v, v]), [slice(0, 2)])
         assert np.all(np.isinf(kappa))
+
+
+def _dense_spec(num_sites, disordered):
+    kw = ({"kind": "three_step_perturbed_disordered", "delta": 0.05,
+           "disorder_amplitude": 0.1, "disorder_seed": 5} if disordered
+          else {"kind": "three_step_perturbed", "delta": 0.05})
+    return interface_spec((-0.6 * PI, 0.2 * PI), num_sites=num_sites,
+                          half_width=min(50, num_sites // 4), **kw)
+
+
+class TestDenseSolver:
+    """The raw ``geev`` path against ``scipy.linalg.eig``."""
+
+    @pytest.mark.parametrize("disordered", [False, True],
+                             ids=["skew", "general"])
+    def test_matches_scipy_eig(self, disordered):
+        op = build_walk_operator(_dense_spec(151, disordered))
+        evals, vectors, conditions = spectrum._dense(op, True)
+        lam, left, right = scipy.linalg.eig(op.matrix, left=True)
+        assert np.count_nonzero(lam.imag > 0) > 10  # conjugate pairs
+        # the same geev call, so the same values and unit vectors bit
+        # for bit, with the vectors in Fortran order
+        assert evals.tobytes() == lam.tobytes()
+        right /= np.linalg.norm(right, axis=0)
+        assert vectors.flags.f_contiguous
+        assert vectors.tobytes() == right.tobytes()
+        left /= np.linalg.norm(left, axis=0)
+        oracle = 1 / np.abs(np.einsum("ij,ij->j", left.conj(), right))
+        np.testing.assert_allclose(conditions, oracle, rtol=1e-12, atol=0)
+        result = eigendecompose(op)
+        assert result.solver == "dense"
+        assert (sum(p.near_defective for p in result.pairs)
+                == np.count_nonzero(oracle > spectrum.COND_THRESHOLD))
+
+    def test_unconverged_geev_raises(self, monkeypatch):
+        lapack = scipy.linalg.get_lapack_funcs
+
+        def unconverged(names, *args, **kwargs):
+            funcs = lapack(names, *args, **kwargs)
+            if names != ("geev", "geev_lwork"):
+                return funcs
+            geev, geev_lwork = funcs
+            return (lambda *a, **kw: (*geev(*a, **kw)[:-1], 7)), geev_lwork
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", unconverged)
+        with pytest.raises(np.linalg.LinAlgError, match="order >= 7"):
+            eigendecompose(build_walk_operator(_dense_spec(41, False)))
+
+    def test_overflowing_matrix_refused(self):
+        # e^(2 gamma) overflows: geev does not check for the infinities
+        spec = dataclasses.replace(_dense_spec(41, False), gamma=400.0)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            eigendecompose(build_walk_operator(spec))
+
+
+MEMORY_CASES = [
+    ("orthogonal", interface_spec((-0.6 * PI, 0.2 * PI), gamma=0.0,
+                                  num_sites=401)),
+    ("pt-fold", interface_spec((-0.6 * PI, 0.2 * PI), num_sites=401)),
+    ("dense", _dense_spec(401, False)),
+    ("dense", _dense_spec(401, True)),
+]
+
+
+@pytest.mark.parametrize("solver,spec", MEMORY_CASES,
+                         ids=["orthogonal", "pt-fold", "skew", "general"])
+def test_whole_spectrum_holds_one_eigenvector_matrix(solver, spec):
+    # a deterministic count: the complex eigenvector matrix is one unit
+    # of 16 dim^2 bytes, and no other array of its size may live beside
+    # it for long (the rest is geev's real vectors or column blocks)
+    op = build_walk_operator(spec)
+    tracemalloc.start()
+    try:
+        result = eigendecompose(op, compute_condition=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.solver == solver
+    assert peak <= 2.6 * 16 * op.dim ** 2
+    matrix = result.pairs[0].vector.base
+    assert matrix.shape == (op.dim, op.dim)
+    assert all(np.shares_memory(p.vector, matrix) for p in result.pairs)
 
 
 class TestCsv:
