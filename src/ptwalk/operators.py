@@ -135,6 +135,15 @@ class CoinProfile:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        # finite fields whose sums the angles are: the draw range
+        # [-amplitude, amplitude) and the shifted theta2 coin
+        sums = {"2 * disorder_amplitude": 2.0 * self.disorder_amplitude}
+        for name in ("theta2_a", "theta2_b"):
+            if getattr(self, name) is not None:
+                sums[f"{name} + delta"] = getattr(self, name) + self.delta
+        for name, value in sums.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.disorder_amplitude < 0:
             raise ValueError("disorder_amplitude must be nonnegative")
 

@@ -33,11 +33,12 @@ of M = (U + U^-1)/2 reduce U to small blocks; every other walk takes a
 dense LAPACK ``geev``.  A whole-spectrum result holds one complex
 dim x dim eigenvector matrix, in Fortran order, and each pair's
 ``vector`` is a column view of it.  ``interface_only=True`` asks
-shift-invert ARPACK, on a banded LU of each shifted matrix
+shift-invert ARPACK, on a banded LU of the shifted matrix
 (:func:`_window`), only for the states the taxonomy could call
 ``edge_zero``, ``edge_pi`` or ``defective_pair_member``: in
-mu = (lambda + 1/lambda)/2 where each mu is simple, and in lambda where
-a relation makes every mu double.
+mu = (lambda + 1/lambda)/2 where each mu is simple (in one parity
+sector of a PT-symmetric walk, whose other sector follows from it), and
+in lambda where a relation makes every mu double.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ COND_THRESHOLD = 1e12  # eigenvalue condition number flagged as near defective
 WINDOW_K0 = 16        # first ARPACK request of the interface path, per side
 CLUSTER_TOL = 3e-4    # relative to the largest |mu|, mu values solved together
 RESIDUAL_TOL = 1e-10  # |U v - lambda v| every structured eigenpair must meet
-_BLOCK = 256          # columns per sparse product over all eigenvectors
+_BLOCK = 256          # columns per normalization block of the eigenvectors
+_BLOCK_BYTES = 1 << 18  # bytes per column block of a sparse product
 
 CLASSES = ("bulk", "edge_zero", "edge_pi", "defective_pair_member", "impurity")
 
@@ -366,34 +368,29 @@ def _side(side, radius: float):
     return None
 
 
-def _window(matrices, radius: float):
-    """Eigenpairs of each sparse matrix nearest +1 and -1, or None.
+def _window(A, radius: float):
+    """Eigenpairs of the sparse A nearest +1 and -1, or None.
 
-    Each matrix is put in its :func:`_band_order`, with a start vector
-    drawn from a seeded generator, which makes its window a function of
-    the matrix alone.  The sides, sigma = +1 and -1 of every matrix,
-    are independent :func:`_side` solves, shared out in one
-    :func:`ptwalk._pool.ordered_map` call; each depends on its matrix
-    alone, so the window is the same however the sides are shared out.
-    None means some side cannot be trusted.
+    A is put in its :func:`_band_order`, with a start vector drawn from
+    a seeded generator, which makes the window a function of A alone.
+    The two sides, sigma = +1 and -1, are independent :func:`_side`
+    solves, shared out in one :func:`ptwalk._pool.ordered_map` call;
+    each depends on A alone, so the window is the same however the
+    sides are shared out.  None means a side cannot be trusted.
     """
-    orders, sides = [], []
-    for A in matrices:
-        order = _band_order(A)
-        B = A[order][:, order]
-        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, A.shape[0])[order]
-        orders.append(order)
-        sides += [(B, v0, 1.0), (B, v0, -1.0)]
+    order = _band_order(A)
+    B = A[order][:, order]
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, A.shape[0])[order]
     found = []
-    # in process, the sides after one that cannot be trusted never run
-    for side in ordered_map(functools.partial(_side, radius=radius), sides):
+    # in process, the -1 side never runs if the +1 side cannot be trusted
+    for side in ordered_map(functools.partial(_side, radius=radius),
+                            [(B, v0, 1.0), (B, v0, -1.0)]):
         if side is None:
             return None
         found.append(side)
+    lams, vecs = zip(*found)
     # rows back from the band order to site order
-    return [(np.concatenate([plus[0], minus[0]]),
-             np.concatenate([plus[1], minus[1]], axis=1)[np.argsort(order)])
-            for order, plus, minus in zip(orders, found[::2], found[1::2])]
+    return np.concatenate(lams), np.hstack(vecs)[np.argsort(order)]
 
 
 def _clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -473,10 +470,17 @@ def _normalize(vectors: np.ndarray, order: str) -> None:
             np.asarray(vectors[:, block], order=order), axis=0)
 
 
+def _product_blocks(vectors: np.ndarray):
+    """Column slices of at most ``_BLOCK_BYTES``: a sparse product copies
+    each Fortran-ordered block to C order, and sums each column in the
+    same order at any width."""
+    width = max(1, _BLOCK_BYTES // (vectors.shape[0] * vectors.itemsize))
+    return (slice(s, s + width) for s in range(0, vectors.shape[1], width))
+
+
 def _rotate(A: scipy.sparse.csr_matrix, vectors: np.ndarray) -> None:
     """vectors <- A @ vectors in place, a column block at a time."""
-    for start in range(0, vectors.shape[1], _BLOCK):
-        block = slice(start, start + _BLOCK)
+    for block in _product_blocks(vectors):
         vectors[:, block] = A @ vectors[:, block]
 
 
@@ -484,8 +488,7 @@ def _max_residual(U: scipy.sparse.csr_matrix, evals: np.ndarray,
                   vectors: np.ndarray) -> float:
     """Largest |U v - lambda v|, a column block at a time."""
     worst = 0.0
-    for start in range(0, evals.size, _BLOCK):
-        b = slice(start, start + _BLOCK)
+    for b in _product_blocks(vectors):
         r = U @ vectors[:, b] - vectors[:, b] * evals[b]
         worst = max(worst, float(np.linalg.norm(r, axis=0).max()))
     return worst
@@ -566,34 +569,29 @@ def _fold(op: WalkOperator, window: bool, compute_condition: bool):
     """Eigenpairs of a ``pt-fold`` walk from the +1 parity block of M, or
     None if its window cannot be trusted.
 
-    In the symmetric frame M = (U + P U P)/2 commutes with P and splits
-    into two parity sectors of ``num_sites`` dimensions each.
-    T = sigma1 on every site maps the P = +1 sector onto the -1 sector,
-    and T U^T T = U makes the -1 block the transpose of the +1 block.
-    So one ``eig`` of the +1 block, with its left eigenvectors, solves
-    both; ``window=True`` takes the mu-window of the block and of its
-    transpose instead.  Each value of mu then has one eigenvector per
-    sector, and :func:`_solve_clusters` recovers lambda and 1/lambda
-    from the two.  Condition numbers are taken in the symmetric frame,
-    where T U^T T = U holds, before a stepwise walk's eigenvectors are
-    rotated back by C(theta1/2)^T.
+    In the parity frame R, M = (U + P U P)/2 is block diagonal with +1
+    block R11.  One ``eig`` of R11 (``window=True``: its mu-window)
+    gives the +1 sector eigenvector x of each mu; as the eigenvector
+    x + y of U has U x = mu x + ((lambda - 1/lambda)/2) y, the -1 sector
+    partner of x is R21 x.  :func:`_solve_clusters` orthonormalizes
+    both and recovers lambda and 1/lambda; a partner that vanishes
+    (lambda = 1/lambda) fails the residual gate.  Condition numbers are
+    taken in the symmetric frame, where T U^T T = U holds, before a
+    stepwise walk's eigenvectors are rotated back by C(theta1/2)^T.
     """
     n = op.spec.lattice.num_sites
     E, R = _parity_frame(op)
     block = R[:n, :n]
     if window:
-        found = _window([block, block.T.tocsr()], _mu_radius(op.spec.gamma))
+        found = _window(block, _mu_radius(op.spec.gamma))
         if found is None:
             return None
-        values = np.concatenate([mu for mu, _ in found])
-        bases = [basis for _, basis in found]
+        mu, right = found
     else:
-        mu, left, right = scipy.linalg.eig(block.toarray(), left=True,
-                                           overwrite_a=True)
-        values = np.concatenate([mu, mu])
-        bases = [right, np.conj(left, out=left)]
-        del left, right
-    evals, vectors, spans = _solve_clusters(R, bases, values)
+        mu, right = scipy.linalg.eig(block.toarray(), overwrite_a=True)
+    bases = [right, R[n:, :n] @ right]
+    del right
+    evals, vectors, spans = _solve_clusters(R, bases, np.concatenate([mu, mu]))
     del bases
     _rotate(E, vectors)
     conditions = (_pt_conditions(vectors, spans) if compute_condition
@@ -608,21 +606,21 @@ def _mu_window(op: WalkOperator):
     for walks where no relation doubles mu; None if it cannot be
     trusted."""
     U = op.sparse
-    found = _window([((U + op.inverse) * 0.5).tocsr()],
+    found = _window(((U + op.inverse) * 0.5).tocsr(),
                     _mu_radius(op.spec.gamma))
     if found is None:
         return None
-    (values, basis), = found
+    values, basis = found
     evals, vectors, _ = _solve_clusters(U, [basis], values)
     return evals, vectors, None
 
 
 def _lambda_window(op: WalkOperator):
     """Window eigenpairs from the lambda-window of U, or None."""
-    found = _window([op.sparse], _completeness_radius(op.spec.gamma))
+    found = _window(op.sparse, _completeness_radius(op.spec.gamma))
     if found is None:
         return None
-    (evals, vectors), = found
+    evals, vectors = found
     vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)
     return evals, vectors, None
 
@@ -733,7 +731,7 @@ def eigendecompose(op: WalkOperator, compute_condition: bool = True, *,
     computes only the window around +1 and -1 that holds every
     ``edge_zero``, ``edge_pi`` and ``defective_pair_member`` state,
     with shift-invert ARPACK: in mu out to :func:`_mu_radius` on the
-    parity block and its transpose (``interface-fold``) or on
+    +1 parity block (``interface-fold``) or on
     M = (U + U^-1)/2 (``interface-mu``), and in lambda on U out to
     :func:`_completeness_radius` where every mu is double
     (``interface``).  ``counts["bulk"]`` and ``counts["impurity"]``

@@ -507,9 +507,16 @@ class TestWalkSection:
         # a finite value in units of pi that overflows in radians
         ("theta2_a_over_pi = 0.1\n", "theta2_a_over_pi = 1e308\n",
          "[walk] theta2_a must be finite, got inf"),
+        # finite values whose draw range or shifted coin overflows
+        ("kind = three_step\n", "kind = three_step_perturbed_disordered\n"
+         "disorder_amplitude = 1e308\n",
+         "[walk] 2 * disorder_amplitude must be finite, got inf"),
+        ("theta2_a_over_pi = 0.1\n", "theta2_a_over_pi = 3e307\n"
+         "delta = 1e308\n", "[walk] theta2_a + delta must be finite, got inf"),
     ], ids=["missing", "unknown", "unparseable", "invalid", "unknown-kind",
             "no-outer-site", "unknown-layout", "no-inner-site",
-            "negative-disorder", "infinite-angle"])
+            "negative-disorder", "infinite-angle", "overflowing-disorder",
+            "overflowing-delta"])
     def test_error_wording(self, capsys, tmp_path, old, new, message):
         cfg = write_config(tmp_path, SMALL_WALK.replace(old, new))
         payload = error_of(capsys, "spectrum", "--config", cfg,

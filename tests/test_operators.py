@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -112,6 +114,30 @@ class TestCoinProfile:
                   "theta2_b": 0.4, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             CoinProfile("left_right", **fields)
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"disorder_amplitude": 1e308},
+         "2 * disorder_amplitude must be finite, got inf"),
+        ({"theta2_a": 1e308, "delta": 1e308},
+         "theta2_a + delta must be finite, got inf"),
+        ({"theta2_b": -1e308, "delta": -1e308},
+         "theta2_b + delta must be finite, got -inf"),
+    ], ids=["disorder-range", "theta2_a-delta", "theta2_b-delta"])
+    def test_overflowing_sum_rejected(self, fields, message):
+        # each field is finite, but the draw range or the shifted coin
+        # would be infinite and the walk NaN
+        fields = {"theta1_a": 0.1, "theta2_a": 0.2, "theta1_b": 0.3,
+                  "theta2_b": 0.4, **fields}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CoinProfile("left_right", **fields)
+
+    def test_largest_disorder_range_is_finite(self):
+        # the largest amplitude whose range 2 * amplitude is finite
+        amplitude = sys.float_info.max / 2
+        CoinProfile.homogeneous(0.1, 0.2, disorder_amplitude=amplitude)
+        draws = _disorder_draws(3, np.arange(-5, 6), 1, amplitude)
+        assert np.isfinite(draws).all()
+        assert np.abs(draws).max() <= amplitude
 
 
 class TestDisorderOffset:

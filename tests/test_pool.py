@@ -477,6 +477,32 @@ class TestPooledEqualsInProcess:
         assert results[0].solver == results[1].solver == solver
         assert pair_bytes(results[0]) == pair_bytes(results[1])
 
+    @pytest.mark.parametrize("interface_only,solver", [
+        (True, "interface"), (False, "dense"),
+    ], ids=["window", "whole"])
+    def test_a_vanishing_partner(self, cpus, monkeypatch, interface_only,
+                                 solver):
+        # a zero column in the R21 image, as where lambda = 1/lambda:
+        # the pairs built from it miss the residual gate, and the
+        # lambda-window (or the dense path) answers, pooled as in-process
+        spec = WINDOW_WALKS["interface-fold"]
+        solve = spectrum._solve_clusters
+
+        def zeroed(R, bases, values):
+            if len(bases) == 2:
+                bases[1][:, 0] = 0
+            return solve(R, bases, values)
+
+        monkeypatch.setattr(spectrum, "_solve_clusters", zeroed)
+        results = []
+        for n in (1, 2):
+            cpus(n)
+            results.append(eigendecompose(
+                build_walk_operator(spec), compute_condition=False,
+                interface_only=interface_only))
+        assert results[0].solver == results[1].solver == solver
+        assert pair_bytes(results[0]) == pair_bytes(results[1])
+
 
 class TestNesting:
     """An item on the pool runs its own pools in its process."""

@@ -291,6 +291,7 @@ ORACLE_CASES = [
         profile=CoinProfile.left_right((0.125 * PI, 0.1 * PI),
                                        (-0.2 * PI, -PI / 12), delta=0.05))),
 ]
+ORACLE_CASES_BY_NAME = {name: spec for name, _, spec in ORACLE_CASES}
 MU_PATHS = {"interface-fold": _c06(0.0), "interface-mu": _c07((-0.2, 0.3), 0.1)}
 
 
@@ -337,6 +338,48 @@ class TestInterfaceSolver:
             return lams[np.minimum(abs(z - 1), abs(z + 1)) <= radius]
 
         assert inside(all_w).size == inside(all_d).size
+
+    def test_fold_window_factors_one_matrix(self, monkeypatch):
+        # the -1 sector comes from R21 times the +1 eigenvectors, so
+        # only the +1 block is factored, once per side
+        monkeypatch.setattr(_pool, "_cpu_count", lambda: 1)
+        spec = _c06(0.0)
+        factored = []
+        shift_invert = spectrum._shift_invert
+
+        def counted(B, sigma):
+            factored.append((B.shape[0], sigma))
+            return shift_invert(B, sigma)
+
+        monkeypatch.setattr(spectrum, "_shift_invert", counted)
+        assert window_lams(spec).solver == "interface-fold"
+        n = spec.lattice.num_sites
+        assert factored == [(n, 1.0), (n, -1.0)]
+
+    @pytest.mark.parametrize(
+        "spec", [spec for _, solver, spec in ORACLE_CASES
+                 if solver == "interface-fold"],
+        ids=[name for name, solver, _ in ORACLE_CASES
+             if solver == "interface-fold"])
+    def test_minus_sector_vectors(self, monkeypatch, spec):
+        # M is block diagonal in the parity frame and commutes with R,
+        # so R22 (R21 x) = R21 R11 x = mu R21 x
+        bases = []
+        solve = spectrum._solve_clusters
+
+        def recorded(R, basis_list, values):
+            bases.append((R, basis_list, values))
+            return solve(R, basis_list, values)
+
+        monkeypatch.setattr(spectrum, "_solve_clusters", recorded)
+        assert window_lams(spec).solver == "interface-fold"
+        (R, (plus, minus), values), = bases
+        n = spec.lattice.num_sites
+        mu = values[:plus.shape[1]]
+        np.testing.assert_array_equal(values[plus.shape[1]:], mu)
+        y = minus / np.linalg.norm(minus, axis=0)
+        residual = np.linalg.norm(R[n:, n:] @ y - y * mu, axis=0)
+        assert residual.max() <= 1e-12
 
     def test_condition_numbers_refused(self):
         op = build_walk_operator(interface_spec((-0.6 * PI, 0.2 * PI)))
@@ -429,8 +472,9 @@ WINDOW_MATRICES = ("U-skew", "U-gamma0", "M-disordered", "fold-block",
 
 def window_matrices(num_sites):
     """Every matrix a window path factors: U of a skew and of a
-    gamma = 0 walk, M = (U + U^-1)/2 of a disordered walk, and the
-    interface-fold block and its transpose."""
+    gamma = 0 walk, M = (U + U^-1)/2 of a disordered walk and the
+    interface-fold block; and that block's transpose, which no path
+    factors, as one more banded input."""
     half_width = min(50, num_sites // 4)
 
     def op(outer, **kw):
@@ -496,7 +540,7 @@ class TestBandedShiftInvert:
     def test_singular_shift_gives_no_window(self, eigenvalues, sigma):
         A = scipy.sparse.diags(eigenvalues).tocsr()
         assert spectrum._shift_invert(A, sigma) is None
-        assert spectrum._window([A], 0.1) is None
+        assert spectrum._window(A, 0.1) is None
 
 
 def _fig4(outer, gamma=0.1, kind="three_step"):
@@ -551,6 +595,15 @@ class TestStructuredSolver:
         assert separated.sum() > lam.size / 2
         error = np.abs(kappa - kappa_o) / kappa_o
         assert error[separated].max() <= 1e-6
+
+    def test_fold_residual_margin(self):
+        # the fig4d walk at 801 sites: each partner R21 x is as
+        # accurate as x, so the gate holds with a wide margin
+        op = build_walk_operator(ORACLE_CASES_BY_NAME["c04-801"])
+        evals, vectors, _ = spectrum._fold(op, False, False)
+        assert vectors.shape == (op.dim, op.dim)
+        assert (spectrum._max_residual(op.sparse, evals, vectors)
+                <= spectrum.RESIDUAL_TOL / 10)
 
     @pytest.mark.parametrize("spec", [_fig4((-0.6, 0.2)),
                                       _fig4((-0.6, 0.2), gamma=0.0)],
@@ -723,6 +776,42 @@ def test_whole_spectrum_holds_one_eigenvector_matrix(solver, spec):
     matrix = result.pairs[0].vector.base
     assert matrix.shape == (op.dim, op.dim)
     assert all(np.shares_memory(p.vector, matrix) for p in result.pairs)
+
+
+def test_window_products_copy_no_whole_matrix(monkeypatch):
+    # scipy's sparse product takes a C-ordered copy of each Fortran-
+    # ordered column block; on a window result (64 columns on c04) an
+    # uncapped block is the whole eigenvector matrix, and the copy, the
+    # product and the residual's temporaries would each be that size
+    monkeypatch.setattr(_pool, "_cpu_count", lambda: 1)
+    op = build_walk_operator(ORACLE_CASES_BY_NAME["c04-801"])
+    extra = []
+
+    def traced(product):
+        def call(A, *args):
+            vectors = args[-1]
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = product(A, *args)
+            extra.append((tracemalloc.get_traced_memory()[1] - base,
+                          vectors.nbytes))
+            return out
+        return call
+
+    for name in ("_rotate", "_max_residual"):
+        monkeypatch.setattr(spectrum, name, traced(getattr(spectrum, name)))
+    tracemalloc.start()
+    try:
+        result = eigendecompose(op, compute_condition=False,
+                                interface_only=True)
+    finally:
+        tracemalloc.stop()
+    assert result.solver == "interface-fold"
+    # E and C(theta1/2)^T, then the gate
+    assert len(extra) == 3
+    for allocated, matrix in extra:
+        assert matrix >= 4 * spectrum._BLOCK_BYTES
+        assert allocated <= matrix
 
 
 class TestCsv:
