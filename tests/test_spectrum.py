@@ -292,6 +292,8 @@ ORACLE_CASES = [
                                        (-0.2 * PI, -PI / 12), delta=0.05))),
 ]
 ORACLE_CASES_BY_NAME = {name: spec for name, _, spec in ORACLE_CASES}
+FOLD_CASES = {name: spec for name, solver, spec in ORACLE_CASES
+              if solver == "interface-fold"}
 MU_PATHS = {"interface-fold": _c06(0.0), "interface-mu": _c07((-0.2, 0.3), 0.1)}
 
 
@@ -356,11 +358,7 @@ class TestInterfaceSolver:
         n = spec.lattice.num_sites
         assert factored == [(n, 1.0), (n, -1.0)]
 
-    @pytest.mark.parametrize(
-        "spec", [spec for _, solver, spec in ORACLE_CASES
-                 if solver == "interface-fold"],
-        ids=[name for name, solver, _ in ORACLE_CASES
-             if solver == "interface-fold"])
+    @pytest.mark.parametrize("spec", FOLD_CASES.values(), ids=FOLD_CASES)
     def test_minus_sector_vectors(self, monkeypatch, spec):
         # M is block diagonal in the parity frame and commutes with R,
         # so R22 (R21 x) = R21 R11 x = mu R21 x
