@@ -281,12 +281,17 @@ def _write_json(payload: dict, path) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _points(sec: Section, key: str, default: int) -> int:
+    n = sec.take(key, int, default)
+    if n < 2:
+        raise CliError(f"[{sec.name}] {key} must be at least 2")
+    return n
+
+
 def _angle_grid(sec: Section, prefix: str, default_points: int):
     lo = sec.angle(f"{prefix}_min_over_pi", -1.0)
     hi = sec.angle(f"{prefix}_max_over_pi", 1.0)
-    n = sec.take(f"{prefix}_points", int, default_points)
-    if n < 2:
-        raise CliError(f"[{sec.name}] {prefix}_points must be at least 2")
+    n = _points(sec, f"{prefix}_points", default_points)
     return np.linspace(lo, hi, n)
 
 
@@ -391,8 +396,7 @@ def _cmd_delta_sweep(cfg, em) -> Run:
     sec = _section(cfg, "delta-sweep")
     lo = sec.take("delta_min", _parse_float, 0.0)
     hi = sec.take("delta_max", _parse_float)
-    n = sec.take("delta_points", int, 21)
-    deltas = np.linspace(lo, hi, n).tolist()
+    deltas = np.linspace(lo, hi, _points(sec, "delta_points", 21)).tolist()
     params = sec.finish()
     params["deltas"] = deltas
     params["walk"] = walk

@@ -30,15 +30,15 @@ window below, so the window and the classification cannot disagree.
 (:func:`_structure`): a gain-loss-free walk is real orthogonal and a
 PT-symmetric one satisfies P U P = U^-1, and either way the eigenspaces
 of M = (U + U^-1)/2 reduce U to small blocks; every other walk takes a
-dense LAPACK ``geev``.  A whole-spectrum result holds one complex
-dim x dim eigenvector matrix, in Fortran order, and each pair's
-``vector`` is a column view of it.  ``interface_only=True`` asks
-shift-invert ARPACK, on a banded LU of the shifted matrix
-(:func:`_window`), only for the states the taxonomy could call
-``edge_zero``, ``edge_pi`` or ``defective_pair_member``: in
-mu = (lambda + 1/lambda)/2 where each mu is simple (in one parity
-sector of a PT-symmetric walk, whose other sector follows from it), and
-in lambda where a relation makes every mu double.
+dense LAPACK ``geev``.  Every result holds one complex eigenvector
+matrix, in Fortran order, and each pair's ``vector`` is a column view
+of it.  ``interface_only=True`` asks shift-invert ARPACK, on a banded
+LU of the shifted matrix (:func:`_window`), only for the states the
+taxonomy could call ``edge_zero``, ``edge_pi`` or
+``defective_pair_member``: in mu = (lambda + 1/lambda)/2 where each mu
+is simple (in one parity sector of a PT-symmetric walk, whose other
+sector follows from it), and in lambda where a relation makes every mu
+double.
 """
 
 from __future__ import annotations
@@ -85,9 +85,8 @@ CLASSES = ("bulk", "edge_zero", "edge_pi", "defective_pair_member", "impurity")
 
 @dataclass(eq=False)
 class Eigenpair:
-    """One classified eigenpair.  On a whole-spectrum result ``vector``
-    is a column view of the one complex dim x dim eigenvector matrix the
-    result holds, not a copy."""
+    """One classified eigenpair.  ``vector`` is a column view of the one
+    complex eigenvector matrix every result holds, not a copy."""
 
     lam: complex
     eps: complex
@@ -194,9 +193,9 @@ def classify_states(evals: np.ndarray, vectors: np.ndarray, spec: WalkSpec,
 
     ``vectors`` holds one unit-norm eigenvector per column.  Each pair's
     ``vector`` is a view of its column where ``vectors`` is in Fortran
-    order, as every whole-spectrum path returns it, and a contiguous
-    copy otherwise; so a whole-spectrum result holds one complex
-    dim x dim matrix.  Pairs come back sorted by (Re eps, Im eps).
+    order, as every path of :func:`eigendecompose` returns it, and a
+    contiguous copy otherwise; so every result holds one complex
+    eigenvector matrix.  Pairs come back sorted by (Re eps, Im eps).
     Ambiguity near a class boundary (localization fraction at the 0.5
     threshold, or an imaginary part right at the reality tolerance) is
     flagged on the pair, never silently dropped.
@@ -389,8 +388,11 @@ def _window(A, radius: float):
             return None
         found.append(side)
     lams, vecs = zip(*found)
-    # rows back from the band order to site order
-    return np.concatenate(lams), np.hstack(vecs)[np.argsort(order)]
+    evals = np.concatenate(lams)
+    vectors = np.empty((A.shape[0], evals.size), dtype=complex, order="F")
+    # rows scattered back from the band order to site order
+    vectors[order] = np.hstack(vecs)
+    return evals, vectors
 
 
 def _clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -429,8 +431,9 @@ def _solve_clusters(R: scipy.sparse.csr_matrix, bases: list[np.ndarray],
     eigenspace of its values, which the callers' residual gates check.
     Clusters are single-linkage groups within ``CLUSTER_TOL`` of the
     largest |value|, so no near-degenerate eigenvector is split from its
-    partners.  Returns the eigenvalues, the unit eigenvectors and one
-    column slice per cluster.
+    partners.  Returns the eigenvalues, the eigenvectors (unit norm up
+    to rounding: an orthonormal basis times ``eig``'s unit vectors) and
+    one column slice per cluster.
     """
     n = R.shape[0]
     rows = np.cumsum([0] + [b.shape[0] for b in bases])
@@ -454,20 +457,16 @@ def _solve_clusters(R: scipy.sparse.csr_matrix, bases: list[np.ndarray],
         vectors[:, span] = q @ z
         spans.append(span)
         col += group.size
-    _normalize(vectors, "C")
     return evals, vectors, spans
 
 
-def _normalize(vectors: np.ndarray, order: str) -> None:
-    """Scale every column of ``vectors`` to unit norm in place, a column
-    block at a time.  Each block's norms are summed over a copy in
-    ``order`` (the block itself where it has that layout): down each
-    column for "F", row after row for "C", as ``np.linalg.norm`` sums
-    a whole matrix of that layout."""
+def _normalize(vectors: np.ndarray) -> None:
+    """Scale every column of the Fortran-ordered ``vectors`` to unit norm
+    in place, ``_BLOCK`` columns at a time, each norm summed down its
+    column as ``np.linalg.norm`` sums a whole Fortran-ordered matrix."""
     for start in range(0, vectors.shape[1], _BLOCK):
-        block = slice(start, start + _BLOCK)
-        vectors[:, block] /= np.linalg.norm(
-            np.asarray(vectors[:, block], order=order), axis=0)
+        block = vectors[:, start:start + _BLOCK]
+        block /= np.linalg.norm(block, axis=0)
 
 
 def _product_blocks(vectors: np.ndarray):
@@ -500,13 +499,13 @@ def _t_order(dim: int) -> np.ndarray:
 
 
 def _pt_conditions(vectors: np.ndarray, spans: list[slice]) -> np.ndarray:
-    """Condition numbers of unit eigenvectors of U with T U^T T = U.
+    """Condition numbers of eigenvectors of U with T U^T T = U.
 
     T U is symmetric (T = sigma1 on every site), so (T v)^T is a left
     eigenvector for v.  Within a cluster the rows of G^-1 (T V)^T, with
     G = V^T T V, are the dual basis of the columns V, and each row's
-    norm is that pair's condition number.  A singular G makes them
-    infinite.
+    norm times |v| is that pair's condition number, whatever the scale
+    of v.  A singular G makes them infinite.
     """
     swap = _t_order(vectors.shape[0])
     conditions = np.empty(vectors.shape[1])
@@ -518,7 +517,8 @@ def _pt_conditions(vectors: np.ndarray, spans: list[slice]) -> np.ndarray:
         except np.linalg.LinAlgError:
             conditions[span] = np.inf
         else:
-            conditions[span] = np.linalg.norm(dual, axis=1)
+            conditions[span] = (np.linalg.norm(dual, axis=1)
+                                * np.linalg.norm(v, axis=0))
     return conditions
 
 
@@ -550,8 +550,9 @@ def _orthogonal(op: WalkOperator, compute_condition: bool):
     ``eigh`` gives its eigenspaces, and every condition number is 1
     since U is normal."""
     U = op.sparse
-    c, q = scipy.linalg.eigh(((U + U.T) * 0.5).toarray(), driver="evd",
-                             overwrite_a=True)
+    # in Fortran order, which eigh overwrites without a copy
+    c, q = scipy.linalg.eigh(((U + U.T) * 0.5).toarray(order="F"),
+                             driver="evd", overwrite_a=True)
     evals, vectors, _ = _solve_clusters(U, [q], c)
     return evals, vectors, np.ones(op.dim) if compute_condition else None
 
@@ -618,11 +619,7 @@ def _mu_window(op: WalkOperator):
 def _lambda_window(op: WalkOperator):
     """Window eigenpairs from the lambda-window of U, or None."""
     found = _window(op.sparse, _completeness_radius(op.spec.gamma))
-    if found is None:
-        return None
-    evals, vectors = found
-    vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)
-    return evals, vectors, None
+    return None if found is None else (*found, None)
 
 
 def _gated(op: WalkOperator, found):
@@ -662,11 +659,10 @@ def _dense(op: WalkOperator, compute_condition: bool):
     """Eigenpairs of U from LAPACK ``geev`` on a dense Fortran copy of
     ``op.sparse``, which ``geev`` overwrites; ``op.matrix`` is not built.
 
-    The eigenvalues and unit eigenvectors are those of
-    ``scipy.linalg.eig`` bit for bit: the same work size, the complex
-    vectors filled from the real ones as it fills them, and each column
-    normalized as ``np.linalg.norm`` sums it.  Condition numbers come
-    from the real vectors (:func:`_real_conditions`).  The copy goes
+    The eigenvalues and raw eigenvectors are those of
+    ``scipy.linalg.eig`` bit for bit: the same work size, and the complex
+    vectors filled from the real ones as it fills them.  Condition numbers
+    come from the real vectors (:func:`_real_conditions`).  The copy goes
     when ``geev`` returns and the left vectors before the right ones
     are widened, so the complex eigenvector matrix is the one array of
     its size that lives on.
@@ -697,7 +693,6 @@ def _dense(op: WalkOperator, compute_condition: bool):
         vectors.imag[:, j] = vr[:, j + 1]
         np.conj(vectors[:, j], out=vectors[:, j + 1])
     del vr
-    _normalize(vectors, "F")
     return evals, vectors, conditions
 
 
@@ -742,6 +737,8 @@ def eigendecompose(op: WalkOperator, compute_condition: bool = True, *,
     respectively ``interface`` does, and where the lambda-window cannot
     be trusted the dense path answers as ``dense-fallback``.
     ``window`` is the localization window of :func:`classify_states`.
+    Every path returns its raw eigenvectors in one Fortran-ordered
+    matrix, whose columns are scaled to unit norm here, once.
     """
     if interface_only and compute_condition:
         raise ValueError("condition numbers need the full eigenvector "
@@ -769,6 +766,7 @@ def eigendecompose(op: WalkOperator, compute_condition: bool = True, *,
         solver = "dense-fallback" if interface_only else "dense"
         found = _dense(op, compute_condition)
     evals, vectors, conditions = found
+    _normalize(vectors)
     result = classify_states(evals, vectors, op.spec,
                              eig_conditions=conditions, window=window)
     result.solver = solver

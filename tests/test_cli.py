@@ -177,7 +177,11 @@ class TestUsageAndErrors:
          "[spectrum] compute_condition: not a boolean: 'maybe'"),
         ("phase-diagram", "[phase-diagram]\ntheta1_points = 1\n",
          "[phase-diagram] theta1_points must be at least 2"),
-    ], ids=["not-a-boolean", "one-point-grid"])
+        *[("delta-sweep", WALK + f"[delta-sweep]\ndelta_max = 0.1\n"
+           f"delta_points = {n}\n",
+           "[delta-sweep] delta_points must be at least 2") for n in (1, -3)],
+    ], ids=["not-a-boolean", "one-point-grid", "one-point-sweep",
+            "negative-point-sweep"])
     def test_invalid_value_rejected(self, capsys, tmp_path, command, text,
                                     message):
         cfg = write_config(tmp_path, text)

@@ -693,6 +693,25 @@ class TestStructuredSolver:
         kappa = _pt_conditions(np.column_stack([v, v]), [slice(0, 2)])
         assert np.all(np.isinf(kappa))
 
+    def test_conditions_ignore_column_scale(self, monkeypatch):
+        # the PT-fold vectors reach _pt_conditions before eigendecompose
+        # normalizes them, so a column's scale must not matter
+        calls = []
+        conditions = spectrum._pt_conditions
+
+        def recorded(vectors, spans):
+            calls.append((vectors.copy(order="F"), spans))
+            return conditions(vectors, spans)
+
+        monkeypatch.setattr(spectrum, "_pt_conditions", recorded)
+        spec = interface_spec((-0.6 * PI, 0.2 * PI), **SMALL)
+        assert eigendecompose(build_walk_operator(spec)).solver == "pt-fold"
+        (vectors, spans), = calls
+        scale = np.random.default_rng(2).uniform(1e-3, 1e3, vectors.shape[1])
+        np.testing.assert_allclose(conditions(vectors * scale, spans),
+                                   conditions(vectors, spans),
+                                   rtol=1e-12, atol=0)
+
 
 def _dense_spec(num_sites, disordered):
     kw = ({"kind": "three_step_perturbed_disordered", "delta": 0.05,
@@ -712,17 +731,20 @@ class TestDenseSolver:
         evals, vectors, conditions = spectrum._dense(op, True)
         lam, left, right = scipy.linalg.eig(op.matrix, left=True)
         assert np.count_nonzero(lam.imag > 0) > 10  # conjugate pairs
-        # the same geev call, so the same values and unit vectors bit
-        # for bit, with the vectors in Fortran order
+        # the same geev call, so the same values and raw vectors bit for
+        # bit, and eigendecompose scales the columns as np.linalg.norm
+        # scales a whole Fortran-ordered matrix
         assert evals.tobytes() == lam.tobytes()
+        assert vectors.tobytes(order="A") == right.tobytes(order="A")
+        result = eigendecompose(op)
+        assert result.solver == "dense"
+        matrix = result.pairs[0].vector.base
         right /= np.linalg.norm(right, axis=0)
-        assert vectors.flags.f_contiguous
-        assert vectors.tobytes() == right.tobytes()
+        assert matrix.flags.f_contiguous
+        assert matrix.tobytes() == right.tobytes()
         left /= np.linalg.norm(left, axis=0)
         oracle = 1 / np.abs(np.einsum("ij,ij->j", left.conj(), right))
         np.testing.assert_allclose(conditions, oracle, rtol=1e-12, atol=0)
-        result = eigendecompose(op)
-        assert result.solver == "dense"
         assert (sum(p.near_defective for p in result.pairs)
                 == np.count_nonzero(oracle > spectrum.COND_THRESHOLD))
 
@@ -756,12 +778,24 @@ MEMORY_CASES = [
 ]
 
 
+def one_eigenvector_matrix(result):
+    """The Fortran-ordered matrix every pair's unit vector is a column
+    view of."""
+    matrix = result.pairs[0].vector.base
+    assert matrix.flags.f_contiguous
+    assert matrix.shape[1] == len(result.pairs)
+    assert all(p.vector.base is matrix for p in result.pairs)
+    assert np.abs(np.linalg.norm(matrix, axis=0) - 1).max() <= 1e-14
+    return matrix
+
+
 @pytest.mark.parametrize("solver,spec", MEMORY_CASES,
                          ids=["orthogonal", "pt-fold", "skew", "general"])
 def test_whole_spectrum_holds_one_eigenvector_matrix(solver, spec):
     # a deterministic count: the complex eigenvector matrix is one unit
     # of 16 dim^2 bytes, and no other array of its size may live beside
-    # it for long (the rest is geev's real vectors or column blocks)
+    # it for long (the rest is eigh's input and workspace, geev's real
+    # vectors, or column blocks)
     op = build_walk_operator(spec)
     tracemalloc.start()
     try:
@@ -770,10 +804,19 @@ def test_whole_spectrum_holds_one_eigenvector_matrix(solver, spec):
     finally:
         tracemalloc.stop()
     assert result.solver == solver
-    assert peak <= 2.6 * 16 * op.dim ** 2
-    matrix = result.pairs[0].vector.base
-    assert matrix.shape == (op.dim, op.dim)
-    assert all(np.shares_memory(p.vector, matrix) for p in result.pairs)
+    assert peak <= 1.7 * 16 * op.dim ** 2
+    assert one_eigenvector_matrix(result).shape == (op.dim, op.dim)
+
+
+@pytest.mark.parametrize("solver,name", [("interface-fold", "c04-801"),
+                                         ("interface-mu", "c07-seed5"),
+                                         ("interface", "split-gamma0")])
+def test_window_holds_one_eigenvector_matrix(solver, name):
+    # the window paths return their vectors in one matrix too, the
+    # lambda-window's rows scattered back from the band order into it
+    result = window_lams(ORACLE_CASES_BY_NAME[name])
+    assert result.solver == solver
+    assert one_eigenvector_matrix(result).shape[0] == result.spec.lattice.dim
 
 
 def test_window_products_copy_no_whole_matrix(monkeypatch):
