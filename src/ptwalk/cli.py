@@ -406,6 +406,7 @@ def _cmd_delta_sweep(cfg, em) -> Run:
     result = {
         "n_branches": sweep.n_branches,
         "n_points": len(sweep.points),
+        "inserted_points": sum(p.inserted for p in sweep.points),
         "ep_bracket": list(sweep.ep_bracket) if sweep.ep_bracket else None,
     }
     return Run(params, result, sweep)

@@ -38,7 +38,9 @@ taxonomy could call ``edge_zero``, ``edge_pi`` or
 ``defective_pair_member``: in mu = (lambda + 1/lambda)/2 where each mu
 is simple (in one parity sector of a PT-symmetric walk, whose other
 sector follows from it), and in lambda where a relation makes every mu
-double.
+double.  ARPACK stops at ``WINDOW_TOL``, each window keeps only the
+pairs inside its radius (possibly none), and every window answers only
+through the residual gate of ``RESIDUAL_TOL``.
 """
 
 from __future__ import annotations
@@ -75,8 +77,9 @@ EDGE_BAND = 0.3       # rad, how far off the axis a defective pair may sit
 PAIR_TOL = 1e-8       # relative, conjugate partner matching
 COND_THRESHOLD = 1e12  # eigenvalue condition number flagged as near defective
 WINDOW_K0 = 16        # first ARPACK request of the interface path, per side
+WINDOW_TOL = 1e-8     # ARPACK stopping tolerance of the interface path
 CLUSTER_TOL = 3e-4    # relative to the largest |mu|, mu values solved together
-RESIDUAL_TOL = 1e-10  # |U v - lambda v| every structured eigenpair must meet
+RESIDUAL_TOL = 1e-10  # |U v - lambda v| gate of structured and window pairs
 _BLOCK = 256          # columns per normalization block of the eigenvectors
 _BLOCK_BYTES = 1 << 18  # bytes per column block of a sparse product
 
@@ -338,14 +341,19 @@ def _shift_invert(B, sigma: float) -> _BandedLU | None:
 
 
 def _side(side, radius: float):
-    """Eigenpairs of the banded B nearest sigma, for ``side`` = (B, v0,
-    sigma), or None.
+    """Eigenpairs of the banded B within ``radius`` of sigma, for
+    ``side`` = (B, v0, sigma), or None.
 
     Shift-invert ARPACK on a banded LU of B - sigma I
     (:func:`_shift_invert`), from the start vector v0 and seeded
     restart draws.  It starts at ``WINDOW_K0`` eigenvalues and doubles
     the count until the farthest one lies beyond ``radius``, so nothing
-    inside it is missed.  None means the side cannot be trusted:
+    inside it is missed, and returns only the pairs inside, which may
+    be none.  ARPACK stops at ``WINDOW_TOL``, relative to each
+    theta = 1/(lambda - sigma): the pairs inside the radius have the
+    largest |theta| and converge long before the bulk values beyond
+    it, which are dropped; the residual gate of :func:`eigendecompose`
+    checks the pairs kept.  None means the side cannot be trusted:
     B - sigma I exactly singular, k beyond a quarter of the dimension,
     or no convergence.
     """
@@ -357,18 +365,21 @@ def _side(side, radius: float):
     while k <= B.shape[0] / 4:
         try:
             lam, vec = scipy.sparse.linalg.eigs(B, k, sigma=sigma,
-                                                OPinv=inverse, v0=v0, rng=0)
+                                                OPinv=inverse, v0=v0,
+                                                tol=WINDOW_TOL, rng=0)
         except RuntimeError:
             # ArpackNoConvergence and ArpackError are RuntimeErrors
             return None
-        if np.abs(lam - sigma).max() > radius:
-            return lam, vec
+        distance = np.abs(lam - sigma)
+        if distance.max() > radius:
+            inside = distance <= radius
+            return lam[inside], vec[:, inside]
         k *= 2
     return None
 
 
 def _window(A, radius: float):
-    """Eigenpairs of the sparse A nearest +1 and -1, or None.
+    """Eigenpairs of the sparse A within ``radius`` of +1 and -1, or None.
 
     A is put in its :func:`_band_order`, with a start vector drawn from
     a seeded generator, which makes the window a function of A alone.
@@ -442,7 +453,9 @@ def _solve_clusters(R: scipy.sparse.csr_matrix, bases: list[np.ndarray],
     vectors = np.empty((n, cols[-1]), dtype=complex, order="F")
     spans = []
     col = 0
-    for group in _clusters(values, CLUSTER_TOL * np.abs(values).max()):
+    # an empty window has no values and no clusters
+    for group in _clusters(values,
+                           CLUSTER_TOL * np.abs(values).max(initial=0.0)):
         q = np.zeros((n, group.size), dtype=np.result_type(*bases))
         filled = 0
         for basis, top, bottom, lo, hi in zip(bases, rows[:-1], rows[1:],
@@ -729,13 +742,16 @@ def eigendecompose(op: WalkOperator, compute_condition: bool = True, *,
     +1 parity block (``interface-fold``) or on
     M = (U + U^-1)/2 (``interface-mu``), and in lambda on U out to
     :func:`_completeness_radius` where every mu is double
-    (``interface``).  ``counts["bulk"]`` and ``counts["impurity"]``
-    then cover the window alone, and ``eps_m`` is None.
+    (``interface``).  Each window keeps only the pairs inside its
+    radius, converged to ``WINDOW_TOL`` (:func:`_side`), and may keep
+    none; ``counts["bulk"]`` and ``counts["impurity"]`` then cover that
+    disk alone, and ``eps_m`` is None.
 
-    A structured or mu result answers only if every pair has
-    |U v - lambda v| <= ``RESIDUAL_TOL``; otherwise ``dense``
-    respectively ``interface`` does, and where the lambda-window cannot
-    be trusted the dense path answers as ``dense-fallback``.
+    A structured or window result answers only if every pair has
+    |U v - lambda v| <= ``RESIDUAL_TOL``; otherwise ``dense`` answers
+    for a structured path and ``interface`` for a mu-window, and where
+    the lambda-window misses the gate or cannot be trusted the dense
+    path answers as ``dense-fallback``.
     ``window`` is the localization window of :func:`classify_states`.
     Every path returns its raw eigenvectors in one Fortran-ordered
     matrix, whose columns are scaled to unit norm here, once.
@@ -755,7 +771,7 @@ def eigendecompose(op: WalkOperator, compute_condition: bool = True, *,
             found = _gated(op, _mu_window(op))
         if found is None:
             solver = "interface"
-            found = _lambda_window(op)
+            found = _gated(op, _lambda_window(op))
     elif structure == "orthogonal":
         solver = "orthogonal"
         found = _gated(op, _orthogonal(op, compute_condition))

@@ -730,7 +730,11 @@ class TestDeltaSweepCommand:
         params = manifest["parameters"]
         assert params["delta_points"] == 3
         assert params["deltas"] == [0.0, 0.05, 0.1]
-        assert manifest["result"]["n_points"] >= 3
+        # bisection inserts points into this coarse grid, and every
+        # point beyond the three requested is counted as inserted
+        result = manifest["result"]
+        assert result["inserted_points"] > 0
+        assert result["n_points"] == 3 + result["inserted_points"]
         rows = (tmp_path / "s" / "delta_sweep.csv").read_text().splitlines()
         assert len(rows) > 1
 
@@ -948,6 +952,7 @@ class TestReproduce:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["result"]["ep_bracket"] == [0.065, 0.07]
         assert manifest["result"]["n_branches"] == 8
+        assert manifest["result"]["inserted_points"] == 0
 
     def test_snapshots(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "reproduce", "fig9", "--out", f"{tmp_path}/")

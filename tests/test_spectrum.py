@@ -216,6 +216,20 @@ class TestEdgeCountMap:
                               num_sites=301)
         assert emap.solvers == {}
 
+    def test_empty_window_counts_nothing(self):
+        # a gapped cell with no winding change holds no eigenvalue
+        # inside either side's radius, and its window returns no pair
+        outer = (0.7 * PI, 0.05 * PI)
+        result = window_lams(interface_spec(outer))
+        assert result.solver == "interface-fold"
+        assert result.pairs == []
+        assert set(result.counts.values()) == {0}
+        emap = edge_count_map(INNER, [outer[0]], [outer[1]], gamma=0.1,
+                              num_sites=301)
+        assert emap.counted[0, 0]
+        assert (emap.n_zero[0, 0], emap.n_pi[0, 0]) == (0, 0)
+        assert emap.solvers == {"interface-fold": 1}
+
     def test_gapless_outer_cell_skipped(self):
         emap = edge_count_map(INNER, [0.25 * PI], [0.25 * PI], gamma=0.1,
                               num_sites=301)
@@ -405,15 +419,39 @@ class TestInterfaceSolver:
         assert fallback.counts == dense.counts
         assert (dense.counts["edge_zero"], dense.counts["edge_pi"]) == (6, 6)
 
+    @staticmethod
+    def missing_gate(monkeypatch, *names):
+        """Move every eigenvalue the named window solves find by 1e-6,
+        so their pairs miss the residual gate."""
+        for name in names:
+            def moved(*args, solve=getattr(spectrum, name)):
+                found = solve(*args)
+                return None if found is None else (found[0] + 1e-6,
+                                                   *found[1:])
+            monkeypatch.setattr(spectrum, name, moved)
+
     @pytest.mark.parametrize("solver", MU_PATHS)
     def test_residual_miss_falls_back_to_lambda_window(self, monkeypatch,
                                                        solver):
         spec = MU_PATHS[solver]
         assert window_lams(spec).solver == solver
-        monkeypatch.setattr(spectrum, "RESIDUAL_TOL", 0.0)
+        self.missing_gate(monkeypatch, "_fold", "_mu_window")
         result = window_lams(spec)
         assert result.solver == "interface"
         assert edge_like(result)[0] == edge_like(dense_oracle(spec))[0]
+
+    @pytest.mark.parametrize("solver,spec", [*MU_PATHS.items(),
+                                             ("interface", _c06(0.07))],
+                             ids=[*MU_PATHS, "interface"])
+    def test_lambda_window_miss_falls_back_to_dense(self, monkeypatch,
+                                                    solver, spec):
+        # the lambda-window is gated too: a miss there leaves the
+        # dense path to answer
+        assert window_lams(spec).solver == solver
+        self.missing_gate(monkeypatch, "_fold", "_mu_window", "_lambda_window")
+        result = window_lams(spec)
+        assert result.solver == "dense-fallback"
+        assert result.counts == dense_oracle(spec).counts
 
     def test_radius(self):
         assert _completeness_radius(0.1) == pytest.approx(0.3977, abs=1e-4)
@@ -821,10 +859,13 @@ def test_window_holds_one_eigenvector_matrix(solver, name):
 
 def test_window_products_copy_no_whole_matrix(monkeypatch):
     # scipy's sparse product takes a C-ordered copy of each Fortran-
-    # ordered column block; on a window result (64 columns on c04) an
-    # uncapped block is the whole eigenvector matrix, and the copy, the
-    # product and the residual's temporaries would each be that size
+    # ordered column block; an uncapped block is the whole eigenvector
+    # matrix, and the copy, the product and the residual's temporaries
+    # would each be that size.  The c04 window holds only its 12
+    # in-radius columns, so the cap is lowered to keep the matrix more
+    # than four blocks wide
     monkeypatch.setattr(_pool, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(spectrum, "_BLOCK_BYTES", 1 << 15)
     op = build_walk_operator(ORACLE_CASES_BY_NAME["c04-801"])
     extra = []
 
