@@ -537,7 +537,8 @@ def infer_edge_count(spec: WalkSpec, steps: int = 10000,
     answered.  On a gamma = 0 walk, as the split walks of return
     spectroscopy are, the ring is orthogonal: every mu = (lambda +
     1/lambda)/2 is double, so the lambda-window (``"interface"``)
-    answers, or ``"dense-fallback"`` where it cannot.  ``eps_m`` is
+    answers, or the ring's whole-spectrum path (``"orthogonal"``, past
+    its gate ``"dense"``) where that window misses.  ``eps_m`` is
     the bulk band floor, the smallest ``|Re eps|`` of either phase over
     the ``bulk.bloch_fold`` momentum grid; below ``GAP_REGIME_SPLIT``
     the gap regime is ``"small"``.  It does not depend on the size of

@@ -7,9 +7,11 @@ States of an interface configuration are sorted into five classes:
   axis at 0 respectively pi (equivalently, a real eigenvalue of
   positive respectively negative sign).
 * ``defective_pair_member``: localized, quasienergy still near 0 or pi
-  but with a conjugate partner off the axis; such pairs appear when
-  two interface modes coalesce at an exceptional point and split into
-  the complex plane.
+  but with a conjugate partner off the axis.  With gain and loss such
+  pairs appear when two interface modes coalesce at an exceptional
+  point and split into the complex plane; at gamma = 0 U is normal and
+  has no exceptional point, and the class holds its localized
+  conjugate pairs off the axis.
 * ``impurity``: localized but with quasienergy well away from 0 and
   pi; these ride along with some interface configurations and are not
   protected.
@@ -40,7 +42,8 @@ is simple (in one parity sector of a PT-symmetric walk, whose other
 sector follows from it), and in lambda where a relation makes every mu
 double.  ARPACK stops at ``WINDOW_TOL``, each window keeps only the
 pairs inside its radius (possibly none), and every window answers only
-through the residual gate of ``RESIDUAL_TOL``.
+through the residual gate of ``RESIDUAL_TOL``; a window that misses it
+or cannot be trusted leaves the answer to the whole-spectrum solve.
 """
 
 from __future__ import annotations
@@ -80,7 +83,6 @@ WINDOW_K0 = 16        # first ARPACK request of the interface path, per side
 WINDOW_TOL = 1e-8     # ARPACK stopping tolerance of the interface path
 CLUSTER_TOL = 3e-4    # relative to the largest |mu|, mu values solved together
 RESIDUAL_TOL = 1e-10  # |U v - lambda v| gate of structured and window pairs
-_BLOCK = 256          # columns per normalization block of the eigenvectors
 _BLOCK_BYTES = 1 << 18  # bytes per column block of a sparse product
 
 CLASSES = ("bulk", "edge_zero", "edge_pi", "defective_pair_member", "impurity")
@@ -109,8 +111,8 @@ class SpectrumResult:
     pairs: list[Eigenpair]
     counts: dict[str, int]
     eps_m: float | None
-    # "orthogonal", "pt-fold", "dense", "interface-fold", "interface-mu",
-    # "interface" or "dense-fallback"
+    # "orthogonal", "pt-fold", "dense", "interface-fold", "interface-mu"
+    # or "interface"
     solver: str = "dense"
 
     def select(self, *classes: str) -> list[Eigenpair]:
@@ -313,22 +315,10 @@ def _band_order(A) -> np.ndarray:
                                                       symmetric_mode=True)
 
 
-class _BandedLU(scipy.sparse.linalg.LinearOperator):
-    """x -> (B - sigma I)^-1 x from the LAPACK banded LU of B - sigma I;
-    ``kl`` and ``ku`` count the sub- and superdiagonals of the band."""
-
-    def __init__(self, lu: np.ndarray, ipiv: np.ndarray, kl: int, ku: int):
-        super().__init__(np.float64, (lu.shape[1], lu.shape[1]))
-        self.lu, self.ipiv, self.kl, self.ku = lu, ipiv, kl, ku
-
-    def _matvec(self, x):
-        return scipy.linalg.lapack.dgbtrs(self.lu, self.kl, self.ku, x,
-                                          self.ipiv)[0]
-
-
-def _shift_invert(B, sigma: float) -> _BandedLU | None:
-    """(B - sigma I)^-1 for a banded sparse B, or None if the factor is
-    exactly singular (``dgbtrf`` finds a zero pivot)."""
+def _shift_invert(B, sigma: float):
+    """x -> (B - sigma I)^-1 x for a banded sparse B, by ``dgbtrs`` on the
+    LAPACK banded LU of B - sigma I, or None if the factor is exactly
+    singular (``dgbtrf`` finds a zero pivot)."""
     C = B.tocoo()
     offset = C.row - C.col
     kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
@@ -337,7 +327,9 @@ def _shift_invert(B, sigma: float) -> _BandedLU | None:
     ab[kl + ku + offset, C.col] = C.data
     ab[kl + ku] -= sigma
     lu, ipiv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku, overwrite_ab=True)
-    return None if info > 0 else _BandedLU(lu, ipiv, kl, ku)
+    return None if info > 0 else scipy.sparse.linalg.LinearOperator(
+        B.shape, lambda x: scipy.linalg.lapack.dgbtrs(lu, kl, ku, x, ipiv)[0],
+        dtype=np.float64)
 
 
 def _side(side, radius: float):
@@ -473,21 +465,20 @@ def _solve_clusters(R: scipy.sparse.csr_matrix, bases: list[np.ndarray],
     return evals, vectors, spans
 
 
-def _normalize(vectors: np.ndarray) -> None:
-    """Scale every column of the Fortran-ordered ``vectors`` to unit norm
-    in place, ``_BLOCK`` columns at a time, each norm summed down its
-    column as ``np.linalg.norm`` sums a whole Fortran-ordered matrix."""
-    for start in range(0, vectors.shape[1], _BLOCK):
-        block = vectors[:, start:start + _BLOCK]
-        block /= np.linalg.norm(block, axis=0)
-
-
 def _product_blocks(vectors: np.ndarray):
     """Column slices of at most ``_BLOCK_BYTES``: a sparse product copies
     each Fortran-ordered block to C order, and sums each column in the
     same order at any width."""
     width = max(1, _BLOCK_BYTES // (vectors.shape[0] * vectors.itemsize))
     return (slice(s, s + width) for s in range(0, vectors.shape[1], width))
+
+
+def _normalize(vectors: np.ndarray) -> None:
+    """Scale every column of the Fortran-ordered ``vectors`` to unit norm
+    in place, a column block at a time, each norm summed down its column
+    as ``np.linalg.norm`` sums a whole Fortran-ordered matrix."""
+    for block in _product_blocks(vectors):
+        vectors[:, block] /= np.linalg.norm(vectors[:, block], axis=0)
 
 
 def _rotate(A: scipy.sparse.csr_matrix, vectors: np.ndarray) -> None:
@@ -642,6 +633,16 @@ def _gated(op: WalkOperator, found):
     return found
 
 
+# structure -> (solver label, solve) of the one window of interface_only
+_WINDOWS = {
+    "orthogonal": ("interface", _lambda_window),
+    "pt-fold": ("interface-fold",
+                functools.partial(_fold, window=True, compute_condition=False)),
+    "skew": ("interface", _lambda_window),
+    "general": ("interface-mu", _mu_window),
+}
+
+
 def _real_conditions(vl: np.ndarray, vr: np.ndarray,
                      wi: np.ndarray) -> np.ndarray:
     """|w| |v| / |w^H v| for matching left and right eigenvectors w and v,
@@ -715,7 +716,8 @@ def eigendecompose(op: WalkOperator, compute_condition: bool = True, *,
     """Eigendecomposition plus classification; ``solver`` on the result
     names the path that answered.
 
-    The walk's :func:`_structure` picks the path:
+    The walk's :func:`_structure` picks the path, the window from
+    ``_WINDOWS``:
 
     ============  ================  ====================
     structure     whole spectrum    ``interface_only``
@@ -749,9 +751,9 @@ def eigendecompose(op: WalkOperator, compute_condition: bool = True, *,
 
     A structured or window result answers only if every pair has
     |U v - lambda v| <= ``RESIDUAL_TOL``; otherwise ``dense`` answers
-    for a structured path and ``interface`` for a mu-window, and where
-    the lambda-window misses the gate or cannot be trusted the dense
-    path answers as ``dense-fallback``.
+    for a structured path, and a window that misses the gate or cannot
+    be trusted returns ``eigendecompose(op, False, window=window)``,
+    the whole-spectrum result with its own label.
     ``window`` is the localization window of :func:`classify_states`.
     Every path returns its raw eigenvectors in one Fortran-ordered
     matrix, whose columns are scaled to unit norm here, once.
@@ -763,15 +765,10 @@ def eigendecompose(op: WalkOperator, compute_condition: bool = True, *,
     structure = _structure(op.spec)
     found = None
     if interface_only:
-        if structure == "pt-fold":
-            solver = "interface-fold"
-            found = _gated(op, _fold(op, True, False))
-        elif structure == "general":
-            solver = "interface-mu"
-            found = _gated(op, _mu_window(op))
+        solver, solve = _WINDOWS[structure]
+        found = _gated(op, solve(op))
         if found is None:
-            solver = "interface"
-            found = _gated(op, _lambda_window(op))
+            return eigendecompose(op, compute_condition=False, window=window)
     elif structure == "orthogonal":
         solver = "orthogonal"
         found = _gated(op, _orthogonal(op, compute_condition))
@@ -779,14 +776,14 @@ def eigendecompose(op: WalkOperator, compute_condition: bool = True, *,
         solver = "pt-fold"
         found = _gated(op, _fold(op, False, compute_condition))
     if found is None:
-        solver = "dense-fallback" if interface_only else "dense"
+        solver = "dense"
         found = _dense(op, compute_condition)
     evals, vectors, conditions = found
     _normalize(vectors)
     result = classify_states(evals, vectors, op.spec,
                              eig_conditions=conditions, window=window)
     result.solver = solver
-    if solver.startswith("interface"):
+    if interface_only:
         result.eps_m = None
     return result
 

@@ -1,8 +1,9 @@
 """The README's module map names only what the modules really define,
 its command-line block is the usage text the CLI prints, the walk keys
 it names are keys the CLI reads, the solver labels it lists are the
-ones ``eigendecompose`` can return, and its "Worker processes" bullet
-names every function that calls the fork pool."""
+ones ``eigendecompose`` can return, its structure table names the
+window of each structure, and its "Worker processes" bullet names
+every function that calls the fork pool."""
 
 import ast
 import importlib
@@ -90,12 +91,22 @@ def solver_labels(tree: ast.AST) -> set[str]:
 def test_solver_labels_are_the_returned_ones():
     source = Path(spectrum.__file__).read_text(encoding="utf-8")
     code = solver_labels(ast.parse(source))
+    code |= {label for label, _ in spectrum._WINDOWS.values()}
     sentence = re.search(r"`result\.solver` is one of(.*?)\.\s", TEXT, re.S)[1]
     readme = re.findall(r'`"([\w-]+)"`', sentence)
     assert len(readme) == len(set(readme))
     assert set(readme) == code == {"orthogonal", "pt-fold", "dense",
                                    "interface-fold", "interface-mu",
-                                   "interface", "dense-fallback"}
+                                   "interface"}
+
+
+def test_structure_table_windows_are_the_window_table():
+    header = "| structure | when | relation | whole spectrum | window |\n"
+    table = TEXT.split(header, 1)[1].split("\n\n", 1)[0]
+    rows = [line.strip("|").split(" | ") for line in table.splitlines()[1:]]
+    assert [(row[0].strip(), row[-1].strip(" `")) for row in rows] == [
+        (structure, label)
+        for structure, (label, _) in spectrum._WINDOWS.items()]
 
 
 class PoolCallers(ast.NodeVisitor):

@@ -453,21 +453,22 @@ class TestPooledEqualsInProcess:
         assert results[0].solver == results[1].solver == solver
         assert pair_bytes(results[0]) == pair_bytes(results[1])
 
-    @pytest.mark.parametrize("refused,solver", [
-        ("fold-block", "interface"), ("every-matrix", "dense-fallback"),
+    @pytest.mark.parametrize("window_solver,solver", [
+        ("interface-fold", "pt-fold"), ("interface-mu", "dense"),
+        ("interface", "dense"),
     ])
-    def test_a_side_with_no_window(self, cpus, monkeypatch, refused, solver):
-        # the -1 side of the fold block (or of every matrix) has an
-        # exactly singular factor, so the lambda-window (or the dense
-        # path) answers, pooled as in-process
-        spec = WINDOW_WALKS["interface-fold"]
+    def test_a_side_with_no_window(self, cpus, monkeypatch, window_solver,
+                                   solver):
+        # the -1 side of every window matrix has an exactly singular
+        # factor, so the whole-spectrum solve answers, pooled as
+        # in-process
+        spec = WINDOW_WALKS[window_solver]
+        whole = eigendecompose(build_walk_operator(spec),
+                               compute_condition=False)
         shift_invert = spectrum._shift_invert
 
         def refusing(B, sigma):
-            if sigma < 0 and (refused == "every-matrix"
-                              or B.shape[0] == spec.lattice.num_sites):
-                return None
-            return shift_invert(B, sigma)
+            return None if sigma < 0 else shift_invert(B, sigma)
 
         monkeypatch.setattr(spectrum, "_shift_invert", refusing)
         results = []
@@ -475,16 +476,19 @@ class TestPooledEqualsInProcess:
             cpus(n)
             results.append(window(spec))
         assert results[0].solver == results[1].solver == solver
+        assert whole.solver == solver
         assert pair_bytes(results[0]) == pair_bytes(results[1])
+        assert pair_bytes(results[0]) == pair_bytes(whole)
 
     @pytest.mark.parametrize("interface_only,solver", [
-        (True, "interface"), (False, "dense"),
+        (True, "dense"), (False, "dense"),
     ], ids=["window", "whole"])
     def test_a_vanishing_partner(self, cpus, monkeypatch, interface_only,
                                  solver):
         # a zero column in the R21 image, as where lambda = 1/lambda:
-        # the pairs built from it miss the residual gate, and the
-        # lambda-window (or the dense path) answers, pooled as in-process
+        # the pairs built from it miss the residual gate on the fold
+        # window and on the whole parity block alike, so the dense path
+        # answers, pooled as in-process
         spec = WINDOW_WALKS["interface-fold"]
         solve = spectrum._solve_clusters
 

@@ -309,6 +309,13 @@ ORACLE_CASES_BY_NAME = {name: spec for name, _, spec in ORACLE_CASES}
 FOLD_CASES = {name: spec for name, solver, spec in ORACLE_CASES
               if solver == "interface-fold"}
 MU_PATHS = {"interface-fold": _c06(0.0), "interface-mu": _c07((-0.2, 0.3), 0.1)}
+# one walk of each structure, whose window answers as _WINDOWS says
+STRUCTURE_CASES = {
+    "orthogonal": interface_spec((-0.6 * PI, 0.2 * PI), gamma=0.0),
+    "pt-fold": MU_PATHS["interface-fold"],
+    "skew": _c06(0.07),
+    "general": MU_PATHS["interface-mu"],
+}
 
 
 def edge_like(result):
@@ -320,6 +327,16 @@ def edge_like(result):
 def window_lams(spec):
     return eigendecompose(build_walk_operator(spec), compute_condition=False,
                           interface_only=True)
+
+
+def pair_bytes(result):
+    return [np.array([getattr(p, attr) for p in result.pairs]).tobytes()
+            for attr in ("lam", "vector")]
+
+
+def no_convergence(*args, **kwargs):
+    raise scipy.sparse.linalg.ArpackNoConvergence(
+        "no convergence", np.empty(0), np.empty((0, 0)))
 
 
 class TestInterfaceSolver:
@@ -405,52 +422,80 @@ class TestInterfaceSolver:
          True),
     ], ids=["k-above-quarter-dim", "no-convergence"])
     def test_fallback_is_reported(self, monkeypatch, spec, arpack_fails):
-        def no_convergence(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence(
-                "no convergence", np.empty(0), np.empty((0, 0)))
-
-        dense = eigendecompose(build_walk_operator(spec),
+        # the fold window cannot be trusted, and the label names the
+        # whole-spectrum path that answered instead
+        whole = eigendecompose(build_walk_operator(spec),
                                compute_condition=False)
         if arpack_fails:
             monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
         fallback = eigendecompose(build_walk_operator(spec),
                                   compute_condition=False, interface_only=True)
-        assert fallback.solver == "dense-fallback"
-        assert fallback.counts == dense.counts
-        assert (dense.counts["edge_zero"], dense.counts["edge_pi"]) == (6, 6)
+        assert fallback.solver == whole.solver == "pt-fold"
+        assert fallback.counts == whole.counts == dense_oracle(spec).counts
+        assert (whole.counts["edge_zero"], whole.counts["edge_pi"]) == (6, 6)
 
     @staticmethod
-    def missing_gate(monkeypatch, *names):
-        """Move every eigenvalue the named window solves find by 1e-6,
-        so their pairs miss the residual gate."""
-        for name in names:
-            def moved(*args, solve=getattr(spectrum, name)):
-                found = solve(*args)
-                return None if found is None else (found[0] + 1e-6,
-                                                   *found[1:])
-            monkeypatch.setattr(spectrum, name, moved)
+    def missing_gate(monkeypatch, structure):
+        """Move every eigenvalue the window of ``structure`` finds by
+        1e-6, so its pairs miss the residual gate."""
+        label, solve = spectrum._WINDOWS[structure]
 
-    @pytest.mark.parametrize("solver", MU_PATHS)
-    def test_residual_miss_falls_back_to_lambda_window(self, monkeypatch,
-                                                       solver):
-        spec = MU_PATHS[solver]
-        assert window_lams(spec).solver == solver
-        self.missing_gate(monkeypatch, "_fold", "_mu_window")
-        result = window_lams(spec)
-        assert result.solver == "interface"
-        assert edge_like(result)[0] == edge_like(dense_oracle(spec))[0]
+        def moved(op):
+            found = solve(op)
+            return None if found is None else (found[0] + 1e-6, *found[1:])
 
-    @pytest.mark.parametrize("solver,spec", [*MU_PATHS.items(),
-                                             ("interface", _c06(0.07))],
-                             ids=[*MU_PATHS, "interface"])
-    def test_lambda_window_miss_falls_back_to_dense(self, monkeypatch,
-                                                    solver, spec):
-        # the lambda-window is gated too: a miss there leaves the
-        # dense path to answer
-        assert window_lams(spec).solver == solver
-        self.missing_gate(monkeypatch, "_fold", "_mu_window", "_lambda_window")
+        monkeypatch.setitem(spectrum._WINDOWS, structure, (label, moved))
+
+    @pytest.mark.parametrize("miss", ["no-convergence", "residual"])
+    @pytest.mark.parametrize("structure", STRUCTURE_CASES)
+    def test_a_missed_window_is_the_whole_spectrum_solve(self, monkeypatch,
+                                                         structure, miss):
+        # the one fallback rule: a window that cannot be trusted, or
+        # that misses the gate, returns the whole-spectrum result, and
+        # no second window is tried after it
+        spec = STRUCTURE_CASES[structure]
+        op = build_walk_operator(spec)
+        assert spectrum._structure(spec) == structure
+        assert (window_lams(spec).solver
+                == spectrum._WINDOWS[structure][0])
+        whole = eigendecompose(op, compute_condition=False, window=12)
+        if miss == "no-convergence":
+            monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+        else:
+            self.missing_gate(monkeypatch, structure)
+        windows = []
+        window = spectrum._window
+
+        def counted(A, radius):
+            windows.append(A.shape[0])
+            return window(A, radius)
+
+        monkeypatch.setattr(spectrum, "_window", counted)
+        missed = eigendecompose(op, compute_condition=False,
+                                interface_only=True, window=12)
+        assert len(windows) == 1
+        assert missed.solver == whole.solver
+        assert missed.counts == whole.counts
+        assert missed.eps_m == whole.eps_m is not None
+        assert pair_bytes(missed) == pair_bytes(whole)
+
+    @pytest.mark.parametrize("structure,structured", [
+        ("pt-fold", "_fold"), ("orthogonal", "_orthogonal"),
+    ])
+    def test_window_and_structured_miss_fall_back_to_dense(
+            self, monkeypatch, structure, structured):
+        # the whole-spectrum solve keeps its own gate: where the
+        # structured path misses it too, the dense path answers
+        spec = STRUCTURE_CASES[structure]
+        self.missing_gate(monkeypatch, structure)
+
+        def moved(*args, solve=getattr(spectrum, structured)):
+            found = solve(*args)
+            return (found[0] + 1e-6, *found[1:])
+
+        monkeypatch.setattr(spectrum, structured, moved)
         result = window_lams(spec)
-        assert result.solver == "dense-fallback"
+        assert result.solver == "dense"
         assert result.counts == dense_oracle(spec).counts
 
     def test_radius(self):
@@ -562,10 +607,14 @@ class TestBandedShiftInvert:
     def test_bandwidth_does_not_grow_with_the_lattice(self):
         # a walk step that moved a site by more than one would widen
         # the band with the lattice, and the banded LU would cost O(n^3)
+        # (sub-, superdiagonals) of A in band order, as the factor reads
         bands = {name: set() for name in WINDOW_MATRICES}
         for num_sites in (31, 301, 801):
             for name, A in window_matrices(num_sites).items():
-                bands[name].update((f.kl, f.ku) for f in banded_factors(A)[1])
+                order = spectrum._band_order(A)
+                B = A[order][:, order].tocoo()
+                bands[name].add((int((B.row - B.col).max()),
+                                 int((B.col - B.row).max())))
         for name, band in bands.items():
             assert len(band) == 1, (name, band)
 
