@@ -64,6 +64,13 @@ from .spectrum import (
     eigendecompose,
 )
 
+from . import _pool
+
+# one BLAS thread in every process: the bytes a dense solve writes depend
+# on OpenBLAS's thread count, and forked pool workers inherit this one
+for _set_threads in _pool._openblas():
+    _set_threads(1)
+
 __version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

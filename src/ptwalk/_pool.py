@@ -22,16 +22,17 @@ cell's window one after another, and so does the companion ring that
 an edge-count inference solves in a worker while the caller runs its
 evolution; no worker forks again.
 
-Each worker, the caller included, runs OpenBLAS on at most its share of
-the CPUs; the caller's own thread count is back when the call returns.
-OpenBLAS threads spin while they wait for work: on a 2-vCPU VM, two
-workers that each kept OpenBLAS's default two threads ran ``reproduce
-fig5`` and ``fig6`` 1.4-3.4x slower than one process did.
+``import ptwalk`` sets every OpenBLAS it has loaded to one thread, and
+a forked worker inherits that count, so every worker runs its solves on
+one BLAS thread, as the one-worker path does.  The bytes a solve writes
+depend on the BLAS thread count, and OpenBLAS threads spin while they
+wait for work: on a 2-vCPU VM, two workers that each kept OpenBLAS's
+default two threads ran ``reproduce fig5`` and ``fig6`` 1.4-3.4x slower
+than one process did.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import pickle
 import signal
@@ -40,13 +41,12 @@ import sys
 
 _nested = False  # True while this process runs an item of a pool
 
-# OpenBLAS's thread-count entry points, as numpy's bundled copy, scipy's
-# bundled copy and a system build export them
-_BLAS_THREADS = (
-    ("scipy_openblas_get_num_threads64_",
-     "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
+# OpenBLAS's thread-count setter, as numpy's bundled copy, scipy's
+# bundled copy and a system build export it
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads",
 )
 
 # one record of a child: item index, whether the call returned, and the
@@ -62,11 +62,10 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-@functools.cache
 def _openblas() -> tuple:
-    """(get, set) thread-count functions of every OpenBLAS loaded in this
-    process, found once: ``import ptwalk`` loads numpy's and scipy's
-    before any pool runs."""
+    """Thread-count setters of every OpenBLAS loaded in this process;
+    ``import ptwalk`` calls this once it has loaded numpy's and
+    scipy's."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split(maxsplit=5)[5].strip() for line in fh
@@ -78,27 +77,12 @@ def _openblas() -> tuple:
     found = []
     for path in sorted(paths):
         lib = ctypes.CDLL(path)
-        for get_name, set_name in _BLAS_THREADS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((get, set_))
-                break
+        name = next((n for n in _OPENBLAS_SETTERS if hasattr(lib, n)), None)
+        if name is not None:
+            set_ = getattr(lib, name)
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            found.append(set_)
     return tuple(found)
-
-
-def _cap_blas(limit: int) -> list:
-    """Lower every OpenBLAS loaded in this process to at most ``limit``
-    threads; other BLAS libraries are left as they are.  Returns the
-    (set, count) pairs that put back what was lowered."""
-    lowered = []
-    for get, set_ in _openblas():
-        count = get()
-        if count > limit:
-            set_(limit)
-            lowered.append((set_, count))
-    return lowered
 
 
 def _call(fn, item) -> tuple:
@@ -135,8 +119,7 @@ def _flush_std_streams() -> None:
             pass
 
 
-def _child(fn, items, rank: int, workers: int, out: int,
-           blas_threads: int) -> None:
+def _child(fn, items, rank: int, workers: int, out: int) -> None:
     """Forked worker ``rank``: run its share of the items, write one
     record per item to the memory file ``out``, and leave through
     ``os._exit`` whatever happens."""
@@ -144,7 +127,6 @@ def _child(fn, items, rank: int, workers: int, out: int,
     _nested = True
     status = 1
     try:
-        _cap_blas(blas_threads)
         with os.fdopen(out, "wb") as fh:
             for i in range(rank, len(items), workers):
                 fh.write(_record(i, *_call(fn, items[i])))
@@ -189,7 +171,7 @@ def _read(fd: int) -> bytes:
     return b"".join(chunks)
 
 
-def _fork_map(fn, items: list, workers: int, blas_threads: int) -> list:
+def _fork_map(fn, items: list, workers: int) -> list:
     """(ok, value) of every item, in input order, from this process and
     ``workers - 1`` forked children, each child with its own share and
     memory file.  If this process raises, the children are killed and
@@ -205,17 +187,14 @@ def _fork_map(fn, items: list, workers: int, blas_threads: int) -> list:
             files.append(os.memfd_create("ptwalk-pool"))
             pid = os.fork()
             if pid == 0:
-                _child(fn, items, rank, workers, files[-1], blas_threads)
+                _child(fn, items, rank, workers, files[-1])
             children[pid] = files[-1]
-        lowered = _cap_blas(blas_threads)
         _nested = True
         try:
             for i in range(0, n, workers):
                 outcomes[i] = _call(fn, items[i])
         finally:
             _nested = False
-            for set_, count in lowered:
-                set_(count)
         ended = ""
         for pid, out in list(children.items()):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -259,8 +238,8 @@ def ordered_map(fn, items, threads: int | None = None):
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
     items = list(items)
-    cpus = _cpu_count()
-    workers = 1 if _nested else min(cpus, len(items), threads or len(items))
+    workers = 1 if _nested else min(_cpu_count(), len(items),
+                                     threads or len(items))
     if workers <= 1:
         return map(fn, items)
-    return _results(_fork_map(fn, items, workers, cpus // workers))
+    return _results(_fork_map(fn, items, workers))

@@ -98,9 +98,6 @@ class DeltaSweepResult:
     n_branches: int
     ep_bracket: tuple[float, float] | None
 
-    def branch(self, branch_id: int) -> np.ndarray:
-        return np.array([p.lams[branch_id] for p in self.points])
-
 
 def delta_sweep(spec: WalkSpec, deltas) -> DeltaSweepResult:
     """Track interface eigenvalues along a grid of delta values.

@@ -4,6 +4,10 @@ import json
 import math
 import multiprocessing
 import numbers
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -716,6 +720,44 @@ def test_pooled_failure_is_a_json_error(capsys, tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
     assert not (tmp_path / "d").exists()
 
+
+# outer phases (-0.2, 0.3)π with delta: a skew walk on the dense path,
+# whose eigenvalue bits depend on the OpenBLAS thread count
+SKEW_WALK = """\
+[walk]
+kind = three_step_perturbed
+num_sites = 101
+layout = inner_outer
+theta1_a_over_pi = 0.4
+theta2_a_over_pi = 0.1
+theta1_b_over_pi = -0.2
+theta2_b_over_pi = 0.3
+half_width = 20
+gamma = 0.1
+delta = 0.05
+[spectrum]
+compute_condition = false
+"""
+
+
+def test_bytes_do_not_depend_on_openblas_threads(tmp_path):
+    # each run a fresh interpreter, so OpenBLAS reads the variable
+    cfg = write_config(tmp_path, SKEW_WALK)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items()
+           if k not in {"OMP_NUM_THREADS", "MKL_NUM_THREADS"}}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(src), env.get("PYTHONPATH")]))
+    files = []
+    for threads in ("1", "2"):
+        subprocess.run([sys.executable, "-m", "ptwalk.cli", "spectrum",
+                        "--config", cfg, "--out", f"{tmp_path}/{threads}/"],
+                       check=True, capture_output=True,
+                       env={**env, "OPENBLAS_NUM_THREADS": threads})
+        files.append({p.name: p.read_bytes()
+                      for p in sorted((tmp_path / threads).iterdir())})
+    assert sorted(files[0]) == ["manifest.json", "spectrum.csv"]
+    assert files[0] == files[1]
 
 class TestDeltaSweepCommand:
     def test_grid_recorded(self, capsys, tmp_path):

@@ -87,8 +87,8 @@ class TestDeltaSweep:
 
     def test_branches_real_before_transition(self, sweep):
         for branch_id in range(sweep.n_branches):
-            values = sweep.branch(branch_id)
-            assert np.all(np.abs(values[:2].imag) < 1e-10)
+            values = np.array([p.lams[branch_id] for p in sweep.points[:2]])
+            assert np.all(np.abs(values.imag) < 1e-10)
 
     def test_unitary_degeneracy_not_exceptional(self):
         # at gamma = 0 the delta = 0 interface modes are exactly

@@ -10,8 +10,11 @@ import os
 import pickle
 import re
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,56 +124,71 @@ def fails_from(first, label):
     return solve
 
 
-def openblas():
-    """(get, set) of every OpenBLAS loaded in this process."""
+# OpenBLAS's thread-count getter, as numpy's bundled copy, scipy's
+# bundled copy and a system build export it
+BLAS_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads",
+)
+
+
+def blas_threads():
+    """Thread count of every OpenBLAS loaded in this process."""
     with open("/proc/self/maps") as fh:
         paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
                         if "openblas" in line})
-    found = []
+    counts = []
     for path in paths:
         lib = ctypes.CDLL(path)
-        names = next((n for n in _pool._BLAS_THREADS if hasattr(lib, n[0])),
-                     None)
-        if names is not None:
-            get, set_ = (getattr(lib, name) for name in names)
+        name = next((n for n in BLAS_GETTERS if hasattr(lib, n)), None)
+        if name is not None:
+            get = getattr(lib, name)
             get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            found.append((get, set_))
-    return found
+            counts.append(get())
+    return counts
+
+
+@pytest.mark.parametrize("openblas_threads", [None, "4"],
+                         ids=["unset", "four"])
+def test_import_pins_every_openblas_to_one_thread(openblas_threads):
+    # a fresh interpreter, whatever OPENBLAS_NUM_THREADS says
+    if not blas_threads():
+        pytest.skip("no OpenBLAS loaded")
+    tests = Path(__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items() if k not in {
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")]))
+    code = "import ptwalk, test_pool; print(*test_pool.blas_threads())"
+    counts = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True,
+                            env=env).stdout.split()
+    assert counts == ["1"] * len(blas_threads())
 
 
 class TestOrderedMap:
-    @pytest.mark.parametrize("caller,n_cpus,in_worker", [
-        (2, 2, 1), (2, 4, 2), (1, 4, 1),
-    ], ids=["shared-out", "two-each", "never-raised"])
-    def test_workers_share_out_the_blas_threads(self, cpus, tmp_path, caller,
-                                                n_cpus, in_worker):
-        # two workers, the caller and one child, each with one item;
-        # each runs OpenBLAS on at most its share of the CPUs, and on no
-        # more threads than the caller did, and the caller has its own
-        # count back afterwards
-        libs = openblas()
-        if not libs:
+    @pytest.mark.parametrize("n_cpus", [2, 4])
+    def test_every_worker_runs_one_blas_thread(self, cpus, tmp_path,
+                                              n_cpus):
+        # one item per worker, the caller included, each reading the
+        # thread counts while every other worker runs
+        if not blas_threads():
             pytest.skip("no OpenBLAS loaded")
         cpus(n_cpus)
 
         def threads_seen(item):
-            meet(tmp_path)
-            return os.getpid(), [get() for get, _ in openblas()]
+            meet(tmp_path, processes=n_cpus)
+            return os.getpid(), blas_threads()
 
-        before = [get() for get, _ in libs]
-        try:
-            for _, set_ in libs:
-                set_(caller)
-            seen = list(_pool.ordered_map(threads_seen, range(2)))
-            after = [get() for get, _ in libs]
-        finally:
-            for (_, set_), n in zip(libs, before):
-                set_(n)
+        seen = list(_pool.ordered_map(threads_seen, range(n_cpus)))
         assert os.getpid() in {pid for pid, _ in seen}
-        assert [threads for _, threads in seen] \
-            == [[in_worker] * len(libs)] * 2
-        assert after == [caller] * len(libs)
+        assert len({pid for pid, _ in seen}) == n_cpus
+        ones = [1] * len(blas_threads())
+        assert [threads for _, threads in seen] == [ones] * n_cpus
+        assert blas_threads() == ones
 
     def test_results_in_input_order(self, cpus):
         cpus(2)
