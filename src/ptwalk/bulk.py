@@ -189,8 +189,7 @@ def bloch_fold(spec: WalkSpec, k: np.ndarray | None = None) -> np.ndarray:
 class GapStatus:
     gap_open: bool
     max_abs_d0: float
-    gap_zero: float  # min distance of Re eps from 0, radians
-    gap_pi: float    # min distance of Re eps from pi
+    gap: float  # min distance of Re eps from 0, and from pi, radians
 
 
 def bulk_gap_status(theta1: float, theta2: float, gamma: float) -> GapStatus:
@@ -200,8 +199,8 @@ def bulk_gap_status(theta1: float, theta2: float, gamma: float) -> GapStatus:
     ``|d0|`` reaches 1 somewhere in the zone.  With ``u = cos k``,
     ``d0 = 4B u^3 + (A - 3B) u`` is odd in u, so its maximum modulus is
     taken at ``u = 1`` or at the stationary point
-    ``u^2 = (3B - A) / (12B)`` when that lies in [0, 1]; and the two
-    gaps are equal.
+    ``u^2 = (3B - A) / (12B)`` when that lies in [0, 1].  The two gaps
+    are equal, so ``gap`` is both.
     """
     a, b, *_ = _cubic_coefficients(theta1, theta2, gamma)
     max_abs = float(abs(a + b))
@@ -211,20 +210,16 @@ def bulk_gap_status(theta1: float, theta2: float, gamma: float) -> GapStatus:
             u = np.sqrt(u2)
             stationary = 4.0 * b * u**3 + (a - 3.0 * b) * u
             max_abs = max(max_abs, float(abs(stationary)))
-    gap = float(np.arccos(min(max_abs, 1.0)))
     return GapStatus(
         gap_open=max_abs < 1.0 - GAP_TOL,
         max_abs_d0=max_abs,
-        gap_zero=gap,
-        gap_pi=gap,
+        gap=float(np.arccos(min(max_abs, 1.0))),
     )
 
 
 @dataclass(frozen=True)
 class TopologicalNumber:
     nu_prime: int
-    nu_zero: float
-    nu_pi: float
     nu_shifted: int
 
 
@@ -247,8 +242,7 @@ def winding_number(theta1: float, theta2: float, gamma: float,
     roots = np.roots([q + c2sq, p - s2sq, p + s2sq, q - c2sq])
     n_in = int(np.count_nonzero(np.abs(roots) < 1.0))
     nu = 2 * n_in - 3
-    return TopologicalNumber(nu_prime=nu, nu_zero=nu / 2.0, nu_pi=nu / 2.0,
-                             nu_shifted=n_in)
+    return TopologicalNumber(nu_prime=nu, nu_shifted=n_in)
 
 
 @dataclass(frozen=True, eq=False)

@@ -452,7 +452,7 @@ def _cmd_disorder(cfg, em) -> Run:
     del walk["disorder_amplitude"], walk["disorder_seed"]
     params["walk"] = walk
 
-    ens = disorder_ensemble(spec, theta_r, n_seeds=n_seeds, seed0=seed0)
+    ens = disorder_ensemble(spec, theta_r, seeds=range(seed0, seed0 + n_seeds))
     em.write("disorder.csv", write_disorder_csv, ens)
     result = {
         "fraction_all_real": ens.fraction_all_real,

@@ -200,46 +200,26 @@ def disorder_offset(seed: int, x: int, slot: int, amplitude: float) -> float:
     return float(np.random.Generator(bitgen).uniform(-amplitude, amplitude))
 
 
-# Philox4x64-10 (Salmon et al., SC'11), as numpy's Philox runs it
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_MASK64 = (1 << 64) - 1
-
-
-def _mulhilo(m: int, a: np.ndarray):
-    """High and low words of the 128-bit products m * a, from 32-bit
-    halves so that no partial product leaves uint64."""
-    lo32 = np.uint64(0xFFFFFFFF)
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    a_lo, a_hi = a & lo32, a >> np.uint64(32)
-    low = a_lo * m_lo
-    cross1, cross2 = a_hi * m_lo, a_lo * m_hi
-    mid = (low >> np.uint64(32)) + (cross1 & lo32) + (cross2 & lo32)
-    high = (a_hi * m_hi + (cross1 >> np.uint64(32))
-            + (cross2 >> np.uint64(32)) + (mid >> np.uint64(32)))
-    return high, a * np.uint64(m)
-
-
 def _disorder_draws(seed: int, x: np.ndarray, slot: int,
                     amplitude: float) -> np.ndarray:
     """:func:`disorder_offset` for every site in ``x`` at once.
 
-    numpy's Philox advances its counter before the first block, so a
-    site's block is Philox4x64-10 of (x mod 2**64, slot, 0, 0) plus one,
-    the carry running into the second word, under the key (seed, 0);
-    its first word becomes the draw as ``Generator.uniform`` makes it.
+    numpy's Philox adds one to its 256-bit counter before each block, so
+    the stream that starts at counter (x mod 2**64, slot, 0, 0) yields
+    the first words of sites x, x + 1, ... in every fourth word.  Past
+    x = -1 the stream carries into the slot word for every later site
+    while a site's own counter does not, so the sites below 0 and those
+    from 0 up are read from two streams over the span of ``x``.
     """
-    c0 = np.asarray(x, dtype=np.int64).view(np.uint64) + np.uint64(1)
-    c1 = np.where(c0 == 0, np.uint64(slot + 1), np.uint64(slot))
-    c2 = c3 = np.zeros_like(c0)
-    k0, k1 = int(seed) % (1 << 64), 0
-    for _ in range(10):
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = (hi1 ^ c1 ^ np.uint64(k0), lo1,
-                          hi0 ^ c3 ^ np.uint64(k1), lo0)
-        k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
-    unit = (c0 >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    x = np.asarray(x, dtype=np.int64)
+    first, last = int(x.min()), int(x.max())
+    words = np.concatenate([
+        np.random.Philox(key=int(seed) % (1 << 64), counter=np.array(
+            [start % (1 << 64), slot, 0, 0], dtype=np.uint64),
+        ).random_raw(4 * (stop - start))[::4]
+        for start, stop in ((first, min(last + 1, 0)),
+                            (max(first, 0), last + 1)) if start < stop])
+    unit = (words[x - first] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
     return -amplitude + (2.0 * amplitude) * unit
 
 

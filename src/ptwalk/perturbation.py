@@ -64,8 +64,13 @@ def _edge_eigensystem(spec: WalkSpec, delta: float):
     return lams, vecs
 
 
+def _max_im(lams: np.ndarray) -> float:
+    """Largest |Im lambda| of the tracked states, 0 for none."""
+    return float(np.max(np.abs(lams.imag), initial=0.0))
+
+
 def _regime(lams: np.ndarray, vecs: np.ndarray) -> str:
-    if lams.size and np.max(np.abs(lams.imag)) > TOL_IM:
+    if _max_im(lams) > TOL_IM:
         return "conjugate_pairs"
     for i in range(lams.size):
         for j in range(i + 1, lams.size):
@@ -234,8 +239,7 @@ def find_exceptional_point(spec: WalkSpec, delta_lo: float,
         nonlocal n_solves
         n_solves += 1
         lams, vecs = eigensystem
-        max_im = float(np.max(np.abs(lams.imag))) if lams.size else 0.0
-        return max_im, lams, vecs
+        return _max_im(lams), lams, vecs
 
     ends = ordered_map(functools.partial(_edge_eigensystem, spec),
                        (delta_lo, delta_hi))
@@ -296,13 +300,13 @@ class DisorderEnsemble:
 
 
 def disorder_ensemble(spec: WalkSpec, theta_r: float, n_seeds: int = 32,
-                      seed0: int = 0, seeds=None,
+                      seeds=None,
                       threads: int | None = None) -> DisorderEnsemble:
     """Interface eigenvalue reality across disorder realizations.
 
     Every realization is keyed by its seed alone, so ensembles are
-    reproducible elementwise.  ``seeds`` defaults to ``n_seeds``
-    consecutive seeds from ``seed0`` and must not be empty.
+    reproducible elementwise.  ``seeds`` defaults to
+    ``range(n_seeds)`` and must not be empty.
     Realizations are shared out among this process and forked workers,
     at most ``threads`` of them in all (no cap if None; 1 solves them
     one after another in this process, each with the sides of its
@@ -313,7 +317,7 @@ def disorder_ensemble(spec: WalkSpec, theta_r: float, n_seeds: int = 32,
     ``three_step_perturbed_disordered`` here.
     """
     if seeds is None:
-        seeds = range(seed0, seed0 + n_seeds)
+        seeds = range(n_seeds)
     seeds = list(seeds)
     if not seeds:
         raise ValueError("a disorder ensemble needs at least one seed")
@@ -325,9 +329,8 @@ def disorder_ensemble(spec: WalkSpec, theta_r: float, n_seeds: int = 32,
         probed = dataclasses.replace(
             spec, kind="three_step_perturbed_disordered", profile=profile)
         lams, vecs = _edge_eigensystem(probed, profile.delta)
-        max_im = float(np.max(np.abs(lams.imag))) if lams.size else 0.0
         return DisorderRecord(seed=int(seed), theta_r=theta_r,
-                              max_im_lambda_edge=max_im,
+                              max_im_lambda_edge=_max_im(lams),
                               regime=_regime(lams, vecs))
 
     records = list(ordered_map(realize, seeds, threads))

@@ -159,29 +159,42 @@ def _fit_localization(prob: np.ndarray, lattice: Lattice,
     return float(-1.0 / slope), r2 >= 0.9
 
 
-def _conjugate_gaps(evals: np.ndarray) -> np.ndarray:
-    """min over j != i of |lambda_i - conj(lambda_j)|, for every i.
+def _near_pairs(values: np.ndarray, tol: float, conjugate: bool = False):
+    """Pairs of ``values`` within ``tol`` of each other, or of each
+    other's conjugate when ``conjugate`` is set.
 
-    That distance is at least |Re lambda_i - Re lambda_j|, so a scan
-    over offsets in real-part order stops at the first offset where no
-    pair is closer in real part than the best partner of either end.
-    The distance is symmetric in i and j bit for bit, so each pair is
-    computed once.
+    Returns ``(order, i, j, d)``: ``order`` sorts ``values`` by real
+    part (stably), ``i < j`` are positions in that order with
+    |z_i - w_j| <= tol, where w is z or its conjugate, and ``d`` holds
+    those distances.  Either distance is at least the real-part gap, so
+    the scan over offsets in real-part order stops at the first offset
+    with no real-part gap within ``tol``.
     """
-    order = np.argsort(evals.real, kind="stable")
-    z = evals[order]
-    best = np.full(z.size, np.inf)
+    order = np.argsort(values.real, kind="stable")
+    z = values[order]
+    w = np.conj(z) if conjugate else z
+    found = [(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))]
     for k in range(1, z.size):
-        gap = z.real[k:] - z.real[:-k]
-        near = np.flatnonzero((gap < best[:-k]) | (gap < best[k:]))
-        if not near.size:
+        i = np.flatnonzero(z.real[k:] - z.real[:-k] <= tol)
+        if not i.size:
             break
-        d = np.abs(z[near] - np.conj(z[near + k]))
-        best[near] = np.minimum(best[near], d)
-        best[near + k] = np.minimum(best[near + k], d)
-    gaps = np.empty_like(best)
-    gaps[order] = best
-    return gaps
+        d = np.abs(z[i] - w[i + k])
+        keep = d <= tol
+        found.append((i[keep], i[keep] + k, d[keep]))
+    i, j, d = (np.concatenate(parts) for parts in zip(*found))
+    return order, i, j, d
+
+
+def _conjugate_partnered(evals: np.ndarray) -> np.ndarray:
+    """Whether some other eigenvalue lies within ``PAIR_TOL`` times
+    max(|lambda|, 1) of each eigenvalue's conjugate."""
+    tol = PAIR_TOL * np.maximum(np.abs(evals), 1.0)
+    order, i, j, d = _near_pairs(evals, tol.max(initial=0.0), conjugate=True)
+    i, j = order[i], order[j]
+    partnered = np.zeros(evals.size, dtype=bool)
+    partnered[i[d <= tol[i]]] = True
+    partnered[j[d <= tol[j]]] = True
+    return partnered
 
 
 def _check_window(window: int) -> None:
@@ -201,9 +214,12 @@ def classify_states(evals: np.ndarray, vectors: np.ndarray, spec: WalkSpec,
     order, as every path of :func:`eigendecompose` returns it, and a
     contiguous copy otherwise; so every result holds one complex
     eigenvector matrix.  Pairs come back sorted by (Re eps, Im eps).
-    Ambiguity near a class boundary (localization fraction at the 0.5
-    threshold, or an imaginary part right at the reality tolerance) is
-    flagged on the pair, never silently dropped.
+    A localized state off the axis within ``EDGE_BAND`` of 0 or pi is a
+    defective pair member when :func:`_conjugate_partnered` finds it a
+    partner, all eigenvalues in one :func:`_near_pairs` scan.  Ambiguity
+    near a class boundary (localization fraction at the 0.5 threshold,
+    or an imaginary part right at the reality tolerance) is flagged on
+    the pair, never silently dropped.
     """
     _check_window(window)
     lattice = spec.lattice
@@ -215,7 +231,7 @@ def classify_states(evals: np.ndarray, vectors: np.ndarray, spec: WalkSpec,
     eps = quasienergy(evals)
     abs_lam = np.abs(evals)
     # a real matrix pairs every complex eigenvalue with its conjugate
-    conj_gap = _conjugate_gaps(evals)
+    partnered = _conjugate_partnered(evals)
 
     pairs: list[Eigenpair] = []
     for i in range(evals.size):
@@ -246,7 +262,7 @@ def classify_states(evals: np.ndarray, vectors: np.ndarray, spec: WalkSpec,
                 pair.classification = ("edge_zero" if dist0 <= distpi
                                        else "edge_pi")
             elif (min(dist0, distpi) <= EDGE_BAND
-                  and conj_gap[i] <= PAIR_TOL * max(abs_lam[i], 1.0)):
+                  and partnered[i]):
                 pair.classification = "defective_pair_member"
             else:
                 pair.classification = "impurity"
@@ -401,22 +417,14 @@ def _window(A, radius: float):
 def _clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
     """Single-linkage groups: indices chained by distances below ``tol``.
 
-    Two values closer than ``tol`` are closer in real part too, so the
-    scan over offsets in real-part order stops at the first offset with
-    no real-part gap below ``tol``.  The groups are the connected
-    components of the near pairs it finds, in order of their first member.
+    The groups are the connected components of the pairs
+    :func:`_near_pairs` finds closer than ``tol``, in order of their
+    first member in real-part order.
     """
-    order = np.argsort(values.real, kind="stable")
-    z = values[order]
-    pairs = [np.empty((2, 0), dtype=int)]
-    for k in range(1, z.size):
-        near = z.real[k:] - z.real[:-k] < tol
-        if not near.any():
-            break
-        i = np.flatnonzero(near & (np.abs(z[k:] - z[:-k]) < tol))
-        pairs.append([i, i + k])
-    i, j = np.hstack(pairs)
-    graph = scipy.sparse.coo_array((np.ones(i.size), (i, j)), (z.size, z.size))
+    order, i, j, d = _near_pairs(values, tol)
+    near = d < tol
+    graph = scipy.sparse.coo_array((np.ones(near.sum()), (i[near], j[near])),
+                                   (order.size, order.size))
     count, labels = scipy.sparse.csgraph.connected_components(graph)
     return [order[labels == r] for r in range(count)]
 

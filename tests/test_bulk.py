@@ -158,13 +158,13 @@ class TestGapStatus:
         s = bulk_gap_status(0.4 * PI, 0.1 * PI, 0.1)
         assert s.gap_open
         assert s.max_abs_d0 == pytest.approx(0.6278857508880469, rel=1e-12)
-        assert s.gap_zero == s.gap_pi
+        assert s.gap == pytest.approx(np.arccos(s.max_abs_d0), rel=1e-12)
 
     def test_broken_point(self):
         s = bulk_gap_status(0.25 * PI, 0.25 * PI, 0.1)
         assert not s.gap_open
         assert s.max_abs_d0 == pytest.approx(1.0100501372634403, rel=1e-12)
-        assert s.gap_zero == 0 and s.gap_pi == 0
+        assert s.gap == 0
 
     @pytest.mark.parametrize("point", [(0.4, 0.1), (0.25, 0.25)])
     def test_fine_grid_approaches_exact_maximum_from_below(self, point):
@@ -187,8 +187,6 @@ class TestWindingNumber:
         t1, t2 = point
         res = winding_number(t1 * PI, t2 * PI, gamma)
         assert (res.nu_prime, res.nu_shifted) == expected
-        assert res.nu_zero == res.nu_prime / 2
-        assert res.nu_pi == res.nu_prime / 2
 
     def test_gap_closed_raises(self):
         with pytest.raises(GapClosedError):
@@ -267,7 +265,7 @@ class TestBlochFold:
                 continue
             spec = WalkSpec(kind="three_step", lattice=Lattice(11),
                             profile=CoinProfile.homogeneous(t1, t2), gamma=gamma)
-            assert fold_floor(spec) == pytest.approx(status.gap_zero, abs=1e-5)
+            assert fold_floor(spec) == pytest.approx(status.gap, abs=1e-5)
             checked += 1
 
     @pytest.mark.parametrize("delta,want", [(0.0, 0.150), (0.02, 0.144),

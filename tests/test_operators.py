@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import sys
@@ -168,9 +169,12 @@ class TestDisorderOffset:
 
     @pytest.mark.parametrize("seed", [0, 5, 7, 2**63 + 3, 2**64 - 1])
     def test_whole_lattice_draw_matches_single_draws(self, seed):
-        # x = -1 wraps to 2**64 - 1, and its counter carries into word 1
-        x = np.arange(-400, 401)
-        for slot in range(3):
+        # x = -1 wraps to 2**64 - 1, and its counter carries into word 1;
+        # sites wholly below 0, from 0 up, -1 and 0 alone, and out of
+        # order around the carry
+        sites = [np.arange(-400, 401), np.arange(-9, -1), np.arange(7),
+                 np.array([-1]), np.array([0]), np.array([-3, 5, 0, -1, 2])]
+        for x, slot in itertools.product(sites, range(3)):
             for amplitude in (0.1, 0.001, 0.314):
                 singles = [disorder_offset(seed, xi, slot, amplitude)
                            for xi in x]

@@ -225,11 +225,6 @@ class TestDisorderEnsemble:
         with pytest.raises(ValueError, match="seed"):
             disorder_ensemble(base_spec, 0.1, n_seeds=0)
 
-    def test_seed0_offsets_range(self, base_spec):
-        ens = disorder_ensemble(base_spec, 0.01, n_seeds=3, seed0=7)
-        assert [r.seed for r in ens.records] == [7, 8, 9]
-        assert all(r.theta_r == 0.01 for r in ens.records)
-
     def test_weak_disorder_keeps_modes_real(self, base_spec):
         ens = disorder_ensemble(base_spec, 0.001, n_seeds=4)
         assert ens.fraction_all_real == 1.0

@@ -16,7 +16,6 @@ from ptwalk.operators import CoinProfile, Lattice, WalkSpec, build_walk_operator
 from ptwalk.perturbation import EDGE_LIKE
 from ptwalk.spectrum import (
     _completeness_radius,
-    _conjugate_gaps,
     _mu_radius,
     _pt_conditions,
     classify_states,
@@ -140,31 +139,81 @@ class TestClassification:
                             window=window)
 
 
-class TestConjugateGaps:
+def random_spectrum(seed):
+    """Complex values with exact conjugates, repeats, real values and
+    values that share a real part."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=40) + 1j * rng.normal(size=40)
+    real = rng.normal(size=15)
+    evals = np.concatenate([z, np.conj(z[:20]), z[:5], real, real[:4],
+                            np.round(z[:10], 1)])
+    rng.shuffle(evals)
+    return evals
+
+
+class TestNearPairs:
     @staticmethod
-    def brute_force(evals):
+    def brute_force(values, tol, conjugate):
+        """Every pair of positions a < b in real-part order, from the
+        full distance matrix."""
+        order = np.argsort(values.real, kind="stable")
+        z = values[order]
+        w = np.conj(z) if conjugate else z
+        dist = np.abs(z[:, None] - w[None, :])
+        i, j = np.nonzero(np.triu(dist <= tol, k=1))
+        return order, i, j, dist[i, j]
+
+    @staticmethod
+    def partners(evals):
+        """Whether min over j != i of |lambda_i - conj(lambda_j)| is
+        within PAIR_TOL * max(|lambda_i|, 1), from the full matrix."""
         gaps = np.abs(evals[:, None] - np.conj(evals)[None, :])
         np.fill_diagonal(gaps, np.inf)
-        return gaps.min(axis=1)
+        return gaps.min(axis=1) <= (spectrum.PAIR_TOL
+                                    * np.maximum(np.abs(evals), 1.0))
+
+    def assert_matches(self, values, tol, conjugate):
+        order, i, j, d = spectrum._near_pairs(values, tol, conjugate)
+        want = self.brute_force(values, tol, conjugate)
+        assert np.array_equal(order, want[0])
+        by_pair = np.lexsort((j, i))
+        for got, expected in zip((i, j, d), want[1:]):
+            assert np.array_equal(got[by_pair], expected)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_full_matrix_bit_for_bit(self, seed):
-        rng = np.random.default_rng(seed)
-        z = rng.normal(size=40) + 1j * rng.normal(size=40)
-        real = rng.normal(size=15)
-        evals = np.concatenate([z, np.conj(z[:20]), z[:5], real, real[:4],
-                                np.round(z[:10], 1)])
-        rng.shuffle(evals)
-        assert np.array_equal(_conjugate_gaps(evals), self.brute_force(evals))
+        for tol in (0.0, 1e-12, 0.05, 0.5):
+            for conjugate in (False, True):
+                self.assert_matches(random_spectrum(seed), tol, conjugate)
 
     def test_small_cases(self):
-        assert np.array_equal(_conjugate_gaps(np.array([1 + 1j])), [np.inf])
-        pair = np.array([0.5 + 0.2j, 0.5 - 0.2j, 2.0, 2.0])
-        assert np.array_equal(_conjugate_gaps(pair), [0.0, 0.0, 0.0, 0.0])
+        for values in (np.empty(0, dtype=complex), np.array([1 + 1j]),
+                       np.array([0.5 + 0.2j, 0.5 - 0.2j, 2.0, 2.0])):
+            for conjugate in (False, True):
+                self.assert_matches(values, 1e-9, conjugate)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_partner_flags(self, seed):
+        evals = random_spectrum(seed)
+        assert np.array_equal(spectrum._conjugate_partnered(evals),
+                              self.partners(evals))
+        assert np.array_equal(
+            spectrum._conjugate_partnered(np.array([0.5 + 0.2j, 0.5 - 0.2j,
+                                                    2.0, 2.0, 3.0, 1j])),
+            [True, True, True, True, False, False])
 
     def test_spectrum(self, result_d):
-        evals = np.array([p.lam for p in result_d.pairs])
-        assert np.array_equal(_conjugate_gaps(evals), self.brute_force(evals))
+        window = window_lams(ORACLE_CASES_BY_NAME["c04-801"])
+        assert window.solver == "interface-fold"
+        flags = []
+        for result in (result_d, window):
+            evals = np.array([p.lam for p in result.pairs])
+            flags.append(spectrum._conjugate_partnered(evals))
+            assert np.array_equal(flags[-1], self.partners(evals))
+        # the bulk's conjugate pairs have partners; the window's real
+        # interface eigenvalues have none
+        assert flags[0].any() and not flags[0].all()
+        assert flags[1].size == 12 and not flags[1].any()
 
 
 class TestLocalization:
