@@ -727,7 +727,7 @@ subcommands:
   spectrum       eigenvalues and state classes of a finite walk
   edge-map       protected interface mode counts on an outer-angle grid
   delta-sweep    interface eigenvalues tracked along a perturbation grid
-  ep-find        bisect for the exceptional point of the perturbed walk
+  ep-find        locate the exceptional point of the perturbed walk
   disorder       interface eigenvalue reality across disorder seeds
   evolve         time evolution from a point source
   infer-edges    edge state count from return probability dynamics

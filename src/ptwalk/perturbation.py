@@ -5,9 +5,9 @@ time-reversal-like protections while keeping the walk matrix real, so
 interface eigenvalues must either stay on the real axis or leave it in
 conjugate pairs; the transition happens at an exceptional point where
 two of them coalesce.  This module tracks interface eigenvalues along
-a delta grid, locates the exceptional point by bisection, and runs
-disordered ensembles where every coin angle gets an independent
-uniform jitter.
+a delta grid, locates the exceptional point by a root search on the
+signed squared gap of the colliding pair, and runs disordered
+ensembles where every coin angle gets an independent uniform jitter.
 
 A sweep point is labelled by a regime:
 
@@ -39,7 +39,7 @@ TOL_IM = 1e-8          # absolute, |Im lambda| regarded as off the real axis
 JUMP_FACTOR = 10.0     # tracked step may exceed its secant estimate this much
 MAX_INSERTED = 64      # bisection points a sweep may add
 MIN_STEP = 1e-6        # narrowest delta step bisection may create
-TOL_DELTA = 5e-4       # bracket width at which the EP bisection stops
+TOL_DELTA = 5e-4       # bracket width at which the EP search stops
 COLLISION_TOL = 1e-6   # real-axis eigenvalue collision distance
 OVERLAP_COALESCED = 0.9
 
@@ -207,9 +207,64 @@ class ExceptionalPoint:
     n_solves: int
 
 
+def _signed_gap(lams: np.ndarray) -> float | None:
+    """Signed squared gap f of the tracked eigenvalues, None for fewer
+    than two: -4 max|Im lambda|^2 once a pair is complex, else the least
+    squared distance between the real parts of two of them.  Near an
+    exceptional point the colliding pair splits as sqrt(delta_EP -
+    delta), so f is close to linear through delta_EP; its sign is the
+    bracket test's."""
+    if lams.size < 2:
+        return None
+    max_im = _max_im(lams)
+    if max_im > TOL_IM:
+        return -4.0 * max_im ** 2
+    return float(np.min(np.diff(np.sort(lams.real))) ** 2)
+
+
+def _secant(lo: float, f_lo: float, hi: float, f_hi: float) -> float:
+    """Root of the line through (lo, f_lo) and (hi, f_hi), f_lo >= 0 > f_hi."""
+    return lo + f_lo * (hi - lo) / (f_lo - f_hi)
+
+
+def _next_probe(last, lo, f_lo, hi, f_hi) -> float:
+    """Where the search solves next, strictly inside (lo, hi).
+
+    The estimate of the root of f is inverse quadratic interpolation
+    through the ``last`` three probes (delta, f) when their f are known
+    and distinct, else the secant of the bracket ends.  An estimate
+    within ``TOL_DELTA`` of an end moves to just under ``TOL_DELTA``
+    from it (or to the midpoint, if that is nearer the estimate), so
+    the next probe can close the bracket and no end creeps.  With no
+    estimate, or one outside the bracket, the probe is the midpoint.
+    """
+    mid = (lo + hi) / 2.0
+    fs = [f for _, f in last]
+    if len(last) == 3 and None not in fs and len(set(fs)) == 3:
+        (da, fa), (db, fb), (dc, fc) = last
+        estimate = (da * fb * fc / ((fa - fb) * (fa - fc))
+                    + db * fa * fc / ((fb - fa) * (fb - fc))
+                    + dc * fa * fb / ((fc - fa) * (fc - fb)))
+    elif f_lo is not None and f_hi is not None:
+        estimate = _secant(lo, f_lo, hi, f_hi)
+    else:
+        return mid
+    if not lo <= estimate <= hi:
+        return mid
+    step = 0.95 * TOL_DELTA
+    x = estimate
+    if estimate - lo < TOL_DELTA and estimate - lo <= hi - estimate:
+        x = lo + step
+    elif hi - estimate < TOL_DELTA:
+        x = hi - step
+    if abs(mid - estimate) < abs(x - estimate):
+        x = mid
+    return x if lo < x < hi else mid
+
+
 def find_exceptional_point(spec: WalkSpec, delta_lo: float,
                            delta_hi: float) -> ExceptionalPoint:
-    """Bisect for the delta where interface eigenvalues leave the axis.
+    """Find the delta where interface eigenvalues leave the axis.
 
     The bracket must straddle the transition: all tracked eigenvalues
     real at ``delta_lo`` and at least one complex pair at ``delta_hi``
@@ -219,17 +274,25 @@ def find_exceptional_point(spec: WalkSpec, delta_lo: float,
     is assumed; the reported ``coalescence_overlap`` is the overlap of
     the newly paired eigenvectors at the upper end, which approaches 1
     at the exceptional point and certifies a genuine coalescence
-    rather than an ordinary crossing.  Bisection stops once the bracket
-    is narrower than ``TOL_DELTA``, or once its midpoint can no longer
-    be told apart from an end in float64 (far from zero, adjacent
-    floats lie farther apart than ``TOL_DELTA``).
+    rather than an ordinary crossing.
+
+    The search runs on the signed squared gap f (see
+    :func:`_signed_gap`), which is close to linear through the
+    exceptional point: each probe goes where interpolation of f puts
+    its root (see :func:`_next_probe`), and replaces the bracket end
+    whose side of the transition it shares, so the bracket keeps a
+    sign change.  The search stops once the bracket is narrower than
+    ``TOL_DELTA``, or once its midpoint can no longer be told apart
+    from an end in float64 (far from zero, adjacent floats lie farther
+    apart than ``TOL_DELTA``).  ``delta`` is the secant root of f across
+    the final bracket, or its midpoint if an end has no f.
 
     The two bracket ends are solved side by side, by this process and
     a forked worker (see :func:`ptwalk._pool.ordered_map`); the
-    bisection runs here, with the sides of each midpoint's window
-    shared out the same way.  The answer, ``n_solves`` included, is
-    the same for any worker count, and the lower end is checked, and
-    its solve's error raised, before the upper end's.
+    search runs here, with the sides of each probe's window shared
+    out the same way.  The answer, ``n_solves`` included, is the same
+    for any worker count, and the lower end is checked, and its
+    solve's error raised, before the upper end's.
     """
     if not delta_lo < delta_hi:
         raise ValueError("need delta_lo < delta_hi")
@@ -239,29 +302,32 @@ def find_exceptional_point(spec: WalkSpec, delta_lo: float,
         nonlocal n_solves
         n_solves += 1
         lams, vecs = eigensystem
-        return _max_im(lams), lams, vecs
+        return _max_im(lams), _signed_gap(lams), lams, vecs
 
     ends = ordered_map(functools.partial(_edge_eigensystem, spec),
                        (delta_lo, delta_hi))
-    max_im, _, _ = probe(next(ends))
+    max_im, f_lo, _, _ = probe(next(ends))
     if max_im > TOL_IM:
         raise BracketError(
             f"interface eigenvalues already complex at delta={delta_lo:.6g} "
             f"(max |Im lambda| = {max_im:.3e}); move the lower end down")
-    max_im, lams_hi, vecs_hi = probe(next(ends))
+    max_im, f_hi, lams_hi, vecs_hi = probe(next(ends))
     if max_im <= TOL_IM:
         raise BracketError(
             f"interface eigenvalues still real at delta={delta_hi:.6g}; "
             "move the upper end up")
 
     lo, hi = delta_lo, delta_hi
+    probes = [(lo, f_lo), (hi, f_hi)]
     mid = (lo + hi) / 2.0
     while hi - lo > TOL_DELTA and lo < mid < hi:
-        max_im, lams, vecs = probe(_edge_eigensystem(spec, mid))
+        x = _next_probe(probes[-3:], lo, f_lo, hi, f_hi)
+        max_im, f, lams, vecs = probe(_edge_eigensystem(spec, x))
+        probes.append((x, f))
         if max_im > TOL_IM:
-            hi, lams_hi, vecs_hi = mid, lams, vecs
+            hi, f_hi, lams_hi, vecs_hi = x, f, lams, vecs
         else:
-            lo = mid
+            lo, f_lo = x, f
         mid = (lo + hi) / 2.0
 
     # the newborn pair: largest |Im| eigenvalue and its conjugate partner
@@ -270,7 +336,9 @@ def find_exceptional_point(spec: WalkSpec, delta_lo: float,
     diffs[i] = np.inf
     j = int(np.argmin(diffs))
     overlap = float(abs(np.vdot(vecs_hi[:, i], vecs_hi[:, j])))
-    return ExceptionalPoint(delta=(lo + hi) / 2.0, lower=lo, upper=hi,
+    delta = (mid if f_lo is None or f_hi is None
+             else _secant(lo, f_lo, hi, f_hi))
+    return ExceptionalPoint(delta=delta, lower=lo, upper=hi,
                             coalescence_overlap=overlap, n_solves=n_solves)
 
 

@@ -830,6 +830,9 @@ delta_hi = 0.08
         assert_live_constants(manifest)
         result = manifest["result"]
         assert result["delta_ep"] == pytest.approx(0.0696, abs=0.001)
+        assert (result["delta_lower"] <= result["delta_ep"]
+                <= result["delta_upper"])
+        assert result["n_solves"] == 5
         assert int(rows[0].split(",")[-1]) == result["n_solves"]
 
 

@@ -163,10 +163,20 @@ class TestExceptionalPoint:
     def test_bracket_shrunk_to_tolerance(self, ep):
         assert ep.lower < ep.delta < ep.upper
         assert ep.upper - ep.lower <= perturbation.TOL_DELTA
-        assert ep.n_solves > 4
+        # two ends and three probes, against eight solves by bisection
+        assert ep.n_solves == 5
 
     def test_coalescence_certified(self, ep):
         assert ep.coalescence_overlap > 0.9
+
+    def test_same_probes_at_801_sites(self, ep):
+        # the interface states do not feel the longer ring, so the
+        # search takes the same steps to the same bracket
+        wide = find_exceptional_point(interface_spec(num_sites=801),
+                                      0.05, 0.08)
+        assert wide.n_solves == ep.n_solves == 5
+        assert wide.lower == pytest.approx(ep.lower, abs=1e-12)
+        assert wide.upper == pytest.approx(ep.upper, abs=1e-12)
 
     def test_rejects_bracket_still_real(self):
         with pytest.raises(BracketError, match="still real"):
@@ -184,6 +194,67 @@ class TestExceptionalPoint:
     def test_rejects_reversed_bracket(self):
         with pytest.raises(ValueError):
             find_exceptional_point(interface_spec(), 0.08, 0.05)
+
+    @staticmethod
+    def square_root_branch(gap2):
+        """A 2x2 family whose pair splits as 1 +- sqrt(gap2(delta)): real
+        while gap2 >= 0, a conjugate pair past its root."""
+        def fake(spec, delta):
+            root = np.sqrt(complex(gap2(delta)))
+            return np.array([1 + root, 1 - root]), np.eye(2)
+        return fake
+
+    def test_jordan_block_root(self, monkeypatch):
+        # f = 4 a (delta_EP - delta) is linear, so the first estimate is
+        # the root and one nudged probe closes the bracket
+        d_ep, a = 0.0695, 0.3
+        monkeypatch.setattr(perturbation, "_edge_eigensystem",
+                            self.square_root_branch(
+                                lambda d: a * (d_ep - d)))
+        ep = find_exceptional_point(interface_spec(), 0.05, 0.08)
+        assert abs(ep.delta - d_ep) <= 1e-9
+        assert ep.lower <= ep.delta <= ep.upper
+        assert ep.upper - ep.lower <= perturbation.TOL_DELTA
+        assert ep.n_solves <= 4
+
+    def test_convex_family_brackets_root(self, monkeypatch):
+        # a quadratic term bends f; its second root, 0.0695 + 1/30, lies
+        # outside the bracket
+        d_ep = 0.0695
+        monkeypatch.setattr(perturbation, "_edge_eigensystem",
+                            self.square_root_branch(
+                                lambda d: (d_ep - d) * (1 + 30 * (d_ep - d))))
+        ep = find_exceptional_point(interface_spec(), 0.05, 0.08)
+        assert ep.lower <= d_ep <= ep.upper
+        assert ep.lower <= ep.delta <= ep.upper
+        assert ep.upper - ep.lower <= perturbation.TOL_DELTA
+        assert ep.n_solves < self.bisection(0.05, 0.08, d_ep)[2]
+
+    @staticmethod
+    def bisection(lo, hi, d_ep):
+        """Final bracket and solves, ends included, of a bisection for a
+        transition at ``d_ep`` down to ``TOL_DELTA``."""
+        n = 2
+        while hi - lo > perturbation.TOL_DELTA:
+            mid, n = (lo + hi) / 2.0, n + 1
+            lo, hi = (lo, mid) if mid > d_ep else (mid, hi)
+        return lo, hi, n
+
+    def test_end_without_gap_bisects(self, monkeypatch):
+        # one tracked eigenvalue while real: f has no value at the lower
+        # end or any real probe, so every probe is a midpoint
+        d_ep = 0.0695
+
+        def fake(spec, delta):
+            if delta <= d_ep:
+                return np.array([1.0 + 0j]), np.eye(2, 1)
+            im = np.sqrt(delta - d_ep)
+            return np.array([1 + im * 1j, 1 - im * 1j]), np.eye(2)
+        monkeypatch.setattr(perturbation, "_edge_eigensystem", fake)
+        ep = find_exceptional_point(interface_spec(), 0.05, 0.08)
+        lo, hi, n_solves = self.bisection(0.05, 0.08, d_ep)
+        assert (ep.lower, ep.upper, ep.n_solves) == (lo, hi, n_solves)
+        assert ep.delta == (lo + hi) / 2.0
 
     def test_bisection_stops_at_float_resolution(self, monkeypatch):
         # a tolerance below the float spacing (as TOL_DELTA is for a
