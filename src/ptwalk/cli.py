@@ -529,13 +529,12 @@ HANDLERS = {
 class Panel(NamedTuple):
     config: dict      # section -> {key: value}
     artifacts: dict   # subcommand artifact name -> file name
+    pick: Callable | None = None   # (em, this panel's result) -> result items
 
 
 class Figure(NamedTuple):
     command: str
     panels: dict      # panel name -> Panel
-    # reads the panels' Runs, writes extra artifacts, returns result items
-    pick: Callable | None = None
 
 
 INNER = (0.4, 0.1)
@@ -564,10 +563,10 @@ def _split_walk(left, right, delta, num_sites=801) -> dict:
             "delta": delta}
 
 
-def _spectrum_panels(fig: str, walks: dict) -> dict:
+def _spectrum_panels(fig: str, walks: dict, **picks) -> dict:
     return {name: Panel({"walk": walk,
                          "spectrum": {"compute_condition": False}},
-                        {"spectrum.csv": f"{fig}{name}.csv"})
+                        {"spectrum.csv": f"{fig}{name}.csv"}, picks.get(name))
             for name, walk in walks.items()}
 
 
@@ -578,10 +577,9 @@ def _trace_panels(fig: str, walks: dict) -> dict:
             for name, walk in walks.items()}
 
 
-def _pick_fig4f(em: Emitter, runs: dict) -> dict:
+def _pick_fig4f(em: Emitter, res) -> dict:
     """Panel f: the interface state of panel d whose eigenvalue has the
     smallest real part (the most amplified pi mode)."""
-    res = runs["d"].data
     nonbulk = [i for i, p in enumerate(res.pairs)
                if p.classification != "bulk"]
     if not nonbulk:
@@ -591,10 +589,9 @@ def _pick_fig4f(em: Emitter, runs: dict) -> dict:
     return {"f": {"source_panel": "d", "pair_index": pick}}
 
 
-def _pick_fig13(em: Emitter, runs: dict) -> dict:
+def _pick_fig13(em: Emitter, res) -> dict:
     """The protected edge state and the member of the defective pair
     closest to eps = 0 from below."""
-    res = runs["fig13"].data
     edges = [i for i, p in enumerate(res.pairs)
              if p.classification == "edge_zero"]
     defect = [i for i, p in enumerate(res.pairs)
@@ -631,7 +628,7 @@ FIGURES = {
     "fig4": Figure("spectrum", _spectrum_panels("fig4", {
         **{name: _interface_walk(outer, 0.1) for name, outer in OUTER.items()},
         "e": _interface_walk(OUTER["d"], 0.0),
-    }), pick=_pick_fig4f),
+    }, d=_pick_fig4f)),
     # trimmed from the published 101x101 sweep of 1602-dim solves: a
     # 9x9 grid on a 301-site ring runs in seconds through the same path
     "fig5": Figure("edge-map", {"fig5": Panel(
@@ -680,12 +677,20 @@ FIGURES = {
         {"walk": _split_walk(LEFT_SMALL_GAP, (-0.2, -1 / 12), 0.05,
                              num_sites=601),
          "spectrum": {"window": 50, "compute_condition": False}},
-        {})}, pick=_pick_fig13),
+        {}, _pick_fig13)}),
 }
 
 
 def _figure_ids() -> list[str]:
     return sorted(FIGURES, key=lambda s: (len(s), s))
+
+
+def _run_panel(command: str, panel: Panel, em: Emitter):
+    """Run one panel; only its params, summary and pick items outlive it."""
+    cfg = {section: {key: str(value) for key, value in items.items()}
+           for section, items in panel.config.items()}
+    params, result, data = HANDLERS[command](cfg, em.renamed(panel.artifacts))
+    return params, result, {} if panel.pick is None else panel.pick(em, data)
 
 
 def _cmd_reproduce(args) -> int:
@@ -698,21 +703,16 @@ def _cmd_reproduce(args) -> int:
         known = ", ".join(_figure_ids())
         raise CliError(f"unknown figure id {args.figure!r}; known: {known}")
     em = Emitter(args.out)
-    runs = {}
+    params, result, picked = {}, {}, {}
     for name, panel in fig.panels.items():
-        cfg = {section: {key: str(value) for key, value in items.items()}
-               for section, items in panel.config.items()}
-        runs[name] = HANDLERS[fig.command](cfg, em.renamed(panel.artifacts))
-    if len(runs) == 1:
-        (run,) = runs.values()
-        params, result = run.params, dict(run.result)
+        params[name], result[name], items = _run_panel(fig.command, panel, em)
+        picked.update(items)
+    if len(fig.panels) == 1:
+        (params,), (result,) = params.values(), result.values()
     else:
-        params = {"panels": {name: run.params for name, run in runs.items()}}
-        result = {"panels": {name: run.result for name, run in runs.items()}}
-    if fig.pick is not None:
-        result.update(fig.pick(em, runs))
-    em.manifest("reproduce", params, result, figure=args.figure,
-                subcommand=fig.command)
+        params, result = {"panels": params}, {"panels": result}
+    em.manifest("reproduce", params, {**result, **picked},
+                figure=args.figure, subcommand=fig.command)
     return 0
 
 

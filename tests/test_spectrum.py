@@ -330,16 +330,25 @@ def _c06(delta):
                           delta=delta)
 
 
-def _c07(outer, theta_r, seed=5):
-    return interface_spec((outer[0] * PI, outer[1] * PI),
+def _c07(outer, theta_r, seed=5, gamma=0.1):
+    return interface_spec((outer[0] * PI, outer[1] * PI), gamma=gamma,
                           kind="three_step_perturbed_disordered", delta=0.05,
                           disorder_amplitude=theta_r, disorder_seed=seed)
+
+
+def _split(left, right, gamma):
+    return WalkSpec(kind="three_step_perturbed", lattice=Lattice(301),
+                    gamma=gamma, profile=CoinProfile.left_right(
+                        (left[0] * PI, left[1] * PI),
+                        (right[0] * PI, right[1] * PI), delta=0.05))
 
 
 # (id, the solver that must answer, walk): the PT-fold gate holds for
 # the edge-map cells, c04 and delta = 0; gamma = 0 and undisordered
 # delta != 0 make every mu double and keep the lambda-window; disorder
-# at gamma != 0 leaves mu simple
+# or a left_right profile at gamma != 0 leaves mu simple.  The lambda
+# window of the gamma = 0.3 walks grows with e^(2 gamma) and took 4-25x
+# the mu-window's time there.
 ORACLE_CASES = [
     *_fig5_row_cells(),
     ("c04-801", "interface-fold",
@@ -349,10 +358,15 @@ ORACLE_CASES = [
     ("c07-seed5", "interface-mu", _c07((-0.2, 0.3), 0.1)),
     ("c07-dnu1-seed5", "interface-mu", _c07((0.9, 0.2), 0.1)),
     ("c07-r0.001-seed5", "interface-mu", _c07((-0.2, 0.3), 0.001)),
-    ("split-gamma0", "interface", WalkSpec(
-        kind="three_step_perturbed", lattice=Lattice(301), gamma=0.0,
-        profile=CoinProfile.left_right((0.125 * PI, 0.1 * PI),
-                                       (-0.2 * PI, -PI / 12), delta=0.05))),
+    ("c07-seed1-gamma0.3", "interface-mu",
+     _c07((-0.2, 0.3), 0.1, seed=1, gamma=0.3)),
+    ("c07-dnu1-seed1-gamma0.3", "interface-mu",
+     _c07((0.9, 0.2), 0.1, seed=1, gamma=0.3)),
+    ("split-small-gap", "interface-mu",
+     _split((0.125, 0.1), (-0.2, -1 / 12), 0.1)),
+    ("split-large-gap", "interface-mu",
+     _split((0.75, 0.05), (-1 / 3, 0.0), 0.1)),
+    ("split-gamma0", "interface", _split((0.125, 0.1), (-0.2, -1 / 12), 0.0)),
 ]
 ORACLE_CASES_BY_NAME = {name: spec for name, _, spec in ORACLE_CASES}
 FOLD_CASES = {name: spec for name, solver, spec in ORACLE_CASES
@@ -656,16 +670,27 @@ class TestBandedShiftInvert:
     def test_bandwidth_does_not_grow_with_the_lattice(self):
         # a walk step that moved a site by more than one would widen
         # the band with the lattice, and the banded LU would cost O(n^3)
-        # (sub-, superdiagonals) of A in band order, as the factor reads
+        def band(A):
+            # (sub-, superdiagonals) of A in band order, as the factor reads
+            order = spectrum._band_order(A)
+            B = A[order][:, order].tocoo()
+            return int((B.row - B.col).max()), int((B.col - B.row).max())
+
         bands = {name: set() for name in WINDOW_MATRICES}
-        for num_sites in (31, 301, 801):
+        inner_outer = set()
+        for num_sites in (31, 101, 301, 801):
             for name, A in window_matrices(num_sites).items():
-                order = spectrum._band_order(A)
-                B = A[order][:, order].tocoo()
-                bands[name].add((int((B.row - B.col).max()),
-                                 int((B.col - B.row).max())))
-        for name, band in bands.items():
-            assert len(band) == 1, (name, band)
+                bands[name].add(band(A))
+            # U of the gamma = 0 inner_outer walk (fig4e), which the
+            # lambda-window factors: the sparse product drops exact
+            # cancellations, so its pattern, and with it the band, moves
+            # with the lattice, though within a bound
+            inner_outer.add(band(build_walk_operator(interface_spec(
+                (-0.6 * PI, 0.2 * PI), gamma=0.0, num_sites=num_sites,
+                half_width=min(50, num_sites // 4))).sparse))
+        for name, widths in bands.items():
+            assert len(widths) == 1, (name, widths)
+        assert all(kl == ku <= 17 for kl, ku in inner_outer), inner_outer
 
     @pytest.mark.parametrize("eigenvalues,sigma", [
         (np.ones(200), 1.0),
