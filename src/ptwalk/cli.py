@@ -160,14 +160,20 @@ def _load_config(path: str | None) -> dict[str, dict[str, str]]:
 
 
 def _section(cfg: dict, name: str) -> Section:
-    return Section(name, cfg.get(name, {}))
+    """Take section ``name`` out of ``cfg`` and reject any section left.
+    A walk handler calls ``_walk_spec``, which takes ``[walk]``, first;
+    it may read ``cfg`` before that (``disorder`` does)."""
+    sec = Section(name, cfg.pop(name, {}))
+    if cfg:
+        raise CliError(f"unknown sections for {name}: {sorted(cfg)}")
+    return sec
 
 
 def _walk_spec(cfg: dict) -> tuple[WalkSpec, dict]:
     """The walk of the ``[walk]`` section and its resolved parameters."""
     if "walk" not in cfg:
         raise CliError("this subcommand needs a [walk] section in the config")
-    sec = _section(cfg, "walk")
+    sec = Section("walk", cfg.pop("walk"))
     kind = sec.take("kind", str)
     num_sites = sec.take("num_sites", int)
     layout = sec.take("layout", str, "homogeneous")
@@ -205,15 +211,10 @@ class Emitter:
     written.  Without it every artifact keeps its own name.
     """
 
-    def __init__(self, prefix: str, names: dict | None = None,
-                 paths: dict | None = None):
+    def __init__(self, prefix: str, names: dict | None = None):
         self.prefix = prefix
         self.names = names
-        self.paths: dict[str, str] = {} if paths is None else paths
-
-    def renamed(self, names: dict) -> "Emitter":
-        """A writer into the same prefix and manifest, under ``names``."""
-        return Emitter(self.prefix, names, self.paths)
+        self.paths: dict[str, str] = {}
 
     def _full(self, name: str) -> str:
         full = self.prefix + name
@@ -523,12 +524,13 @@ HANDLERS = {
 #
 # A figure is one subcommand run once per panel.  A panel holds the
 # config sections that run reads (values in the config grammar, angles
-# in units of pi) and the file name of each artifact it keeps.
+# in units of pi) and the file name of each artifact it keeps.  A plain
+# ``ptwalk <subcommand> --config`` run is a figure of one such panel.
 
 
 class Panel(NamedTuple):
     config: dict      # section -> {key: value}
-    artifacts: dict   # subcommand artifact name -> file name
+    artifacts: dict | None   # artifact name -> file name; None keeps all
     pick: Callable | None = None   # (em, this panel's result) -> result items
 
 
@@ -685,34 +687,32 @@ def _figure_ids() -> list[str]:
     return sorted(FIGURES, key=lambda s: (len(s), s))
 
 
-def _run_panel(command: str, panel: Panel, em: Emitter):
-    """Run one panel; only its params, summary and pick items outlive it."""
+def _run_panel(command: str, panel: Panel, prefix: str):
+    """Run one panel; only its params, summary, pick items and the paths
+    it wrote outlive it.  The pick writes under its own file names."""
     cfg = {section: {key: str(value) for key, value in items.items()}
            for section, items in panel.config.items()}
-    params, result, data = HANDLERS[command](cfg, em.renamed(panel.artifacts))
-    return params, result, {} if panel.pick is None else panel.pick(em, data)
+    em, pick_em = Emitter(prefix, panel.artifacts), Emitter(prefix)
+    run = HANDLERS[command](cfg, em)
+    picked = {} if panel.pick is None else panel.pick(pick_em, run.data)
+    return run.params, run.result, picked, {**em.paths, **pick_em.paths}
 
 
-def _cmd_reproduce(args) -> int:
-    if args.figure == "list":
-        for fid in _figure_ids():
-            print(fid)
-        return 0
-    fig = FIGURES.get(args.figure)
-    if fig is None:
-        known = ", ".join(_figure_ids())
-        raise CliError(f"unknown figure id {args.figure!r}; known: {known}")
-    em = Emitter(args.out)
+def _run(fig: Figure, prefix: str, command: str, **extra) -> int:
+    """Run every panel of ``fig`` and write one manifest: a single panel
+    records at the top level, several under ``panels``."""
+    em = Emitter(prefix)
     params, result, picked = {}, {}, {}
     for name, panel in fig.panels.items():
-        params[name], result[name], items = _run_panel(fig.command, panel, em)
+        params[name], result[name], items, paths = _run_panel(
+            fig.command, panel, prefix)
         picked.update(items)
+        em.paths.update(paths)
     if len(fig.panels) == 1:
         (params,), (result,) = params.values(), result.values()
     else:
         params, result = {"panels": params}, {"panels": result}
-    em.manifest("reproduce", params, {**result, **picked},
-                figure=args.figure, subcommand=fig.command)
+    em.manifest(command, params, {**result, **picked}, **extra)
     return 0
 
 
@@ -740,9 +740,6 @@ options:
 Every other setting is a config key; any other flag is an error.
 """
 
-WALK_COMMANDS = ("spectrum", "delta-sweep", "ep-find", "disorder", "evolve",
-                 "infer-edges")
-
 
 def _build_parser(subcommand: str) -> _Parser:
     parser = _Parser(prog=f"ptwalk {subcommand}", add_help=False)
@@ -763,18 +760,20 @@ def _dispatch(argv: list[str]) -> int:
         known = ", ".join(sorted([*HANDLERS, "reproduce"]))
         raise CliError(f"unknown subcommand {subcommand!r}; known: {known}")
     args = _build_parser(subcommand).parse_args(rest)
-    if subcommand == "reproduce":
-        return _cmd_reproduce(args)
-    cfg = _load_config(args.config)
-    unread = set(cfg) - {subcommand}
-    if subcommand in WALK_COMMANDS:
-        unread.discard("walk")
-    if unread:
-        raise CliError(f"unknown sections for {subcommand}: {sorted(unread)}")
-    em = Emitter(args.out)
-    run = HANDLERS[subcommand](cfg, em)
-    em.manifest(subcommand, run.params, run.result)
-    return 0
+    if subcommand != "reproduce":
+        panel = Panel(_load_config(args.config), None)
+        return _run(Figure(subcommand, {subcommand: panel}), args.out,
+                    subcommand)
+    if args.figure == "list":
+        for fid in _figure_ids():
+            print(fid)
+        return 0
+    fig = FIGURES.get(args.figure)
+    if fig is None:
+        known = ", ".join(_figure_ids())
+        raise CliError(f"unknown figure id {args.figure!r}; known: {known}")
+    return _run(fig, args.out, "reproduce", figure=args.figure,
+                subcommand=fig.command)
 
 
 def main(argv=None) -> int:

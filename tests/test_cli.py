@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import numbers
 import os
+import pickle
 import subprocess
 import sys
 import weakref
@@ -226,6 +227,14 @@ class TestUsageAndErrors:
         assert payload["error"] == "CliError"
         assert payload["message"] == \
             f"unknown sections for {command}: ['{section}']"
+
+    def test_walk_mistake_comes_before_an_unknown_section(self, capsys,
+                                                          tmp_path):
+        # [walk] is taken before the command's own section, and only
+        # then is a section left over found
+        cfg = write_config(tmp_path, WALK + "gama = 0.1\n[spectrun]\n")
+        payload = error_of(capsys, "spectrum", "--config", cfg)
+        assert payload["message"] == "unknown keys in [walk]: ['gama']"
 
     def test_walk_section_required(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "[spectrum]\nwindow = 5\n")
@@ -1037,6 +1046,21 @@ class TestReproduce:
         assert result["defective_re_eps"] == pytest.approx(
             -0.040402747271619195, abs=1e-12)
 
+    def test_stray_section_in_a_later_panel(self, capsys, tmp_path,
+                                            monkeypatch):
+        # a bundled panel passes the section check of a config file, and
+        # a panel past the first one is checked as well
+        fig = cli.FIGURES["fig2"]
+        b = fig.panels["b"]
+        panels = {**fig.panels,
+                  "b": b._replace(config={**b.config, "bogus": {"x": 1}})}
+        monkeypatch.setitem(cli.FIGURES, "fig2", fig._replace(panels=panels))
+        payload = error_of(capsys, "reproduce", "fig2",
+                           "--out", f"{tmp_path}/")
+        assert payload == {"error": "CliError", "message":
+                           "unknown sections for dispersion: ['bogus']"}
+        assert not (tmp_path / "manifest.json").exists()
+
 
 FIGURE_ARTIFACTS = {
     "fig2": ["fig2a.csv", "fig2b.csv", "fig2c.csv", "fig2d.csv"],
@@ -1075,7 +1099,32 @@ def small_panel(panel):
     return panel._replace(config=config)
 
 
+def is_plain(value) -> bool:
+    """Whether value is built of str-keyed dicts, lists, strings, numbers
+    and None alone, as JSON is."""
+    if isinstance(value, dict):
+        return all(type(k) is str and is_plain(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(map(is_plain, value))
+    return value is None or type(value) in (str, int, float, bool)
+
+
 class TestEveryFigure:
+    @pytest.mark.parametrize("fid", list(cli.FIGURES))
+    def test_panel_hands_back_plain_data(self, tmp_path, fid):
+        # what a panel step returns is all a pool worker would send back:
+        # plain data that pickles, with the path of every file it wrote
+        fig = cli.FIGURES[fid]
+        written = {}
+        for panel in fig.panels.values():
+            step = cli._run_panel(fig.command, panel if fid == "fig13"
+                                  else small_panel(panel), f"{tmp_path}/")
+            assert is_plain(list(step))
+            assert pickle.loads(pickle.dumps(step)) == step
+            written.update(step[3])
+        assert written == {name: f"{tmp_path}/{name}"
+                           for name in FIGURE_ARTIFACTS[fid]}
+
     @pytest.mark.parametrize("fid", list(cli.FIGURES))
     def test_runs_and_writes_its_artifacts(self, capsys, tmp_path,
                                            monkeypatch, fid):
